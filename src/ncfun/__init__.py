@@ -21,7 +21,7 @@ from .words import (
     xt,
 )
 from .poly import FREE, INV, NCPoly, TracePoly
-from .genpoly import GenPoly, GenTerm, genpoly_from_basis
+from .genpoly import GenPoly, GenTerm
 from .series import FormalSeries, compose_tuple, series_compose
 from .mateval import (
     MatTuple,

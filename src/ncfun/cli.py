@@ -40,10 +40,9 @@ from .oracle import (
     check_similarity,
     check_triangular_identity,
     oracle_from_ncpoly,
-    random_ncpoly,
 )
-from .poly import FREE, INV, NCPoly
-from .recon import matenote_extract, reconstruct_polynomial, taylor_at_zero
+from .poly import FREE, INV
+from .recon import matenote_extract, taylor_at_zero
 from .series import FormalSeries
 from .words import cyclic_canonical, parse_word, word_involution, word_str
 
@@ -356,7 +355,12 @@ def cmd_implicit(args, emit: Emitter) -> int:
     if not args.at:
         raise CliError("implicit numeric mode needs --at FILE (MTX1 for the x block)")
     xhat = formats.load_mattuple(_read(args.at))
-    trace = implicit_numeric(f, args.split, xhat, tol=args.tol, maxit=args.maxit)
+    try:
+        trace = implicit_numeric(f, args.split, xhat, tol=args.tol, maxit=args.maxit)
+    except NewtonError as e:
+        emit.fail("implicit_newton_jacobian", xhat.n, math.inf)
+        emit.line(str(e), kind="error")
+        return VERIFY_ERROR
     for i, (res, step) in enumerate(trace.iterates):
         emit.line(f"iter={i} res={res!r} step={step!r}", kind="newton", iter=i, res=res, step=step)
     if trace.X is not None:
@@ -365,196 +369,6 @@ def cmd_implicit(args, emit: Emitter) -> int:
         emit.fail("implicit_newton", xhat.n, trace.iterates[-1][0] if trace.iterates else math.inf)
         return VERIFY_ERROR
     return 0
-
-
-# -- demos -------------------------------------------------------------
-
-
-def _demo_check(emit: Emitter, name: str, ok: bool, level: int, value, desc: str):
-    value = float(value)
-    if ok:
-        emit.line(f"PASS {name} value={value!r} ({desc})", kind="pass", check=name, value=value)
-    else:
-        emit.fail(name, level, value)
-        emit.line(f"  expected: {desc}", kind="note")
-
-
-def demo_cont(args, emit: Emitter) -> None:
-    f = builtin_map("pow_xxt", alpha=1.0 / 3.0)
-    hs = [10.0 ** (-k) for k in range(1, 7)]
-    quots = []
-    for h in hs:
-        X = MatTuple([np.array([[h]])])
-        quots.append(float(np.linalg.norm(f(X).mats[0], 2)) / h)
-        emit.line(f"h={h!r} quotient={quots[-1]!r}", kind="sample", h=h, quotient=quots[-1])
-    mono = all(b > a for a, b in zip(quots, quots[1:]))
-    _demo_check(emit, "pow_xxt(1/3)_first_quotient_divergence", mono, 1, quots[-1],
-                "difference quotient |f(h)|/h grows monotonically as h -> 0")
-
-
-def demo_ck(args, emit: Emitter) -> None:
-    f = builtin_map("pow_xxt", alpha=1.5)
-    hs = [10.0 ** (-k) for k in range(1, 7)]
-    first, second = [], []
-    for h in hs:
-        Xp = MatTuple([np.array([[h]])])
-        Xm = MatTuple([np.array([[-h]])])
-        f0 = float(f(MatTuple([np.array([[0.0]])])).mats[0][0, 0])
-        fp = float(f(Xp).mats[0][0, 0])
-        fm = float(f(Xm).mats[0][0, 0])
-        first.append(abs(fp - f0) / h)
-        second.append(abs(fp - 2 * f0 + fm) / h**2)
-        emit.line(f"h={h!r} first={first[-1]!r} second={second[-1]!r}",
-                  kind="sample", h=h, first=first[-1], second=second[-1])
-    bounded = max(first) < 10.0
-    _demo_check(emit, "pow_xxt(3/2)_first_quotients_bounded", bounded, 1, max(first),
-                "first difference quotients stay bounded")
-    # literal reading of the stated criterion; see the decisions ledger:
-    # the map is 3-homogeneous and C^{1,1}, so these quotients shrink like h
-    # and cannot diverge; the honest divergent signature is one order higher.
-    diverges = all(b > a for a, b in zip(second, second[1:])) and second[-1] > second[0]
-    _demo_check(emit, "pow_xxt(3/2)_second_quotients_divergent", diverges, 1, second[-1],
-                "second difference quotients grow over the range (unattainable; ledger)")
-    fourth = []
-    for h in hs:
-        vals = {}
-        for c in (-2, -1, 0, 1, 2):
-            vals[c] = float(f(MatTuple([np.array([[c * h]])])).mats[0][0, 0])
-        fourth.append(abs(vals[2] - 4 * vals[1] + 6 * vals[0] - 4 * vals[-1] + vals[-2]) / h**4)
-    emit.line(f"fourth-order quotients: {[repr(v) for v in fourth]}", kind="info")
-    grows = all(b > a for a, b in zip(fourth, fourth[1:]))
-    _demo_check(emit, "pow_xxt(3/2)_fourth_quotients_divergent", grows, 1, fourth[-1],
-                "fourth difference quotients diverge like 1/h (true non-C^3-type signature)")
-
-
-def demo_sin(args, emit: Emitter) -> None:
-    emit.line("growth of e^{-sqrt(n)} n^n / n! (Taylor-coefficient lower bound):", kind="info")
-    import math as _m
-
-    vals = []
-    for n in (4, 9, 16, 25):
-        v = _m.exp(-_m.sqrt(n) + n * _m.log(n) - _m.lgamma(n + 1))
-        vals.append(v)
-        emit.line(f"n={n} value={v!r}", kind="sample", n=n, value=v)
-    _demo_check(emit, "smooth_nonanalytic_coefficient_growth",
-                all(b > a for a, b in zip(vals, vals[1:])), 1, vals[-1],
-                "ratios increase: the Taylor series at 0 has radius 0")
-    f = builtin_map("smooth_nonanalytic")
-    rep = check_direct_sums(f, [(1, 1), (1, 2)], trials=5, tol=1e-7, seed=args.seed)
-    emit.report(rep)
-
-
-def demo_nonuniform(args, emit: Emitter) -> None:
-    from .identities import hk_degree, hk_eval, nonuniform_scale, nonuniform_witness
-
-    n = args.n or 3
-    X = nonuniform_witness(n, exact=True)
-    for name, m in zip(("x1", "x2", "x3"), X.mats):
-        emit.line(f"witness {name} = {[[str(v) for v in row] for row in m]!r}", kind="witness")
-    expected = (-1) ** (n - 1) * (n + 1)
-    ok_zero, ok_val = True, False
-    for k in range(1, n + 1):
-        h = hk_eval(k, X)
-        nz = {(i + 1, j + 1): h[i, j] for i in range(n + 1) for j in range(n + 1) if h[i, j] != 0}
-        emit.line(f"h_{k} nonzero entries: {sorted(nz.items())!r}", kind="sample", k=k)
-        if k < n and nz:
-            ok_zero = False
-        if k == n:
-            ok_val = nz == {(1, n + 1): expected}
-    _demo_check(emit, "nonuniform_hk_vanishing", ok_zero, n + 1, 0.0,
-                "h_k = 0 for k < n at the witness tuple")
-    _demo_check(emit, "nonuniform_hn_value", ok_val, n + 1, float(expected),
-                f"h_{n} = (-1)^(n-1) (n+1) e_(1,{n + 1}) exactly")
-    d = hk_degree(n)
-    _demo_check(emit, "nonuniform_degree", d == 2 * n * n + 3 * n + 1, n + 1, d,
-                "deg h_n = 2n^2 + 3n + 1")
-    r2 = nonuniform_scale(n)
-    Y = MatTuple([np.asarray(m, dtype=float) * r2 for m in X.mats])
-    f = builtin_map("nonuniform")
-    fy = f(Y).mats[0]
-    emit.line(f"f(y) = {np.array2string(fy, precision=6, suppress_small=True)}", kind="value")
-    target = np.zeros((n + 1, n + 1))
-    target[0, n] = target[n, 0] = (-1) ** (n - 1)
-    err = float(np.linalg.norm(fy - target, 2))
-    _demo_check(emit, "nonuniform_f_value", err < 1e-9, n + 1, err,
-                "f(y) = (-1)^(n-1) (e_(1,n+1) + e_(n+1,1)) within 1e-9")
-    from .recon import homogeneous_part_eval
-
-    partial = np.zeros((n + 1, n + 1))
-    for m in range(n + 1):
-        partial = partial + homogeneous_part_eval(f, m, Y, n).mats[0]
-    gap = float(np.linalg.norm(fy - partial, 2))
-    _demo_check(emit, "nonuniform_partial_sum_gap", abs(gap - 1.0) < 1e-6, n + 1, gap,
-                "norm of f(y) - sum_{m<=n} f_m(y) equals 1")
-
-
-def demo_roundtrip(args, emit: Emitter) -> None:
-    rng = np.random.default_rng(args.seed)
-    ok = 0
-    total = args.trials or 50
-    for t in range(total):
-        mode = INV if t % 2 else FREE
-        g = int(rng.integers(1, 4))
-        deg = int(rng.integers(1, 5))
-        p = random_ncpoly(g, deg, mode, rng)
-        f = oracle_from_ncpoly(p)
-        rec = reconstruct_polynomial(f, max(p.degree(), 0), tol=1e-7, seed=rng)
-        err = rec.polys[0].max_coeff_diff(p)
-        if err < 1e-7 and rec.ok:
-            ok += 1
-        else:
-            emit.line(f"trial {t}: coefficient error {err!r}", kind="sample", trial=t, err=err)
-    _demo_check(emit, "roundtrip_reconstruction", ok == total, 0, float(ok),
-                f"{total}/{total} random polynomials recovered within 1e-7")
-
-
-def demo_inverse(args, emit: Emitter) -> None:
-    x1 = NCPoly.variable(1)
-    F = FormalSeries.from_ncpoly(x1 - x1 * x1, 5)
-    H = formal_inverse([F])
-    catalan = [1, 1, 2, 5, 14]
-    got = [H[0].parts[m].coefficient(tuple(((1, False),) * m)) for m in range(1, 6)]
-    emit.line(f"reversion coefficients: {[repr(float(v)) for v in got]}", kind="sample")
-    err = max(abs(a - b) for a, b in zip(got, catalan))
-    _demo_check(emit, "inverse_catalan", err < 1e-10, 0, err,
-                "series reversion of x - x^2 has coefficients 1,1,2,5,14")
-    res = composition_residual([F], H)
-    _demo_check(emit, "inverse_two_sided", res < 1e-10, 0, res,
-                "both compositions equal the identity up to degree 5")
-    p = NCPoly.variable(1, mode=INV) + NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True)
-    f = oracle_from_ncpoly(p)
-    rng = np.random.default_rng(args.seed)
-    from .mateval import random_mattuple, random_group_element
-
-    worst_res, worst_eq = 0.0, 0.0
-    for _ in range(5):
-        Y = random_mattuple(1, 2, rng, norm=0.05)
-        tr = newton_invert(f, Y)
-        worst_res = max(worst_res, tr.iterates[-1][0])
-        u = random_group_element("O", 2, rng)
-        tru = newton_invert(f, MatTuple([u @ Y.mats[0] @ u.T]))
-        worst_eq = max(worst_eq, float(np.linalg.norm(tru.X.mats[0] - u @ tr.X.mats[0] @ u.T, 2)))
-    _demo_check(emit, "inverse_newton_residual", worst_res < 1e-10, 2, worst_res,
-                "Newton solves x + x x^t = y to 1e-10")
-    _demo_check(emit, "inverse_newton_equivariance", worst_eq < 1e-7, 2, worst_eq,
-                "h(u y u^t) = u h(y) u^t for orthogonal u")
-
-
-DEMOS = {
-    "cont": demo_cont,
-    "ck": demo_ck,
-    "sin": demo_sin,
-    "nonuniform": demo_nonuniform,
-    "roundtrip": demo_roundtrip,
-    "inverse": demo_inverse,
-}
-
-
-def cmd_demo(args, emit: Emitter) -> int:
-    if args.name not in DEMOS:
-        raise CliError(f"unknown demo {args.name!r}; choose from {sorted(DEMOS)}")
-    DEMOS[args.name](args, emit)
-    return VERIFY_ERROR if emit.failed else 0
 
 
 # -- parser ------------------------------------------------------------
@@ -638,11 +452,6 @@ def build_parser() -> Parser:
     pm.add_argument("--maxit", type=int, default=50)
     pm.set_defaults(func=cmd_implicit)
 
-    pd = sub.add_parser("demo", parents=[common], help="scripted experiments")
-    pd.add_argument("name", choices=sorted(DEMOS))
-    pd.add_argument("--n", type=int, default=None)
-    pd.add_argument("--trials", type=int, default=None)
-    pd.set_defaults(func=cmd_demo)
     return p
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -23,10 +23,11 @@ from .genpoly import GenPoly, GenTerm
 from .mateval import (
     MatTuple,
     SubspaceBasis,
+    _eval_term,
     _rng,
-    adjoint,
     centralizer,
     eval_genpoly,
+    eye_like,
     generated_algebra,
     random_mattuple,
 )
@@ -100,17 +101,6 @@ def _letters(mode: str, g: int):
     return [(k, False) for k in range(1, g + 1)]
 
 
-def _monomial_value(
-    bas: Sequence[np.ndarray], I, K, H: MatTuple, s: int, field: str
-) -> np.ndarray:
-    eye = np.eye(s)
-    acc = np.kron(bas[I[0]], eye)
-    for pos, (k, starred) in enumerate(K):
-        m = adjoint(H.mats[k - 1], field) if starred else H.mats[k - 1]
-        acc = acc @ m @ np.kron(bas[I[pos + 1]], eye)
-    return acc
-
-
 def expand_at_point(
     f: FreeMapOracle,
     A: MatTuple,
@@ -180,8 +170,9 @@ def expand_at_point(
                 h=min(1.0, f.radius_at(level) / 2.0) if f.is_polynomial() else None,
             )
             block = np.empty((per_sample, unknowns), dtype=complex)
+            eye_s = eye_like(s_eval, H.mats[0])
             for c, (I, K) in enumerate(monomials):
-                block[:, c] = _monomial_value(bas, I, K, H, s_eval, f.field).ravel()
+                block[:, c] = _eval_term([bas[i] for i in I], K, H, eye_s).ravel()
             rows.append(block)
             for j in range(f.gprime):
                 rhs[j].append(np.asarray(y.mats[j], dtype=complex).ravel())

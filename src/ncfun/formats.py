@@ -8,6 +8,7 @@ Parse errors carry 1-based line and column numbers.
 
 from __future__ import annotations
 
+import cmath
 import re
 from typing import List, Sequence, Tuple
 
@@ -19,6 +20,7 @@ from .poly import FREE, NCPoly, TracePoly
 from .words import Word, parse_word, word_str
 
 _LETTER_RE = re.compile(r"^x\d+\*?$")
+_TOKEN_RE = re.compile(r"\S+")
 
 
 class FormatError(ValueError):
@@ -44,16 +46,20 @@ def _parse_scalar(tok: str, line: int, col: int = 1):
     t = tok.strip()
     try:
         if t.endswith("i"):
-            return complex(t[:-1].replace(" ", "") + "j")
-        if "/" in t:
+            v = complex(t[:-1].replace(" ", "") + "j")
+        elif "/" in t:
             from fractions import Fraction
 
             return Fraction(t)
-        if re.fullmatch(r"[+-]?\d+", t):
+        elif re.fullmatch(r"[+-]?\d+", t):
             return int(t)
-        return float(t)
+        else:
+            v = float(t)
     except ValueError:
         raise FormatError(f"bad numeric literal {tok!r}", line, col) from None
+    if not cmath.isfinite(v):
+        raise FormatError(f"non-finite numeric literal {tok!r}", line, col)
+    return v
 
 
 def _header_fields(line_text: str, lineno: int) -> dict:
@@ -189,17 +195,17 @@ def load_mattuple(text: str) -> MatTuple:
         field = hdr.get("field", "real")
     except (KeyError, ValueError):
         raise FormatError("MTX1 header needs n=<n> g=<g> field=real|complex", 1) from None
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != g * n:
         raise FormatError(f"expected {g * n} matrix rows, found {len(body)}", len(lines))
     mats = []
     exact = False
     rows_all = []
-    for idx, raw in enumerate(body):
-        toks = raw.split()
+    for lineno, raw in body:
+        toks = list(_TOKEN_RE.finditer(raw))
         if len(toks) != n:
-            raise FormatError(f"expected {n} entries, found {len(toks)}", idx + 2)
-        row = [_parse_scalar(t, idx + 2) for t in toks]
+            raise FormatError(f"expected {n} entries, found {len(toks)}", lineno)
+        row = [_parse_scalar(t.group(), lineno, t.start() + 1) for t in toks]
         exact = exact or any(not isinstance(v, (float, complex)) for v in row)
         rows_all.append(row)
     for k in range(g):
@@ -235,16 +241,20 @@ def dump_genpoly(p: GenPoly) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_matrix(chunk: str, n: int, lineno: int) -> np.ndarray:
-    rows = [r for r in chunk.split(";") if r.strip()]
+def _parse_matrix(chunk: str, n: int, lineno: int, col: int) -> np.ndarray:
+    """Parse 'a b; c d'; ``col`` is the 1-based column of chunk[0] in its line."""
+    rows = []
+    for r in re.finditer(r"[^;]+", chunk):
+        toks = [(t.group(), col + r.start() + t.start()) for t in _TOKEN_RE.finditer(r.group())]
+        if toks:
+            rows.append(toks)
     if len(rows) != n:
-        raise FormatError(f"matrix needs {n} rows, found {len(rows)}", lineno)
+        raise FormatError(f"matrix needs {n} rows, found {len(rows)}", lineno, col)
     out = []
-    for r in rows:
-        toks = r.split()
+    for toks in rows:
         if len(toks) != n:
-            raise FormatError(f"matrix row needs {n} entries, found {len(toks)}", lineno)
-        out.append([_parse_scalar(t, lineno) for t in toks])
+            raise FormatError(f"matrix row needs {n} entries, found {len(toks)}", lineno, toks[0][1])
+        out.append([_parse_scalar(t, lineno, c) for t, c in toks])
     if any(not isinstance(v, (float, complex, int)) for row in out for v in row):
         return np.array(out, dtype=object)
     if any(isinstance(v, complex) for row in out for v in row):
@@ -261,33 +271,29 @@ def load_genpoly(text: str) -> GenPoly:
     mode = hdr.get("mode", FREE)
     nterms = int(hdr.get("terms", "0"))
     terms = []
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != nterms:
         raise FormatError(f"expected {nterms} term lines, found {len(body)}", len(lines))
-    for idx, raw in enumerate(body):
-        lineno = idx + 2
+    for lineno, raw in body:
         m = re.match(r"\s*deg=(\d+)\s*(.*)$", raw)
         if not m:
             raise FormatError("term line must start with deg=<l>", lineno)
         ell = int(m.group(1))
-        toks = m.group(2).split()
-        # split the token stream at letter tokens
-        chunks: List[str] = []
+        # split the line at letter tokens into (matrix text, start index) chunks
+        chunks: List[Tuple[str, int]] = []
         letters: List[str] = []
-        cur: List[str] = []
-        for tok in toks:
-            if _LETTER_RE.match(tok):
-                chunks.append(" ".join(cur))
-                letters.append(tok)
-                cur = []
-            else:
-                cur.append(tok)
-        chunks.append(" ".join(cur))
+        start = m.start(2)
+        for tok in _TOKEN_RE.finditer(raw, m.start(2)):
+            if _LETTER_RE.match(tok.group()):
+                chunks.append((raw[start : tok.start()], start))
+                letters.append(tok.group())
+                start = tok.end()
+        chunks.append((raw[start:], start))
         if len(letters) != ell or len(chunks) != ell + 1:
             raise FormatError(
                 f"term of degree {ell} needs {ell} letters and {ell + 1} matrices", lineno
             )
-        mats = [_parse_matrix(c, n, lineno) for c in chunks]
+        mats = [_parse_matrix(c, n, lineno, i + 1) for c, i in chunks]
         w: Word = parse_word(" ".join(letters))
         terms.append(GenTerm(mats, w))
     return GenPoly(n, terms, mode)

@@ -174,19 +174,3 @@ class GenPoly:
     def __repr__(self):
         return f"GenPoly(n={self.n}, {len(self.terms)} terms, deg={self.degree()})"
 
-
-def genpoly_from_basis(
-    n: int, coeffs: Dict[BasisMonomial, object], mode: str = FREE
-) -> GenPoly:
-    """Reassemble a GenPoly from a basis-expansion map (inverse of
-    ``expand_basis`` up to term grouping)."""
-    terms = []
-    for (I, J, letters), c in coeffs.items():
-        mats = []
-        for pos, (i, j) in enumerate(zip(I, J)):
-            m = np.zeros((n, n), dtype=complex if isinstance(c, complex) else float)
-            m[i - 1, j - 1] = 1.0
-            mats.append(m)
-        mats[0] = c * mats[0]
-        terms.append(GenTerm(mats, letters))
-    return GenPoly(n, terms, mode)

@@ -115,6 +115,8 @@ def is_identity(
     nonzero value is always a correct non-identity witness; the
     identity verdict is Monte Carlo).
     """
+    if n < 1 or trials < 1:
+        raise ValueError(f"is_identity needs n >= 1 and trials >= 1, got n={n}, trials={trials}")
     rng = _rng(seed)
     g = p.num_vars() if isinstance(p, NCPoly) else _tracepoly_vars(p)
     g = max(g, 1)

@@ -14,8 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mateval import MatTuple
-from .oracle import FreeMapOracle, derivative
+from .mateval import MatTuple, direct_sum
+from .oracle import FreeMapOracle, derivative, offdiag_direction
 from .poly import FREE, INV, NCPoly
 from .recon import taylor_at_zero
 from .series import FormalSeries, compose_tuple, series_compose
@@ -369,21 +369,11 @@ def injectivity_check(
     the off-diagonal direction built from X1 - X2; a near-zero smallest
     singular value of the assembled derivative certifies the
     obstruction (equal values force a singular derivative)."""
-    from .mateval import direct_sum
-
     gap = f(X1).max_diff(f(X2))
     if gap >= tol:
         return InjectivityReport(False, gap, note="values differ; no obstruction test applicable")
     Z = direct_sum(X1, X2)
-    n = X1.n
-    hmats = []
-    for a, b in zip(X1.mats, X2.mats):
-        m = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, b))
-        m[:n, n:] = a - b
-        m[n:, :n] = a - b
-        hmats.append(m)
-    H = MatTuple(hmats, X1.field)
-    img = derivative(f, Z, H)
+    img = derivative(f, Z, offdiag_direction(X1, X2))
     img_norm = max(float(np.linalg.norm(np.asarray(m), 2)) for m in img.mats)
     J = assemble_jacobian(f, Z)
     smin = float(np.linalg.svd(J, compute_uv=False)[-1])

@@ -192,6 +192,17 @@ def eval_tracepoly(p: TracePoly, X: MatTuple) -> np.ndarray:
     return out
 
 
+def _eval_term(
+    mats: Sequence[np.ndarray], letters: Word, X: MatTuple, eye_s: np.ndarray
+) -> np.ndarray:
+    """a_0 X_{k_1} a_1 ... X_{k_m} a_m, each coefficient acting as kron(a, eye_s)."""
+    acc = np.kron(np.asarray(mats[0]), eye_s)
+    for (k, starred), a in zip(letters, mats[1:]):
+        m = adjoint(X.mats[k - 1], X.field) if starred else X.mats[k - 1]
+        acc = acc.dot(m).dot(np.kron(np.asarray(a), eye_s))
+    return acc
+
+
 def eval_genpoly(p: GenPoly, X: MatTuple) -> np.ndarray:
     """Evaluate at level ns; coefficients a act as kron(a, I_s)."""
     if X.n % p.n:
@@ -204,12 +215,7 @@ def eval_genpoly(p: GenPoly, X: MatTuple) -> np.ndarray:
     if exact:
         out = np.zeros((X.n, X.n), dtype=object)
     for t in p.terms:
-        acc = np.kron(np.asarray(t.mats[0]), eye_s)
-        for let, a in zip(t.letters, t.mats[1:]):
-            k, starred = let
-            m = adjoint(X.mats[k - 1], X.field) if starred else X.mats[k - 1]
-            acc = acc.dot(m).dot(np.kron(np.asarray(a), eye_s))
-        out = out + acc
+        out = out + _eval_term(t.mats, t.letters, X, eye_s)
     if not exact and not np.iscomplexobj(X.mats[0]) and not any(
         np.iscomplexobj(m) for t in p.terms for m in t.mats
     ):
@@ -353,9 +359,6 @@ class SubspaceBasis:
         if M.shape != (self.n, self.n):
             raise ValueError("size mismatch")
         return float(np.linalg.norm(M - self.project(M)))
-
-    def contains(self, M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        return self.residual(M) <= tol
 
     def __iter__(self):
         return iter(self.mats)

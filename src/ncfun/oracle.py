@@ -76,9 +76,6 @@ class FreeMapOracle:
             out = MatTuple(out if isinstance(out, (tuple, list)) else [out], self.field)
         return out
 
-    def eval_component(self, X: MatTuple, j: int = 0) -> np.ndarray:
-        return self(X).mats[j]
-
 
 # -- constructors -----------------------------------------------------
 
@@ -318,6 +315,26 @@ def _tuple_comb(a: MatTuple, b: MatTuple, ca: float, cb: float) -> MatTuple:
     return MatTuple([ca * x + cb * y for x, y in zip(a.mats, b.mats)], a.field)
 
 
+def neville_to_zero(
+    ests: Sequence[Sequence[np.ndarray]], xs: Sequence[float]
+) -> List[List[np.ndarray]]:
+    """Neville extrapolation to x = 0 of estimates sampled at nodes xs.
+
+    ``ests[j]`` holds per-component arrays taken at node ``xs[j]``.
+    Returns the top entry of each tableau column: the last uses every
+    node, and its distance to the one before is the error indicator.
+    """
+    tab = [list(e) for e in ests]
+    tops = [tab[0]]
+    for k in range(1, len(tab)):
+        tab = [
+            [(xs[i] * b - xs[i + k] * a) / (xs[i] - xs[i + k]) for a, b in zip(tab[i], tab[i + 1])]
+            for i in range(len(tab) - 1)
+        ]
+        tops.append(tab[0])
+    return tops
+
+
 def directional_derivative(
     f: FreeMapOracle,
     X: MatTuple,
@@ -352,19 +369,13 @@ def directional_derivative(
             if not np.all(np.isfinite(np.asarray(m, dtype=complex))):
                 raise ValueError("non-finite evaluation in directional derivative")
         ests.append(est)
-    # Richardson in h^2 (central differences have even error expansions)
-    tab = ests
-    tops = [ests[0]]
-    for k in range(1, len(ests)):
-        fac = 4.0**k
-        tab = [
-            MatTuple(
-                [(fac * b - a) / (fac - 1.0) for a, b in zip(tab[i].mats, tab[i + 1].mats)],
-                tab[i].field,
-            )
-            for i in range(len(tab) - 1)
-        ]
-        tops.append(tab[0])
+    # Richardson in h^2 (central differences have even error expansions);
+    # the relative nodes (h/h0)^2 = 4^-j are powers of two, so the tableau
+    # is exactly the classic (4^k b - a)/(4^k - 1) one
+    tops = [
+        MatTuple(t, ests[0].field)
+        for t in neville_to_zero([e.mats for e in ests], [4.0**-j for j in range(len(ests))])
+    ]
     err = tops[-1].max_diff(tops[-2]) if len(tops) > 1 else math.inf
     return tops[-1], err
 
@@ -452,6 +463,18 @@ def check_commutator_identity(
     return report
 
 
+def offdiag_direction(X1: MatTuple, X2: MatTuple) -> MatTuple:
+    """The direction [[0, X1 - X2], [X1 - X2, 0]] at the direct sum of X1 and X2."""
+    n = X1.n
+    mats = []
+    for a, b in zip(X1.mats, X2.mats):
+        m = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, b))
+        m[:n, n:] = a - b
+        m[n:, :n] = a - b
+        mats.append(m)
+    return MatTuple(mats, X1.field)
+
+
 def check_did_block(
     f: FreeMapOracle, X1: MatTuple, X2: MatTuple, tol: float = 1e-6
 ) -> CheckReport:
@@ -460,15 +483,7 @@ def check_did_block(
     from X1 - X2 equals the off-diagonal of f(X1) - f(X2)."""
     report = CheckReport("did_block", 1, tol)
     n = X1.n
-    Z = direct_sum(X1, X2)
-    hmats = []
-    for a, b in zip(X1.mats, X2.mats):
-        m = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, b))
-        m[:n, n:] = a - b
-        m[n:, :n] = a - b
-        hmats.append(m)
-    H = MatTuple(hmats, X1.field)
-    lhs = derivative(f, Z, H)
+    lhs = derivative(f, direct_sum(X1, X2), offdiag_direction(X1, X2))
     f1, f2 = f(X1), f(X2)
     res = 0.0
     for j in range(f.gprime):

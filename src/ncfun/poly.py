@@ -165,9 +165,6 @@ class NCPoly:
             raise ValueError("involution requires with-involution mode")
         return NCPoly({word_involution(w): _conj(c) for w, c in self.coeffs.items()}, INV)
 
-    def with_mode(self, mode: str) -> "NCPoly":
-        return NCPoly(self.coeffs, mode)
-
     # -- misc --------------------------------------------------------
 
     def __eq__(self, other):
@@ -190,10 +187,6 @@ class NCPoly:
             return "NCPoly(0)"
         parts = [f"{c}*{word_str(w)}" for w, c in self.sorted_terms()]
         return "NCPoly(" + " + ".join(parts) + ")"
-
-
-def nc_zero_like(p: NCPoly) -> NCPoly:
-    return NCPoly.zero(p.mode)
 
 
 class TracePoly:

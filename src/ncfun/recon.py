@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .mateval import MatTuple, _rng, eval_ncpoly, random_mattuple
-from .oracle import FreeMapOracle
+from .oracle import FreeMapOracle, neville_to_zero
 from .poly import FREE, INV, NCPoly
 from .series import FormalSeries
 from .words import Word, words_of_degree
@@ -85,18 +85,9 @@ def homogeneous_part_eval(
     for j in range(refine + 1):
         coeffs, nprime = _coeffs_at_radius(evalf, X, D, h / 2**j)
         ests.append([c[m] for c in coeffs])
-    # Neville extrapolation in h^2 toward 0
-    xs = [(h / 2**j) ** 2 for j in range(refine + 1)]
-    tab = ests
-    for k in range(1, refine + 1):
-        tab = [
-            [
-                (xs[i] * b - xs[i + k] * a) / (xs[i] - xs[i + k])
-                for a, b in zip(tab[i], tab[i + 1])
-            ]
-            for i in range(len(tab) - 1)
-        ]
-    mats = [c.reshape(nprime, nprime) for c in tab[0]]
+    # extrapolation in h^2 toward 0
+    top = neville_to_zero(ests, [(h / 2**j) ** 2 for j in range(refine + 1)])[-1]
+    mats = [c.reshape(nprime, nprime) for c in top]
     return MatTuple(mats, field)
 
 

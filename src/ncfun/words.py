@@ -34,18 +34,6 @@ def xt(k: int) -> Word:
     return (letter(k, True),)
 
 
-def word(*letters: Letter) -> Word:
-    return tuple(letter(k, s) for (k, s) in letters)
-
-
-def word_degree(w: Word) -> int:
-    return len(w)
-
-
-def word_mul(u: Word, v: Word) -> Word:
-    return u + v
-
-
 def word_involution(w: Word) -> Word:
     """Reverse the word and star/unstar every letter.
 

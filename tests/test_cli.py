@@ -136,6 +136,17 @@ def test_implicit_cli(tmp_path, capsys):
     Y = load_mattuple(sol.read_text())
     assert np.linalg.norm(Y.mats[0] - np.array([[1.0, 0.0], [0.0, 0.0]])) < 1e-10
 
+    # f(x, y) = y y + x has a singular y-Jacobian at y = 0: a FAIL line, not a traceback
+    q = NCPoly.variable(2) * NCPoly.variable(2) + NCPoly.variable(1)
+    qf = tmp_path / "q.ncpoly"
+    qf.write_text(dump_ncpolys([q]))
+    xf.write_text(dump_mattuple(MatTuple([0.5 * np.eye(2)])))
+    code, out, _ = run(capsys, "implicit", "--map", f"poly:{qf}", "--split", "1",
+                       "--numeric", "--at", str(xf))
+    assert code == 2
+    assert out.splitlines()[0] == "FAIL implicit_newton_jacobian level=2 residual=inf"
+    assert "singular derivative" in out
+
 
 def test_expand_at_cli(tmp_path, capsys):
     p = NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True) + NCPoly.variable(1, mode=INV)
@@ -186,14 +197,13 @@ def test_usage_and_io_errors(tmp_path, capsys):
     pf.write_text(dump_ncpolys([NCPoly.variable(1)]))
     code, _, err = run(capsys, "eval", "--poly", str(pf), "--tuple", str(bad))
     assert code == 1 and "line" in err
-    code, _, err = run(capsys, "demo", "bogus")
-    assert code == 1
-
-
-def test_demo_inverse_passes(capsys):
-    code, out, _ = run(capsys, "demo", "inverse")
-    assert code == 0
-    assert "PASS inverse_catalan" in out
+    nan = tmp_path / "nan.mtx"
+    nan.write_text("MTX1 n=2 g=1 field=real\n1 nan\n0 1\n")
+    code, out, err = run(capsys, "eval", "--poly", str(pf), "--tuple", str(nan))
+    assert code == 1 and out == "" and "line 2, column 3" in err
+    for extra in (["--trials", "0"], ["--trials", "-3"], ["--n", "0"]):
+        code, out, _ = run(capsys, "identity", "--standard", "4", "--n", "1", *extra)
+        assert code == 1 and "IDENTITY" not in out
 
 
 def test_check_determinism_across_runs(capsys):

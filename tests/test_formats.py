@@ -125,3 +125,17 @@ def test_parse_errors_carry_location():
     assert "line 3" in str(ei.value)
     with pytest.raises(FormatError):
         load_genpoly("GENPOLY1 n=2 mode=free terms=1\ndeg=1 1 0; 0 1 x1 1 0\n")
+    # non-finite literals are rejected where they stand, also when an
+    # integer token would make the tuple exact
+    with pytest.raises(FormatError) as ei:
+        load_mattuple("MTX1 n=2 g=1 field=real\n1 nan\n0 1\n")
+    assert "line 2, column 3" in str(ei.value)
+    with pytest.raises(FormatError) as ei:
+        load_mattuple("MTX1 n=1 g=2 field=complex\n1.0\n\n  inf+1i\n")
+    assert "line 4, column 3" in str(ei.value)
+    with pytest.raises(FormatError) as ei:
+        load_genpoly("GENPOLY1 n=2 mode=free terms=1\ndeg=1 1 0; 0 1 x1 1 0; 0 -inf\n")
+    assert "line 2, column 26" in str(ei.value)
+    with pytest.raises(FormatError) as ei:
+        load_ncpolys("NCPOLY1 mode=free polys=1\nterms=1\nnan : x1\n")
+    assert "line 3" in str(ei.value)

@@ -56,6 +56,10 @@ def test_amitsur_levitzki_small():
     assert not rep.is_identity and rep.witness is not None
     val = eval_standard(list(rep.witness.mats))
     assert any(val[i, j] != 0 for i in range(3) for j in range(3))
+    # an empty trial loop or level would otherwise report IDENTITY
+    for n, trials in ((2, 0), (2, -3), (0, 5)):
+        with pytest.raises(ValueError):
+            is_identity(standard_polynomial(2), n, trials=trials)
 
 
 def test_trace_cyclicity_identity():

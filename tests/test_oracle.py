@@ -20,7 +20,7 @@ from ncfun import (
     random_mattuple,
     symbolic_directional_derivative,
 )
-from ncfun.oracle import DEFAULT_LEVELS, random_ncpoly
+from ncfun.oracle import DEFAULT_LEVELS, neville_to_zero, random_ncpoly
 
 
 def e(n, i, j):
@@ -119,6 +119,26 @@ def test_directional_derivative_values():
     assert np.linalg.norm(symbolic_directional_derivative(g, X, H).mats[0] - want2) < 1e-13
     est2, _ = directional_derivative(g, X, H)
     assert np.linalg.norm(est2.mats[0] - want2) < 1e-8
+
+
+def test_neville_to_zero_exact_on_polynomials():
+    # data that is a polynomial of degree <= R in x, sampled at R+1 nodes,
+    # extrapolates to its value at 0 for both node families in use
+    rng = np.random.default_rng(8)
+    families = {
+        "recon": lambda R: [(0.25 / 2**j) ** 2 for j in range(R + 1)],
+        "derivative": lambda R: [4.0**-j for j in range(R + 1)],
+    }
+    for R in range(5):
+        coeffs = [rng.standard_normal((2, 3, 3)) for _ in range(R + 1)]
+        for nodes in families.values():
+            xs = nodes(R)
+            ests = [[sum(c[comp] * x**k for k, c in enumerate(coeffs)) for comp in range(2)]
+                    for x in xs]
+            tops = neville_to_zero(ests, xs)
+            assert len(tops) == R + 1
+            for got, want in zip(tops[-1], coeffs[0]):
+                assert np.linalg.norm(got - want) < 1e-11 * max(1.0, np.linalg.norm(want))
 
 
 def test_triangular_identity():
