@@ -20,6 +20,7 @@ import numpy as np
 
 from . import formats
 from .expand import expand_at_point
+from .genpoly import GenPoly
 from .identities import is_identity, standard_polynomial
 from .invfun import (
     NewtonError,
@@ -28,9 +29,10 @@ from .invfun import (
     formal_inverse,
     implicit_formal,
     implicit_numeric,
+    implicit_residual,
     newton_invert,
 )
-from .mateval import MatTuple, eval_poly
+from .mateval import MatTuple, eval_poly, random_mattuple
 from .oracle import (
     FreeMapOracle,
     builtin_map,
@@ -41,8 +43,7 @@ from .oracle import (
     check_triangular_identity,
     oracle_from_ncpoly,
 )
-from .poly import FREE, INV
-from .recon import matenote_extract, taylor_at_zero
+from .recon import homogeneous_part_eval, matenote_extract, taylor_at_zero
 from .series import FormalSeries
 from .words import cyclic_canonical, parse_word, word_involution, word_str
 
@@ -198,8 +199,6 @@ def cmd_check(args, emit: Emitter) -> int:
     differentiable = f.smoothness not in ("continuous",)
     if differentiable:
         rng = np.random.default_rng(args.seed + 1)
-        from .mateval import random_mattuple
-
         for n in levels:
             if n < 2:
                 continue
@@ -221,8 +220,17 @@ def cmd_check(args, emit: Emitter) -> int:
 
 def cmd_extract(args, emit: Emitter) -> int:
     f = load_map(args.map)
-    mode = INV if f.group in ("O", "U") else FREE
-    ext = matenote_extract(f, args.degree, f.g, mode, level=args.level, field=f.field)
+    # matenote reads assume f is homogeneous of this degree: probe
+    # f(X) = 2^m f(X/2) at one random point first
+    level = args.degree + 1
+    X = random_mattuple(f.g, level, np.random.default_rng(args.seed), f.field,
+                        norm=min(0.5, f.radius_at(level) / 4.0))
+    fx = f(X)
+    r = fx.max_diff(f(X.scale(0.5)).scale(2.0**args.degree)) / max(1.0, fx.norm())
+    if r > args.tol:
+        emit.fail("extract_homogeneity", level, r)
+        return VERIFY_ERROR
+    ext = matenote_extract(f, args.degree, f.g, f.mode, level=args.level, field=f.field)
     _write(args.output, formats.dump_ncpolys(list(ext.polys)), emit)
     emit.line(f"degree={args.degree} evaluations={ext.evaluations} level={args.level or args.degree + 1}",
               kind="extract", degree=args.degree, evaluations=ext.evaluations)
@@ -230,9 +238,6 @@ def cmd_extract(args, emit: Emitter) -> int:
 
 
 def cmd_taylor(args, emit: Emitter) -> int:
-    from .mateval import random_mattuple
-    from .recon import homogeneous_part_eval
-
     f = load_map(args.map)
     tay = taylor_at_zero(f, args.degree, tol=args.tol, seed=args.seed, cross_check=args.cross_check)
     polys = [s.to_ncpoly() for s in tay.series]
@@ -284,8 +289,9 @@ def cmd_identity(args, emit: Emitter) -> int:
             raise CliError("--standard takes the even degree 2k")
         p = standard_polynomial(args.standard // 2)
     elif args.poly:
-        loaded = _load_poly_any(args.poly)
-        p = loaded[0]
+        p = _load_poly_any(args.poly)[0]
+        if isinstance(p, GenPoly):
+            raise CliError(f"{args.poly}: identity takes an NCPOLY1 or TRPOLY1 file, not GENPOLY1")
     else:
         raise CliError("identity needs --standard 2K or --poly FILE")
     rep = is_identity(p, args.n, trials=args.trials, seed=args.seed, exact=args.exact)
@@ -293,6 +299,26 @@ def cmd_identity(args, emit: Emitter) -> int:
     if rep.witness is not None and args.output:
         W = MatTuple([np.asarray(m, dtype=float) for m in rep.witness.mats], "real")
         _write(args.output, formats.dump_mattuple(W), emit)
+    return 0
+
+
+def _report_newton(solve, check: str, level: int, output: Optional[str], emit: Emitter) -> int:
+    """Run a Newton solve and report it: ``FAIL <check>_jacobian`` on a
+    singular Jacobian, one line per iterate, the last iterate to output,
+    and ``FAIL <check>`` if it did not converge."""
+    try:
+        trace = solve()
+    except NewtonError as e:
+        emit.fail(f"{check}_jacobian", level, math.inf)
+        emit.line(str(e), kind="error")
+        return VERIFY_ERROR
+    for i, (res, step) in enumerate(trace.iterates):
+        emit.line(f"iter={i} res={res!r} step={step!r}", kind="newton", iter=i, res=res, step=step)
+    if trace.X is not None:
+        _write(output, formats.dump_mattuple(trace.X), emit)
+    if not trace.converged:
+        emit.fail(check, level, trace.iterates[-1][0] if trace.iterates else math.inf)
+        return VERIFY_ERROR
     return 0
 
 
@@ -322,20 +348,10 @@ def cmd_invert(args, emit: Emitter) -> int:
     f = load_map(args.map)
     Y = formats.load_mattuple(_read(args.target))
     X0 = formats.load_mattuple(_read(args.x0)) if args.x0 else None
-    try:
-        trace = newton_invert(f, Y, X0=X0, tol=args.tol, maxit=args.maxit)
-    except NewtonError as e:
-        emit.fail("invert_newton_jacobian", Y.n, math.inf)
-        emit.line(str(e), kind="error")
-        return VERIFY_ERROR
-    for i, (res, step) in enumerate(trace.iterates):
-        emit.line(f"iter={i} res={res!r} step={step!r}", kind="newton", iter=i, res=res, step=step)
-    if trace.X is not None:
-        _write(args.output, formats.dump_mattuple(trace.X), emit)
-    if not trace.converged:
-        emit.fail("invert_newton", Y.n, trace.iterates[-1][0] if trace.iterates else math.inf)
-        return VERIFY_ERROR
-    return 0
+    return _report_newton(
+        lambda: newton_invert(f, Y, X0=X0, tol=args.tol, maxit=args.maxit),
+        "invert_newton", Y.n, args.output, emit,
+    )
 
 
 def cmd_implicit(args, emit: Emitter) -> int:
@@ -343,8 +359,6 @@ def cmd_implicit(args, emit: Emitter) -> int:
     if args.formal:
         h = implicit_formal(f, args.split, args.degree, tol=args.tol)
         _write(args.output, formats.dump_ncpolys([s.to_ncpoly() for s in h]), emit)
-        from .invfun import implicit_residual
-
         if f.polys is not None:
             res = implicit_residual(f, args.split, h)
             emit.line(f"degree={args.degree} residual={res!r} level=0", kind="implicit", residual=res)
@@ -355,20 +369,10 @@ def cmd_implicit(args, emit: Emitter) -> int:
     if not args.at:
         raise CliError("implicit numeric mode needs --at FILE (MTX1 for the x block)")
     xhat = formats.load_mattuple(_read(args.at))
-    try:
-        trace = implicit_numeric(f, args.split, xhat, tol=args.tol, maxit=args.maxit)
-    except NewtonError as e:
-        emit.fail("implicit_newton_jacobian", xhat.n, math.inf)
-        emit.line(str(e), kind="error")
-        return VERIFY_ERROR
-    for i, (res, step) in enumerate(trace.iterates):
-        emit.line(f"iter={i} res={res!r} step={step!r}", kind="newton", iter=i, res=res, step=step)
-    if trace.X is not None:
-        _write(args.output, formats.dump_mattuple(trace.X), emit)
-    if not trace.converged:
-        emit.fail("implicit_newton", xhat.n, trace.iterates[-1][0] if trace.iterates else math.inf)
-        return VERIFY_ERROR
-    return 0
+    return _report_newton(
+        lambda: implicit_numeric(f, args.split, xhat, tol=args.tol, maxit=args.maxit),
+        "implicit_newton", xhat.n, args.output, emit,
+    )
 
 
 # -- parser ------------------------------------------------------------
@@ -461,13 +465,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         emit = Emitter(args.json)
         return args.func(args, emit)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except formats.FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError) as e:
+    except (CliError, ValueError, OSError) as e:  # formats.FormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

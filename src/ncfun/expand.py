@@ -32,8 +32,9 @@ from .mateval import (
     random_mattuple,
 )
 from .oracle import FreeMapOracle
-from .poly import FREE, INV
+from .poly import INV
 from .recon import homogeneous_part_eval
+from .words import words_of_degree
 
 MAX_DEGREE = 3
 MAX_CENTER_SIZE = 3
@@ -95,12 +96,6 @@ class GenExpansion:
         return worst
 
 
-def _letters(mode: str, g: int):
-    if mode == INV:
-        return [(k, s) for k in range(1, g + 1) for s in (False, True)]
-    return [(k, False) for k in range(1, g + 1)]
-
-
 def expand_at_point(
     f: FreeMapOracle,
     A: MatTuple,
@@ -131,8 +126,7 @@ def expand_at_point(
         raise ValueError(
             f"coefficient algebra dimension {basis.dim} exceeds practical cap {MAX_BASIS_DIM}"
         )
-    mode = INV if f.group in ("O", "U") else FREE
-    letters = _letters(mode, f.g)
+    mode = f.mode
     level = n * s_eval
     C = center_tuple(A, s_eval)
     rng = _rng(seed)
@@ -152,7 +146,7 @@ def expand_at_point(
         monomials = [
             (I, K)
             for I in itertools.product(range(basis.dim), repeat=m + 1)
-            for K in itertools.product(letters, repeat=m)
+            for K in words_of_degree(f.g, m, mode == INV)
         ]
         unknowns = len(monomials)
         per_sample = level * level

@@ -209,11 +209,8 @@ def eval_genpoly(p: GenPoly, X: MatTuple) -> np.ndarray:
         raise ValueError(f"evaluation size {X.n} is not a multiple of coefficient size {p.n}")
     s = X.n // p.n
     eye_s = eye_like(s, X.mats[0])
-    cache: Dict[Word, np.ndarray] = {}
-    out = np.zeros((X.n, X.n), dtype=complex)
     exact = _is_exact(X.mats[0])
-    if exact:
-        out = np.zeros((X.n, X.n), dtype=object)
+    out = np.zeros((X.n, X.n), dtype=object if exact else complex)
     for t in p.terms:
         out = out + _eval_term(t.mats, t.letters, X, eye_s)
     if not exact and not np.iscomplexobj(X.mats[0]) and not any(

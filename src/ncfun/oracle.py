@@ -63,6 +63,11 @@ class FreeMapOracle:
     def poly_degree(self) -> Optional[int]:
         return self.smoothness[1] if self.is_polynomial() else None
 
+    @property
+    def mode(self) -> str:
+        """Word mode of the map's series: with involution for O/U maps."""
+        return INV if self.group in ("O", "U") else FREE
+
     def __call__(self, X: MatTuple) -> MatTuple:
         if not isinstance(X, MatTuple):
             X = MatTuple(X, self.field)

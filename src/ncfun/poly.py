@@ -145,6 +145,8 @@ class NCPoly:
                 out[w] = out.get(w, 0) + a * b
         return NCPoly(out, mode)
 
+    __matmul__ = __mul__  # the free-algebra product, so eval_standard runs on NCPolys
+
     def __rmul__(self, other):
         return self.scale(other)
 
@@ -253,6 +255,9 @@ class TracePoly:
             (len(tail) + sum(len(w) for w in pure) for (pure, tail) in self.coeffs),
             default=-1,
         )
+
+    def num_vars(self) -> int:
+        return max((max_var(w) for (pure, tail) in self.coeffs for w in pure + (tail,)), default=0)
 
     def is_pure(self) -> bool:
         return all(tail == EMPTY_WORD for (_, tail) in self.coeffs)

@@ -179,10 +179,6 @@ class TaylorResult:
         return len(self.series)
 
 
-def _oracle_mode(f: FreeMapOracle) -> str:
-    return INV if f.group in ("O", "U") else FREE
-
-
 def taylor_at_zero(
     f: FreeMapOracle,
     D: int,
@@ -198,7 +194,7 @@ def taylor_at_zero(
     """Degree-graded series of f at 0 up to order D, with a residual
     report comparing f against the truncated series on random points in
     a small ball (meaningful for polynomial f or small radius)."""
-    mode = _oracle_mode(f)
+    mode = f.mode
     parts_per_comp: List[List[NCPoly]] = [[] for _ in range(f.gprime)]
     flags: List[str] = []
     evaluations = 0

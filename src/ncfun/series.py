@@ -15,6 +15,15 @@ from .poly import FREE, NCPoly
 from .words import word_str
 
 
+def _add_into(acc: dict, coeffs) -> None:
+    """acc += coeffs in place, dropping exact zeros as ``NCPoly +`` does,
+    so the values and the word order match repeated ``NCPoly +``."""
+    for w, c in coeffs.items():
+        acc[w] = acc.get(w, 0) + c
+        if acc[w] == 0:
+            del acc[w]
+
+
 class FormalSeries:
     __slots__ = ("parts", "order", "mode")
 
@@ -57,10 +66,8 @@ class FormalSeries:
         return tuple(cls.variable(k, order, mode) for k in range(1, g + 1))
 
     def to_ncpoly(self) -> NCPoly:
-        out = NCPoly.zero(self.mode)
-        for p in self.parts:
-            out = out + p
-        return out
+        # parts hold distinct degrees, so no two share a word
+        return NCPoly({w: c for p in self.parts for w, c in p.coeffs.items()}, self.mode)
 
     # -- arithmetic --------------------------------------------------
 
@@ -91,15 +98,15 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return self.scale(other)
         D = self._common_order(other)
-        parts = [NCPoly.zero(self.mode) for _ in range(D + 1)]
+        acc: List[dict] = [{} for _ in range(D + 1)]
         for i, p in enumerate(self.parts[: D + 1]):
             if p.is_zero():
                 continue
             for j, q in enumerate(other.parts[: D + 1 - i]):
                 if q.is_zero():
                     continue
-                parts[i + j] = parts[i + j] + p * q
-        return FormalSeries(parts, D, self.mode)
+                _add_into(acc[i + j], (p * q).coeffs)
+        return FormalSeries([NCPoly(c, self.mode) for c in acc], D, self.mode)
 
     def involution(self) -> "FormalSeries":
         return FormalSeries([p.involution() for p in self.parts], self.order, self.mode)
@@ -173,15 +180,16 @@ def series_compose(F: FormalSeries, G: Sequence[FormalSeries]) -> FormalSeries:
             subs[let] = G[k - 1].involution() if starred else G[k - 1]
         return subs[let]
 
-    out = FormalSeries.zero(D, mode)
+    acc: List[dict] = [{} for _ in range(D + 1)]
     one = FormalSeries.from_ncpoly(NCPoly.one(mode), D)
-    for m, p in enumerate(F.parts[: D + 1]):
+    for p in F.parts[: D + 1]:
         for w, c in p.coeffs.items():
             term = one.scale(c)
             for let in w:
                 term = term * series_for(let)
-            out = out + term
-    return out
+            for m, q in enumerate(term.parts):
+                _add_into(acc[m], q.coeffs)
+    return FormalSeries([NCPoly(c, mode) for c in acc], D, mode)
 
 
 def compose_tuple(

@@ -92,6 +92,13 @@ def test_taylor_and_extract(tmp_path, capsys):
     assert code == 0
     assert load_ncpolys(out2.read_text())[0].max_coeff_diff(hom) < 1e-9
 
+    # sin(x x^t) is not homogeneous: the probe fails instead of printing
+    # a wrong coefficient (0.4546 for the true 1 of x x^t)
+    out3 = tmp_path / "sin.ncpoly"
+    code, out, _ = run(capsys, "extract", "--map", "sinxxt", "--degree", "2", "-o", str(out3))
+    assert code == 2 and not out3.exists()
+    assert FAIL_RE.match(out.strip()) and out.startswith("FAIL extract_homogeneity level=3 ")
+
 
 def test_invert_formal_cli(tmp_path, capsys):
     x1 = NCPoly.variable(1)
@@ -204,6 +211,12 @@ def test_usage_and_io_errors(tmp_path, capsys):
     for extra in (["--trials", "0"], ["--trials", "-3"], ["--n", "0"]):
         code, out, _ = run(capsys, "identity", "--standard", "4", "--n", "1", *extra)
         assert code == 1 and "IDENTITY" not in out
+    # a generalized polynomial is not a format identity testing takes
+    gp = tmp_path / "g.genpoly"
+    gp.write_text("GENPOLY1 n=1 mode=free terms=1\ndeg=1 1 x1 1\n")
+    code, out, err = run(capsys, "identity", "--poly", str(gp), "--n", "2", "--exact")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "NCPOLY1" in err and "TRPOLY1" in err
 
 
 def test_check_determinism_across_runs(capsys):

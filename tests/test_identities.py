@@ -47,6 +47,8 @@ def test_eval_standard_matches_symbolic():
         dp = eval_standard(list(X.mats))
         sym = eval_ncpoly(p, X)
         assert np.linalg.norm(dp - sym) < 1e-9 * max(1, np.linalg.norm(sym))
+        # the same DP run in the free algebra rebuilds S_2k itself
+        assert eval_standard([NCPoly.variable(i) for i in range(1, 2 * k + 1)]) == p
 
 
 def test_amitsur_levitzki_small():
@@ -91,7 +93,12 @@ def test_hk_poly_vs_hk_eval_cross_route():
 def test_hk_degree_formula():
     for k in (1, 2, 3):
         assert hk_degree(k) == 2 * k * k + 3 * k + 1
-        assert hk_poly(k).degree() == hk_degree(k)
+        h = hk_poly(k)
+        assert h.degree() == hk_degree(k)
+    assert len(h.coeffs) == 44064  # h_3, as the (2k)!-order expansion gave it
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            hk_poly(k)
     assert len(hk_arg_indices(4)) == 8
     assert hk_degree(4) == 2 * 16 + 12 + 1
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ncfun import (
     FREE,
@@ -21,6 +22,11 @@ x2 = NCPoly.variable(2)
 
 def ivar(k, starred=False):
     return NCPoly.variable(k, starred, mode=INV)
+
+
+# integer-coefficient involution-mode polynomials in x1, x2 of degree <= 3
+inv_words = st.lists(st.tuples(st.integers(1, 2), st.booleans()), max_size=3).map(tuple)
+inv_polys = st.dictionaries(inv_words, st.integers(-3, 3), max_size=6).map(lambda d: NCPoly(d, INV))
 
 
 def test_ncpoly_product_example():
@@ -176,6 +182,12 @@ def test_series_compose_identity_laws():
         assert series_compose(F, ident).max_coeff_diff(F) == 0
         for k in range(2):
             assert series_compose(ident[k], (F, F)).max_coeff_diff(F) == 0
+
+
+@given(inv_polys, inv_polys, st.integers(0, 4))
+def test_series_product_is_truncated_poly_product(a, b, D):
+    got = (FormalSeries.from_ncpoly(a, D) * FormalSeries.from_ncpoly(b, D)).to_ncpoly()
+    assert got == NCPoly({w: c for w, c in (a * b).coeffs.items() if len(w) <= D}, INV)
 
 
 def test_series_compose_rejects_constant_part():
