@@ -21,7 +21,8 @@ for n in (1, 2, 3):
     s2n = standard_polynomial(n)
     on_n = is_identity(s2n, n, trials=100, seed=0, exact=True)
     on_n1 = is_identity(s2n, n + 1, trials=50, seed=0, exact=True)
-    print(f"S_{2*n} on M_{n}: {on_n.verdict}   on M_{n+1}: {on_n1.verdict}")
+    print(f"S_{2*n} on M_{n}: {on_n.verdict} (failure bound {on_n.failure_bound:.1e})"
+          f"   on M_{n+1}: {on_n1.verdict}")
 
 # the witness is concrete and exact:
 rep = is_identity(standard_polynomial(2), 3, trials=50, seed=0, exact=True)

@@ -61,7 +61,6 @@ from .oracle import (
 from .identities import (
     IdentityReport,
     eval_standard,
-    find_nonidentity_witness,
     hk_degree,
     hk_eval,
     hk_poly,

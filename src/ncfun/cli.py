@@ -78,12 +78,12 @@ class Emitter:
         self.line(f"FAIL {check} level={level} residual={residual!r}",
                   kind="fail", check=check, level=level, residual=residual)
 
-    def report(self, rep, level_hint: int = 0):
+    def report(self, rep):
         if rep.passed:
             self.line(f"PASS {rep.name} max_residual={rep.max_violation!r}",
                       kind="pass", check=rep.name, residual=rep.max_violation)
         else:
-            level = level_hint
+            level = 0
             if rep.witnesses:
                 info = rep.witnesses[0][0]
                 lv = info[0] if isinstance(info, tuple) else info
@@ -102,7 +102,7 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {e}") from None
 
 
-def _write(path: Optional[str], text: str, emit: Emitter):
+def _write(path: Optional[str], text: str):
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
@@ -159,7 +159,7 @@ def _load_poly_any(path: str):
 def cmd_canon(args, emit: Emitter) -> int:
     if args.trpoly:
         tp = formats.load_tracepoly(_read(args.trpoly))
-        _write(args.output, formats.dump_tracepoly(tp), emit)
+        _write(args.output, formats.dump_tracepoly(tp))
         return 0
     if args.word is None:
         raise CliError("canon needs a word or --trpoly FILE")
@@ -177,7 +177,7 @@ def cmd_eval(args, emit: Emitter) -> int:
     X = formats.load_mattuple(_read(args.tuple))
     vals = [np.asarray(eval_poly(p, X)) for p in polys]
     field = "complex" if X.field == "complex" or any(np.iscomplexobj(v) for v in vals) else "real"
-    _write(args.output, formats.dump_mattuple(MatTuple(vals, field)), emit)
+    _write(args.output, formats.dump_mattuple(MatTuple(vals, field)))
     return 0
 
 
@@ -231,7 +231,7 @@ def cmd_extract(args, emit: Emitter) -> int:
         emit.fail("extract_homogeneity", level, r)
         return VERIFY_ERROR
     ext = matenote_extract(f, args.degree, f.g, f.mode, level=args.level, field=f.field)
-    _write(args.output, formats.dump_ncpolys(list(ext.polys)), emit)
+    _write(args.output, formats.dump_ncpolys(list(ext.polys)))
     emit.line(f"degree={args.degree} evaluations={ext.evaluations} level={args.level or args.degree + 1}",
               kind="extract", degree=args.degree, evaluations=ext.evaluations)
     return 0
@@ -241,7 +241,7 @@ def cmd_taylor(args, emit: Emitter) -> int:
     f = load_map(args.map)
     tay = taylor_at_zero(f, args.degree, tol=args.tol, seed=args.seed, cross_check=args.cross_check)
     polys = [s.to_ncpoly() for s in tay.series]
-    _write(args.output, formats.dump_ncpolys(polys), emit)
+    _write(args.output, formats.dump_ncpolys(polys))
     # per-degree certificate: recovered part vs a fresh homogeneous-part
     # evaluation at random probes one level above the extraction level
     rng = np.random.default_rng(args.seed + 1)
@@ -268,7 +268,7 @@ def cmd_taylor(args, emit: Emitter) -> int:
 def cmd_expand_at(args, emit: Emitter) -> int:
     f = load_map(args.map)
     A = formats.load_mattuple(_read(args.center))
-    exp = expand_at_point(f, A, args.degree, args.s_eval, tol=args.tol, seed=args.seed)
+    exp = expand_at_point(f, A, args.degree, args.s_eval, seed=args.seed)
     level = A.n * args.s_eval
     for m, r in enumerate(exp.residuals):
         emit.line(f"degree={m} residual={r!r} level={level}", kind="expand", degree=m, residual=r)
@@ -279,7 +279,7 @@ def cmd_expand_at(args, emit: Emitter) -> int:
         for m in range(exp.order + 1):
             for j in range(exp.gprime):
                 chunks.append(formats.dump_genpoly(exp.parts[m][j]))
-        _write(args.output, "".join(chunks), emit)
+        _write(args.output, "".join(chunks))
     return VERIFY_ERROR if emit.failed else 0
 
 
@@ -295,10 +295,11 @@ def cmd_identity(args, emit: Emitter) -> int:
     else:
         raise CliError("identity needs --standard 2K or --poly FILE")
     rep = is_identity(p, args.n, trials=args.trials, seed=args.seed, exact=args.exact)
-    emit.line(rep.verdict, kind="verdict", verdict=rep.verdict, n=args.n, trials=rep.trials)
+    emit.line(rep.verdict, kind="verdict", verdict=rep.verdict, n=args.n, trials=rep.trials,
+              failure_bound=rep.failure_bound)
     if rep.witness is not None and args.output:
         W = MatTuple([np.asarray(m, dtype=float) for m in rep.witness.mats], "real")
-        _write(args.output, formats.dump_mattuple(W), emit)
+        _write(args.output, formats.dump_mattuple(W))
     return 0
 
 
@@ -315,7 +316,7 @@ def _report_newton(solve, check: str, level: int, output: Optional[str], emit: E
     for i, (res, step) in enumerate(trace.iterates):
         emit.line(f"iter={i} res={res!r} step={step!r}", kind="newton", iter=i, res=res, step=step)
     if trace.X is not None:
-        _write(output, formats.dump_mattuple(trace.X), emit)
+        _write(output, formats.dump_mattuple(trace.X))
     if not trace.converged:
         emit.fail(check, level, trace.iterates[-1][0] if trace.iterates else math.inf)
         return VERIFY_ERROR
@@ -336,7 +337,7 @@ def cmd_invert(args, emit: Emitter) -> int:
             emit.line(str(e), kind="error")
             return VERIFY_ERROR
         res = composition_residual(F, H)
-        _write(args.output, formats.dump_ncpolys([h.to_ncpoly() for h in H]), emit)
+        _write(args.output, formats.dump_ncpolys([h.to_ncpoly() for h in H]))
         emit.line(f"degree={D} residual={res!r} level=0", kind="invert", residual=res)
         if res > args.tol:
             emit.fail("invert_formal_composition", 0, res)
@@ -358,7 +359,7 @@ def cmd_implicit(args, emit: Emitter) -> int:
     f = load_map(args.map)
     if args.formal:
         h = implicit_formal(f, args.split, args.degree, tol=args.tol)
-        _write(args.output, formats.dump_ncpolys([s.to_ncpoly() for s in h]), emit)
+        _write(args.output, formats.dump_ncpolys([s.to_ncpoly() for s in h]))
         if f.polys is not None:
             res = implicit_residual(f, args.split, h)
             emit.line(f"degree={args.degree} residual={res!r} level=0", kind="implicit", residual=res)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .genpoly import GenPoly, GenTerm
 from .mateval import (
+    RANK_CUTOFF,
     MatTuple,
     SubspaceBasis,
     _eval_term,
@@ -96,23 +97,16 @@ class GenExpansion:
         return worst
 
 
-def expand_at_point(
-    f: FreeMapOracle,
-    A: MatTuple,
-    D: int,
-    s_eval: int,
-    tol: float = 1e-6,
-    seed=0,
-    rank_cutoff: float = 1e-10,
-) -> GenExpansion:
+def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) -> GenExpansion:
     """Constructive expansion about A, degree by degree up to D.
 
     Hard practical caps: D <= 3, center size <= 3, coefficient-algebra
     dimension <= 4 (the unknown count grows like dim^(m+1) letters^m).
-    A residual above tol at some degree signals f not free for the
-    declared group, a wrong group, or D too small; rank-deficient
-    systems are reported through ``nullspace_dims`` instead of guessing
-    a canonical representative.
+    Each degree's least-squares residual is reported in ``residuals``; a
+    large one signals f not free for the declared group, a wrong group,
+    or D too small.  Singular values below RANK_CUTOFF (relative) count
+    as zero, and rank-deficient systems are reported through
+    ``nullspace_dims`` instead of guessing a canonical representative.
     """
     if D > MAX_DEGREE:
         raise ValueError(f"degree {D} exceeds practical cap {MAX_DEGREE}")
@@ -172,7 +166,7 @@ def expand_at_point(
                 rhs[j].append(np.asarray(y.mats[j], dtype=complex).ravel())
         M = np.vstack(rows)
         B = np.stack([np.concatenate(r) for r in rhs], axis=1)
-        sol, _, rank, sv = np.linalg.lstsq(M, B, rcond=rank_cutoff)
+        sol, _, rank, sv = np.linalg.lstsq(M, B, rcond=RANK_CUTOFF)
         nulldims.append(unknowns - int(rank))
         fit = M @ sol
         res = float(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import re
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -48,8 +49,6 @@ def _parse_scalar(tok: str, line: int, col: int = 1):
         if t.endswith("i"):
             v = complex(t[:-1].replace(" ", "") + "j")
         elif "/" in t:
-            from fractions import Fraction
-
             return Fraction(t)
         elif re.fullmatch(r"[+-]?\d+", t):
             return int(t)
@@ -198,25 +197,16 @@ def load_mattuple(text: str) -> MatTuple:
     body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != g * n:
         raise FormatError(f"expected {g * n} matrix rows, found {len(body)}", len(lines))
-    mats = []
-    exact = False
-    rows_all = []
+    rows = []
     for lineno, raw in body:
         toks = list(_TOKEN_RE.finditer(raw))
         if len(toks) != n:
             raise FormatError(f"expected {n} entries, found {len(toks)}", lineno)
-        row = [_parse_scalar(t.group(), lineno, t.start() + 1) for t in toks]
-        exact = exact or any(not isinstance(v, (float, complex)) for v in row)
-        rows_all.append(row)
-    for k in range(g):
-        rows = rows_all[k * n : (k + 1) * n]
-        if exact:
-            mats.append(np.array(rows, dtype=object))
-        elif field == "complex":
-            mats.append(np.array(rows, dtype=complex))
-        else:
-            mats.append(np.array(rows, dtype=float))
-    return MatTuple(mats, field)
+        rows.append([_parse_scalar(t.group(), lineno, t.start() + 1) for t in toks])
+    # exact (object dtype) arithmetic only when no entry is a float or complex
+    exact = all(isinstance(v, (int, Fraction)) for row in rows for v in row)
+    dtype = object if exact else complex if field == "complex" else float
+    return MatTuple([np.array(rows[k * n : (k + 1) * n], dtype=dtype) for k in range(g)], field)
 
 
 # -- GENPOLY1 ---------------------------------------------------------

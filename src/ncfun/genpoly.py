@@ -118,11 +118,10 @@ class GenPoly:
 
     # -- basis expansion ---------------------------------------------
 
-    def expand_basis(self, tol: float = 0.0) -> Dict[BasisMonomial, object]:
+    def expand_basis(self) -> Dict[BasisMonomial, object]:
         """Unique coefficients over matrix-unit basis monomials.
 
-        Indices are 1-based.  Entries with magnitude <= tol are dropped
-        (tol=0 drops exact zeros only).
+        Indices are 1-based.  Exact zeros are dropped.
         """
         out: Dict[BasisMonomial, object] = {}
 
@@ -149,7 +148,7 @@ class GenPoly:
                     continue
                 for (i, j, c) in nonzero[pos]:
                     stack.append((pos + 1, I + (i,), J + (j,), val * c))
-        return {k: v for k, v in out.items() if abs(v) > tol or (tol == 0 and v != 0)}
+        return {k: v for k, v in out.items() if v != 0}
 
     def degree(self) -> int:
         return max((t.degree() for t in self.terms), default=-1)
@@ -162,9 +161,6 @@ class GenPoly:
         a, b = self.expand_basis(), other.expand_basis()
         keys = set(a) | set(b)
         return max((abs(a.get(k, 0) - b.get(k, 0)) for k in keys), default=0.0)
-
-    def equals(self, other: "GenPoly", tol: float = 0.0) -> bool:
-        return self.max_basis_diff(other) <= tol
 
     def __call__(self, X):
         from . import mateval

@@ -38,7 +38,7 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def standard_polynomial(k: int, mode: str = FREE) -> NCPoly:
+def standard_polynomial(k: int) -> NCPoly:
     """S_2k as an NCPoly in 2k variables: the signed sum over all
     (2k)! orders of x_1 ... x_2k.  Capped at k <= 6."""
     if not 1 <= k <= 6:
@@ -47,7 +47,7 @@ def standard_polynomial(k: int, mode: str = FREE) -> NCPoly:
     for perm in permutations(range(2 * k)):
         w: Word = tuple((i + 1, False) for i in perm)
         coeffs[w] = _perm_sign(perm)
-    return NCPoly(coeffs, mode)
+    return NCPoly(coeffs, FREE)
 
 
 def eval_standard(mats: Sequence):
@@ -59,6 +59,8 @@ def eval_standard(mats: Sequence):
     float or exact object-dtype matrices, or NCPolys (symbolic S_m).
     """
     m = len(mats)
+    if m < 1:
+        raise ValueError("S_m needs m >= 1 arguments")
     prev = {(i,): a for i, a in enumerate(mats)}
     for size in range(2, m + 1):
         cur = {}
@@ -74,6 +76,8 @@ def eval_standard(mats: Sequence):
 
 # -- randomized identity testing -------------------------------------
 
+FLOAT_TOL = 1e-9  # Frobenius norm below which a float evaluation counts as zero
+
 
 @dataclass
 class IdentityReport:
@@ -82,6 +86,9 @@ class IdentityReport:
     level: int
     witness: Optional[MatTuple] = None
     max_residual: float = 0.0
+    # Schwartz-Zippel bound (deg p / |S|)^trials on the chance that a
+    # non-identity passes every exact trial; None unless exact IDENTITY
+    failure_bound: Optional[float] = None
 
     @property
     def verdict(self) -> str:
@@ -98,28 +105,27 @@ def random_int_tuple(g: int, n: int, rng, lo: int = -3, hi: int = 3) -> MatTuple
 
 
 def is_identity(
-    p: NCPoly | TracePoly,
-    n: int,
-    trials: int = 100,
-    seed=0,
-    exact: bool = True,
-    tol: float = 1e-9,
+    p: NCPoly | TracePoly, n: int, trials: int = 100, seed=0, exact: bool = True
 ) -> IdentityReport:
     """Randomized test whether p vanishes identically on M_n.
 
-    With ``exact`` the evaluations run on random integer tuples in
-    exact arithmetic, so a zero verdict has no round-off caveat (a
-    nonzero value is always a correct non-identity witness; the
-    identity verdict is Monte Carlo).
+    With ``exact`` the evaluations run in exact arithmetic on integer
+    tuples with entries drawn from S = {-d..d}, d = max(3, deg p), so
+    |S| > 2 deg p.  A nonzero value is always a correct non-identity
+    witness; the identity verdict is Monte Carlo, and a non-identity
+    passes all trials with probability at most (deg p / |S|)^trials
+    (Schwartz-Zippel), reported as ``failure_bound``.
     """
     if n < 1 or trials < 1:
         raise ValueError(f"is_identity needs n >= 1 and trials >= 1, got n={n}, trials={trials}")
     rng = _rng(seed)
     g = max(p.num_vars(), 1)
+    deg = max(p.degree(), 0)
+    d = max(3, deg)
     worst = 0.0
     for _ in range(trials):
         if exact:
-            X = random_int_tuple(g, n, rng)
+            X = random_int_tuple(g, n, rng, -d, d)
         else:
             X = random_mattuple(g, n, rng)
         val = eval_poly(p, X)
@@ -128,19 +134,12 @@ def is_identity(
             mag = float(max((abs(v) for row in val for v in row), default=0))
         else:
             mag = float(np.linalg.norm(val))
-            nonzero = mag > tol
+            nonzero = mag > FLOAT_TOL
         worst = max(worst, mag)
         if nonzero:
             return IdentityReport(False, trials, n, witness=X, max_residual=worst)
-    return IdentityReport(True, trials, n, max_residual=worst)
-
-
-def find_nonidentity_witness(
-    p: NCPoly, n: int, trials: int = 50, seed=0
-) -> Optional[MatTuple]:
-    """Random integer tuple on which p does not vanish, or None."""
-    rep = is_identity(p, n, trials=trials, seed=seed, exact=True)
-    return rep.witness
+    bound = (deg / (2 * d + 1)) ** trials if exact else None
+    return IdentityReport(True, trials, n, max_residual=worst, failure_bound=bound)
 
 
 # -- the nonuniform-convergence example -------------------------------

@@ -21,6 +21,8 @@ from .recon import taylor_at_zero
 from .series import FormalSeries, compose_tuple, series_compose
 
 DET_CUTOFF = 1e-10
+MAX_HALVINGS = 20  # step halvings per Newton iteration
+EQUAL_VALUES_TOL = 1e-8  # injectivity_check: f(X1), f(X2) closer than this count as equal
 
 
 class SingularLinearPartError(ValueError):
@@ -135,12 +137,11 @@ def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[For
                     )
         Fbar.append(acc)
 
-    # tail G = Fbar - identity (degrees >= 2 by construction)
+    # tail G = Fbar - identity = parts 2..D of Fbar (its linear part is
+    # the identity up to the round-off of L^{-1} L)
     ident = FormalSeries.identity_tuple(g, D, mode)
-    G = [fb - idn for fb, idn in zip(Fbar, ident)]
-    for gg in G:
-        if not gg.parts[0].is_zero() or not gg.parts[1].is_zero():
-            raise AssertionError("normalization failed to produce identity linear part")
+    zero = NCPoly.zero(mode)
+    G = [FormalSeries([zero, zero] + fb.parts[2:], D, mode) for fb in Fbar]
 
     H = list(ident)
     for d in range(2, D + 1):
@@ -163,7 +164,7 @@ def composition_residual(F: Sequence[FormalSeries], H: Sequence[FormalSeries]) -
     for comp in (compose_tuple(F, H), compose_tuple(H, F)):
         for s, idn in zip(comp, ident):
             out = max(out, s.max_coeff_diff(idn))
-    return out
+    return float(out)
 
 
 # -- Newton inversion --------------------------------------------------
@@ -236,7 +237,6 @@ def newton_invert(
     X0: MatTuple | None = None,
     tol: float = 1e-12,
     maxit: int = 50,
-    max_halvings: int = 20,
 ) -> NewtonTrace:
     """Solve f(X) = Y levelwise by damped Newton iteration."""
     if f.g != f.gprime:
@@ -260,7 +260,7 @@ def newton_invert(
         rhs = _vec(f(X)) - _vec(Y)
         delta = np.linalg.solve(J, rhs)
         step = 1.0
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             Xn = X - _unvec(step * delta, f.g, n, f.field)
             rn = resid(Xn)
             if rn < res or rn < tol:
@@ -324,18 +324,17 @@ def implicit_residual(f: FreeMapOracle, g1: int, h: Sequence[FormalSeries]) -> f
     for p in f.polys:
         comp = series_compose(FormalSeries.from_ncpoly(p, D), subs)
         worst = max(worst, comp.max_coeff_diff(FormalSeries.zero(D, mode)))
-    return worst
+    return float(worst)
 
 
 def implicit_numeric(
     f: FreeMapOracle,
     g1: int,
     xhat: MatTuple,
-    y0: MatTuple | None = None,
     tol: float = 1e-12,
     maxit: int = 50,
 ) -> NewtonTrace:
-    """Solve f(xhat, y) = 0 for y by Newton at a concrete point."""
+    """Solve f(xhat, y) = 0 for y by Newton at a concrete point, from y = 0."""
     g2 = f.g - g1
     n = xhat.n
 
@@ -347,7 +346,7 @@ def implicit_numeric(
         smoothness=f.smoothness, radius=f.radius, name=f"{f.name}|x fixed",
     )
     target = MatTuple.zeros(f.gprime, n, f.field)
-    return newton_invert(sub, target, X0=y0, tol=tol, maxit=maxit)
+    return newton_invert(sub, target, tol=tol, maxit=maxit)
 
 
 # -- injectivity obstruction ------------------------------------------
@@ -362,15 +361,13 @@ class InjectivityReport:
     note: str = ""
 
 
-def injectivity_check(
-    f: FreeMapOracle, X1: MatTuple, X2: MatTuple, tol: float = 1e-8
-) -> InjectivityReport:
+def injectivity_check(f: FreeMapOracle, X1: MatTuple, X2: MatTuple) -> InjectivityReport:
     """When f(X1) = f(X2), the derivative at X1 + X2 (block diag) kills
     the off-diagonal direction built from X1 - X2; a near-zero smallest
     singular value of the assembled derivative certifies the
     obstruction (equal values force a singular derivative)."""
     gap = f(X1).max_diff(f(X2))
-    if gap >= tol:
+    if gap >= EQUAL_VALUES_TOL:
         return InjectivityReport(False, gap, note="values differ; no obstruction test applicable")
     Z = direct_sum(X1, X2)
     img = derivative(f, Z, offdiag_direction(X1, X2))

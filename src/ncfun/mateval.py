@@ -124,17 +124,17 @@ def direct_sum(X: MatTuple, Y: MatTuple) -> MatTuple:
     return MatTuple(mats, X.field)
 
 
-def conjugate(X: MatTuple, sigma: np.ndarray, group: str | None = None, tol: float = DEFAULT_TOL) -> MatTuple:
+def conjugate(X: MatTuple, sigma: np.ndarray, group: str | None = None) -> MatTuple:
     """Componentwise sigma X_i sigma^{-1}, with a group-membership check."""
     sigma = np.asarray(sigma)
     n = X.n
     if sigma.shape != (n, n):
         raise ValueError("sigma size mismatch")
     if group == "O":
-        if np.linalg.norm(sigma @ sigma.T - np.eye(n)) > tol:
+        if np.linalg.norm(sigma @ sigma.T - np.eye(n)) > DEFAULT_TOL:
             raise ValueError("sigma is not orthogonal within tolerance")
     elif group == "U":
-        if np.linalg.norm(sigma @ sigma.conj().T - np.eye(n)) > tol:
+        if np.linalg.norm(sigma @ sigma.conj().T - np.eye(n)) > DEFAULT_TOL:
             raise ValueError("sigma is not unitary within tolerance")
     try:
         inv = np.linalg.inv(sigma)
@@ -293,7 +293,7 @@ def random_mattuple(
 # -- symmetric matrix functions --------------------------------------
 
 
-def sym_matrix_function(tag, S: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sym_matrix_function(tag, S: np.ndarray) -> np.ndarray:
     """Spectral calculus on a symmetric/hermitian matrix.
 
     ``tag`` is "sin", "cos", or ("pow", alpha) with alpha > 0 acting on
@@ -302,7 +302,7 @@ def sym_matrix_function(tag, S: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndar
     """
     S = np.asarray(S)
     herm = np.iscomplexobj(S)
-    if np.linalg.norm(S - adjoint(S, "complex" if herm else "real")) > tol * max(
+    if np.linalg.norm(S - adjoint(S, "complex" if herm else "real")) > DEFAULT_TOL * max(
         1.0, np.linalg.norm(S)
     ):
         raise ValueError("matrix is not symmetric/hermitian within tolerance")
@@ -368,7 +368,7 @@ def subspace_residual(M: np.ndarray, V: SubspaceBasis) -> float:
     return V.residual(M)
 
 
-def orthonormalize(mats: Iterable[np.ndarray], n: int, cutoff: float = RANK_CUTOFF) -> SubspaceBasis:
+def orthonormalize(mats: Iterable[np.ndarray], n: int) -> SubspaceBasis:
     """SVD-based orthonormal basis of the span, under the trace inner
     product (= Frobenius inner product of flattened matrices)."""
     rows = [np.asarray(m, dtype=complex if any(np.iscomplexobj(x) for x in mats) else float).ravel() for m in mats]
@@ -376,7 +376,7 @@ def orthonormalize(mats: Iterable[np.ndarray], n: int, cutoff: float = RANK_CUTO
         return SubspaceBasis(n, [])
     A = np.array(rows)
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > cutoff * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0
     return SubspaceBasis(n, [vh[i].reshape(n, n) for i in range(rank)])
 
 
@@ -390,7 +390,7 @@ def matrix_units(n: int) -> List[np.ndarray]:
     return out
 
 
-def centralizer(B: Sequence[np.ndarray], n: int, cutoff: float = RANK_CUTOFF) -> SubspaceBasis:
+def centralizer(B: Sequence[np.ndarray], n: int) -> SubspaceBasis:
     """Orthonormal basis of {c : cb = bc for all b in B}."""
     B = [np.asarray(b) for b in B]
     for b in B:
@@ -412,27 +412,25 @@ def centralizer(B: Sequence[np.ndarray], n: int, cutoff: float = RANK_CUTOFF) ->
     # the scalars) must yield rank 0, not keep round-off noise
     scale = max(float(np.linalg.norm(b)) for b in B)
     smax = max(float(s[0]) if s.size else 0.0, scale)
-    rank = int(np.sum(s > cutoff * smax))
+    rank = int(np.sum(s > RANK_CUTOFF * smax))
     null = vh[rank:]
     return SubspaceBasis(n, [null[i].reshape(n, n) for i in range(null.shape[0])])
 
 
-def generated_algebra(
-    A: MatTuple, with_involution: bool, cutoff: float = RANK_CUTOFF
-) -> SubspaceBasis:
+def generated_algebra(A: MatTuple, with_involution: bool) -> SubspaceBasis:
     """Span closure of the unital subalgebra generated by the tuple
     (and its adjoints when ``with_involution``)."""
     n = A.n
     gens = list(A.mats)
     if with_involution:
         gens += [adjoint(m, A.field) for m in A.mats]
-    basis = orthonormalize([np.eye(n)] + gens, n, cutoff)
+    basis = orthonormalize([np.eye(n)] + gens, n)
     for _ in range(n * n + 1):
         candidates = list(basis.mats)
         for b in basis.mats:
             for gmat in gens:
                 candidates.append(b @ gmat)
-        new = orthonormalize(candidates, n, cutoff)
+        new = orthonormalize(candidates, n)
         if new.dim == basis.dim:
             return new
         basis = new

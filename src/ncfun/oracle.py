@@ -340,26 +340,24 @@ def neville_to_zero(
     return tops
 
 
+RICHARDSON_STEPS = 3
+
+
 def directional_derivative(
-    f: FreeMapOracle,
-    X: MatTuple,
-    H: MatTuple,
-    order: int = 1,
-    h0: float | None = None,
-    richardson_steps: int = 3,
+    f: FreeMapOracle, X: MatTuple, H: MatTuple, order: int = 1
 ) -> Tuple[MatTuple, float]:
-    """Central-difference Gateaux derivative with Richardson refinement.
+    """Central-difference Gateaux derivative with RICHARDSON_STEPS
+    halvings of the step h0 = 1e-3 (1 + |X|) and Richardson refinement.
 
     Returns (estimate, error indicator); the indicator is the max
     difference between the last two extrapolants.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if h0 is None:
-        h0 = 1e-3 * (1.0 + X.norm())
+    h0 = 1e-3 * (1.0 + X.norm())
     ests: List[MatTuple] = []
     fX = f(X) if order == 2 else None
-    for j in range(richardson_steps + 1):
+    for j in range(RICHARDSON_STEPS + 1):
         h = h0 / 2**j
         fp = f(_tuple_comb(X, H, 1.0, h))
         fm = f(_tuple_comb(X, H, 1.0, -h))
@@ -381,7 +379,7 @@ def directional_derivative(
         MatTuple(t, ests[0].field)
         for t in neville_to_zero([e.mats for e in ests], [4.0**-j for j in range(len(ests))])
     ]
-    err = tops[-1].max_diff(tops[-2]) if len(tops) > 1 else math.inf
+    err = tops[-1].max_diff(tops[-2])
     return tops[-1], err
 
 
@@ -405,11 +403,11 @@ def symbolic_directional_derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) 
     return MatTuple(outs, X.field)
 
 
-def derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple, **kw) -> MatTuple:
+def derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) -> MatTuple:
     """Directional derivative; exact symbolic path for polynomial oracles."""
     if f.polys is not None:
         return symbolic_directional_derivative(f, X, H)
-    est, _ = directional_derivative(f, X, H, **kw)
+    est, _ = directional_derivative(f, X, H)
     return est
 
 

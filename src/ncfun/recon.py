@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,11 @@ from .words import Word, words_of_degree
 
 ANALYTIC_RADIUS_CAP = 0.25  # empirical: with 3 refinements gives ~1e-8 coefficients
 ANALYTIC_REFINE = 3
+CLEANUP_TOL = 1e-9  # float coefficients at or below this read as zero
+RESIDUAL_LEVELS = (1, 2)  # levels and samples per level of the Taylor residual
+RESIDUAL_SAMPLES = 4
+RECON_TOL = 1e-7  # reconstruction and certificate tolerance
+CERT_SAMPLES = 5  # certificate samples at each of levels d+1, d+2
 
 
 def _cheb_nodes(D: int) -> np.ndarray:
@@ -132,7 +137,6 @@ def matenote_extract(
     g: int,
     mode: str = FREE,
     level: int | None = None,
-    cleanup_tol: float = 1e-9,
     exact: bool = False,
     field: str = "real",
 ) -> ExtractionResult:
@@ -156,7 +160,7 @@ def matenote_extract(
             if exact:
                 if c != 0:
                     coeff_maps[j][w] = c
-            elif abs(c) > cleanup_tol:
+            elif abs(c) > CLEANUP_TOL:
                 coeff_maps[j][w] = float(c.real) if not np.iscomplexobj(mat) else complex(c)
     polys = tuple(NCPoly(cm, mode) for cm in (coeff_maps or [dict()]))
     return ExtractionResult(polys, count)
@@ -184,32 +188,27 @@ def taylor_at_zero(
     D: int,
     tol: float = 1e-8,
     seed=0,
-    h: float | None = None,
-    refine: int | None = None,
-    cleanup_tol: float = 1e-9,
     cross_check: bool = False,
-    residual_levels: Sequence[int] = (1, 2),
-    residual_samples: int = 4,
 ) -> TaylorResult:
     """Degree-graded series of f at 0 up to order D, with a residual
-    report comparing f against the truncated series on random points in
-    a small ball (meaningful for polynomial f or small radius)."""
+    report comparing f against the truncated series on RESIDUAL_SAMPLES
+    random points in a small ball at each of RESIDUAL_LEVELS (meaningful
+    for polynomial f or small radius).  Homogeneous parts use the
+    default radius and refinement of :func:`homogeneous_part_eval`."""
     mode = f.mode
     parts_per_comp: List[List[NCPoly]] = [[] for _ in range(f.gprime)]
     flags: List[str] = []
     evaluations = 0
     for m in range(D + 1):
         def f_hom(X, _m=m):
-            return homogeneous_part_eval(f, _m, X, D, h=h, refine=refine)
+            return homogeneous_part_eval(f, _m, X, D)
 
-        ext = matenote_extract(f_hom, m, f.g, mode, cleanup_tol=cleanup_tol, field=f.field)
+        ext = matenote_extract(f_hom, m, f.g, mode, field=f.field)
         evaluations += ext.evaluations
         for j in range(f.gprime):
             parts_per_comp[j].append(ext.polys[j] if j < len(ext.polys) else NCPoly.zero(mode))
         if cross_check:
-            ext2 = matenote_extract(
-                f_hom, m, f.g, mode, level=m + 2, cleanup_tol=cleanup_tol, field=f.field
-            )
+            ext2 = matenote_extract(f_hom, m, f.g, mode, level=m + 2, field=f.field)
             for j in range(f.gprime):
                 d = ext.polys[j].max_coeff_diff(ext2.polys[j])
                 if d > tol:
@@ -220,9 +219,9 @@ def taylor_at_zero(
     rng = _rng(seed)
     worst = 0.0
     count = 0
-    for n in residual_levels:
+    for n in RESIDUAL_LEVELS:
         r = min(0.3, f.radius_at(n) / 4.0)
-        for _ in range(residual_samples):
+        for _ in range(RESIDUAL_SAMPLES):
             X = random_mattuple(f.g, n, rng, f.field, norm=r * rng.uniform(0.1, 1.0))
             fx = f(X)
             sx = MatTuple([eval_ncpoly(s.to_ncpoly(), X) for s in series], f.field)
@@ -247,25 +246,24 @@ class ReconResult:
         return f"ReconResult({status}, certificate={self.certificate:.3g})"
 
 
-def reconstruct_polynomial(
-    f: FreeMapOracle, d: int, tol: float = 1e-7, seed=0, samples: int = 5
-) -> ReconResult:
+def reconstruct_polynomial(f: FreeMapOracle, d: int, seed=0) -> ReconResult:
     """Recover a degree-<= d free polynomial from evaluations, then
     certify on random tuples at levels d+1 and d+2 (cross-level
     consistency; a free map that is not a free polynomial fails here,
     e.g. the trace map X -> tr(X) I)."""
-    tay = taylor_at_zero(f, d, tol=tol, seed=seed)
+    tay = taylor_at_zero(f, d, tol=RECON_TOL, seed=seed)
     polys = tuple(s.to_ncpoly() for s in tay.series)
     rng = _rng(seed)
     worst = 0.0
     witness = None
     for n in (d + 1, d + 2):
         r = min(1.0, f.radius_at(n) / 2.0)
-        for _ in range(samples):
+        for _ in range(CERT_SAMPLES):
             X = random_mattuple(f.g, n, rng, f.field, norm=r * rng.uniform(0.1, 1.0))
             fx = f(X)
             px = MatTuple([eval_ncpoly(q, X) for q in polys], f.field)
             res = fx.max_diff(px)
             if res > worst:
                 worst, witness = res, X
-    return ReconResult(polys, worst, worst <= tol, None if worst <= tol else witness, tay)
+    ok = worst <= RECON_TOL
+    return ReconResult(polys, worst, ok, None if ok else witness, tay)

@@ -277,7 +277,7 @@ def test_criterion_9_nonscalar_expansion():
     p = ivar(1) * ivar(1, True) + ivar(1)
     f = oracle_from_ncpoly(p)
     A = MatTuple([np.array([[0.0, 1.0], [0.0, 0.0]])])
-    exp = expand_at_point(f, A, D=2, s_eval=3, tol=1e-6, seed=17)
+    exp = expand_at_point(f, A, D=2, s_eval=3, seed=17)
     ok = max(exp.residuals) < 1e-6
     alg = generated_algebra(A, with_involution=True)
     coeff_res = 0.0

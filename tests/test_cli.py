@@ -111,6 +111,22 @@ def test_invert_formal_cli(tmp_path, capsys):
     h = load_ncpolys(out_file.read_text())[0]
     assert h.coefficient(((1, False),) * 5) == pytest.approx(14.0)
 
+    # the residual token is a plain float literal, on the report and the FAIL line
+    y, yt = NCPoly.variable(1, mode=INV), NCPoly.variable(1, True)
+    f.write_text(dump_ncpolys([y.scale(2) + yt.scale(0.5) + (y * y).scale(0.3)]))
+    code, out, _ = run(capsys, "invert", "--formal", "--poly", str(f), "-o", str(out_file),
+                       "--tol", "1e-20")
+    report, fail = out.splitlines()
+    assert code == 2 and FAIL_RE.match(fail)
+    res = float(re.fullmatch(r"degree=5 residual=(\S+) level=0", report).group(1))
+    assert 0 < res < 1e-12 and float(fail.split("residual=")[1]) == res
+
+    # 3 y + 0.7 y^t + 0.3 y^2: the normalized linear part carries round-off
+    f.write_text(dump_ncpolys([y.scale(3) + yt.scale(0.7) + (y * y).scale(0.3)]))
+    code, out, _ = run(capsys, "invert", "--formal", "--poly", str(f), "-o", str(out_file))
+    assert code == 0
+    assert float(re.fullmatch(r"degree=5 residual=(\S+) level=0\n", out).group(1)) < 1e-12
+
 
 def test_invert_newton_cli(tmp_path, capsys):
     p = NCPoly.variable(1, mode=INV) + NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True)

@@ -82,6 +82,17 @@ def test_mattuple_exact_entries():
     assert "1/2" in text
     Y = load_mattuple(text)
     assert Y.mats[0][0, 0] == Fraction(1, 2)
+    # exact only when every entry is an int or a Fraction; a float entry
+    # anywhere in the tuple makes it float (or complex) throughout
+    exact = load_mattuple("MTX1 n=2 g=2 field=real\n1 1/2\n0 1\n2 0\n0 -1\n")
+    assert all(m.dtype == object for m in exact.mats)
+    mixed = load_mattuple("MTX1 n=2 g=2 field=real\n1 0.5\n0 1\n2 0\n0 -1\n")
+    assert all(m.dtype == np.float64 for m in mixed.mats)
+    assert mixed.mats[1].tolist() == [[2.0, 0.0], [0.0, -1.0]]
+    cplx = load_mattuple("MTX1 n=1 g=1 field=complex\n1/2\n")
+    assert cplx.mats[0].dtype == object
+    cplx = load_mattuple("MTX1 n=1 g=2 field=complex\n1/2\n1+2i\n")
+    assert cplx.mats[0].dtype == np.complex128 and cplx.mats[0][0, 0] == 0.5
 
 
 def test_genpoly_roundtrip_random():

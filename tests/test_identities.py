@@ -8,7 +8,6 @@ from ncfun import (
     TracePoly,
     eval_ncpoly,
     eval_standard,
-    find_nonidentity_witness,
     hk_degree,
     hk_eval,
     hk_poly,
@@ -49,6 +48,8 @@ def test_eval_standard_matches_symbolic():
         assert np.linalg.norm(dp - sym) < 1e-9 * max(1, np.linalg.norm(sym))
         # the same DP run in the free algebra rebuilds S_2k itself
         assert eval_standard([NCPoly.variable(i) for i in range(1, 2 * k + 1)]) == p
+    with pytest.raises(ValueError, match="m >= 1"):
+        eval_standard([])
 
 
 def test_amitsur_levitzki_small():
@@ -62,6 +63,24 @@ def test_amitsur_levitzki_small():
     for n, trials in ((2, 0), (2, -3), (0, 5)):
         with pytest.raises(ValueError):
             is_identity(standard_polynomial(2), n, trials=trials)
+
+
+def test_identity_failure_bound():
+    # S_4 (degree 4): entries from {-4..4}, |S| = 9 > 2 * 4
+    rep = is_identity(standard_polynomial(2), 2, trials=20, seed=1, exact=True)
+    assert rep.is_identity and rep.failure_bound == (4 / 9) ** 20
+    # S_6 (degree 6): the wider range {-6..6} reaches entries beyond 3
+    wit = is_identity(standard_polynomial(3), 4, trials=5, seed=0, exact=True).witness
+    entries = [abs(v) for m in wit.mats for row in m for v in row]
+    assert max(entries) <= 6 and max(entries) > 3
+    # no bound for a NON-IDENTITY verdict or for float trials
+    assert is_identity(standard_polynomial(2), 3, trials=50, seed=2).failure_bound is None
+    assert is_identity(standard_polynomial(2), 2, trials=5, seed=1, exact=False).failure_bound is None
+    # degree <= 3 draws from {-3..3}, exactly as random_int_tuple's default
+    x1, x2 = NCPoly.variable(1), NCPoly.variable(2)
+    rep = is_identity(x1 * x2 * x1, 2, trials=1, seed=4, exact=True)
+    want = random_int_tuple(2, 2, np.random.default_rng(4))
+    assert all((a == b).all() for a, b in zip(rep.witness.mats, want.mats))
 
 
 def test_trace_cyclicity_identity():
@@ -136,5 +155,5 @@ def test_random_int_tuple_exact():
 
 
 def test_find_nonidentity_witness():
-    assert find_nonidentity_witness(standard_polynomial(2), 2, trials=20, seed=6) is None
-    assert find_nonidentity_witness(standard_polynomial(2), 3, trials=50, seed=6) is not None
+    assert is_identity(standard_polynomial(2), 2, trials=20, seed=6).witness is None
+    assert is_identity(standard_polynomial(2), 3, trials=50, seed=6).witness is not None

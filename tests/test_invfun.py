@@ -174,7 +174,8 @@ def test_implicit_formal_composition_residual():
     )
     h = implicit_formal(f, 1, 3)
     assert h[0].parts[1].max_coeff_diff(x1.scale(-1)) < 1e-12
-    assert implicit_residual(f, 1, h) < 1e-10
+    res = implicit_residual(f, 1, h)
+    assert type(res) is float and res < 1e-10
 
 
 def test_implicit_numeric_case():
@@ -226,9 +227,13 @@ def test_formal_inverse_pure_transpose_linear_part():
     (H,) = formal_inverse([F])
     assert H.to_ncpoly().max_coeff_diff(ivar(1, True)) < 1e-12
     assert composition_residual([F], [H]) < 1e-12
-    # and a mixed invertible combination keeps a two-sided inverse
-    G = FormalSeries.from_ncpoly(
-        ivar(1) + ivar(1, True).scale(0.5) + ivar(1) * ivar(1, True), 4
-    )
-    (K,) = formal_inverse([G])
-    assert composition_residual([G], [K]) < 1e-10
+    # mixed invertible combinations keep a two-sided inverse; for the
+    # second, L^{-1} L leaves a round-off degree-1 coefficient behind
+    for g in (
+        ivar(1) + ivar(1, True).scale(0.5) + ivar(1) * ivar(1, True),
+        ivar(1).scale(3) + ivar(1, True).scale(0.7) + (ivar(1) * ivar(1)).scale(0.3),
+    ):
+        G = FormalSeries.from_ncpoly(g, 4)
+        (K,) = formal_inverse([G])
+        res = composition_residual([G], [K])
+        assert type(res) is float and res < 1e-10
