@@ -18,7 +18,6 @@ from .words import (
     word_str,
     words_of_degree,
     x,
-    xt,
 )
 from .poly import FREE, INV, NCPoly, TracePoly
 from .genpoly import GenPoly, GenTerm

@@ -415,10 +415,12 @@ def build_parser() -> Parser:
     px.add_argument("--level", type=int, default=None)
     px.set_defaults(func=cmd_extract)
 
-    pt = sub.add_parser("taylor", parents=[common], help="power series at 0")
+    pt = sub.add_parser("taylor", parents=[common], help="power series at 0 from word-trie reads")
     pt.add_argument("--map", required=True)
     pt.add_argument("--degree", type=int, required=True)
-    pt.add_argument("--cross-check", action="store_true")
+    pt.add_argument("--cross-check", action="store_true",
+                    help="re-read every coefficient per word on matenote plans at level m+1 "
+                         "and flag where they differ from the word-trie reads by more than --tol")
     pt.set_defaults(func=cmd_taylor)
 
     pa = sub.add_parser("expand-at", parents=[common], help="generalized series at a non-scalar center")

@@ -202,7 +202,12 @@ def load_mattuple(text: str) -> MatTuple:
         toks = list(_TOKEN_RE.finditer(raw))
         if len(toks) != n:
             raise FormatError(f"expected {n} entries, found {len(toks)}", lineno)
-        rows.append([_parse_scalar(t.group(), lineno, t.start() + 1) for t in toks])
+        row = [_parse_scalar(t.group(), lineno, t.start() + 1) for t in toks]
+        for t, v in zip(toks, row):
+            if isinstance(v, complex) and field != "complex":
+                raise FormatError(f"complex literal {t.group()!r} in a field={field} tuple",
+                                  lineno, t.start() + 1)
+        rows.append(row)
     # exact (object dtype) arithmetic only when no entry is a float or complex
     exact = all(isinstance(v, (int, Fraction)) for row in rows for v in row)
     dtype = object if exact else complex if field == "complex" else float

@@ -1,20 +1,31 @@
 """Reconstruction of free maps from finitely many matrix evaluations.
 
-Pipeline: the degree-m homogeneous part of f is isolated by polynomial
-interpolation of t -> f(tX) at Chebyshev nodes (with Richardson
-refinement in the radius for non-polynomial oracles), then its word
-coefficients are read off one evaluation each on shift-unit tuples in
-M_{m+1}: the coefficient of a degree-m word w appears at matrix entry
-(1, m+1), because e_{1,m+1} factors into sub/superdiagonal units in
-exactly one way.
+Two routes read the Taylor coefficients of f at 0.
+
+Word tries (the default of :func:`taylor_at_zero`): the nodes of a trie
+tuple T are words, letter x_k puts e_{u, u x_k} into component k and
+x_k^t puts e_{u x_k^t, u} there.  The only root-to-w path of length |w|
+runs along w, so entry (root, w) of the degree-|w| part of f is the
+coefficient of w, for every node w at once.  The words of degree <= D
+are split by their first j letters into sub-tries (plus the chain from
+the root down to the prefix) of at most TRIE_MAX_LEVEL nodes.  Without
+involution T is nilpotent and one evaluation f(hT) holds h^|w| c_w at
+(root, w); with involution one Chebyshev scan of t -> f(tT), with
+Richardson refinement in the radius for non-polynomial oracles,
+separates every degree at once.
+
+Matenote plans (:func:`matenote_extract`, for ``ncfun extract`` and the
+cross-check): one shift-unit tuple in M_{m+1} per degree-m word w, whose
+coefficient appears at entry (1, m+1) of the degree-m part, because
+e_{1,m+1} factors into sub/superdiagonal units in exactly one way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +33,7 @@ from .mateval import MatTuple, _rng, eval_ncpoly, random_mattuple
 from .oracle import FreeMapOracle, neville_to_zero
 from .poly import FREE, INV, NCPoly
 from .series import FormalSeries
-from .words import Word, words_of_degree
+from .words import Letter, Word, words_of_degree
 
 ANALYTIC_RADIUS_CAP = 0.25  # empirical: with 3 refinements gives ~1e-8 coefficients
 ANALYTIC_REFINE = 3
@@ -31,6 +42,9 @@ RESIDUAL_LEVELS = (1, 2)  # levels and samples per level of the Taylor residual
 RESIDUAL_SAMPLES = 4
 RECON_TOL = 1e-7  # reconstruction and certificate tolerance
 CERT_SAMPLES = 5  # certificate samples at each of levels d+1, d+2
+# largest sub-trie level: dense evaluation cost grows like level^3, and
+# above ~64 it outweighs the saving in calls (sweep in CHANGES.md)
+TRIE_MAX_LEVEL = 64
 
 
 def _cheb_nodes(D: int) -> np.ndarray:
@@ -38,19 +52,31 @@ def _cheb_nodes(D: int) -> np.ndarray:
     return np.cos(np.pi * (2 * j + 1) / (2 * (D + 1)))
 
 
-def _coeffs_at_radius(f: Callable[[MatTuple], MatTuple], X: MatTuple, D: int, h: float):
-    """Coefficient arrays c_k (k=0..D) of t -> f(tX), per output slot."""
+def _part_scan(
+    f: Callable[[MatTuple], MatTuple], X: MatTuple, D: int, h: float, refine: int, row0: bool
+) -> List[np.ndarray]:
+    """Homogeneous parts 0..D of f at X, per output slot, as an array
+    whose row m is the flattened degree-m part (only its first matrix
+    row when ``row0``).
+
+    Chebyshev fit of t -> f(tX) at radius h, h/2, ..., h/2^refine,
+    extrapolated in h^2 toward 0.
+    """
     taus = _cheb_nodes(D)
-    vals = [f(X.scale(float(h * t))) for t in taus]
-    gprime = len(vals[0].mats)
     V = np.vander(taus, D + 1, increasing=True)
-    out = []
-    for j in range(gprime):
-        B = np.array([np.asarray(v.mats[j]).ravel() for v in vals])
-        C = np.linalg.solve(V, B)  # coefficients in tau = t/h
-        scale = h ** np.arange(D + 1)
-        out.append(C / scale[:, None])
-    return out, vals[0].mats[0].shape[0]
+    ests: List[List[np.ndarray]] = []
+    for j in range(refine + 1):
+        r = h / 2**j
+        vals = [f(X.scale(float(r * t))) for t in taus]
+        scale = r ** np.arange(D + 1)
+        per_slot = []
+        for k in range(len(vals[0].mats)):
+            mats = [np.asarray(v.mats[k]) for v in vals]
+            B = np.array([a[0] if row0 else a.ravel() for a in mats])
+            C = np.linalg.solve(V, B)  # coefficients in tau = t/r
+            per_slot.append(C / scale[:, None])
+        ests.append(per_slot)
+    return neville_to_zero(ests, [(h / 2**j) ** 2 for j in range(refine + 1)])[-1]
 
 
 def homogeneous_part_eval(
@@ -72,10 +98,9 @@ def homogeneous_part_eval(
     if isinstance(f, FreeMapOracle):
         is_poly = f.is_polynomial()
         rad = f.radius_at(X.n)
-        evalf = f
         field = f.field
     else:
-        is_poly, rad, evalf, field = False, math.inf, f, X.field
+        is_poly, rad, field = False, math.inf, X.field
     if h is None:
         cap = 1.0 if is_poly else ANALYTIC_RADIUS_CAP
         h = cap if math.isinf(rad) else min(cap, rad / 2.0)
@@ -84,16 +109,77 @@ def homogeneous_part_eval(
             h = h / nrm
     if refine is None:
         refine = 0 if is_poly else ANALYTIC_REFINE
+    parts = _part_scan(f, X, D, h, refine, row0=False)
+    return MatTuple([p[m].reshape(X.n, X.n) for p in parts], field)
 
-    ests: List[List[np.ndarray]] = []
-    nprime = None
-    for j in range(refine + 1):
-        coeffs, nprime = _coeffs_at_radius(evalf, X, D, h / 2**j)
-        ests.append([c[m] for c in coeffs])
-    # extrapolation in h^2 toward 0
-    top = neville_to_zero(ests, [(h / 2**j) ** 2 for j in range(refine + 1)])[-1]
-    mats = [c.reshape(nprime, nprime) for c in top]
-    return MatTuple(mats, field)
+
+# -- every coefficient at once from word-trie tuples ------------------
+
+
+def _trie_prefix_length(letters: int, D: int) -> int:
+    """Smallest j >= 1 whose sub-tries (j chain nodes plus a full
+    letters-ary tree of depth D - j) fit TRIE_MAX_LEVEL; at j = D a
+    sub-trie is a chain of D + 1 nodes."""
+    j = min(1, D)
+    while j < D and j + sum(letters**k for k in range(D - j + 1)) > TRIE_MAX_LEVEL:
+        j += 1
+    return j
+
+
+def _trie_tuple(prefix: Word, D: int, alphabet: List[Letter], g: int, field: str):
+    """Sub-trie tuple of the words of degree <= D that start with
+    ``prefix``, plus the chain from the root down to it; returns the
+    tuple and its nodes (node 0 is the root)."""
+    nodes = [prefix[:i] for i in range(len(prefix))]
+    layer = [prefix]
+    while True:
+        nodes += layer
+        if len(layer[0]) == D:
+            break
+        layer = [u + (a,) for u in layer for a in alphabet]
+    index = {u: i for i, u in enumerate(nodes)}
+    dt = complex if field == "complex" else float
+    mats = [np.zeros((len(nodes), len(nodes)), dtype=dt) for _ in range(g)]
+    for i, u in enumerate(nodes[1:], start=1):
+        p, (k, starred) = index[u[:-1]], u[-1]
+        if starred:
+            mats[k - 1][i, p] = 1.0
+        else:
+            mats[k - 1][p, i] = 1.0
+    return MatTuple(mats, field), nodes
+
+
+def _trie_reads(f: FreeMapOracle, D: int) -> List[List[Dict[Word, object]]]:
+    """Coefficients of every word of degree <= D, as word -> value maps
+    indexed [output slot][degree]: one call per sub-trie for maps
+    without involution, one scan per sub-trie with it."""
+    involution = f.mode == INV
+    alphabet = [w[0] for w in words_of_degree(f.g, 1, involution)]
+    j = _trie_prefix_length(len(alphabet), D)
+    cap = 1.0 if f.is_polynomial() else ANALYTIC_RADIUS_CAP
+    refine = 0 if f.is_polynomial() else ANALYTIC_REFINE
+    coeffs = [[dict() for _ in range(D + 1)] for _ in range(f.gprime)]
+    on_chain = set()  # words shorter than j are shared by sub-tries: read once
+    for prefix in words_of_degree(f.g, j, involution):
+        T, nodes = _trie_tuple(prefix, D, alphabet, f.g, f.field)
+        rad = f.radius_at(T.n)
+        h = cap if math.isinf(rad) else min(cap, rad / 2.0) / max(1.0, T.norm())
+        if involution:
+            rows = _part_scan(f, T, D, h, refine, row0=True)
+        else:
+            val = f(T.scale(h))
+            rows = [v[0] for v in val.mats]
+        for i, w in enumerate(nodes):
+            if i < j:
+                if w in on_chain:
+                    continue
+                on_chain.add(w)
+            m = len(w)
+            for k, r in enumerate(rows):
+                c = r[m, i] if involution else r[i] / h**m
+                if abs(c) > CLEANUP_TOL:
+                    coeffs[k][m][w] = complex(c) if np.iscomplexobj(r) else float(c)
+    return coeffs
 
 
 # -- coefficient extraction on shift-unit tuples ----------------------
@@ -176,7 +262,7 @@ class TaylorResult:
     residual: float
     residual_samples: int
     flags: List[str] = dc_field(default_factory=list)
-    evaluations: int = 0
+    evaluations: int = 0  # oracle calls, residual samples included
 
     @property
     def gprime(self) -> int:
@@ -190,31 +276,37 @@ def taylor_at_zero(
     seed=0,
     cross_check: bool = False,
 ) -> TaylorResult:
-    """Degree-graded series of f at 0 up to order D, with a residual
-    report comparing f against the truncated series on RESIDUAL_SAMPLES
-    random points in a small ball at each of RESIDUAL_LEVELS (meaningful
-    for polynomial f or small radius).  Homogeneous parts use the
-    default radius and refinement of :func:`homogeneous_part_eval`."""
+    """Degree-graded series of f at 0 up to order D, read from word-trie
+    tuples, with a residual report comparing f against the truncated
+    series on RESIDUAL_SAMPLES random points in a small ball at each of
+    RESIDUAL_LEVELS (meaningful for polynomial f or small radius).
+
+    ``cross_check`` re-reads every coefficient on the independent
+    matenote route (one plan per word at level m+1, through
+    :func:`homogeneous_part_eval`) and flags differences above ``tol``.
+    ``evaluations`` counts every oracle call made here."""
+    calls = 0
+
+    def counting(X, _ev=f.evaluator):
+        nonlocal calls
+        calls += 1
+        return _ev(X)
+
+    f = replace(f, evaluator=counting)
     mode = f.mode
-    parts_per_comp: List[List[NCPoly]] = [[] for _ in range(f.gprime)]
+    series = tuple(
+        FormalSeries([NCPoly(part, mode) for part in parts], D, mode) for parts in _trie_reads(f, D)
+    )
     flags: List[str] = []
-    evaluations = 0
-    for m in range(D + 1):
-        def f_hom(X, _m=m):
-            return homogeneous_part_eval(f, _m, X, D)
-
-        ext = matenote_extract(f_hom, m, f.g, mode, field=f.field)
-        evaluations += ext.evaluations
-        for j in range(f.gprime):
-            parts_per_comp[j].append(ext.polys[j] if j < len(ext.polys) else NCPoly.zero(mode))
-        if cross_check:
-            ext2 = matenote_extract(f_hom, m, f.g, mode, level=m + 2, field=f.field)
-            for j in range(f.gprime):
-                d = ext.polys[j].max_coeff_diff(ext2.polys[j])
+    if cross_check:
+        for m in range(D + 1):
+            ext = matenote_extract(
+                lambda X, _m=m: homogeneous_part_eval(f, _m, X, D), m, f.g, mode, field=f.field
+            )
+            for j, s in enumerate(series):
+                d = s.parts[m].max_coeff_diff(ext.polys[j])
                 if d > tol:
-                    flags.append(f"degree {m} comp {j}: level {m+1} vs {m+2} differ by {d:.3g}")
-
-    series = tuple(FormalSeries(parts, D, mode) for parts in parts_per_comp)
+                    flags.append(f"degree {m} comp {j}: trie vs matenote (level {m+1}) differ by {d:.3g}")
 
     rng = _rng(seed)
     worst = 0.0
@@ -227,7 +319,7 @@ def taylor_at_zero(
             sx = MatTuple([eval_ncpoly(s.to_ncpoly(), X) for s in series], f.field)
             worst = max(worst, fx.max_diff(sx))
             count += 1
-    return TaylorResult(series, D, worst, count, flags, evaluations)
+    return TaylorResult(series, D, worst, count, flags, calls)
 
 
 # -- polynomial reconstruction with certificate -----------------------

@@ -29,11 +29,6 @@ def x(k: int) -> Word:
     return (letter(k),)
 
 
-def xt(k: int) -> Word:
-    """One-letter word x_k^t."""
-    return (letter(k, True),)
-
-
 def word_involution(w: Word) -> Word:
     """Reverse the word and star/unstar every letter.
 

@@ -224,6 +224,10 @@ def test_usage_and_io_errors(tmp_path, capsys):
     nan.write_text("MTX1 n=2 g=1 field=real\n1 nan\n0 1\n")
     code, out, err = run(capsys, "eval", "--poly", str(pf), "--tuple", str(nan))
     assert code == 1 and out == "" and "line 2, column 3" in err
+    cplx = tmp_path / "cplx.mtx"
+    cplx.write_text("MTX1 n=1 g=1 field=real\n1+2i\n")
+    code, out, err = run(capsys, "eval", "--poly", str(pf), "--tuple", str(cplx))
+    assert code == 1 and out == "" and "line 2, column 1" in err and "Traceback" not in err
     for extra in (["--trials", "0"], ["--trials", "-3"], ["--n", "0"]):
         code, out, _ = run(capsys, "identity", "--standard", "4", "--n", "1", *extra)
         assert code == 1 and "IDENTITY" not in out

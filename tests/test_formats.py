@@ -150,3 +150,10 @@ def test_parse_errors_carry_location():
     with pytest.raises(FormatError) as ei:
         load_ncpolys("NCPOLY1 mode=free polys=1\nterms=1\nnan : x1\n")
     assert "line 3" in str(ei.value)
+    # a complex literal has no place in a field=real tuple
+    with pytest.raises(FormatError) as ei:
+        load_mattuple("MTX1 n=1 g=1 field=real\n1+2i\n")
+    assert "line 2, column 1" in str(ei.value) and "field=real" in str(ei.value)
+    with pytest.raises(FormatError) as ei:
+        load_mattuple("MTX1 n=2 g=1 field=real\n1 0\n0  3-1i\n")
+    assert "line 3, column 4" in str(ei.value)

@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncfun import (
     FREE,
@@ -19,6 +21,7 @@ from ncfun import (
     taylor_at_zero,
 )
 from ncfun.oracle import FreeMapOracle, random_ncpoly
+from ncfun.recon import TRIE_MAX_LEVEL
 
 
 def ivar(k, starred=False):
@@ -214,3 +217,108 @@ def test_matenote_isolation_property_exact():
             p = NCPoly({w: 3}, INV)
             ext = matenote_extract(sym_eval(p), m, 2, INV, exact=True)
             assert ext.polys[0].coeffs == {w: 3}
+
+
+# -- word-trie reads against the matenote route ------------------------
+
+
+def matenote_parts(f, D):
+    """Per-degree matenote reads (level m+1) of every output slot, each
+    through the Chebyshev scan of :func:`homogeneous_part_eval`."""
+    parts = [
+        matenote_extract(lambda X, m=m: homogeneous_part_eval(f, m, X, D), m, f.g, f.mode,
+                         field=f.field).polys
+        for m in range(D + 1)
+    ]
+    return [sum((parts[m][j] for m in range(D + 1)), NCPoly.zero(f.mode)) for j in range(f.gprime)]
+
+
+def rounded(p):
+    return NCPoly({w: complex(round(c.real), round(c.imag)) if isinstance(c, complex) else round(c)
+                   for w, c in p.coeffs.items()}, p.mode)
+
+
+@st.composite
+def integer_poly_maps(draw):
+    inv = draw(st.booleans())
+    field = draw(st.sampled_from(["real", "complex"]))
+    g = draw(st.integers(1, 3))
+    letters = [(k, s) for k in range(1, g + 1) for s in ((False, True) if inv else (False,))]
+    # (letters)^D <= 256 keeps the per-word matenote route under a second
+    D = draw(st.integers(0, 4).filter(lambda D: len(letters) ** D <= 256))
+    ints = st.integers(-3, 3)
+    coeff = st.builds(complex, ints, ints) if field == "complex" else ints
+    words = st.lists(st.sampled_from(letters), max_size=D).map(tuple)
+    p = NCPoly(draw(st.dictionaries(words, coeff, max_size=6)), INV if inv else FREE)
+    return p, D, field
+
+
+@settings(max_examples=30, deadline=None)
+@given(integer_poly_maps())
+def test_trie_and_matenote_agree_on_integer_polynomials(case):
+    p, D, field = case
+    f = oracle_from_ncpoly(p, field=field)
+    trie = taylor_at_zero(f, D).series[0].to_ncpoly()
+    mate = matenote_parts(f, D)[0]
+    assert trie.max_coeff_diff(mate) < 1e-9
+    assert rounded(trie) == rounded(mate) == p
+    if f.mode == FREE:
+        # the trie tuple is nilpotent: one evaluation at h = 1 is exact
+        assert trie == p
+
+
+def test_trie_and_matenote_agree_on_sinxxt():
+    from ncfun import builtin_map
+
+    f = builtin_map("sinxxt")
+    trie = taylor_at_zero(f, 6).series[0].to_ncpoly()
+    xxt = parse_word("x1 x1*")
+    closed = NCPoly({xxt: 1.0, xxt * 3: -1.0 / 6.0}, INV)
+    assert trie.max_coeff_diff(closed) < 1e-9
+    # the matenote route is itself 1.5e-8 off the closed form at degree 6
+    assert trie.max_coeff_diff(matenote_parts(f, 6)[0]) < 2e-8
+
+
+def counted(f):
+    seen = []
+
+    def evaluator(X, _ev=f.evaluator):
+        seen.append(X.n)
+        return _ev(X)
+
+    return dataclasses.replace(f, evaluator=evaluator), seen
+
+
+def test_taylor_evaluations_are_the_oracle_calls():
+    from ncfun import builtin_map
+
+    for cross_check in (False, True):
+        f, seen = counted(builtin_map("sinxxt"))
+        tay = taylor_at_zero(f, 6, cross_check=cross_check)
+        assert tay.evaluations == len(seen)
+    f, seen = counted(builtin_map("sinxxt"))
+    tay = taylor_at_zero(f, 6)
+    # two sub-tries (one per first letter) of 64 nodes, 28 calls each,
+    # plus the 8 residual samples
+    assert tay.evaluations <= 72 and max(seen) <= TRIE_MAX_LEVEL
+
+
+def test_taylor_finite_radius():
+    def geometric(X):
+        x = X.mats[0]
+        return MatTuple([x @ np.linalg.inv(np.eye(X.n) - x)], X.field)
+
+    f = FreeMapOracle(1, 1, geometric, group="GL", radius=1.0)
+    s = taylor_at_zero(f, 6).series[0].to_ncpoly()
+    want = NCPoly({((1, False),) * k: 1.0 for k in range(1, 7)})
+    assert s.max_coeff_diff(want) < 1e-12
+
+    def resolvent(X):
+        x = X.mats[0]
+        return MatTuple([np.linalg.inv(np.eye(X.n) - x @ x.T) - np.eye(X.n)], X.field)
+
+    f = FreeMapOracle(1, 1, resolvent, group="O", radius=1.0)
+    s = taylor_at_zero(f, 6).series[0].to_ncpoly()
+    xxt = parse_word("x1 x1*")
+    want = NCPoly({xxt * k: 1.0 for k in range(1, 4)}, INV)
+    assert s.max_coeff_diff(want) < 1e-7
