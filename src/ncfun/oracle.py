@@ -51,6 +51,9 @@ class FreeMapOracle:
     radius: object = math.inf  # float or callable level -> float
     name: str = ""
     polys: Optional[Tuple[NCPoly, ...]] = None  # symbolic backing, if any
+    max_level: Optional[int] = None  # larger levels are refused; None: no limit
+    # evaluator calls made through this object (not copied by dataclasses.replace)
+    calls: int = dc_field(default=0, init=False, compare=False, repr=False)
 
     def radius_at(self, n: int) -> float:
         if callable(self.radius):
@@ -73,9 +76,12 @@ class FreeMapOracle:
             X = MatTuple(X, self.field)
         if X.g != self.g:
             raise ValueError(f"oracle expects {self.g} components, got {X.g}")
+        if self.max_level is not None and X.n > self.max_level:
+            raise DomainError(f"level {X.n} above the largest level {self.max_level} of {self.name or 'the map'}")
         r = self.radius_at(X.n)
         if math.isfinite(r) and X.mats[0].dtype != object and X.norm() >= r:
             raise DomainError(f"input norm {X.norm():.3g} outside radius {r:.3g} at level {X.n}")
+        self.calls += 1
         out = self.evaluator(X)
         if not isinstance(out, MatTuple):
             out = MatTuple(out if isinstance(out, (tuple, list)) else [out], self.field)
@@ -125,6 +131,10 @@ def _pow_smoothness(alpha: float) -> Smoothness:
     return "continuous"
 
 
+# one nonuniform call takes ~0.1 s at level 7, ~0.6 s at 8 and ~3 s at 9 (2-core x86)
+NONUNIFORM_MAX_LEVEL = 7
+
+
 def builtin_map(name: str, **params) -> FreeMapOracle:
     """Registry of the example maps.
 
@@ -132,7 +142,10 @@ def builtin_map(name: str, **params) -> FreeMapOracle:
     sinxxt                  sin(x x^t)
     smooth_nonanalytic(J)   sum_j e^{-sqrt(2^j)} cos(2^j (x + x^t))
     nonuniform              sin(sum_k k! (h_k + h_k^t)), level-n sum
-                            truncated at k < n (Amitsur-Levitzki)
+                            truncated at k < n (Amitsur-Levitzki); the
+                            S_2k subset DPs for k < n make a call cost
+                            about 5x more per level, so levels above
+                            NONUNIFORM_MAX_LEVEL are refused
     """
     if name == "pow_xxt":
         alpha = params.get("alpha")
@@ -189,7 +202,8 @@ def builtin_map(name: str, **params) -> FreeMapOracle:
                 acc = acc + math.factorial(k) * (hk + hk.T)
             return MatTuple([sym_matrix_function("sin", acc)], X.field)
 
-        return FreeMapOracle(3, 1, ev_nonuniform, group="O", smoothness="analytic", name="nonuniform")
+        return FreeMapOracle(3, 1, ev_nonuniform, group="O", smoothness="analytic", name="nonuniform",
+                             max_level=NONUNIFORM_MAX_LEVEL)
 
     raise ValueError(f"unknown builtin map {name!r}")
 

@@ -8,7 +8,8 @@ x_k^t puts e_{u x_k^t, u} there.  The only root-to-w path of length |w|
 runs along w, so entry (root, w) of the degree-|w| part of f is the
 coefficient of w, for every node w at once.  The words of degree <= D
 are split by their first j letters into sub-tries (plus the chain from
-the root down to the prefix) of at most TRIE_MAX_LEVEL nodes.  Without
+the root down to the prefix) of at most TRIE_MAX_LEVEL nodes, or of the
+oracle's ``max_level`` when it declares a smaller one.  Without
 involution T is nilpotent and one evaluation f(hT) holds h^|w| c_w at
 (root, w); with involution one Chebyshev scan of t -> f(tT), with
 Richardson refinement in the radius for non-polynomial oracles,
@@ -23,7 +24,7 @@ e_{1,m+1} factors into sub/superdiagonal units in exactly one way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -43,7 +44,8 @@ RESIDUAL_SAMPLES = 4
 RECON_TOL = 1e-7  # reconstruction and certificate tolerance
 CERT_SAMPLES = 5  # certificate samples at each of levels d+1, d+2
 # largest sub-trie level: dense evaluation cost grows like level^3, and
-# above ~64 it outweighs the saving in calls (sweep in CHANGES.md)
+# above ~64 it outweighs the saving in calls (sweep in CHANGES.md);
+# oracles whose cost grows faster declare a smaller FreeMapOracle.max_level
 TRIE_MAX_LEVEL = 64
 
 
@@ -79,6 +81,28 @@ def _part_scan(
     return neville_to_zero(ests, [(h / 2**j) ** 2 for j in range(refine + 1)])[-1]
 
 
+def _scan_params(f, X: MatTuple) -> Tuple[float, int]:
+    """Radius h and Richardson refinements of the scan of t -> f(tX).
+
+    A polynomial oracle scans at the cap 1 with no refinement, any
+    other map at ANALYTIC_RADIUS_CAP with ANALYTIC_REFINE halvings.  At
+    infinite radius h keeps ||hX|| <= 2 cap, so read tuples (norm <= 2:
+    each component is a sum of two partial isometries) scan at the cap
+    itself; dividing by their norm would amplify round-off by ||X||^m
+    in the degree-m part.  At finite radius ||hX|| <= radius/2.
+    """
+    if isinstance(f, FreeMapOracle):
+        is_poly, rad = f.is_polynomial(), f.radius_at(X.n)
+    else:
+        is_poly, rad = False, math.inf
+    cap = 1.0 if is_poly else ANALYTIC_RADIUS_CAP
+    if math.isinf(rad):
+        h = cap / max(1.0, X.norm() / 2.0)
+    else:
+        h = min(cap, rad / 2.0) / max(1.0, X.norm())
+    return h, 0 if is_poly else ANALYTIC_REFINE
+
+
 def homogeneous_part_eval(
     f: FreeMapOracle | Callable[[MatTuple], MatTuple],
     m: int,
@@ -95,20 +119,11 @@ def homogeneous_part_eval(
     """
     if m > D:
         raise ValueError(f"m={m} exceeds degree bound D={D}")
-    if isinstance(f, FreeMapOracle):
-        is_poly = f.is_polynomial()
-        rad = f.radius_at(X.n)
-        field = f.field
-    else:
-        is_poly, rad, field = False, math.inf, X.field
-    if h is None:
-        cap = 1.0 if is_poly else ANALYTIC_RADIUS_CAP
-        h = cap if math.isinf(rad) else min(cap, rad / 2.0)
-        nrm = X.norm()
-        if nrm > 1.0:
-            h = h / nrm
-    if refine is None:
-        refine = 0 if is_poly else ANALYTIC_REFINE
+    field = f.field if isinstance(f, FreeMapOracle) else X.field
+    if h is None or refine is None:
+        auto_h, auto_refine = _scan_params(f, X)
+        h = auto_h if h is None else h
+        refine = auto_refine if refine is None else refine
     parts = _part_scan(f, X, D, h, refine, row0=False)
     return MatTuple([p[m].reshape(X.n, X.n) for p in parts], field)
 
@@ -116,12 +131,13 @@ def homogeneous_part_eval(
 # -- every coefficient at once from word-trie tuples ------------------
 
 
-def _trie_prefix_length(letters: int, D: int) -> int:
+def _trie_prefix_length(letters: int, D: int, max_level: Optional[int]) -> int:
     """Smallest j >= 1 whose sub-tries (j chain nodes plus a full
-    letters-ary tree of depth D - j) fit TRIE_MAX_LEVEL; at j = D a
-    sub-trie is a chain of D + 1 nodes."""
+    letters-ary tree of depth D - j) fit TRIE_MAX_LEVEL and the oracle's
+    own ``max_level``; at j = D a sub-trie is a chain of D + 1 nodes."""
+    cap = TRIE_MAX_LEVEL if max_level is None else min(TRIE_MAX_LEVEL, max_level)
     j = min(1, D)
-    while j < D and j + sum(letters**k for k in range(D - j + 1)) > TRIE_MAX_LEVEL:
+    while j < D and j + sum(letters**k for k in range(D - j + 1)) > cap:
         j += 1
     return j
 
@@ -155,15 +171,12 @@ def _trie_reads(f: FreeMapOracle, D: int) -> List[List[Dict[Word, object]]]:
     without involution, one scan per sub-trie with it."""
     involution = f.mode == INV
     alphabet = [w[0] for w in words_of_degree(f.g, 1, involution)]
-    j = _trie_prefix_length(len(alphabet), D)
-    cap = 1.0 if f.is_polynomial() else ANALYTIC_RADIUS_CAP
-    refine = 0 if f.is_polynomial() else ANALYTIC_REFINE
+    j = _trie_prefix_length(len(alphabet), D, f.max_level)
     coeffs = [[dict() for _ in range(D + 1)] for _ in range(f.gprime)]
     on_chain = set()  # words shorter than j are shared by sub-tries: read once
     for prefix in words_of_degree(f.g, j, involution):
         T, nodes = _trie_tuple(prefix, D, alphabet, f.g, f.field)
-        rad = f.radius_at(T.n)
-        h = cap if math.isinf(rad) else min(cap, rad / 2.0) / max(1.0, T.norm())
+        h, refine = _scan_params(f, T)
         if involution:
             rows = _part_scan(f, T, D, h, refine, row0=True)
         else:
@@ -281,18 +294,16 @@ def taylor_at_zero(
     series on RESIDUAL_SAMPLES random points in a small ball at each of
     RESIDUAL_LEVELS (meaningful for polynomial f or small radius).
 
+    The TRIE_MAX_LEVEL cap assumes a call costs about level^3, as a
+    dense matrix function does; an oracle whose cost grows faster (the
+    builtin ``nonuniform``) declares ``max_level``, and the sub-tries
+    shrink to fit it, down to chains of D+1 nodes.
+
     ``cross_check`` re-reads every coefficient on the independent
     matenote route (one plan per word at level m+1, through
     :func:`homogeneous_part_eval`) and flags differences above ``tol``.
     ``evaluations`` counts every oracle call made here."""
-    calls = 0
-
-    def counting(X, _ev=f.evaluator):
-        nonlocal calls
-        calls += 1
-        return _ev(X)
-
-    f = replace(f, evaluator=counting)
+    calls_before = f.calls
     mode = f.mode
     series = tuple(
         FormalSeries([NCPoly(part, mode) for part in parts], D, mode) for parts in _trie_reads(f, D)
@@ -319,7 +330,7 @@ def taylor_at_zero(
             sx = MatTuple([eval_ncpoly(s.to_ncpoly(), X) for s in series], f.field)
             worst = max(worst, fx.max_diff(sx))
             count += 1
-    return TaylorResult(series, D, worst, count, flags, calls)
+    return TaylorResult(series, D, worst, count, flags, f.calls - calls_before)
 
 
 # -- polynomial reconstruction with certificate -----------------------

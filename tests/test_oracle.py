@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -237,6 +238,18 @@ def test_domain_radius_enforced():
     with pytest.raises(DomainError):
         f(MatTuple([np.eye(2)]))
     assert f(MatTuple([0.1 * np.eye(2)])).max_diff(MatTuple([0.1 * np.eye(2)])) == 0
+
+
+def test_max_level_enforced_and_calls_counted():
+    f = FreeMapOracle(1, 1, lambda X: X, group="GL", max_level=2)
+    with pytest.raises(DomainError, match="level 3"):
+        f(MatTuple([np.eye(3)]))
+    f(MatTuple([np.eye(2)]))
+    assert f.calls == 1  # the refused call never reached the evaluator
+    assert dataclasses.replace(f).calls == 0
+    # nonuniform refuses level 8 (~0.6 s a call) before evaluating
+    with pytest.raises(DomainError):
+        builtin_map("nonuniform")(random_mattuple(3, 8, 0, norm=0.1))
 
 
 def test_arity_guard():

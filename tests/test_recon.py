@@ -275,8 +275,9 @@ def test_trie_and_matenote_agree_on_sinxxt():
     xxt = parse_word("x1 x1*")
     closed = NCPoly({xxt: 1.0, xxt * 3: -1.0 / 6.0}, INV)
     assert trie.max_coeff_diff(closed) < 1e-9
-    # the matenote route is itself 1.5e-8 off the closed form at degree 6
-    assert trie.max_coeff_diff(matenote_parts(f, 6)[0]) < 2e-8
+    assert trie.max_coeff_diff(matenote_parts(f, 6)[0]) < 1e-8
+    # both routes scan at the same radius, so the cross-check stays quiet
+    assert taylor_at_zero(f, 6, tol=1e-8, cross_check=True).flags == []
 
 
 def counted(f):
@@ -295,12 +296,33 @@ def test_taylor_evaluations_are_the_oracle_calls():
     for cross_check in (False, True):
         f, seen = counted(builtin_map("sinxxt"))
         tay = taylor_at_zero(f, 6, cross_check=cross_check)
-        assert tay.evaluations == len(seen)
+        assert tay.evaluations == len(seen) == f.calls
     f, seen = counted(builtin_map("sinxxt"))
     tay = taylor_at_zero(f, 6)
     # two sub-tries (one per first letter) of 64 nodes, 28 calls each,
     # plus the 8 residual samples
     assert tay.evaluations <= 72 and max(seen) <= TRIE_MAX_LEVEL
+
+
+def test_taylor_keeps_to_the_oracle_max_level():
+    from ncfun import builtin_map
+
+    # nonuniform declares max_level 7, so no sub-trie outgrows a chain
+    # (D=2 with j=1 would be level 8, D=3 level 44)
+    f, seen = counted(builtin_map("nonuniform"))
+    tay = taylor_at_zero(f, 2)
+    assert max(seen) == 3 and tay.evaluations == len(seen) == 440
+    assert all(p.is_zero() for p in tay.series[0].parts)  # deg h_1 = 6
+    # D=3 plans chains of level 4, checked on a cheap stand-in evaluator
+    seen = []
+
+    def zero(X):
+        seen.append(X.n)
+        return MatTuple([np.zeros((X.n, X.n))], X.field)
+
+    stand_in = dataclasses.replace(builtin_map("nonuniform"), evaluator=zero)
+    tay = taylor_at_zero(stand_in, 3)
+    assert max(seen) == 4 and tay.evaluations == len(seen) == 6**3 * 16 + 8
 
 
 def test_taylor_finite_radius():
