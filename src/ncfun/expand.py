@@ -8,6 +8,12 @@ part over the basis monomials b_{i0} u_{k1} b_{i1} ... u_{km} b_{im}
 and solves for the scalar coefficients in the least-squares sense from
 random evaluations at level n * s_eval with s_eval > D (where the
 expression is unique).
+
+Each sample's columns come from stacked prefix products, one batch of
+matrix products per letter (``monomial_columns``), and the system stays
+in the map's field (float64 for real maps).  The cost is then the
+``lstsq`` solve itself, on (samples * level^2) rows and dim^(m+1) L^m
+unknowns for L letters.
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ from .mateval import (
     RANK_CUTOFF,
     MatTuple,
     SubspaceBasis,
-    _eval_term,
     _rng,
+    adjoint,
     centralizer,
     eval_genpoly,
-    eye_like,
     generated_algebra,
     random_mattuple,
 )
@@ -69,6 +74,7 @@ class GenExpansion:
     residuals: List[float] = dc_field(default_factory=list)
     nullspace_dims: List[int] = dc_field(default_factory=list)
     mode: str = INV
+    evaluations: int = 0  # oracle calls made by expand_at_point
 
     @property
     def gprime(self) -> int:
@@ -97,17 +103,54 @@ class GenExpansion:
         return worst
 
 
+def monomial_columns(P: np.ndarray, H: MatTuple, m: int, involution: bool) -> np.ndarray:
+    """Every degree-m basis monomial b_{i0} u_{k1} b_{i1} ... u_{km} b_{im}
+    at H, as the (N*N, dim^(m+1) L^m) block of flattened values.
+
+    ``P`` stacks the embedded coefficients kron(b_i, I_s), shape (dim, N, N);
+    the L letters are x1, x1*, x2, ... (x1, x2, ... without involution).
+    All products are built at once, each prefix shared by every monomial
+    that extends it, in the left-to-right association of
+    ``mateval._eval_term``.  Columns run over the coefficient indices I
+    outermost and the word K innermost, K in ``words_of_degree`` order.
+    """
+    dim, N = P.shape[0], P.shape[1]
+    letters = []
+    for h in H.mats:
+        letters.append(h)
+        if involution:
+            letters.append(adjoint(h, H.field))
+    Hs = np.stack(letters)
+    acc = P
+    for _ in range(m):
+        acc = (acc[:, None] @ Hs[None]).reshape(-1, N, N)
+        acc = (acc[:, None] @ P[None]).reshape(-1, N, N)
+    # axes (i0, k1, i1, ..., km, im) -> (i0, i1, ..., im, k1, ..., km)
+    acc = acc.reshape((dim,) + (len(letters), dim) * m + (N * N,))
+    axes = [0] + [2 + 2 * t for t in range(m)] + [1 + 2 * t for t in range(m)] + [2 * m + 1]
+    return acc.transpose(axes).reshape(-1, N * N).T
+
+
 def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) -> GenExpansion:
     """Constructive expansion about A, degree by degree up to D.
 
+    Degree m has dim^(m+1) L^m unknowns (L = g letters, 2g with
+    involution), fitted by ``lstsq`` on samples * (n s_eval)^2 rows, at
+    least twice as many as unknowns; that solve is where the time goes.
     Hard practical caps: D <= 3, center size <= 3, coefficient-algebra
-    dimension <= 4 (the unknown count grows like dim^(m+1) letters^m).
-    Each degree's least-squares residual is reported in ``residuals``; a
-    large one signals f not free for the declared group, a wrong group,
-    or D too small.  Singular values below RANK_CUTOFF (relative) count
-    as zero, and rank-deficient systems are reported through
-    ``nullspace_dims`` instead of guessing a canonical representative.
+    dimension <= 4.  Each degree's least-squares residual is reported in
+    ``residuals``; a large one signals f not free for the declared group,
+    a wrong group, or D too small.  Singular values below RANK_CUTOFF
+    (relative) count as zero, and rank-deficient systems are reported
+    through ``nullspace_dims`` instead of guessing a canonical
+    representative.  ``evaluations`` counts the oracle calls made.
     """
+    if D < 0:
+        raise ValueError(f"degree must be >= 0, got {D}")
+    if A.g != f.g:
+        raise ValueError(f"center has {A.g} components, the map takes {f.g}")
+    if A.field == "complex" and f.field == "real":
+        raise ValueError("complex center for a real map")
     if D > MAX_DEGREE:
         raise ValueError(f"degree {D} exceeds practical cap {MAX_DEGREE}")
     if A.n > MAX_CENTER_SIZE:
@@ -124,6 +167,7 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
     level = n * s_eval
     C = center_tuple(A, s_eval)
     rng = _rng(seed)
+    calls0 = f.calls
 
     def shifted(H: MatTuple) -> MatTuple:
         return f(C + H)
@@ -132,7 +176,9 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
     if f.is_polynomial():
         Dint = max(D, f.poly_degree())
 
-    bas = [np.asarray(b, dtype=complex if f.field == "complex" else float) for b in basis.mats]
+    dt = complex if f.field == "complex" else float
+    bas = [np.asarray(b, dtype=dt) for b in basis.mats]
+    P = np.stack([np.kron(b, np.eye(s_eval, dtype=dt)) for b in bas])
     parts: List[Tuple[GenPoly, ...]] = []
     residuals: List[float] = []
     nulldims: List[int] = []
@@ -145,9 +191,9 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
         unknowns = len(monomials)
         per_sample = level * level
         samples = max(2, math.ceil(2.0 * unknowns / per_sample))
-        rows = []
-        rhs = [[] for _ in range(f.gprime)]
-        for _ in range(samples):
+        M = np.empty((samples * per_sample, unknowns), dtype=dt)
+        B = np.empty((samples * per_sample, f.gprime), dtype=dt)
+        for r in range(samples):
             H = random_mattuple(f.g, level, rng, f.field, norm=1.0)
             y = homogeneous_part_eval(
                 shifted,
@@ -157,15 +203,10 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
                 refine=0 if f.is_polynomial() else None,
                 h=min(1.0, f.radius_at(level) / 2.0) if f.is_polynomial() else None,
             )
-            block = np.empty((per_sample, unknowns), dtype=complex)
-            eye_s = eye_like(s_eval, H.mats[0])
-            for c, (I, K) in enumerate(monomials):
-                block[:, c] = _eval_term([bas[i] for i in I], K, H, eye_s).ravel()
-            rows.append(block)
+            rows = slice(r * per_sample, (r + 1) * per_sample)
+            M[rows] = monomial_columns(P, H, m, mode == INV)
             for j in range(f.gprime):
-                rhs[j].append(np.asarray(y.mats[j], dtype=complex).ravel())
-        M = np.vstack(rows)
-        B = np.stack([np.concatenate(r) for r in rhs], axis=1)
+                B[rows, j] = y.mats[j].ravel()
         sol, _, rank, sv = np.linalg.lstsq(M, B, rcond=RANK_CUTOFF)
         nulldims.append(unknowns - int(rank))
         fit = M @ sol
@@ -180,11 +221,11 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
                 coeff = sol[c, j]
                 if abs(coeff) <= 1e-10:
                     continue
-                if f.field == "real":
-                    coeff = coeff.real
                 mats = [bas[i] for i in I]
                 mats = [coeff * mats[0]] + list(mats[1:])
                 terms.append(GenTerm(mats, K))
             comp_polys.append(GenPoly(n, terms, mode))
         parts.append(tuple(comp_polys))
-    return GenExpansion(A, f.group, basis, D, s_eval, parts, residuals, nulldims, mode)
+    return GenExpansion(
+        A, f.group, basis, D, s_eval, parts, residuals, nulldims, mode, f.calls - calls0
+    )

@@ -156,12 +156,6 @@ class GenPoly:
     def is_homogeneous(self) -> bool:
         return len({t.degree() for t in self.terms}) <= 1
 
-    def max_basis_diff(self, other: "GenPoly") -> float:
-        self._coerce(other)
-        a, b = self.expand_basis(), other.expand_basis()
-        keys = set(a) | set(b)
-        return max((abs(a.get(k, 0) - b.get(k, 0)) for k in keys), default=0.0)
-
     def __call__(self, X):
         from . import mateval
 

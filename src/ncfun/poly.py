@@ -259,9 +259,6 @@ class TracePoly:
     def num_vars(self) -> int:
         return max((max_var(w) for (pure, tail) in self.coeffs for w in pure + (tail,)), default=0)
 
-    def is_pure(self) -> bool:
-        return all(tail == EMPTY_WORD for (_, tail) in self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

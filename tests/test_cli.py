@@ -237,6 +237,19 @@ def test_usage_and_io_errors(tmp_path, capsys):
     code, out, err = run(capsys, "identity", "--poly", str(gp), "--n", "2", "--exact")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "NCPOLY1" in err and "TRPOLY1" in err
+    # expand-at checks degree, component count and field before any oracle call
+    e12 = tmp_path / "e12.mtx"
+    e12.write_text("MTX1 n=2 g=1 field=real\n0 1\n0 0\n")
+    two = tmp_path / "two.mtx"
+    two.write_text("MTX1 n=2 g=2 field=real\n0 1\n0 0\n1 0\n0 1\n")
+    ce12 = tmp_path / "ce12.mtx"
+    ce12.write_text("MTX1 n=2 g=1 field=complex\n0 1+1i\n0 0\n")
+    for center, degree, msg in ((e12, "-1", "degree must be >= 0"),
+                                (two, "1", "center has 2 components, the map takes 1"),
+                                (ce12, "1", "complex center for a real map")):
+        code, out, err = run(capsys, "expand-at", "--map", f"poly:{pf}", "--center", str(center),
+                             "--degree", degree, "--s-eval", "3")
+        assert code == 1 and out == "" and msg in err and "Traceback" not in err
 
 
 def test_check_determinism_across_runs(capsys):

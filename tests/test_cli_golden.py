@@ -1,10 +1,15 @@
 """Golden CLI outputs: the exact stdout and ``-o`` bytes of commands whose
 output does not depend on the platform (word and trace canonicalization,
 exact integer arithmetic, and a series inversion whose coefficients are
-exactly representable).  A change to any of these bytes changes the CLI's
-output format or a result, so it has to be made here on purpose.
+exactly representable), and one ``expand-at`` file whose least-squares
+coefficients are compared to 1e-12.  A change to any of these bytes
+changes the CLI's output format or a result, so it has to be made here on
+purpose.
 """
 
+import re
+
+import numpy as np
 import pytest
 
 from ncfun.cli import main
@@ -229,3 +234,49 @@ def test_cli_golden(argv, stdout, written, tmp_path, capsys):
         assert not out.exists()
     else:
         assert out.read_bytes() == written
+
+
+# expand-at fits its coefficients by least squares: their last digits
+# are LAPACK round-off (1e-15 here), so the -o file is compared token by
+# token, every number within 1e-12 of these bytes and all else exact
+EXPAND_AT_OUT = (
+    b"GENPOLY1 n=2 mode=involution terms=2\n"
+    b"deg=0 0.0 1.0000000000000002; 0.0 0.0\n"
+    b"deg=0 0.9999999999999998 0.0; 0.0 0.0\n"
+    b"GENPOLY1 n=2 mode=involution terms=8\n"
+    b"deg=1 0.0 0.0; 0.0 1.0000000000000013 x1 0.0 0.0; 0.0 1.0\n"
+    b"deg=1 -0.0 -0.0; -0.0 -1.000000000000001 x1 -0.0 -0.0; -1.0 -0.0\n"
+    b"deg=1 0.0 0.0; 0.0 1.0000000000000002 x1 1.0 0.0; 0.0 0.0\n"
+    b"deg=1 0.0 1.0000000000000002; 0.0 0.0 x1* 0.0 0.0; 0.0 1.0\n"
+    b"deg=1 0.0 1.0000000000000018; 0.0 0.0 x1* 1.0 0.0; 0.0 0.0\n"
+    b"deg=1 1.0 0.0; 0.0 0.0 x1 0.0 0.0; 0.0 1.0\n"
+    b"deg=1 -0.9999999999999988 -0.0; -0.0 -0.0 x1 -0.0 -0.0; -1.0 -0.0\n"
+    b"deg=1 0.9999999999999998 0.0; 0.0 0.0 x1 1.0 0.0; 0.0 0.0\n"
+    b"GENPOLY1 n=2 mode=involution terms=8\n"
+    b"deg=2 0.0 0.0; 0.0 0.9999999999999996 x1 0.0 0.0; 0.0 1.0 x1* 0.0 0.0; 0.0 1.0\n"
+    b"deg=2 0.0 0.0; 0.0 1.0000000000000053 x1 0.0 0.0; 0.0 1.0 x1* 1.0 0.0; 0.0 0.0\n"
+    b"deg=2 0.0 0.0; 0.0 0.9999999999999988 x1 1.0 0.0; 0.0 0.0 x1* 0.0 0.0; 0.0 1.0\n"
+    b"deg=2 0.0 0.0; 0.0 0.9999999999999969 x1 1.0 0.0; 0.0 0.0 x1* 1.0 0.0; 0.0 0.0\n"
+    b"deg=2 0.9999999999999987 0.0; 0.0 0.0 x1 0.0 0.0; 0.0 1.0 x1* 0.0 0.0; 0.0 1.0\n"
+    b"deg=2 0.9999999999999987 0.0; 0.0 0.0 x1 0.0 0.0; 0.0 1.0 x1* 1.0 0.0; 0.0 0.0\n"
+    b"deg=2 1.0000000000000016 0.0; 0.0 0.0 x1 1.0 0.0; 0.0 0.0 x1* 0.0 0.0; 0.0 1.0\n"
+    b"deg=2 1.0000000000000004 0.0; 0.0 0.0 x1 1.0 0.0; 0.0 0.0 x1* 1.0 0.0; 0.0 0.0\n"
+)
+_FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?")
+
+
+def test_cli_golden_expand_at(tmp_path, capsys):
+    fp = tmp_path / "f.ncpoly"
+    fp.write_text("NCPOLY1 mode=involution polys=1\nterms=2\n1 : x1 x1*\n1 : x1\n")
+    cp = tmp_path / "e12.mtx"
+    cp.write_text("MTX1 n=2 g=1 field=real\n0 1\n0 0\n")
+    out = tmp_path / "OUT"
+    argv = ["expand-at", "--map", f"poly:{fp}", "--center", str(cp),
+            "--degree", "2", "--s-eval", "3", "--seed", "5", "-o", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    got, want = out.read_text(), EXPAND_AT_OUT.decode()
+    assert _FLOAT.sub("#", got) == _FLOAT.sub("#", want)
+    diffs = np.subtract([float(v) for v in _FLOAT.findall(got)],
+                        [float(v) for v in _FLOAT.findall(want)])
+    assert np.abs(diffs).max() <= 1e-12

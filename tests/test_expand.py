@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,10 @@ from ncfun import (
     random_mattuple,
     taylor_at_zero,
 )
-from ncfun.expand import center_tuple
+from ncfun.expand import center_tuple, monomial_columns
+from ncfun.mateval import _eval_term
 from ncfun.oracle import random_ncpoly
+from ncfun.words import words_of_degree
 
 
 def ivar(k, starred=False):
@@ -124,3 +129,65 @@ def test_expand_guards():
     big = MatTuple([np.zeros((4, 4))])
     with pytest.raises(ValueError):
         expand_at_point(f, big, D=1, s_eval=2)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        expand_at_point(f, A, D=-1, s_eval=2)
+    with pytest.raises(ValueError, match="center has 2 components, the map takes 1"):
+        expand_at_point(f, MatTuple([A.mats[0], A.mats[0]]), D=1, s_eval=2)
+    with pytest.raises(ValueError, match="complex center for a real map"):
+        expand_at_point(f, MatTuple([A.mats[0] + 0j], "complex"), D=1, s_eval=2)
+    assert f.calls == 0
+
+
+def _diag_gl_center():
+    return MatTuple([np.diag([0.9, -1.1]), np.diag([1.2, -0.7])])
+
+
+def _complex_center():
+    rng = np.random.default_rng(11)
+    return MatTuple([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))], "complex")
+
+
+@pytest.mark.parametrize(
+    "group, center, involution",
+    [
+        pytest.param("GL", _diag_gl_center(), False, id="gl-diag-g2"),
+        pytest.param("O", e12(), True, id="o-e12-g1"),
+        pytest.param("U", _complex_center(), True, id="u-complex-g1"),
+    ],
+)
+def test_stacked_columns_match_term_by_term(group, center, involution):
+    # the stacked prefix products against one _eval_term call per monomial
+    basis = coefficient_algebra(group, center)
+    dt = complex if center.field == "complex" else float
+    s = 2
+    bas = [np.asarray(b, dtype=dt) for b in basis.mats]
+    P = np.stack([np.kron(b, np.eye(s)) for b in bas])
+    H = random_mattuple(center.g, center.n * s, np.random.default_rng(12), center.field)
+    eye_s = np.eye(s, dtype=dt)
+    for m in range(4):
+        want = np.stack(
+            [
+                _eval_term([bas[i] for i in I], K, H, eye_s).ravel()
+                for I in itertools.product(range(basis.dim), repeat=m + 1)
+                for K in words_of_degree(center.g, m, involution)
+            ],
+            axis=1,
+        )
+        got = monomial_columns(P, H, m, involution)
+        assert got.shape == want.shape and got.dtype == dt
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_expand_evaluations_are_the_oracle_calls():
+    seen = []
+    f = oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1))
+
+    def evaluator(X, _ev=f.evaluator):
+        seen.append(X.n)
+        return _ev(X)
+
+    f = dataclasses.replace(f, evaluator=evaluator)
+    exp = expand_at_point(f, e12(), D=2, s_eval=3, seed=0)
+    assert exp.evaluations == len(seen) == f.calls > 0
+    again = expand_at_point(f, e12(), D=1, s_eval=3, seed=1)
+    assert again.evaluations == len(seen) - exp.evaluations > 0

@@ -16,6 +16,8 @@ from ncfun import (
     series_compose,
 )
 
+from helpers import max_basis_diff
+
 x1 = NCPoly.variable(1)
 x2 = NCPoly.variable(2)
 
@@ -72,7 +74,7 @@ def test_tracepoly_pure_multiset_union():
     ((pure, tail),) = ab.coeffs
     assert sorted(pure) == sorted((parse_word("x1"), parse_word("x2")))
     assert tail == ()
-    assert ab.is_pure()
+    assert all(t == () for _, t in ab.coeffs)
 
 
 def test_tracepoly_cyclic_merge():
@@ -103,7 +105,7 @@ def test_genterm_boundary_merge():
     q = GenPoly.monomial([c, d], parse_word("x2"))
     prod = p * q
     direct = GenPoly.monomial([a, b @ c, d], parse_word("x1 x2"))
-    assert prod.max_basis_diff(direct) < 1e-12
+    assert max_basis_diff(prod, direct) < 1e-12
 
 
 def test_genpoly_basis_expansion_worked_example():
@@ -127,13 +129,13 @@ def test_genpoly_equality_iff_evaluations_agree():
     a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
     p = GenPoly.monomial([a + b, c], parse_word("x1"))
     q = GenPoly.monomial([a, c], parse_word("x1")) + GenPoly.monomial([b, c], parse_word("x1"))
-    assert p.max_basis_diff(q) < 1e-12
+    assert max_basis_diff(p, q) < 1e-12
     s = p.degree() + 1
     for t in range(20):
         X = random_mattuple(1, 2 * s, rng)
         assert np.linalg.norm(eval_genpoly(p, X) - eval_genpoly(q, X)) < 1e-8
     r = q + GenPoly.monomial([0.5 * a, c], parse_word("x1"))
-    assert r.max_basis_diff(p) > 1e-3
+    assert max_basis_diff(r, p) > 1e-3
     diffs = [
         np.linalg.norm(eval_genpoly(p, random_mattuple(1, 2 * s, rng, norm=1.0))
                        - eval_genpoly(r, random_mattuple(1, 2 * s, rng, norm=1.0)))
