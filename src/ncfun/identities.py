@@ -4,11 +4,16 @@ alternating-sum machinery behind the nonuniform-convergence example.
 The standard polynomial S_2k vanishes identically on M_n iff k >= n
 (Amitsur-Levitzki); matrix evaluation uses a subset dynamic program
 rather than expanding the (2k)! terms, and works with exact integer or
-Fraction entries.
+Fraction entries.  Exact evaluation runs on integers: S_m, being
+multilinear, clears each argument's denominator and divides once at the
+end, and ``is_identity`` evaluates all its exact trials as one stack of
+integer tuples (see :mod:`ncfun.mateval`), in int64 only when a bound on
+the entries proves that nothing overflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -16,7 +21,18 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mateval import MatTuple, eval_poly, random_mattuple, _rng
+from .mateval import (
+    MatTuple,
+    _clear_denominators,
+    _exact_quotient,
+    _exact_values,
+    _integer_plan,
+    _max_abs,
+    _narrowed,
+    _rng,
+    eval_poly,
+    random_mattuple,
+)
 from .poly import FREE, NCPoly, TracePoly
 from .words import Word
 
@@ -57,10 +73,26 @@ def eval_standard(mats: Sequence):
     the leading factor: P(S) = sum_p (-1)^(p-1) A_{s_p} P(S - s_p).
     Works in any ring whose elements support ``@``, ``+`` and ``-``:
     float or exact object-dtype matrices, or NCPolys (symbolic S_m).
+    Exact matrices with int or Fraction entries are scaled to integers
+    A_i = d_i M_i and the DP runs on those, in int64 when
+    m! n^(m-1) prod max|A_i| proves that nothing overflows; S_m being
+    multilinear, the result is divided by prod d_i once.
     """
     m = len(mats)
     if m < 1:
         raise ValueError("S_m needs m >= 1 arguments")
+    if all(isinstance(a, np.ndarray) and a.dtype == object for a in mats):
+        cleared = [_clear_denominators([a]) for a in mats]
+        if all(c is not None for c in cleared):
+            n = mats[0].shape[-1]
+            bound = math.factorial(m) * n ** (m - 1) * math.prod(max(_max_abs(A), 1) for A, _ in cleared)
+            ints = [_narrowed(A[0], bound) for A, _ in cleared]
+            return _exact_quotient(_subset_dp(ints), math.prod(d for _, d in cleared))
+    return _subset_dp(mats)
+
+
+def _subset_dp(mats: Sequence):
+    m = len(mats)
     prev = {(i,): a for i, a in enumerate(mats)}
     for size in range(2, m + 1):
         cur = {}
@@ -97,11 +129,7 @@ class IdentityReport:
 
 def random_int_tuple(g: int, n: int, rng, lo: int = -3, hi: int = 3) -> MatTuple:
     """Integer-entry tuple as an object array (exact arithmetic)."""
-    mats = []
-    for _ in range(g):
-        m = rng.integers(lo, hi + 1, size=(n, n))
-        mats.append(np.array([[int(v) for v in row] for row in m], dtype=object))
-    return MatTuple(mats, "real")
+    return MatTuple([rng.integers(lo, hi + 1, size=(n, n)).astype(object) for _ in range(g)], "real")
 
 
 def is_identity(
@@ -115,6 +143,15 @@ def is_identity(
     witness; the identity verdict is Monte Carlo, and a non-identity
     passes all trials with probability at most (deg p / |S|)^trials
     (Schwartz-Zippel), reported as ``failure_bound``.
+
+    Trials are drawn in order from one generator.  Exact trials of a
+    polynomial with int or Fraction coefficients are evaluated over the
+    integers (coefficients times their LCD, see :mod:`ncfun.mateval`):
+    the first trial alone, since a non-identity usually shows there, then
+    the others drawn and evaluated together in one stacked,
+    prefix-cached walk.  Other coefficients and float trials run one
+    trial at a time.  The first nonzero trial is the witness either way,
+    and ``max_residual`` covers the trials up to it.
     """
     if n < 1 or trials < 1:
         raise ValueError(f"is_identity needs n >= 1 and trials >= 1, got n={n}, trials={trials}")
@@ -122,13 +159,21 @@ def is_identity(
     g = max(p.num_vars(), 1)
     deg = max(p.degree(), 0)
     d = max(3, deg)
+    plan = _integer_plan(p, g) if exact else None
+
+    def evaluated():
+        if plan is None:
+            for _ in range(trials):
+                X = random_int_tuple(g, n, rng, -d, d) if exact else random_mattuple(g, n, rng)
+                yield X, eval_poly(p, X)
+            return
+        for batch in (1, trials - 1):
+            draws = [random_int_tuple(g, n, rng, -d, d) for _ in range(batch)]
+            if draws:
+                yield from zip(draws, _exact_values(plan, draws))
+
     worst = 0.0
-    for _ in range(trials):
-        if exact:
-            X = random_int_tuple(g, n, rng, -d, d)
-        else:
-            X = random_mattuple(g, n, rng)
-        val = eval_poly(p, X)
+    for X, val in evaluated():
         if exact:
             nonzero = any(val[i, j] != 0 for i in range(n) for j in range(n))
             mag = float(max((abs(v) for row in val for v in row), default=0))

@@ -4,11 +4,20 @@ algebra of centralizers and generated subalgebras.
 
 All numerics are double precision; exact evaluation is available by
 passing object-dtype arrays (e.g. Fraction or int entries) through the
-evaluation routines, which only use ring operations.
+evaluation routines, which only use ring operations.  Exact evaluation
+runs on integers: the tuple's common denominator d and the coefficients'
+LCD are cleared once, every product is an integer matrix product, and
+the sum is divided once at the end.  The integer arrays are int64 only
+when a bound on every entry, product and partial sum proves that nothing
+overflows; otherwise they hold Python ints, through the same code.
+Entries or coefficients that are neither int nor Fraction (floats or
+complex numbers in an object array) keep plain Python arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -167,18 +176,35 @@ def eval_word(w: Word, X: MatTuple, cache: Dict[Word, np.ndarray] | None = None)
     return out
 
 
+def _zeros(X: MatTuple) -> np.ndarray:
+    """The value of the zero polynomial: object zeros on an exact tuple."""
+    return np.zeros((X.n, X.n), dtype=object if _is_exact(X.mats[0]) else None)
+
+
+def _exact_value(p, X: MatTuple):
+    """p(X) computed over the integers, or None unless every entry of X and
+    every coefficient of p is an int or a Fraction."""
+    plan = _integer_plan(p, X.g) if _is_exact(X.mats[0]) else None
+    vals = plan and _exact_values(plan, [X])
+    return None if vals is None else next(vals)
+
+
 def eval_ncpoly(p: NCPoly, X: MatTuple) -> np.ndarray:
+    val = _exact_value(p, X)
+    if val is not None:
+        return val
     cache: Dict[Word, np.ndarray] = {}
     out = None
     for w, c in p.coeffs.items():
         term = c * eval_word(w, X, cache)
         out = term if out is None else out + term
-    if out is None:
-        return np.zeros((X.n, X.n), dtype=X.mats[0].dtype if _is_exact(X.mats[0]) else None)
-    return out
+    return _zeros(X) if out is None else out
 
 
 def eval_tracepoly(p: TracePoly, X: MatTuple) -> np.ndarray:
+    val = _exact_value(p, X)
+    if val is not None:
+        return val
     cache: Dict[Word, np.ndarray] = {}
     out = None
     for (pure, tail), c in p.coeffs.items():
@@ -187,9 +213,212 @@ def eval_tracepoly(p: TracePoly, X: MatTuple) -> np.ndarray:
             val = val * np.trace(eval_word(w, X, cache))
         term = val * eval_word(tail, X, cache)
         out = term if out is None else out + term
-    if out is None:
-        return np.zeros((X.n, X.n))
+    return _zeros(X) if out is None else out
+
+
+# -- exact evaluation on integers ------------------------------------
+
+_INT64_MAX = 2**63 - 1
+
+
+def _clear_denominators(arrays: Sequence[np.ndarray]):
+    """``(A, d)`` with ``arrays[i] == A[i] / d`` entry by entry, where d is
+    the least common denominator of all entries and A an object array of
+    Python ints; None unless every entry is an int or a Fraction."""
+    flat = [v for a in arrays for v in np.asarray(a).ravel().tolist()]
+    if not all(isinstance(v, (int, Fraction)) for v in flat):
+        return None
+    d = math.lcm(*(v.denominator for v in flat))
+    A = np.array([int(v * d) for v in flat], dtype=object)
+    return A.reshape((len(arrays),) + np.shape(arrays[0])), d
+
+
+def _max_abs(A: np.ndarray) -> int:
+    return max((abs(v) for v in A.ravel().tolist()), default=0)
+
+
+def _narrowed(A: np.ndarray, bound: int) -> np.ndarray:
+    """The Python-int array A as int64 when ``bound`` caps every entry,
+    product and partial sum computed from it, else A unchanged."""
+    return A.astype(np.int64, order="C") if bound <= _INT64_MAX else A
+
+
+def _exact_quotient(N: np.ndarray, q: int) -> np.ndarray:
+    """N / q as an object array: Python ints when q == 1, else Fractions."""
+    if q == 1:
+        return N.astype(object)
+    return np.array([Fraction(v, q) for v in N.ravel().tolist()], dtype=object).reshape(N.shape)
+
+
+def _prefix_plan(words: Iterable[Word], g: int):
+    """``(levels, steps)`` for a walk over the prefixes of ``words``.
+
+    ``levels[l]`` maps each distinct length-l prefix to its row in level l
+    (level 0 is the unit word); rows are grouped by last letter, whose
+    row in the letter stack is k - 1 for x_k and g + k - 1 for x_k*.
+    ``steps[l - 1]`` holds the row of each word's prefix in level l - 1
+    and, per letter, its row and the slice of level l ending in it."""
+    prefixes: List[Dict[Word, None]] = [{(): None}]
+    for w in words:
+        prefixes.extend({} for _ in range(len(w) + 1 - len(prefixes)))
+        for l in range(len(w), 0, -1):
+            if w[:l] in prefixes[l]:
+                break
+            prefixes[l][w[:l]] = None
+    levels: List[Dict[Word, int]] = [{(): 0}]
+    steps = []
+    for ws in prefixes[1:]:
+        keyed = []
+        for w in ws:
+            k, starred = w[-1]
+            if k > g:
+                raise ValueError(f"word uses x{k} but tuple has {g} components")
+            keyed.append((g * starred + k - 1, w))
+        keyed.sort(key=lambda t: t[0])
+        parents = np.array([levels[-1][w[:-1]] for _, w in keyed], dtype=np.intp)
+        groups = []
+        for i, (r, _) in enumerate(keyed):
+            if not groups or groups[-1][0] != r:
+                groups.append([r, i, i])
+            groups[-1][2] = i + 1
+        levels.append({w: i for i, (_, w) in enumerate(keyed)})
+        steps.append((parents, groups))
+    return levels, steps
+
+
+def _walk(steps, A: np.ndarray):
+    """Yield level by level the stacked products of a plan's words on the
+    integer tuples A of shape (g, T, n, n): each word's product is its
+    prefix's times its last letter, one batched matmul per letter."""
+    letters = np.concatenate([A, A.swapaxes(-1, -2)])
+    P = np.broadcast_to(np.eye(A.shape[-1], dtype=A.dtype), (1,) + A.shape[1:])
+    yield P
+    for parents, groups in steps:
+        Q = np.empty((len(parents),) + A.shape[1:], dtype=A.dtype)
+        for r, a, b in groups:
+            np.matmul(P[parents[a:b]], letters[r], out=Q[a:b])
+        P = Q
+        yield P
+
+
+class _IntegerPlan:
+    """What evaluating p over the integers needs that no tuple changes:
+    the LCD L of its coefficients, its degree D, its terms split into
+    trace-free ones (an integer weight per tail word, level by level of
+    the tail walk) and traced ones, the walk plans of the tails and of the
+    traced words (see ``_prefix_plan``), and the summed weights of each
+    term shape that the overflow bound needs."""
+
+    def __init__(self, items, g: int):
+        self.L = math.lcm(*(c.denominator for c, _, _ in items))
+        self.D = max((sum(map(len, pure)) + len(tail) for _, pure, tail in items), default=0)
+        self.traced = _prefix_plan((u for _, pure, _ in items for u in pure), g)
+        self.tails = _prefix_plan((tail for _, _, tail in items), g)
+        weights: Dict[Word, int] = {}
+        self.traced_terms = []
+        self.shapes: Dict[tuple, int] = {}
+        for c, pure, tail in items:
+            c = int(c * self.L)
+            weights[tail] = weights.get(tail, 0) + (0 if pure else c)
+            if pure:
+                self.traced_terms.append((c, pure, tail, sum(map(len, pure)) + len(tail)))
+            shape = (len(tail), tuple(sorted(map(len, pure))))
+            self.shapes[shape] = self.shapes.get(shape, 0) + max(abs(c), 1)
+        self.tail_weights = []  # per tail level: the words ending a term, their rows, their weights
+        for lev in self.tails[0]:
+            words = [w for w in lev if w in weights]
+            self.tail_weights.append((words, np.array([lev[w] for w in words], dtype=np.intp),
+                                [weights[w] for w in words]))
+
+    def bound(self, n: int, M: int, d: int) -> int:
+        """Cap on every entry, product and partial sum of the walk on n x n
+        integer matrices with entries at most M in size, each term of
+        degree m weighted d^(D - m): a product of l factors has entries at
+        most n^(l-1) M^l and a trace at most n^l M^l."""
+        M = max(M, 1)
+        total = 0
+        for (l, traced), w in self.shapes.items():
+            b = w * d ** (self.D - l - sum(traced)) * n ** max(l - 1, 0) * M**l
+            for u in traced:
+                b *= (n * M) ** max(u, 1)
+            total += b
+        return total
+
+
+def _integer_plan(p, g: int):
+    """The ``_IntegerPlan`` of p on g-tuples; None unless p is an NCPoly or
+    TracePoly whose coefficients are ints or Fractions."""
+    if isinstance(p, NCPoly):
+        items = [(c, (), w) for w, c in p.coeffs.items()]
+    elif isinstance(p, TracePoly):
+        items = [(c, pure, tail) for (pure, tail), c in p.coeffs.items()]
+    else:
+        return None
+    if not all(isinstance(c, (int, Fraction)) for c, _, _ in items):
+        return None
+    return _IntegerPlan(items, g)
+
+
+def _integer_sum(plan: _IntegerPlan, weights, traced_terms, A: np.ndarray) -> np.ndarray:
+    """Sum of the plan's terms, weighted as ``weights`` (per tail level) and
+    ``traced_terms`` say, on the stacked integer tuples A of shape
+    (g, T, n, n): one walk for the traced words, then one for the tails."""
+    T = A.shape[1]
+    coef: Dict[Word, object] = {}  # tail -> per-trial weight of the traced terms
+    if traced_terms:
+        traces = {}
+        for lev, P in zip(plan.traced[0], _walk(plan.traced[1], A)):
+            tr = np.trace(P, axis1=-2, axis2=-1)
+            traces.update((w, tr[i]) for w, i in lev.items())
+        for c, pure, tail in traced_terms:
+            val = c
+            for u in pure:
+                val = val * traces[u]
+            coef[tail] = coef.get(tail, 0) + val
+    out = np.zeros(A.shape[1:], dtype=A.dtype)
+    for P, (words, rows, wts) in zip(_walk(plan.tails[1], A), weights):
+        if not words:
+            continue
+        Q = P if len(rows) == len(P) else P[rows]
+        if coef:
+            C = np.repeat(wts[:, None], T, axis=1)
+            for j, w in enumerate(words):
+                if w in coef:
+                    C[j] += coef[w]
+            out += np.einsum("wt,wtij->tij", C, Q)
+        else:
+            out += np.einsum("w,wtij->tij", wts, Q)
     return out
+
+
+# integers one level of the stacked walk may hold: it caps how many
+# tuples share a walk, so that memory stays bounded for long polynomials
+_LEVEL_ENTRIES = 2**16
+
+
+def _exact_values(plan: _IntegerPlan, tuples: Sequence[MatTuple]):
+    """An iterator over the exact values, on the g-tuples of n x n matrices
+    ``tuples``, of the polynomial ``plan`` was made for: Python ints when
+    no denominator remains, Fractions otherwise.  None unless every entry
+    is an int or a Fraction.
+
+    The common denominator d of all entries is cleared once: with A = d X,
+    each term of degree m is weighted d^(D - m), so every value is one
+    integer sum divided by L d^D.  The tuples are stacked, as many per walk
+    as ``_LEVEL_ENTRIES`` allows."""
+    cleared = _clear_denominators([m for X in tuples for m in X.mats])
+    if cleared is None:
+        return None
+    A, d = cleared
+    T, g, n = len(tuples), tuples[0].g, tuples[0].n
+    A = _narrowed(A.reshape(T, g, n, n).swapaxes(0, 1), plan.bound(n, _max_abs(A), d))
+    D = plan.D
+    weights = [(words, rows, np.array([c * d ** (D - l) for c in wts], dtype=A.dtype))
+               for l, (words, rows, wts) in enumerate(plan.tail_weights)]
+    traced_terms = [(c * d ** (D - m), pure, tail) for c, pure, tail, m in plan.traced_terms]
+    step = max(1, _LEVEL_ENTRIES // (max(map(len, plan.traced[0] + plan.tails[0])) * n * n))
+    return (_exact_quotient(v, plan.L * d**D) for s in range(0, T, step)
+            for v in _integer_sum(plan, weights, traced_terms, A[:, s : s + step]))
 
 
 def _eval_term(

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from ncfun import (
+    INV,
+    MatTuple,
     NCPoly,
     TracePoly,
     eval_ncpoly,
+    eval_poly,
     eval_standard,
     hk_degree,
     hk_eval,
@@ -20,6 +23,8 @@ from ncfun import (
     z_poly,
 )
 from ncfun.identities import hk_arg_indices, random_int_tuple
+
+from helpers import reference_eval, reference_is_identity
 
 
 def test_standard_polynomial_s2():
@@ -157,3 +162,70 @@ def test_random_int_tuple_exact():
 def test_find_nonidentity_witness():
     assert is_identity(standard_polynomial(2), 2, trials=20, seed=6).witness is None
     assert is_identity(standard_polynomial(2), 3, trials=50, seed=6).witness is not None
+
+
+X1, X2 = ((1, False),), ((2, False),)
+# Cayley-Hamilton on M_2: x^2 - tr(x) x + (tr(x)^2 - tr(x^2)) / 2 = 0
+CAYLEY_HAMILTON = TracePoly({((), X1 * 2): 1, ((X1,), X1): -1,
+                             ((X1, X1), ()): Fraction(1, 2), ((X1 * 2,), ()): Fraction(-1, 2)})
+S4 = standard_polynomial(2)
+
+
+@pytest.mark.parametrize("p, n, trials, seed", [
+    *[(standard_polynomial(k), n, 12, 10 * k + n) for k in (2, 3) for n in (2, 3, 4)],
+    (CAYLEY_HAMILTON, 2, 25, 1),
+    (CAYLEY_HAMILTON, 3, 25, 2),
+    # float coefficients: Python arithmetic one trial at a time
+    (NCPoly({X1 + X2: 0.5, X2 + X1: -0.5, X1 * 2: 1.5}), 2, 10, 3),
+    (S4.scale(0.5), 2, 10, 4),
+    # magnitude bounds past int64: the stacked walk runs on Python ints
+    (NCPoly.variable(1) ** 30, 2, 5, 5),
+    (S4.scale(2**80), 2, 10, 6),
+    (S4.scale(Fraction(1, 3**45)) + NCPoly.variable(1) * NCPoly.variable(2), 2, 10, 7),
+], ids=["s4-m2", "s4-m3", "s4-m4", "s6-m2", "s6-m3", "s6-m4", "ch-m2", "ch-m3",
+        "float-non-identity", "float-identity", "x1^30", "s4-times-2^80", "s4-over-3^45"])
+def test_is_identity_matches_per_trial_reference(p, n, trials, seed):
+    got = is_identity(p, n, trials=trials, seed=seed, exact=True)
+    want = reference_is_identity(p, n, trials, seed)
+    assert (got.is_identity, got.trials, got.level) == (want.is_identity, want.trials, want.level)
+    assert got.max_residual == want.max_residual and got.failure_bound == want.failure_bound
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        assert all(a.dtype == object and (a == b).all() for a, b in zip(got.witness.mats, want.witness.mats))
+
+
+def test_exact_eval_with_mixed_denominators_matches_fraction_reference():
+    h, t = Fraction(1, 2), Fraction(1, 3)
+    X = MatTuple([np.array([[h, -t, 2], [0, t, -1], [5 * h, 1, -2 * t]], dtype=object),
+                  np.array([[1, h, 0], [-t, 0, 3], [h, 4 * t, -1]], dtype=object)])
+    p = NCPoly({(): Fraction(7, 4), X1: 2, ((1, False), (2, True)): Fraction(-5, 6),
+                ((2, False), (1, True), (1, False)): 3, ((2, True),) * 4: Fraction(1, 9)}, INV)
+    q = TracePoly({((X1 + X2,), X1): Fraction(2, 3), ((), X1): 5, ((X2, ((1, True),)), ()): -1,
+                   ((), X2 * 3): h}, INV)
+    for poly in (p, q):
+        got, want = eval_poly(poly, X), reference_eval(poly, X)
+        assert got.dtype == object and all(got[i, j] == want[i, j] for i in range(3) for j in range(3))
+        assert any(isinstance(v, Fraction) and v.denominator > 1 for v in got.ravel())
+
+
+def test_hk_eval_matches_expanded_hk_poly_exactly():
+    rng = np.random.default_rng(8)
+    Y = MatTuple([np.array([[Fraction(int(a), int(b)) for a, b in zip(r1, r2)] for r1, r2 in
+                            zip(rng.integers(-4, 5, (3, 3)), rng.integers(1, 4, (3, 3)))], dtype=object)
+                  for _ in range(3)])
+    for X in (nonuniform_witness(3), Y):
+        for k in (1, 2):
+            got, want = hk_eval(k, X), eval_ncpoly(hk_poly(k), X)
+            assert all(got[i, j] == want[i, j] for i in range(X.n) for j in range(X.n))
+    assert hk_eval(2, Y).any()  # not a vacuous comparison of zeros
+
+
+def test_eval_standard_exact_routes_match_reference():
+    rng = np.random.default_rng(9)
+    small = [rng.integers(-5, 6, (3, 3)).astype(object) for _ in range(4)]
+    huge = [m * 10**6 + 1 for m in small]  # 4! 3^3 (5e6)^4 is past int64: Python ints
+    thirds = [m * Fraction(1, 3) + Fraction(1, 2) for m in small]
+    for mats in (small, huge, thirds):
+        got, want = eval_standard(mats), reference_eval(S4, MatTuple(mats))
+        assert got.dtype == object and all(got[i, j] == want[i, j] for i in range(3) for j in range(3))
+        assert got.any()

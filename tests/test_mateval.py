@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,23 @@ def test_mattuple_guards():
         MatTuple([np.eye(2) * 1j], field="real")
     with pytest.raises(ValueError):
         eval_word(parse_word("x3"), MatTuple([np.eye(2)]))
+
+
+def test_zero_polynomials_keep_the_tuple_dtype():
+    exact = MatTuple([np.array([[1, 2], [3, 4]], dtype=object)])
+    mixed = MatTuple([np.array([[1.5, 2], [3, 4]], dtype=object)])  # a float entry: Python arithmetic
+    floats = MatTuple([np.array([[1.0, 2.0], [3.0, 4.0]])])
+    for X, dtype in ((exact, object), (mixed, object), (floats, np.float64)):
+        for val in (eval_tracepoly(TracePoly({}), X), eval_ncpoly(NCPoly.zero(), X)):
+            assert val.dtype == dtype and val.shape == (2, 2) and not val.any()
+
+
+def test_exact_eval_sums_past_int64():
+    # each term fits int64, their sum does not: the bound counts the sum
+    one = np.array([[1]], dtype=object)
+    p = NCPoly({((1, False),): 2**62, ((1, False),) * 2: 2**62})
+    assert eval_ncpoly(p, MatTuple([one]))[0, 0] == 2**63
+    assert eval_ncpoly(p.scale(-1), MatTuple([one]))[0, 0] == -(2**63)
+    # clearing d = 2^40 weights the constant term by d^2 = 2^80
+    tiny = MatTuple([np.array([[Fraction(1, 2**40)]], dtype=object)])
+    assert eval_ncpoly(NCPoly({(): 1, ((1, False),) * 2: 1}), tiny)[0, 0] == 1 + Fraction(1, 2**80)

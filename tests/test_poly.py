@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ncfun import (
     FREE,
     INV,
     FormalSeries,
     GenPoly,
+    MatTuple,
     NCPoly,
     TracePoly,
     eval_genpoly,
@@ -190,6 +191,33 @@ def test_series_compose_identity_laws():
 def test_series_product_is_truncated_poly_product(a, b, D):
     got = (FormalSeries.from_ncpoly(a, D) * FormalSeries.from_ncpoly(b, D)).to_ncpoly()
     assert got == NCPoly({w: c for w, c in (a * b).coeffs.items() if len(w) <= D}, INV)
+
+
+@st.composite
+def integer_series_on_nilpotent_tuple(draw):
+    """F and G with integer coefficients in free mode, G without constant
+    part, and a strictly upper-triangular integer tuple of size D + 1."""
+    D, g = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    letters = [(k, False) for k in range(1, g + 1)]
+
+    def series(min_degree):
+        words = st.lists(st.sampled_from(letters), min_size=min_degree, max_size=D).map(tuple)
+        return FormalSeries.from_ncpoly(NCPoly(draw(st.dictionaries(words, st.integers(-3, 3), max_size=5))), D)
+
+    F, G = series(0), [series(1) for _ in range(g)]
+    entries = st.lists(st.integers(-3, 3), min_size=(D + 1) ** 2, max_size=(D + 1) ** 2)
+    X = MatTuple([np.triu(np.array(draw(entries)).reshape(D + 1, D + 1), 1).astype(object) for _ in range(g)])
+    return F, G, X
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_series_on_nilpotent_tuple())
+def test_series_compose_matches_evaluation_exactly(case):
+    # words longer than D vanish on X and on every G_k(X), so truncating
+    # the composition at D loses nothing: (F o G)(X) = F(G(X)) exactly
+    F, G, X = case
+    inner = MatTuple([Gk(X) for Gk in G])
+    assert (series_compose(F, G)(X) == F(inner)).all()
 
 
 def test_series_compose_rejects_constant_part():
