@@ -17,7 +17,7 @@ import numpy as np
 
 from .genpoly import GenPoly, GenTerm
 from .mateval import MatTuple
-from .poly import FREE, NCPoly, TracePoly
+from .poly import FREE, INV, NCPoly, TracePoly
 from .words import Word, parse_word, word_str
 
 _LETTER_RE = re.compile(r"^x\d+\*?$")
@@ -61,14 +61,38 @@ def _parse_scalar(tok: str, line: int, col: int = 1):
     return v
 
 
-def _header_fields(line_text: str, lineno: int) -> dict:
+def _header(text: str, tag: str) -> Tuple[List[str], dict]:
+    """The lines of ``text`` and the ``key=value`` fields of its ``tag``
+    header line, as key -> (value, column)."""
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith(tag):
+        raise FormatError(f"missing {tag} header", 1)
     fields = {}
-    for tok in line_text.split()[1:]:
-        if "=" not in tok:
-            raise FormatError(f"bad header field {tok!r}", lineno)
-        k, v = tok.split("=", 1)
-        fields[k] = v
-    return fields
+    for tok in list(_TOKEN_RE.finditer(lines[0]))[1:]:
+        if "=" not in tok.group():
+            raise FormatError(f"bad header field {tok.group()!r}", 1, tok.start() + 1)
+        k, v = tok.group().split("=", 1)
+        fields[k] = (v, tok.start() + 1)
+    return lines, fields
+
+
+def _header_count(fields: dict, key: str, default: int | None = None, least: int = 1) -> int:
+    """Header field ``key`` as an integer >= ``least``; required unless it
+    has a default."""
+    v, col = fields.get(key, (default, 1))
+    if v is None:
+        raise FormatError(f"header needs {key}=<integer>", 1)
+    if not re.fullmatch(r"\d+", str(v)) or int(v) < least:
+        raise FormatError(f"header field {key}={v} must be an integer >= {least}", 1, col)
+    return int(v)
+
+
+def _header_choice(fields: dict, key: str, choices: Tuple[str, ...]) -> str:
+    """Header field ``key``, one of ``choices`` (the first by default)."""
+    v, col = fields.get(key, (choices[0], 1))
+    if v not in choices:
+        raise FormatError(f"header field {key}={v} must be one of {', '.join(choices)}", 1, col)
+    return v
 
 
 # -- NCPOLY1 ----------------------------------------------------------
@@ -87,12 +111,9 @@ def dump_ncpolys(polys: Sequence[NCPoly]) -> str:
 
 
 def load_ncpolys(text: str) -> List[NCPoly]:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("NCPOLY1"):
-        raise FormatError("missing NCPOLY1 header", 1)
-    hdr = _header_fields(lines[0], 1)
-    mode = hdr.get("mode", FREE)
-    count = int(hdr.get("polys", "1"))
+    lines, hdr = _header(text, "NCPOLY1")
+    mode = _header_choice(hdr, "mode", (FREE, INV))
+    count = _header_count(hdr, "polys", 1)
     polys = []
     i = 1
     for _ in range(count):
@@ -127,10 +148,7 @@ def load_ncpolys(text: str) -> List[NCPoly]:
 
 def dump_tracepoly(p: TracePoly) -> str:
     lines = [f"TRPOLY1 mode={p.mode} field={p.field}"]
-    keys = sorted(p.coeffs.items(), key=lambda kc: ((len(kc[0][1]), kc[0][1]), kc[0][0]))
-    for (pure, tail), c in keys:
-        toks = [f"tr({word_str(w)})" for w in pure] + [word_str(tail)]
-        lines.append(f"{_fmt_scalar(c)} : " + " ".join(toks))
+    lines += [f"{_fmt_scalar(c)} : {p.monomial_str(k)}" for k, c in p.sorted_terms()]
     return "\n".join(lines) + "\n"
 
 
@@ -138,12 +156,9 @@ _TR_RE = re.compile(r"tr\(([^)]*)\)")
 
 
 def load_tracepoly(text: str) -> TracePoly:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("TRPOLY1"):
-        raise FormatError("missing TRPOLY1 header", 1)
-    hdr = _header_fields(lines[0], 1)
-    mode = hdr.get("mode", FREE)
-    field = hdr.get("field", "real")
+    lines, hdr = _header(text, "TRPOLY1")
+    mode = _header_choice(hdr, "mode", (FREE, INV))
+    field = _header_choice(hdr, "field", ("real", "complex"))
     coeffs = {}
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -185,15 +200,9 @@ def _plain(v):
 
 
 def load_mattuple(text: str) -> MatTuple:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("MTX1"):
-        raise FormatError("missing MTX1 header", 1)
-    hdr = _header_fields(lines[0], 1)
-    try:
-        n, g = int(hdr["n"]), int(hdr["g"])
-        field = hdr.get("field", "real")
-    except (KeyError, ValueError):
-        raise FormatError("MTX1 header needs n=<n> g=<g> field=real|complex", 1) from None
+    lines, hdr = _header(text, "MTX1")
+    n, g = _header_count(hdr, "n"), _header_count(hdr, "g")
+    field = _header_choice(hdr, "field", ("real", "complex"))
     body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != g * n:
         raise FormatError(f"expected {g * n} matrix rows, found {len(body)}", len(lines))
@@ -258,13 +267,10 @@ def _parse_matrix(chunk: str, n: int, lineno: int, col: int) -> np.ndarray:
 
 
 def load_genpoly(text: str) -> GenPoly:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("GENPOLY1"):
-        raise FormatError("missing GENPOLY1 header", 1)
-    hdr = _header_fields(lines[0], 1)
-    n = int(hdr["n"])
-    mode = hdr.get("mode", FREE)
-    nterms = int(hdr.get("terms", "0"))
+    lines, hdr = _header(text, "GENPOLY1")
+    n = _header_count(hdr, "n")
+    mode = _header_choice(hdr, "mode", (FREE, INV))
+    nterms = _header_count(hdr, "terms", 0, least=0)
     terms = []
     body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != nterms:

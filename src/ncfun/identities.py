@@ -30,11 +30,12 @@ from .mateval import (
     _max_abs,
     _narrowed,
     _rng,
+    _terms,
     eval_poly,
     random_mattuple,
 )
 from .poly import FREE, NCPoly, TracePoly
-from .words import Word
+from .words import Word, max_var
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -155,11 +156,12 @@ def is_identity(
     """
     if n < 1 or trials < 1:
         raise ValueError(f"is_identity needs n >= 1 and trials >= 1, got n={n}, trials={trials}")
+    items = _terms(p)
     rng = _rng(seed)
-    g = max(p.num_vars(), 1)
-    deg = max(p.degree(), 0)
+    g = max((max_var(u) for _, pure, tail in items for u in (*pure, tail)), default=0) or 1
+    deg = max((sum(map(len, pure)) + len(tail) for _, pure, tail in items), default=0)
     d = max(3, deg)
-    plan = _integer_plan(p, g) if exact else None
+    plan = _integer_plan(items, g) if exact else None
 
     def evaluated():
         if plan is None:

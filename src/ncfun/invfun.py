@@ -1,9 +1,10 @@
 """Free inverse and implicit function computation.
 
-Two routes: degree-graded formal inversion of tuple power series, and
-levelwise Newton iteration on the black-box map.  The two agree to the
-truncation order on small targets; both inherit the free property
-(G-equivariance) of the input map.
+Two routes: degree-graded formal inversion of tuple power series, whose
+linear part is normalized and restored by one linear substitution
+lam = L^{-1} y, and levelwise Newton iteration on the black-box map.
+The two agree to the truncation order on small targets; both inherit
+the free property (G-equivariance) of the input map.
 """
 
 from __future__ import annotations
@@ -82,22 +83,18 @@ def linear_part(F: Sequence[FormalSeries]) -> LinearPart:
     return LinearPart(L, mode, g)
 
 
-def _linear_series(rows: np.ndarray, g: int, D: int, mode: str) -> Tuple[FormalSeries, ...]:
-    """Tuple of degree-1 series with the given letter coefficients."""
+def _linear_series(rows: np.ndarray, letters, D: int, mode: str) -> Tuple[FormalSeries, ...]:
+    """Tuple of degree-1 series sum_j rows[i, j] x_j + rows[i, g + j] x_j^t
+    (g = len(rows)), their words in the order of ``letters``."""
+    g = len(rows)
     out = []
-    for i in range(rows.shape[0]):
+    for row in rows:
         coeffs = {}
-        for j in range(g):
-            c = rows[i, j]
+        for k, starred in letters:
+            c = row[g * starred + k - 1]
             c = c.real if isinstance(c, complex) and c.imag == 0 else c
             if c != 0:
-                coeffs[((j + 1, False),)] = c
-        if mode == INV:
-            for j in range(g):
-                c = rows[i, g + j]
-                c = c.real if isinstance(c, complex) and c.imag == 0 else c
-                if c != 0:
-                    coeffs[((j + 1, True),)] = c
+                coeffs[((k, starred),)] = c
         out.append(FormalSeries.from_ncpoly(NCPoly(coeffs, mode), D))
     return tuple(out)
 
@@ -107,8 +104,13 @@ def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[For
     and invertible linear part: both compositions equal the identity up
     to degree D.
 
-    Solves H = y - sum_{m>=2} Fbar_m(H) degree by degree after
-    normalizing the linear part to the identity, then restores it.
+    With lam = L^{-1} y, the linear substitution by the inverse of the
+    linear part L, Fbar = lam o F has the identity as its linear part.
+    Solves H = y - sum_{m>=2} Fbar_m(H) degree by degree, then restores
+    the linear part as H o lam.  Only the word order of lam differs
+    between the two substitutions: x_1, x_1^t, x_2, x_2^t, ... when it
+    sums Fbar_i from F_1, F_1^t, F_2, ..., and x_1, ..., x_g, x_1^t, ...
+    in the restore, which fixes the word order of the result.
     """
     F = tuple(F)
     g = len(F)
@@ -118,24 +120,10 @@ def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[For
         if s.constant_part() != 0:
             raise ValueError("formal inverse needs zero constant part")
     mode = F[0].mode
-    lp = linear_part(F)
-    rows = lp.inverse_rows()  # raises when singular
-
-    # normalize: Fbar_i = sum_j C_ij F_j + D_ij involution(F_j)
-    Fbar: List[FormalSeries] = []
-    for i in range(g):
-        acc = FormalSeries.zero(D, mode)
-        for j in range(g):
-            c = rows[i, j]
-            if c != 0:
-                acc = acc + F[j].truncate(D).scale(c.real if getattr(c, "imag", 0) == 0 else c)
-            if mode == INV:
-                d = rows[i, g + j]
-                if d != 0:
-                    acc = acc + F[j].truncate(D).involution().scale(
-                        d.real if getattr(d, "imag", 0) == 0 else d
-                    )
-        Fbar.append(acc)
+    rows = linear_part(F).inverse_rows()  # raises when singular
+    stars = (False, True) if mode == INV else (False,)
+    letters = [(k, starred) for k in range(1, g + 1) for starred in stars]
+    Fbar = compose_tuple(_linear_series(rows, letters, D, mode), F)
 
     # tail G = Fbar - identity = parts 2..D of Fbar (its linear part is
     # the identity up to the round-off of L^{-1} L)
@@ -150,10 +138,7 @@ def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[For
             newparts = list(H[i].parts)
             newparts[d] = -K[i].parts[d]
             H[i] = FormalSeries(newparts, D, mode)
-
-    # restore the linear part: H_full = Hbar o (L^{-1} y)
-    lam = _linear_series(rows, g, D, mode)
-    return compose_tuple(H, lam)
+    return compose_tuple(H, _linear_series(rows, sorted(letters, key=lambda let: let[1]), D, mode))
 
 
 def composition_residual(F: Sequence[FormalSeries], H: Sequence[FormalSeries]) -> float:

@@ -2,16 +2,18 @@
 tuples, group sampling, symmetric matrix functions, and the linear
 algebra of centralizers and generated subalgebras.
 
-All numerics are double precision; exact evaluation is available by
-passing object-dtype arrays (e.g. Fraction or int entries) through the
-evaluation routines, which only use ring operations.  Exact evaluation
-runs on integers: the tuple's common denominator d and the coefficients'
-LCD are cleared once, every product is an integer matrix product, and
-the sum is divided once at the end.  The integer arrays are int64 only
-when a bound on every entry, product and partial sum proves that nothing
-overflows; otherwise they hold Python ints, through the same code.
-Entries or coefficients that are neither int nor Fraction (floats or
-complex numbers in an object array) keep plain Python arithmetic.
+NCPolys and TracePolys are read through one term view, a (coefficient,
+traced words, tail) triple per term, so both flavors share one float
+loop and one integer walk.  All numerics are double precision; exact
+evaluation is available by passing object-dtype arrays (e.g. Fraction
+or int entries).  Exact evaluation runs on integers: the tuple's common
+denominator d and the coefficients' LCD are cleared once, every product
+is an integer matrix product, and the sum is divided once at the end.
+The integer arrays are int64 only when a bound on every entry, product
+and partial sum proves that nothing overflows; otherwise they hold
+Python ints, through the same code.  Entries or coefficients that are
+neither int nor Fraction (floats or complex numbers in an object array)
+keep plain Python arithmetic.
 """
 
 from __future__ import annotations
@@ -181,39 +183,43 @@ def _zeros(X: MatTuple) -> np.ndarray:
     return np.zeros((X.n, X.n), dtype=object if _is_exact(X.mats[0]) else None)
 
 
-def _exact_value(p, X: MatTuple):
-    """p(X) computed over the integers, or None unless every entry of X and
-    every coefficient of p is an int or a Fraction."""
-    plan = _integer_plan(p, X.g) if _is_exact(X.mats[0]) else None
+def _terms(p):
+    """The term view of an NCPoly or TracePoly: one ``(coefficient, traced
+    words, tail)`` per term, where the term is c tr(u_1)...tr(u_k) tail
+    (no traced words for an NCPoly)."""
+    if isinstance(p, NCPoly):
+        return [(c, (), w) for w, c in p.coeffs.items()]
+    if isinstance(p, TracePoly):
+        return [(c, pure, tail) for (pure, tail), c in p.coeffs.items()]
+    raise TypeError(f"{type(p).__name__} is not an NCPoly or a TracePoly")
+
+
+def _eval_terms(items, X: MatTuple) -> np.ndarray:
+    """The sum of the terms ``items`` (see ``_terms``) at X: over the
+    integers when every entry and coefficient is an int or a Fraction,
+    else term by term in the entries' own arithmetic, words shared
+    through one ``eval_word`` cache."""
+    plan = _integer_plan(items, X.g) if _is_exact(X.mats[0]) else None
     vals = plan and _exact_values(plan, [X])
-    return None if vals is None else next(vals)
-
-
-def eval_ncpoly(p: NCPoly, X: MatTuple) -> np.ndarray:
-    val = _exact_value(p, X)
-    if val is not None:
-        return val
+    if vals is not None:
+        return next(vals)
     cache: Dict[Word, np.ndarray] = {}
     out = None
-    for w, c in p.coeffs.items():
-        term = c * eval_word(w, X, cache)
-        out = term if out is None else out + term
-    return _zeros(X) if out is None else out
-
-
-def eval_tracepoly(p: TracePoly, X: MatTuple) -> np.ndarray:
-    val = _exact_value(p, X)
-    if val is not None:
-        return val
-    cache: Dict[Word, np.ndarray] = {}
-    out = None
-    for (pure, tail), c in p.coeffs.items():
+    for c, pure, tail in items:
         val = c
         for w in pure:
             val = val * np.trace(eval_word(w, X, cache))
         term = val * eval_word(tail, X, cache)
         out = term if out is None else out + term
     return _zeros(X) if out is None else out
+
+
+def eval_ncpoly(p: NCPoly, X: MatTuple) -> np.ndarray:
+    return _eval_terms(_terms(p), X)
+
+
+def eval_tracepoly(p: TracePoly, X: MatTuple) -> np.ndarray:
+    return _eval_terms(_terms(p), X)
 
 
 # -- exact evaluation on integers ------------------------------------
@@ -311,17 +317,18 @@ class _IntegerPlan:
 
     def __init__(self, items, g: int):
         self.L = math.lcm(*(c.denominator for c, _, _ in items))
-        self.D = max((sum(map(len, pure)) + len(tail) for _, pure, tail in items), default=0)
+        self.D = 0
         self.traced = _prefix_plan((u for _, pure, _ in items for u in pure), g)
         self.tails = _prefix_plan((tail for _, _, tail in items), g)
         weights: Dict[Word, int] = {}
         self.traced_terms = []
         self.shapes: Dict[tuple, int] = {}
         for c, pure, tail in items:
-            c = int(c * self.L)
+            c, m = int(c * self.L), sum(map(len, pure)) + len(tail)
+            self.D = max(self.D, m)
             weights[tail] = weights.get(tail, 0) + (0 if pure else c)
             if pure:
-                self.traced_terms.append((c, pure, tail, sum(map(len, pure)) + len(tail)))
+                self.traced_terms.append((c, pure, tail, m))
             shape = (len(tail), tuple(sorted(map(len, pure))))
             self.shapes[shape] = self.shapes.get(shape, 0) + max(abs(c), 1)
         self.tail_weights = []  # per tail level: the words ending a term, their rows, their weights
@@ -345,15 +352,9 @@ class _IntegerPlan:
         return total
 
 
-def _integer_plan(p, g: int):
-    """The ``_IntegerPlan`` of p on g-tuples; None unless p is an NCPoly or
-    TracePoly whose coefficients are ints or Fractions."""
-    if isinstance(p, NCPoly):
-        items = [(c, (), w) for w, c in p.coeffs.items()]
-    elif isinstance(p, TracePoly):
-        items = [(c, pure, tail) for (pure, tail), c in p.coeffs.items()]
-    else:
-        return None
+def _integer_plan(items, g: int):
+    """The ``_IntegerPlan`` of the terms ``items`` (see ``_terms``) on
+    g-tuples; None unless every coefficient is an int or a Fraction."""
     if not all(isinstance(c, (int, Fraction)) for c, _, _ in items):
         return None
     return _IntegerPlan(items, g)
@@ -451,13 +452,9 @@ def eval_genpoly(p: GenPoly, X: MatTuple) -> np.ndarray:
 
 def eval_poly(p, X: MatTuple) -> np.ndarray:
     """Dispatch over the three polynomial flavors."""
-    if isinstance(p, NCPoly):
-        return eval_ncpoly(p, X)
-    if isinstance(p, TracePoly):
-        return eval_tracepoly(p, X)
     if isinstance(p, GenPoly):
         return eval_genpoly(p, X)
-    raise TypeError(f"cannot evaluate {type(p).__name__}")
+    return _eval_terms(_terms(p), X)
 
 
 # -- random sampling ------------------------------------------------

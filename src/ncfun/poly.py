@@ -9,6 +9,14 @@ Two coefficient-map flavors live here:
   algebra of formal traces tr(w), stored as a map
   (multiset of trace words, tail word) -> coefficient.
 
+Both rest on one sparse core, ``_SparsePoly``: a map monomial -> coefficient
+in a space (the mode, and for trace polynomials also the field), with the
+arithmetic they share (``+``, ``-``, negation, scaling, ``cleanup``,
+``==``, evaluation).  Results are rebuilt through ``_like(coeffs)``, the
+class's own constructor in the same space.  What differs stays in each
+class: construction (word checks, trace canonicalization), ``*`` and the
+structure queries.
+
 Coefficients are arbitrary Python scalars (float, complex, int,
 Fraction); zero coefficients are pruned exactly on construction.
 Numeric cleanup with a tolerance is a separate explicit operation.
@@ -35,20 +43,73 @@ INV = "involution"
 TraceMonomial = Tuple[Tuple[Word, ...], Word]  # (sorted pure factors, tail)
 
 
-def _conj(c):
-    return c.conjugate()
-
-
 def _check_mode(mode: str) -> str:
     if mode not in (FREE, INV):
         raise ValueError(f"mode must be {FREE!r} or {INV!r}, got {mode!r}")
     return mode
 
 
-class NCPoly:
-    """Sparse free noncommutative polynomial."""
+class _SparsePoly:
+    """Arithmetic shared by NCPoly and TracePoly; ``_space`` names what two
+    operands must share, and ``_like`` rebuilds a result in that space."""
 
     __slots__ = ("coeffs", "mode")
+
+    def _space(self) -> tuple:
+        return (self.mode,)
+
+    def _like(self, coeffs):
+        return type(self)(coeffs, *self._space())
+
+    def _check_space(self, other) -> None:
+        if self._space() != other._space():
+            raise ValueError(f"mode/field mismatch: {self._space()} vs {other._space()}")
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def cleanup(self, tol: float):
+        """Drop coefficients with magnitude <= tol."""
+        return self._like({k: c for k, c in self.coeffs.items() if abs(c) > tol})
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_space(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c):
+        return self._like({k: c * a for k, a in self.coeffs.items()})
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self._space() == other._space()
+            and self.coeffs == other.coeffs
+        )
+
+    def __call__(self, X):
+        from . import mateval
+
+        return mateval.eval_poly(self, X)
+
+
+class NCPoly(_SparsePoly):
+    """Sparse free noncommutative polynomial."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[Word, object] | None = None, mode: str = FREE):
         self.mode = _check_mode(mode)
@@ -92,18 +153,11 @@ class NCPoly:
     def num_vars(self) -> int:
         return max((max_var(w) for w in self.coeffs), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_homogeneous(self) -> bool:
         return len({len(w) for w in self.coeffs}) <= 1
 
     def homogeneous_part(self, m: int) -> "NCPoly":
         return NCPoly({w: c for w, c in self.coeffs.items() if len(w) == m}, self.mode)
-
-    def cleanup(self, tol: float) -> "NCPoly":
-        """Drop coefficients with magnitude <= tol."""
-        return NCPoly({w: c for w, c in self.coeffs.items() if abs(c) > tol}, self.mode)
 
     def coefficient(self, w: Word):
         return self.coeffs.get(tuple(w), 0)
@@ -114,44 +168,18 @@ class NCPoly:
 
     # -- arithmetic --------------------------------------------------
 
-    def _coerce_mode(self, other: "NCPoly") -> str:
-        if self.mode != other.mode:
-            raise ValueError(f"mode mismatch: {self.mode} vs {other.mode}")
-        return self.mode
-
-    def __add__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        mode = self._coerce_mode(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return NCPoly(out, mode)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NCPoly({w: -c for w, c in self.coeffs.items()}, self.mode)
-
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
             return self.scale(other)
-        mode = self._coerce_mode(other)
+        self._check_space(other)
         out: Dict[Word, object] = {}
         for u, a in self.coeffs.items():
             for v, b in other.coeffs.items():
                 w = u + v
                 out[w] = out.get(w, 0) + a * b
-        return NCPoly(out, mode)
+        return self._like(out)
 
     __matmul__ = __mul__  # the free-algebra product, so eval_standard runs on NCPolys
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "NCPoly":
-        return NCPoly({w: c * a for w, a in self.coeffs.items()}, self.mode)
 
     def __pow__(self, k: int) -> "NCPoly":
         if k < 0:
@@ -165,21 +193,9 @@ class NCPoly:
         """Word-wise involution with conjugated coefficients."""
         if self.mode != INV:
             raise ValueError("involution requires with-involution mode")
-        return NCPoly({word_involution(w): _conj(c) for w, c in self.coeffs.items()}, INV)
+        return NCPoly({word_involution(w): c.conjugate() for w, c in self.coeffs.items()}, INV)
 
     # -- misc --------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCPoly)
-            and self.mode == other.mode
-            and self.coeffs == other.coeffs
-        )
-
-    def __call__(self, X):
-        from . import mateval
-
-        return mateval.eval_ncpoly(self, X)
 
     def sorted_terms(self):
         return sorted(self.coeffs.items(), key=lambda wc: graded_lex_key(wc[0]))
@@ -191,7 +207,7 @@ class NCPoly:
         return "NCPoly(" + " + ".join(parts) + ")"
 
 
-class TracePoly:
+class TracePoly(_SparsePoly):
     """Noncommutative polynomial with pure-trace coefficients.
 
     Monomials are pairs (pure, tail): ``pure`` is a sorted tuple of
@@ -202,7 +218,7 @@ class TracePoly:
     tr(w^*) = conj(tr(w)) is a different quantity.
     """
 
-    __slots__ = ("coeffs", "mode", "field")
+    __slots__ = ("field",)
 
     def __init__(
         self,
@@ -224,6 +240,9 @@ class TracePoly:
                     raise ValueError("starred letters not allowed in free mode")
             clean[key] = clean.get(key, 0) + c
         self.coeffs = {k: c for k, c in clean.items() if c != 0}
+
+    def _space(self) -> tuple:
+        return (self.mode, self.field)
 
     def _star_classes(self) -> bool:
         return self.mode == INV and self.field == "real"
@@ -259,73 +278,29 @@ class TracePoly:
     def num_vars(self) -> int:
         return max((max_var(w) for (pure, tail) in self.coeffs for w in pure + (tail,)), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def cleanup(self, tol: float) -> "TracePoly":
-        return TracePoly(
-            {k: c for k, c in self.coeffs.items() if abs(c) > tol}, self.mode, self.field
-        )
-
     # -- arithmetic --------------------------------------------------
-
-    def _coerce(self, other: "TracePoly"):
-        if self.mode != other.mode or self.field != other.field:
-            raise ValueError("mode/field mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, TracePoly):
-            return NotImplemented
-        self._coerce(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return TracePoly(out, self.mode, self.field)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TracePoly({k: -c for k, c in self.coeffs.items()}, self.mode, self.field)
 
     def __mul__(self, other):
         if not isinstance(other, TracePoly):
             return self.scale(other)
-        self._coerce(other)
+        self._check_space(other)
         out: Dict[TraceMonomial, object] = {}
         for (p1, t1), a in self.coeffs.items():
             for (p2, t2), b in other.coeffs.items():
                 key = (tuple(sorted(p1 + p2)), t1 + t2)
                 out[key] = out.get(key, 0) + a * b
-        return TracePoly(out, self.mode, self.field)
+        return self._like(out)
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    def sorted_terms(self):
+        """Terms by graded-lex tail, then by trace factors."""
+        return sorted(self.coeffs.items(), key=lambda kc: (graded_lex_key(kc[0][1]), kc[0][0]))
 
-    def scale(self, c) -> "TracePoly":
-        return TracePoly({k: c * a for k, a in self.coeffs.items()}, self.mode, self.field)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TracePoly)
-            and self.mode == other.mode
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __call__(self, X):
-        from . import mateval
-
-        return mateval.eval_tracepoly(self, X)
+    @staticmethod
+    def monomial_str(key: TraceMonomial) -> str:
+        pure, tail = key
+        return " ".join([f"tr({word_str(w)})" for w in pure] + [word_str(tail)])
 
     def __repr__(self):
         if not self.coeffs:
             return "TracePoly(0)"
-        parts = []
-        for (pure, tail), c in sorted(
-            self.coeffs.items(), key=lambda kc: (graded_lex_key(kc[0][1]), kc[0][0])
-        ):
-            toks = [f"tr({word_str(w)})" for w in pure]
-            toks.append(word_str(tail))
-            parts.append(f"{c}*" + " ".join(toks))
-        return "TracePoly(" + " + ".join(parts) + ")"
+        return "TracePoly(" + " + ".join(f"{c}*{self.monomial_str(k)}" for k, c in self.sorted_terms()) + ")"

@@ -319,18 +319,28 @@ def taylor_at_zero(
                 if d > tol:
                     flags.append(f"degree {m} comp {j}: trie vs matenote (level {m+1}) differ by {d:.3g}")
 
-    rng = _rng(seed)
-    worst = 0.0
-    count = 0
-    for n in RESIDUAL_LEVELS:
-        r = min(0.3, f.radius_at(n) / 4.0)
-        for _ in range(RESIDUAL_SAMPLES):
-            X = random_mattuple(f.g, n, rng, f.field, norm=r * rng.uniform(0.1, 1.0))
-            fx = f(X)
-            sx = MatTuple([eval_ncpoly(s.to_ncpoly(), X) for s in series], f.field)
-            worst = max(worst, fx.max_diff(sx))
-            count += 1
+    polys = tuple(s.to_ncpoly() for s in series)
+    worst, _ = _probe(f, polys, RESIDUAL_LEVELS, RESIDUAL_SAMPLES,
+                      lambda n: min(0.3, f.radius_at(n) / 4.0), seed)
+    count = len(RESIDUAL_LEVELS) * RESIDUAL_SAMPLES
     return TaylorResult(series, D, worst, count, flags, f.calls - calls_before)
+
+
+def _probe(f: FreeMapOracle, polys, levels, samples: int, radius: Callable[[int], float], seed):
+    """``(worst, witness)``: the largest deviation of f from the polynomials
+    ``polys`` on ``samples`` random tuples at each of ``levels``, drawn in
+    order from one generator with norms radius(n) * U(0.1, 1), and the
+    first tuple that reached it (None when every deviation is 0)."""
+    rng = _rng(seed)
+    worst, witness = 0.0, None
+    for n in levels:
+        r = radius(n)
+        for _ in range(samples):
+            X = random_mattuple(f.g, n, rng, f.field, norm=r * rng.uniform(0.1, 1.0))
+            res = f(X).max_diff(MatTuple([eval_ncpoly(q, X) for q in polys], f.field))
+            if res > worst:
+                worst, witness = res, X
+    return worst, witness
 
 
 # -- polynomial reconstruction with certificate -----------------------
@@ -356,17 +366,7 @@ def reconstruct_polynomial(f: FreeMapOracle, d: int, seed=0) -> ReconResult:
     e.g. the trace map X -> tr(X) I)."""
     tay = taylor_at_zero(f, d, tol=RECON_TOL, seed=seed)
     polys = tuple(s.to_ncpoly() for s in tay.series)
-    rng = _rng(seed)
-    worst = 0.0
-    witness = None
-    for n in (d + 1, d + 2):
-        r = min(1.0, f.radius_at(n) / 2.0)
-        for _ in range(CERT_SAMPLES):
-            X = random_mattuple(f.g, n, rng, f.field, norm=r * rng.uniform(0.1, 1.0))
-            fx = f(X)
-            px = MatTuple([eval_ncpoly(q, X) for q in polys], f.field)
-            res = fx.max_diff(px)
-            if res > worst:
-                worst, witness = res, X
+    worst, witness = _probe(f, polys, (d + 1, d + 2), CERT_SAMPLES,
+                            lambda n: min(1.0, f.radius_at(n) / 2.0), seed)
     ok = worst <= RECON_TOL
     return ReconResult(polys, worst, ok, None if ok else witness, tay)

@@ -43,7 +43,7 @@ def word_has_star(w: Word) -> bool:
 
 
 def max_var(w: Word) -> int:
-    return max((k for (k, _) in w), default=0)
+    return max(w)[0] if w else 0
 
 
 def rotations(w: Word) -> Iterator[Word]:

@@ -171,6 +171,22 @@ def test_implicit_cli(tmp_path, capsys):
     assert "singular derivative" in out
 
 
+def test_implicit_formal_cli(tmp_path, capsys):
+    # f(x, y) = y + 0.8 y x + x  ->  h(x) = sum_k (-1)^k 0.8^(k-1) x^k
+    x, y = NCPoly.variable(1), NCPoly.variable(2)
+    pf = tmp_path / "p.ncpoly"
+    pf.write_text(dump_ncpolys([y + (y * x).scale(0.8) + x]))
+    hf = tmp_path / "h.ncpoly"
+    code, out, _ = run(capsys, "implicit", "--map", f"poly:{pf}", "--split", "1",
+                       "--formal", "--degree", "5", "-o", str(hf))
+    assert code == 0
+    assert re.fullmatch(r"degree=5 residual=\S+ level=0\n", out)
+    assert float(out.split()[1].split("=")[1]) < 1e-12
+    (h,) = load_ncpolys(hf.read_text())
+    want = NCPoly({((1, False),) * k: (-1) ** k * 0.8 ** (k - 1) for k in range(1, 6)})
+    assert h.max_coeff_diff(want) < 1e-12
+
+
 def test_expand_at_cli(tmp_path, capsys):
     p = NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True) + NCPoly.variable(1, mode=INV)
     pf = tmp_path / "p.ncpoly"
@@ -250,6 +266,27 @@ def test_usage_and_io_errors(tmp_path, capsys):
         code, out, err = run(capsys, "expand-at", "--map", f"poly:{pf}", "--center", str(center),
                              "--degree", degree, "--s-eval", "3")
         assert code == 1 and out == "" and msg in err and "Traceback" not in err
+    # every header field is checked where it is read, with its column
+    one = tmp_path / "one.mtx"
+    one.write_text("MTX1 n=1 g=1 field=real\n1\n")
+    for name, text, cmd, where in (
+        ("nog.genpoly", "GENPOLY1 mode=free terms=1\ndeg=0 1\n", "eval", "line 1, column 1"),
+        ("n.genpoly", "GENPOLY1 n=x mode=free terms=0\n", "eval", "line 1, column 10"),
+        ("two.ncpoly", "NCPOLY1 mode=free polys=two\nterms=1\n1 : x1\n", "eval", "line 1, column 19"),
+        ("bogus.trpoly", "TRPOLY1 mode=bogus field=real\n1 : x1\n", "eval", "line 1, column 9"),
+        ("q.trpoly", "TRPOLY1 mode=free field=quaternion\n1 : x1\n", "eval", "line 1, column 19"),
+        ("zero.ncpoly", "NCPOLY1 mode=free polys=0\n", "taylor", "line 1, column 19"),
+    ):
+        f = tmp_path / name
+        f.write_text(text)
+        argv = (["eval", "--poly", str(f), "--tuple", str(one)] if cmd == "eval"
+                else ["taylor", "--map", f"poly:{f}", "--degree", "2"])
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and where in err and "Traceback" not in err, (name, err)
+    quat = tmp_path / "quat.mtx"
+    quat.write_text("MTX1 n=1 g=1 field=quaternion\n1\n")
+    code, out, err = run(capsys, "eval", "--poly", str(pf), "--tuple", str(quat))
+    assert code == 1 and out == "" and "line 1, column 14" in err
 
 
 def test_check_determinism_across_runs(capsys):

@@ -159,3 +159,25 @@ def test_parse_errors_carry_location():
     with pytest.raises(FormatError) as ei:
         load_mattuple("MTX1 n=2 g=1 field=real\n1 0\n0  3-1i\n")
     assert "line 3, column 4" in str(ei.value)
+    # header fields: checked where they are read, at line 1 and their column
+    for load, text, where in (
+        (load_genpoly, "GENPOLY1 mode=free terms=1\ndeg=0 1\n", "line 1, column 1"),
+        (load_genpoly, "GENPOLY1 n=x mode=free terms=0\n", "line 1, column 10"),
+        (load_genpoly, "GENPOLY1 n=1 mode=bogus terms=0\n", "line 1, column 14"),
+        (load_genpoly, "GENPOLY1 n=1 mode=free terms=-1\n", "line 1, column 24"),
+        (load_ncpolys, "NCPOLY1 mode=free polys=two\nterms=1\n1 : x1\n", "line 1, column 19"),
+        (load_ncpolys, "NCPOLY1 mode=free polys=0\n", "line 1, column 19"),
+        (load_ncpolys, "NCPOLY1 mode=bogus polys=1\nterms=0\n", "line 1, column 9"),
+        (load_ncpolys, "NCPOLY1 mode=free oops\nterms=0\n", "line 1, column 19"),
+        (load_tracepoly, "TRPOLY1 mode=bogus field=real\n1 : x1\n", "line 1, column 9"),
+        (load_tracepoly, "TRPOLY1 mode=free field=quaternion\n1 : x1\n", "line 1, column 19"),
+        (load_mattuple, "MTX1 n=1 g=1 field=quaternion\n1\n", "line 1, column 14"),
+        (load_mattuple, "MTX1 g=1 field=real\n1\n", "line 1, column 1"),
+        (load_mattuple, "MTX1 n=1 g=0 field=real\n", "line 1, column 10"),
+        (load_mattuple, "MTX1 n=2.5 g=1 field=real\n1 0\n0 1\n", "line 1, column 6"),
+    ):
+        with pytest.raises(FormatError) as ei:
+            load(text)
+        assert str(ei.value).startswith(where + ":"), text
+    # a zero generalized polynomial has no terms
+    assert load_genpoly("GENPOLY1 n=1 mode=free terms=0\n").terms == []

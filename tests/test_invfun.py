@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,20 @@ def test_formal_inverse_two_sided_random():
         assert composition_residual(F, H) < 1e-10
         count += 1
     assert count == 20
+
+
+def test_formal_inverse_mixed_complex_linear_part_g2():
+    # the linear part mixes both letters and both stars, with complex
+    # entries, so every entry of L^{-1} enters the substitution
+    s1, s2 = ivar(1, True), ivar(2, True)
+    F = [
+        FormalSeries.from_ncpoly(ivar(1).scale(2 + 0.5j) + ivar(2).scale(0.5) + s1.scale(0.25j)
+                                 + s2.scale(-0.4) + (ivar(1) * s2).scale(0.7), 4),
+        FormalSeries.from_ncpoly(ivar(1).scale(-0.3j) + ivar(2).scale(1.5) + s1.scale(0.1)
+                                 + s2.scale(0.2 - 0.1j) + (s1 * ivar(2)).scale(-0.45), 4),
+    ]
+    H = formal_inverse(F)
+    assert composition_residual(F, H) < 1e-12
 
 
 def test_involution_free_inputs_stay_involution_free():
@@ -176,6 +191,22 @@ def test_implicit_formal_composition_residual():
     assert h[0].parts[1].max_coeff_diff(x1.scale(-1)) < 1e-12
     res = implicit_residual(f, 1, h)
     assert type(res) is float and res < 1e-10
+
+
+def test_implicit_formal_black_box_route_matches_symbolic():
+    # f(x, y) = y + 0.8 y x + x  ->  h(x) = sum_k (-1)^k 0.8^(k-1) x^k; an
+    # oracle without ``polys`` is read through taylor_at_zero instead
+    f = oracle_from_ncpoly(
+        NCPoly.variable(2) + (NCPoly.variable(2) * NCPoly.variable(1)).scale(0.8) + NCPoly.variable(1)
+    )
+    box = dataclasses.replace(f, polys=None)
+    (hb,) = implicit_formal(box, 1, 5)
+    (hs,) = implicit_formal(f, 1, 5)
+    assert box.calls > 0 and f.calls == 0
+    assert hb.max_coeff_diff(hs) < 1e-12
+    want = NCPoly({((1, False),) * k: (-1) ** k * 0.8 ** (k - 1) for k in range(1, 6)})
+    assert hb.to_ncpoly().max_coeff_diff(want) < 1e-12
+    assert implicit_residual(f, 1, (hb,)) < 1e-12
 
 
 def test_implicit_numeric_case():
