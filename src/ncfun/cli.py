@@ -252,7 +252,7 @@ def cmd_taylor(args, emit: Emitter) -> int:
             X = random_mattuple(f.g, level, rng, f.field,
                                 norm=min(0.5, f.radius_at(level) / 4.0))
             want = homogeneous_part_eval(f, m, X, args.degree)
-            got = MatTuple([eval_poly(s.parts[m], X) for s in tay.series], f.field)
+            got = MatTuple([eval_poly(p.homogeneous_part(m), X) for p in polys], f.field)
             r = max(r, got.max_diff(want))
         emit.line(f"degree={m} residual={r!r} level={level}",
                   kind="taylor", degree=m, residual=r, level=level)

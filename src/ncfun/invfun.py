@@ -1,8 +1,9 @@
 """Free inverse and implicit function computation.
 
-Two routes: degree-graded formal inversion of tuple power series, whose
-linear part is normalized and restored by one linear substitution
-lam = L^{-1} y, and levelwise Newton iteration on the black-box map.
+Two routes: degree-graded formal inversion of tuple power series (each
+one truncated polynomial, see :mod:`ncfun.series`), whose linear part
+is normalized and restored by one linear substitution lam = L^{-1} y,
+and levelwise Newton iteration on the black-box map.
 The two agree to the truncation order on small targets; both inherit
 the free property (G-equivariance) of the input map.
 """
@@ -64,7 +65,7 @@ def linear_part(F: Sequence[FormalSeries]) -> LinearPart:
         cplx = False
         for i, s in enumerate(F):
             for j in range(1, g + 1):
-                c = s.parts[1].coefficient(((j, False),))
+                c = s.to_ncpoly().coefficient(((j, False),))
                 if isinstance(c, complex):
                     cplx = True
                 L[i, j - 1] = c.real if isinstance(c, complex) else c
@@ -75,8 +76,8 @@ def linear_part(F: Sequence[FormalSeries]) -> LinearPart:
     B = np.zeros((g, g), dtype=complex)
     for i, s in enumerate(F):
         for j in range(1, g + 1):
-            A[i, j - 1] = s.parts[1].coefficient(((j, False),))
-            B[i, j - 1] = s.parts[1].coefficient(((j, True),))
+            A[i, j - 1] = s.to_ncpoly().coefficient(((j, False),))
+            B[i, j - 1] = s.to_ncpoly().coefficient(((j, True),))
     L = np.block([[A, B], [B.conj(), A.conj()]])
     if np.allclose(L.imag, 0):
         L = L.real
@@ -99,6 +100,12 @@ def _linear_series(rows: np.ndarray, letters, D: int, mode: str) -> Tuple[Formal
     return tuple(out)
 
 
+def _from_length(s: FormalSeries, k: int) -> FormalSeries:
+    """s without its words shorter than k."""
+    kept = {w: c for w, c in s.to_ncpoly().coeffs.items() if len(w) >= k}
+    return FormalSeries.from_ncpoly(NCPoly(kept, s.mode), s.order)
+
+
 def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[FormalSeries, ...]:
     """Compositional inverse of a series tuple with zero constant part
     and invertible linear part: both compositions equal the identity up
@@ -106,16 +113,22 @@ def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[For
 
     With lam = L^{-1} y, the linear substitution by the inverse of the
     linear part L, Fbar = lam o F has the identity as its linear part.
-    Solves H = y - sum_{m>=2} Fbar_m(H) degree by degree, then restores
-    the linear part as H o lam.  Only the word order of lam differs
-    between the two substitutions: x_1, x_1^t, x_2, x_2^t, ... when it
-    sums Fbar_i from F_1, F_1^t, F_2, ..., and x_1, ..., x_g, x_1^t, ...
-    in the restore, which fixes the word order of the result.
+    Solves H = y - sum_{m>=2} Fbar_m(H) degree by degree: step d adds the
+    words of length d of -G(H), G = Fbar - y, to H, which has only
+    shorter words so far.  Then it restores the linear part as H o lam.
+    Only the word order of lam differs between the two substitutions:
+    x_1, x_1^t, x_2, x_2^t, ... when it sums Fbar_i from F_1, F_1^t,
+    F_2, ..., and x_1, ..., x_g, x_1^t, ... in the restore, which fixes
+    the word order of the result.
     """
     F = tuple(F)
     g = len(F)
-    if D is None:
-        D = min(s.order for s in F)
+    if not g:
+        raise ValueError("formal inverse of an empty tuple F")
+    order = min(s.order for s in F)
+    D = order if D is None else D
+    if D > order:
+        raise ValueError(f"degree {D} above the order {order} of F")
     for s in F:
         if s.constant_part() != 0:
             raise ValueError("formal inverse needs zero constant part")
@@ -125,24 +138,22 @@ def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[For
     letters = [(k, starred) for k in range(1, g + 1) for starred in stars]
     Fbar = compose_tuple(_linear_series(rows, letters, D, mode), F)
 
-    # tail G = Fbar - identity = parts 2..D of Fbar (its linear part is
-    # the identity up to the round-off of L^{-1} L)
-    ident = FormalSeries.identity_tuple(g, D, mode)
-    zero = NCPoly.zero(mode)
-    G = [FormalSeries([zero, zero] + fb.parts[2:], D, mode) for fb in Fbar]
-
-    H = list(ident)
+    # tail G = Fbar - identity = the words of length >= 2 of Fbar (its
+    # linear part is the identity up to the round-off of L^{-1} L)
+    G = [_from_length(fb, 2) for fb in Fbar]
+    H = list(FormalSeries.identity_tuple(g, D, mode))
     for d in range(2, D + 1):
         K = [series_compose(gg, H) for gg in G]
         for i in range(g):
-            newparts = list(H[i].parts)
-            newparts[d] = -K[i].parts[d]
-            H[i] = FormalSeries(newparts, D, mode)
+            Kd = {w: -c for w, c in K[i].to_ncpoly().coeffs.items() if len(w) == d}
+            H[i] = FormalSeries.from_ncpoly(NCPoly({**H[i].to_ncpoly().coeffs, **Kd}, mode), D)
     return compose_tuple(H, _linear_series(rows, sorted(letters, key=lambda let: let[1]), D, mode))
 
 
 def composition_residual(F: Sequence[FormalSeries], H: Sequence[FormalSeries]) -> float:
     """Max coefficient deviation of F o H and H o F from the identity."""
+    if not F or not H:
+        raise ValueError(f"composition residual of an empty tuple {'F' if not F else 'H'}")
     D = min(min(s.order for s in F), min(s.order for s in H))
     ident = FormalSeries.identity_tuple(len(F), D, F[0].mode)
     out = 0.0
@@ -165,7 +176,6 @@ class NewtonTrace:
     converged: bool = False
     X: Optional[MatTuple] = None
     cond: float = math.nan
-    contraction: float = math.nan
 
     def __repr__(self):
         tail = self.iterates[-1][0] if self.iterates else math.nan
@@ -223,17 +233,16 @@ def newton_invert(
     tol: float = 1e-12,
     maxit: int = 50,
 ) -> NewtonTrace:
-    """Solve f(X) = Y levelwise by damped Newton iteration."""
+    """Solve f(X) = Y levelwise by damped Newton iteration.  Each tried
+    step costs one value of f; the accepted one is the next residual and
+    right-hand side."""
     if f.g != f.gprime:
         raise ValueError("newton inversion needs matching input/output arity")
     n = Y.n
     X = X0 if X0 is not None else MatTuple.zeros(f.g, n, f.field)
     trace = NewtonTrace()
-
-    def resid(Z: MatTuple) -> float:
-        return f(Z).max_diff(Y)
-
-    res = resid(X)
+    fX = f(X)
+    res = fX.max_diff(Y)
     for _ in range(maxit):
         if res < tol:
             break
@@ -242,24 +251,19 @@ def newton_invert(
         trace.cond = cond
         if not np.isfinite(cond) or cond > 1e14:
             raise NewtonError(f"singular derivative (condition estimate {cond:.3g})")
-        rhs = _vec(f(X)) - _vec(Y)
-        delta = np.linalg.solve(J, rhs)
-        step = 1.0
-        for _ in range(MAX_HALVINGS):
+        delta = np.linalg.solve(J, _vec(fX) - _vec(Y))
+        step = 2.0
+        for _ in range(MAX_HALVINGS + 1):  # the last, most halved step is taken unchecked
+            step /= 2.0
             Xn = X - _unvec(step * delta, f.g, n, f.field)
-            rn = resid(Xn)
+            fXn = f(Xn)
+            rn = fXn.max_diff(Y)
             if rn < res or rn < tol:
                 break
-            step /= 2.0
-        X = X - _unvec(step * delta, f.g, n, f.field)
-        new_res = resid(X)
-        trace.iterates.append((new_res, float(step * np.linalg.norm(delta))))
-        res = new_res
+        X, fX, res = Xn, fXn, rn
+        trace.iterates.append((res, float(step * np.linalg.norm(delta))))
     trace.converged = res < tol
     trace.X = X
-    if trace.converged:
-        J = assemble_jacobian(f, X)
-        trace.contraction = float(np.linalg.norm(np.eye(J.shape[0]) - J, 2))
     return trace
 
 
@@ -277,17 +281,13 @@ def implicit_formal(
         raise ValueError("implicit solve expects g' = g - g1 outputs")
     if f.polys is not None:
         Fser = tuple(FormalSeries.from_ncpoly(p, D) for p in f.polys)
-        mode = f.polys[0].mode
     else:
-        tay = taylor_at_zero(f, D, tol=tol)
-        Fser = tay.series
-        mode = Fser[0].mode
+        Fser = taylor_at_zero(f, D, tol=tol).series
+    mode = Fser[0].mode
     for s in Fser:
         if abs(s.constant_part()) > tol:
             raise ValueError("implicit solve needs f(0,0) = 0")
-    Fser = tuple(
-        FormalSeries([NCPoly.zero(mode)] + list(s.parts[1:]), D, mode) for s in Fser
-    )
+    Fser = tuple(_from_length(s, 1) for s in Fser)
     ident = FormalSeries.identity_tuple(f.g, D, mode)
     aug = tuple(ident[:g1]) + Fser
     Haug = formal_inverse(aug, D)

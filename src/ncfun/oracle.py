@@ -96,6 +96,8 @@ def oracle_from_ncpoly(
 ) -> FreeMapOracle:
     """Polynomial free map; group GL when involution-free, else O/U."""
     polys = tuple(p) if isinstance(p, (tuple, list)) else (p,)
+    if not polys:
+        raise ValueError("oracle_from_ncpoly needs at least one polynomial")
     modes = {q.mode for q in polys}
     starred = any(word_has_star(w) for q in polys for w in q.coeffs)
     if INV in modes or starred:

@@ -165,14 +165,14 @@ def _trie_tuple(prefix: Word, D: int, alphabet: List[Letter], g: int, field: str
     return MatTuple(mats, field), nodes
 
 
-def _trie_reads(f: FreeMapOracle, D: int) -> List[List[Dict[Word, object]]]:
-    """Coefficients of every word of degree <= D, as word -> value maps
-    indexed [output slot][degree]: one call per sub-trie for maps
-    without involution, one scan per sub-trie with it."""
+def _trie_reads(f: FreeMapOracle, D: int) -> List[Dict[Word, object]]:
+    """Coefficients of every word of degree <= D, as one word -> value map
+    per output slot: one call per sub-trie for maps without involution,
+    one scan per sub-trie with it."""
     involution = f.mode == INV
     alphabet = [w[0] for w in words_of_degree(f.g, 1, involution)]
     j = _trie_prefix_length(len(alphabet), D, f.max_level)
-    coeffs = [[dict() for _ in range(D + 1)] for _ in range(f.gprime)]
+    coeffs = [dict() for _ in range(f.gprime)]
     on_chain = set()  # words shorter than j are shared by sub-tries: read once
     for prefix in words_of_degree(f.g, j, involution):
         T, nodes = _trie_tuple(prefix, D, alphabet, f.g, f.field)
@@ -191,7 +191,7 @@ def _trie_reads(f: FreeMapOracle, D: int) -> List[List[Dict[Word, object]]]:
             for k, r in enumerate(rows):
                 c = r[m, i] if involution else r[i] / h**m
                 if abs(c) > CLEANUP_TOL:
-                    coeffs[k][m][w] = complex(c) if np.iscomplexobj(r) else float(c)
+                    coeffs[k][w] = complex(c) if np.iscomplexobj(r) else float(c)
     return coeffs
 
 
@@ -305,21 +305,19 @@ def taylor_at_zero(
     ``evaluations`` counts every oracle call made here."""
     calls_before = f.calls
     mode = f.mode
-    series = tuple(
-        FormalSeries([NCPoly(part, mode) for part in parts], D, mode) for parts in _trie_reads(f, D)
-    )
+    series = tuple(FormalSeries.from_ncpoly(NCPoly(c, mode), D) for c in _trie_reads(f, D))
+    polys = tuple(s.to_ncpoly() for s in series)
     flags: List[str] = []
     if cross_check:
         for m in range(D + 1):
             ext = matenote_extract(
                 lambda X, _m=m: homogeneous_part_eval(f, _m, X, D), m, f.g, mode, field=f.field
             )
-            for j, s in enumerate(series):
-                d = s.parts[m].max_coeff_diff(ext.polys[j])
+            for j, p in enumerate(polys):
+                d = p.homogeneous_part(m).max_coeff_diff(ext.polys[j])
                 if d > tol:
                     flags.append(f"degree {m} comp {j}: trie vs matenote (level {m+1}) differ by {d:.3g}")
 
-    polys = tuple(s.to_ncpoly() for s in series)
     worst, _ = _probe(f, polys, RESIDUAL_LEVELS, RESIDUAL_SAMPLES,
                       lambda n: min(0.3, f.radius_at(n) / 4.0), seed)
     count = len(RESIDUAL_LEVELS) * RESIDUAL_SAMPLES

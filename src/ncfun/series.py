@@ -1,31 +1,47 @@
-"""Degree-graded formal power series with truncation.
+"""Formal power series truncated at a degree.
 
-A :class:`FormalSeries` holds homogeneous :class:`~ncfun.poly.NCPoly`
-parts for degrees 0..D.  All operations truncate at the smaller order.
-Substitution applies the involution convention (series for x_k^t) =
-involution of (series for x_k), which matches matrix transposition
-under evaluation.
+A :class:`FormalSeries` is one :class:`~ncfun.poly.NCPoly` whose words
+have length <= its order D, listed shortest first, plus D; its degree-m
+part is a view of that polynomial.  All operations truncate at the
+smaller order.  Substitution applies the involution convention (series
+for x_k^t) = involution of (series for x_k), which matches matrix
+transposition under evaluation.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from itertools import chain
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .poly import FREE, NCPoly
-from .words import word_str
+from .poly import FREE, INV, NCPoly
+from .words import Word, word_str
 
 
-def _add_into(acc: dict, coeffs) -> None:
-    """acc += coeffs in place, dropping exact zeros as ``NCPoly +`` does,
-    so the values and the word order match repeated ``NCPoly +``."""
-    for w, c in coeffs.items():
-        acc[w] = acc.get(w, 0) + c
-        if acc[w] == 0:
-            del acc[w]
+def _graded_sum(terms: Iterable[Tuple[Word, object]]) -> Dict[Word, object]:
+    """Sum of (word, coefficient) pairs, listed shortest first (stable).
+    Exact zeros drop out as they arise, as with repeated ``NCPoly +``, so
+    the values and the word order match summing the pairs one at a time."""
+    acc: Dict[Word, object] = {}
+    for w, c in terms:
+        c = acc.get(w, 0) + c
+        if c == 0:
+            acc.pop(w, None)
+        else:
+            acc[w] = c
+    return dict(sorted(acc.items(), key=lambda wc: len(wc[0])))
+
+
+def _products(a: Dict[Word, object], b: Dict[Word, object], D: int):
+    """Pairs (u v, a_u b_v) of length <= D; b is listed shortest first."""
+    for u, x in a.items():
+        for v, y in b.items():
+            if len(u) + len(v) > D:
+                break
+            yield u + v, x * y
 
 
 class FormalSeries:
-    __slots__ = ("parts", "order", "mode")
+    __slots__ = ("poly", "order")
 
     def __init__(self, parts: Sequence[NCPoly], order: int | None = None, mode: str | None = None):
         parts = list(parts)
@@ -35,17 +51,14 @@ class FormalSeries:
             order = len(parts) - 1
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        while len(parts) < order + 1:
-            parts.append(NCPoly.zero(mode))
         parts = parts[: order + 1]
         for m, p in enumerate(parts):
             if p.mode != mode:
                 raise ValueError("mixed modes in series parts")
             if not p.is_zero() and (not p.is_homogeneous() or p.degree() != m):
                 raise ValueError(f"part {m} is not homogeneous of degree {m}")
-        self.parts: List[NCPoly] = parts
+        self.poly = NCPoly({w: c for p in parts for w, c in p.coeffs.items()}, mode)
         self.order = order
-        self.mode = mode
 
     # -- constructors ------------------------------------------------
 
@@ -55,7 +68,14 @@ class FormalSeries:
 
     @classmethod
     def from_ncpoly(cls, p: NCPoly, order: int) -> "FormalSeries":
-        return cls([p.homogeneous_part(m) for m in range(order + 1)], order, p.mode)
+        """p without its words longer than ``order``."""
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        s = cls.__new__(cls)
+        kept = ((w, c) for w, c in p.coeffs.items() if len(w) <= order)
+        s.poly = NCPoly(dict(sorted(kept, key=lambda wc: len(wc[0]))), p.mode)
+        s.order = order
+        return s
 
     @classmethod
     def variable(cls, k: int, order: int, mode: str = FREE) -> "FormalSeries":
@@ -66,8 +86,15 @@ class FormalSeries:
         return tuple(cls.variable(k, order, mode) for k in range(1, g + 1))
 
     def to_ncpoly(self) -> NCPoly:
-        # parts hold distinct degrees, so no two share a word
-        return NCPoly({w: c for p in self.parts for w, c in p.coeffs.items()}, self.mode)
+        return self.poly
+
+    @property
+    def mode(self) -> str:
+        return self.poly.mode
+
+    @property
+    def parts(self) -> List[NCPoly]:
+        return [self.poly.homogeneous_part(m) for m in range(self.order + 1)]
 
     # -- arithmetic --------------------------------------------------
 
@@ -79,17 +106,16 @@ class FormalSeries:
     def __add__(self, other):
         if not isinstance(other, FormalSeries):
             return NotImplemented
-        D = self._common_order(other)
-        return FormalSeries([self.parts[m] + other.parts[m] for m in range(D + 1)], D, self.mode)
+        return FormalSeries.from_ncpoly(self.poly + other.poly, self._common_order(other))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return FormalSeries([-p for p in self.parts], self.order, self.mode)
+        return FormalSeries.from_ncpoly(-self.poly, self.order)
 
     def scale(self, c) -> "FormalSeries":
-        return FormalSeries([p.scale(c) for p in self.parts], self.order, self.mode)
+        return FormalSeries.from_ncpoly(self.poly.scale(c), self.order)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -98,58 +124,35 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return self.scale(other)
         D = self._common_order(other)
-        acc: List[dict] = [{} for _ in range(D + 1)]
-        for i, p in enumerate(self.parts[: D + 1]):
-            if p.is_zero():
-                continue
-            for j, q in enumerate(other.parts[: D + 1 - i]):
-                if q.is_zero():
-                    continue
-                _add_into(acc[i + j], (p * q).coeffs)
-        return FormalSeries([NCPoly(c, self.mode) for c in acc], D, self.mode)
+        prod = _graded_sum(_products(self.poly.coeffs, other.poly.coeffs, D))
+        return FormalSeries.from_ncpoly(NCPoly(prod, self.mode), D)
 
     def involution(self) -> "FormalSeries":
-        return FormalSeries([p.involution() for p in self.parts], self.order, self.mode)
-
-    def truncate(self, order: int) -> "FormalSeries":
-        return FormalSeries(self.parts[: order + 1], min(order, self.order), self.mode)
+        return FormalSeries.from_ncpoly(self.poly.involution(), self.order)
 
     # -- structure ---------------------------------------------------
 
     def constant_part(self):
-        return self.parts[0].coefficient(())
+        return self.poly.coefficient(())
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.parts)
-
-    def cleanup(self, tol: float) -> "FormalSeries":
-        return FormalSeries([p.cleanup(tol) for p in self.parts], self.order, self.mode)
+        return self.poly.is_zero()
 
     def max_coeff_diff(self, other: "FormalSeries") -> float:
         D = self._common_order(other)
-        return max(
-            (self.parts[m].max_coeff_diff(other.parts[m]) for m in range(D + 1)),
-            default=0.0,
-        )
+        a, b = (FormalSeries.from_ncpoly(s.poly, D).poly for s in (self, other))
+        return a.max_coeff_diff(b)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FormalSeries)
-            and self.mode == other.mode
-            and self.order == other.order
-            and all(p == q for p, q in zip(self.parts, other.parts))
-        )
+        return isinstance(other, FormalSeries) and self.order == other.order and self.poly == other.poly
 
     def __call__(self, X):
         from . import mateval
 
-        return mateval.eval_ncpoly(self.to_ncpoly(), X)
+        return mateval.eval_ncpoly(self.poly, X)
 
     def __repr__(self):
-        terms = []
-        for p in self.parts:
-            for w, c in p.sorted_terms():
-                terms.append(f"{c}*{word_str(w)}")
+        terms = [f"{c}*{word_str(w)}" for w, c in self.poly.sorted_terms()]
         body = " + ".join(terms) if terms else "0"
         return f"FormalSeries({body} + O(deg {self.order + 1}))"
 
@@ -165,34 +168,28 @@ def series_compose(F: FormalSeries, G: Sequence[FormalSeries]) -> FormalSeries:
         raise ValueError("empty substitution tuple")
     D = min([F.order] + [g.order for g in G])
     mode = G[0].mode
-    for g in G:
+    subs = {}
+    for k, g in enumerate(G, start=1):
         if g.mode != mode:
             raise ValueError("mixed modes in substitution tuple")
         if g.constant_part() != 0:
             raise ValueError("substituted series must have zero constant part")
-    subs = {}
+        subs[k, False] = g.poly.coeffs
+        if mode == INV:
+            subs[k, True] = g.involution().poly.coeffs
 
-    def series_for(let):
-        if let not in subs:
-            k, starred = let
-            if k > len(G):
-                raise ValueError(f"series tuple has {len(G)} components, needs x{k}")
-            subs[let] = G[k - 1].involution() if starred else G[k - 1]
-        return subs[let]
+    def term(w, c):
+        t = {(): c}
+        for let in w:
+            if let not in subs:
+                raise ValueError(f"no series for {word_str((let,))} in a {mode} tuple of {len(G)}")
+            t = _graded_sum(_products(t, subs[let], D))
+        return t.items()
 
-    acc: List[dict] = [{} for _ in range(D + 1)]
-    one = FormalSeries.from_ncpoly(NCPoly.one(mode), D)
-    for p in F.parts[: D + 1]:
-        for w, c in p.coeffs.items():
-            term = one.scale(c)
-            for let in w:
-                term = term * series_for(let)
-            for m, q in enumerate(term.parts):
-                _add_into(acc[m], q.coeffs)
-    return FormalSeries([NCPoly(c, mode) for c in acc], D, mode)
+    words = ((w, c) for w, c in F.poly.coeffs.items() if len(w) <= D)
+    total = _graded_sum(chain.from_iterable(term(w, c) for w, c in words))
+    return FormalSeries.from_ncpoly(NCPoly(total, mode), D)
 
 
-def compose_tuple(
-    F: Sequence[FormalSeries], G: Sequence[FormalSeries]
-) -> tuple:
+def compose_tuple(F: Sequence[FormalSeries], G: Sequence[FormalSeries]) -> tuple:
     return tuple(series_compose(f, G) for f in F)

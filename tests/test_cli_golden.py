@@ -31,6 +31,15 @@ INPUTS = {
     # one float entry makes the whole tuple float (not exact)
     "m.mtx": "MTX1 n=2 g=2 field=real\n1 0.5\n0 1\n3 0\n1 1\n",
     "f.ncpoly": "NCPOLY1 mode=free polys=1\nterms=2\n1 : x1\n-1 : x1 x1\n",
+    # g=2 involution tuple whose linear part mixes x2 and x2^t; its inverse
+    # has integer entries, so the series coefficients are exact
+    "q.ncpoly": (
+        "NCPOLY1 mode=involution polys=2\n"
+        "terms=4\n1 : x1\n1 : x2\n1 : x2*\n1 : x1 x1*\n"
+        "terms=2\n1 : x2\n1 : x2 x1\n"
+    ),
+    # f(x, y) = y + x + y x^t, so h(x) = -x (1 + x^t)^-1
+    "i.ncpoly": "NCPOLY1 mode=involution polys=1\nterms=3\n1 : x2\n1 : x1\n1 : x2 x1*\n",
 }
 
 # (argv, stdout, bytes written to -o OUT or None); file names refer to INPUTS
@@ -184,6 +193,49 @@ CASES = [
         id="invert-formal-o",
     ),
     pytest.param(
+        ["invert", "--formal", "--poly", "q.ncpoly", "--degree", "2"],
+        (
+            "NCPOLY1 mode=involution polys=2\n"
+            "terms=14\n"
+            "1.0 : x1\n"
+            "-1.0 : x2\n"
+            "-1.0 : x2*\n"
+            "-1.0 : x1 x1*\n"
+            "1.0 : x1 x2\n"
+            "1.0 : x1 x2*\n"
+            "1.0 : x1* x2*\n"
+            "1.0 : x2 x1\n"
+            "1.0 : x2 x1*\n"
+            "-2.0 : x2 x2\n"
+            "-3.0 : x2 x2*\n"
+            "1.0 : x2* x1*\n"
+            "-1.0 : x2* x2\n"
+            "-2.0 : x2* x2*\n"
+            "terms=4\n"
+            "1.0 : x2\n"
+            "-1.0 : x2 x1\n"
+            "1.0 : x2 x2\n"
+            "1.0 : x2 x2*\n"
+            "degree=2 residual=0.0 level=0\n"
+        ),
+        None,
+        id="invert-formal-involution-g2",
+    ),
+    pytest.param(
+        ["implicit", "--formal", "--map", "poly:i.ncpoly", "--split", "1", "--degree", "4"],
+        (
+            "NCPOLY1 mode=involution polys=1\n"
+            "terms=4\n"
+            "-1.0 : x1\n"
+            "1.0 : x1 x1*\n"
+            "-1.0 : x1 x1* x1*\n"
+            "1.0 : x1 x1* x1* x1*\n"
+            "degree=4 residual=0.0 level=0\n"
+        ),
+        None,
+        id="implicit-formal",
+    ),
+    pytest.param(
         ["eval", "--poly", "p.ncpoly", "--tuple", "x.mtx"],
         (
             "MTX1 n=2 g=2 field=real\n"
@@ -223,9 +275,10 @@ CASES = [
 
 
 @pytest.mark.parametrize("argv, stdout, written", CASES)
-def test_cli_golden(argv, stdout, written, tmp_path, capsys):
+def test_cli_golden(argv, stdout, written, tmp_path, capsys, monkeypatch):
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)  # map specs such as poly:i.ncpoly name a file in tmp_path
     out = tmp_path / "OUT"
     args = [str(tmp_path / a) if a in INPUTS or a == "OUT" else a for a in argv]
     assert main(args) == 0

@@ -108,6 +108,19 @@ def test_formal_inverse_rejects_singular_linear_part():
         formal_inverse([F])
 
 
+def test_formal_inverse_and_residual_boundary_checks():
+    F = FormalSeries.from_ncpoly(x1 - x1 * x1, 3)
+    with pytest.raises(ValueError, match="above the order 3"):
+        formal_inverse([F], 5)  # F's parts 4..5 are unknown
+    with pytest.raises(ValueError, match="empty tuple F"):
+        formal_inverse(())
+    (H,) = formal_inverse([F], 3)
+    with pytest.raises(ValueError, match="empty tuple F"):
+        composition_residual((), [H])
+    with pytest.raises(ValueError, match="empty tuple H"):
+        composition_residual([F], ())
+
+
 def test_linear_part_structure():
     F = (
         FormalSeries.from_ncpoly(ivar(1) + ivar(2, True).scale(2.0), 2),
@@ -126,6 +139,14 @@ def test_newton_identity_map_one_step():
     tr = newton_invert(f, Y)
     assert tr.converged and len(tr.iterates) == 1
     assert tr.X.max_diff(Y) < 1e-14
+
+
+def test_newton_evaluates_f_once_per_accepted_step():
+    # x + x x^t has a symbolic derivative, so every oracle call is a value
+    # of f: one at X0 and one per full Newton step, which is always accepted here
+    f = oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True))
+    tr = newton_invert(f, MatTuple([0.1 * np.eye(3) + 0.05 * np.tri(3)]))
+    assert tr.converged and f.calls == 1 + len(tr.iterates)
 
 
 def test_newton_matches_formal_inverse():

@@ -252,6 +252,11 @@ def test_max_level_enforced_and_calls_counted():
         builtin_map("nonuniform")(random_mattuple(3, 8, 0, norm=0.1))
 
 
+def test_oracle_from_ncpoly_needs_a_polynomial():
+    with pytest.raises(ValueError, match="at least one polynomial"):
+        oracle_from_ncpoly(())
+
+
 def test_arity_guard():
     f = oracle_from_ncpoly(NCPoly.variable(1) * NCPoly.variable(2))
     with pytest.raises(ValueError):

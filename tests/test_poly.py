@@ -193,6 +193,39 @@ def test_series_product_is_truncated_poly_product(a, b, D):
     assert got == NCPoly({w: c for w, c in (a * b).coeffs.items() if len(w) <= D}, INV)
 
 
+def _upto(p, D):
+    return NCPoly({w: c for w, c in p.coeffs.items() if len(w) <= D}, p.mode)
+
+
+def _substitute(p, G):
+    """p with x_k -> G[k-1] and x_k^t -> G[k-1]^t, by untruncated NCPoly products."""
+    out = NCPoly.zero(INV)
+    for w, c in p.coeffs.items():
+        term = NCPoly.one(INV).scale(c)
+        for k, starred in w:
+            term = term * (G[k - 1].involution() if starred else G[k - 1])
+        out = out + term
+    return out
+
+
+@given(inv_polys, inv_polys, st.lists(inv_polys, min_size=2, max_size=2), st.integers(0, 4), st.integers(0, 4))
+def test_series_operations_are_truncated_poly_operations(p, q, G, D, E):
+    G = [g - NCPoly({(): g.coefficient(())}, INV) for g in G]  # zero constant part
+    A, B = FormalSeries.from_ncpoly(p, D), FormalSeries.from_ncpoly(q, E)
+    comp = series_compose(A, [FormalSeries.from_ncpoly(g, E) for g in G])
+    results = [
+        (comp, _substitute(p, G), min(D, E)),
+        (A + B, p + q, min(D, E)),
+        (A - B, p - q, min(D, E)),
+        (A.scale(-2), p.scale(-2), D),
+        (A.involution(), p.involution(), D),
+    ]
+    for s, want, order in results:
+        assert s.order == order and s.to_ncpoly() == _upto(want, order)
+        lengths = [len(w) for w in s.to_ncpoly().coeffs]
+        assert lengths == sorted(lengths)  # words listed shortest first
+
+
 @st.composite
 def integer_series_on_nilpotent_tuple(draw):
     """F and G with integer coefficients in free mode, G without constant
