@@ -82,7 +82,10 @@ class GenExpansion:
 
     def eval_at(self, X: MatTuple) -> MatTuple:
         """Sum of parts at X - A^{+s} (X at any level n*s)."""
-        C = center_tuple(self.center, X.n // self.center.n)
+        n = self.center.n
+        if X.n < n or X.n % n:
+            raise ValueError(f"evaluation size {X.n} is not a positive multiple of the center size {n}")
+        C = center_tuple(self.center, X.n // n)
         H = X - C
         outs = []
         for j in range(self.gprime):
@@ -111,7 +114,7 @@ def monomial_columns(P: np.ndarray, H: MatTuple, m: int, involution: bool) -> np
     the L letters are x1, x1*, x2, ... (x1, x2, ... without involution).
     All products are built at once, each prefix shared by every monomial
     that extends it, in the left-to-right association of
-    ``mateval._eval_term``.  Columns run over the coefficient indices I
+    ``mateval.eval_genpoly``.  Columns run over the coefficient indices I
     outermost and the word K innermost, K in ``words_of_degree`` order.
     """
     dim, N = P.shape[0], P.shape[1]

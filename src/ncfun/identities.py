@@ -26,16 +26,15 @@ from .mateval import (
     _clear_denominators,
     _exact_quotient,
     _exact_values,
-    _integer_plan,
     _max_abs,
     _narrowed,
+    _plan,
     _rng,
-    _terms,
     eval_poly,
     random_mattuple,
 )
 from .poly import FREE, NCPoly, TracePoly
-from .words import Word, max_var
+from .words import Word
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -149,25 +148,24 @@ def is_identity(
     polynomial with int or Fraction coefficients are evaluated over the
     integers (coefficients times their LCD, see :mod:`ncfun.mateval`):
     the first trial alone, since a non-identity usually shows there, then
-    the others drawn and evaluated together in one stacked,
-    prefix-cached walk.  Other coefficients and float trials run one
-    trial at a time.  The first nonzero trial is the witness either way,
-    and ``max_residual`` covers the trials up to it.
+    the others drawn and evaluated together in one stacked prefix walk.
+    Other coefficients and float trials run one trial at a time.  The
+    first nonzero trial is the witness either way, and ``max_residual``
+    covers the trials up to it.
     """
     if n < 1 or trials < 1:
         raise ValueError(f"is_identity needs n >= 1 and trials >= 1, got n={n}, trials={trials}")
-    items = _terms(p)
     rng = _rng(seed)
-    g = max((max_var(u) for _, pure, tail in items for u in (*pure, tail)), default=0) or 1
-    deg = max((sum(map(len, pure)) + len(tail) for _, pure, tail in items), default=0)
+    g = p.num_vars() or 1
+    deg = max(p.degree(), 0)
     d = max(3, deg)
-    plan = _integer_plan(items, g) if exact else None
+    plan = _plan(p, g)
 
     def evaluated():
-        if plan is None:
+        if not exact or not plan.exact:
             for _ in range(trials):
                 X = random_int_tuple(g, n, rng, -d, d) if exact else random_mattuple(g, n, rng)
-                yield X, eval_poly(p, X)
+                yield X, plan.value(X)
             return
         for batch in (1, trials - 1):
             draws = [random_int_tuple(g, n, rng, -d, d) for _ in range(batch)]

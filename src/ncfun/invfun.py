@@ -17,13 +17,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .mateval import MatTuple, direct_sum
-from .oracle import FreeMapOracle, derivative, offdiag_direction
+from .oracle import FreeMapOracle, _symbolic_derivatives, derivative, offdiag_direction
 from .poly import FREE, INV, NCPoly
 from .recon import taylor_at_zero
 from .series import FormalSeries, compose_tuple, series_compose
 
 DET_CUTOFF = 1e-10
 MAX_HALVINGS = 20  # step halvings per Newton iteration
+STALL_ITERS, STALL_FACTOR = 5, 0.9  # Newton stagnates: residual > 0.9 x its value 5 iterations back
 EQUAL_VALUES_TOL = 1e-8  # injectivity_check: f(X1), f(X2) closer than this count as equal
 
 
@@ -176,26 +177,20 @@ class NewtonTrace:
     converged: bool = False
     X: Optional[MatTuple] = None
     cond: float = math.nan
+    reason: str = "maxit"  # why the iteration stopped: "converged", "stagnated" or "maxit"
 
     def __repr__(self):
         tail = self.iterates[-1][0] if self.iterates else math.nan
         return f"NewtonTrace(converged={self.converged}, iters={len(self.iterates)}, final_res={tail:.3g})"
 
 
-def _unit_directions(g: int, n: int, field: str):
-    """Structural coordinate directions: g n^2 matrix units, and for
-    complex maps additionally their i-multiples.  Maps built from
-    conjugate transposes are only R-linear, so the complex case works in
-    the real embedding with 2 g n^2 real coordinates."""
-    dt = complex if field == "complex" else float
-    scales = (1.0,) if field == "real" else (1.0, 1.0j)
-    for s in scales:
-        for k in range(g):
-            for i in range(n):
-                for j in range(n):
-                    mats = [np.zeros((n, n), dtype=dt) for _ in range(g)]
-                    mats[k][i, j] = s
-                    yield MatTuple(mats, field)
+def _unit_directions(g: int, n: int, field: str) -> np.ndarray:
+    """Structural coordinate directions, stacked as (g, T, n, n): the
+    g n^2 matrix units, and for complex maps also their i-multiples
+    (maps built from conjugate transposes are only R-linear, so the
+    complex case works in the real embedding, 2 g n^2 coordinates)."""
+    E = np.eye(g * n * n).reshape(-1, g, n, n).swapaxes(0, 1)
+    return np.concatenate([E, 1j * E], axis=1) if field == "complex" else E
 
 
 def _vec(X: MatTuple) -> np.ndarray:
@@ -220,10 +215,15 @@ def assemble_jacobian(f: FreeMapOracle, X: MatTuple) -> np.ndarray:
     """Frechet derivative at X over the structural coordinate
     directions: a real (g' n^2) x (g n^2) matrix in real mode, the real
     embedding of size (2 g' n^2) x (2 g n^2) in complex mode.  Columns
-    come from the exact product rule for polynomial-backed oracles and
-    from finite differences otherwise."""
-    cols = [_vec(derivative(f, X, E)) for E in _unit_directions(f.g, X.n, f.field)]
-    return np.stack(cols, axis=1)
+    come from one stacked product-rule derivative over every direction
+    for polynomial-backed oracles, and from finite differences
+    otherwise."""
+    E = _unit_directions(f.g, X.n, f.field)
+    if f.polys is None:
+        cols = [_vec(derivative(f, X, MatTuple(list(E[:, t]), f.field))) for t in range(E.shape[1])]
+        return np.stack(cols, axis=1)
+    V = np.stack(_symbolic_derivatives(f, X, E), axis=1).reshape(E.shape[1], -1)
+    return (np.concatenate([V.real, V.imag], axis=1) if f.field == "complex" else V).T
 
 
 def newton_invert(
@@ -235,7 +235,10 @@ def newton_invert(
 ) -> NewtonTrace:
     """Solve f(X) = Y levelwise by damped Newton iteration.  Each tried
     step costs one value of f; the accepted one is the next residual and
-    right-hand side."""
+    right-hand side.  The iteration stops when the residual is below
+    ``tol`` (converged), when it is above STALL_FACTOR times its value
+    STALL_ITERS iterations earlier (stagnated: f(X) = Y may have no
+    solution near the path), or after ``maxit`` iterations."""
     if f.g != f.gprime:
         raise ValueError("newton inversion needs matching input/output arity")
     n = Y.n
@@ -243,8 +246,12 @@ def newton_invert(
     trace = NewtonTrace()
     fX = f(X)
     res = fX.max_diff(Y)
+    history = [res]
     for _ in range(maxit):
         if res < tol:
+            break
+        if len(history) > STALL_ITERS and res > STALL_FACTOR * history[-1 - STALL_ITERS]:
+            trace.reason = "stagnated"
             break
         J = assemble_jacobian(f, X)
         cond = float(np.linalg.cond(J))
@@ -261,8 +268,10 @@ def newton_invert(
             if rn < res or rn < tol:
                 break
         X, fX, res = Xn, fXn, rn
+        history.append(res)
         trace.iterates.append((res, float(step * np.linalg.norm(delta))))
     trace.converged = res < tol
+    trace.reason = "converged" if trace.converged else trace.reason
     trace.X = X
     return trace
 

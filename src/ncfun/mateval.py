@@ -2,18 +2,16 @@
 tuples, group sampling, symmetric matrix functions, and the linear
 algebra of centralizers and generated subalgebras.
 
-NCPolys and TracePolys are read through one term view, a (coefficient,
-traced words, tail) triple per term, so both flavors share one float
-loop and one integer walk.  All numerics are double precision; exact
-evaluation is available by passing object-dtype arrays (e.g. Fraction
-or int entries).  Exact evaluation runs on integers: the tuple's common
-denominator d and the coefficients' LCD are cleared once, every product
-is an integer matrix product, and the sum is divided once at the end.
-The integer arrays are int64 only when a bound on every entry, product
-and partial sum proves that nothing overflows; otherwise they hold
-Python ints, through the same code.  Entries or coefficients that are
-neither int nor Fraction (floats or complex numbers in an object array)
-keep plain Python arithmetic.
+Every polynomial value is a sum of words on a letter stack: a tuple's
+components and their adjoints, plus one slot kron(a, I_s) per coefficient
+of a generalized polynomial.  One engine, ``_Walk``, computes all words
+of a sum in one prefix walk, stacked over tuples when asked, in any
+dtype, and adds the terms in order.  Exact evaluation (object arrays of
+int or Fraction entries and coefficients) runs the same walk on
+integers: the common denominators are cleared once, the walk is int64
+only when a bound proves that nothing overflows (Python ints otherwise),
+and the sum is divided once at the end.  Other object entries keep
+plain Python arithmetic.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 
 from .genpoly import GenPoly
 from .poly import NCPoly, TracePoly
-from .words import Word
+from .words import Letter, Word, max_var
 
 DEFAULT_TOL = 1e-8
 RANK_CUTOFF = 1e-10
@@ -39,17 +37,9 @@ def _is_exact(m: np.ndarray) -> bool:
 
 
 def adjoint(m: np.ndarray, field: str = "real") -> np.ndarray:
-    """Transpose (real) or conjugate transpose (complex)."""
-    return m.conj().T if field == "complex" else m.T
-
-
-def eye_like(n: int, ref: np.ndarray) -> np.ndarray:
-    if _is_exact(ref):
-        m = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            m[i, i] = 1
-        return m
-    return np.eye(n, dtype=ref.dtype)
+    """Transpose (real) or conjugate transpose (complex), of each matrix of
+    a stack."""
+    return (m.conj() if field == "complex" else m).swapaxes(-1, -2)
 
 
 class MatTuple:
@@ -158,68 +148,165 @@ def conjugate(X: MatTuple, sigma: np.ndarray, group: str | None = None) -> MatTu
 # -- evaluation -----------------------------------------------------
 
 
-def eval_word(w: Word, X: MatTuple, cache: Dict[Word, np.ndarray] | None = None) -> np.ndarray:
+def _check_vars(k: int, g: int) -> None:
+    if k > g:
+        raise ValueError(f"word uses x{k} but tuple has {g} components")
+
+
+def _letter_rows(g: int) -> Dict[Letter, int]:
+    """The row of each letter in the stacks of ``_letters``."""
+    return {(k, starred): g * starred + k - 1 for starred in (False, True) for k in range(1, g + 1)}
+
+
+def _letters(X: MatTuple) -> Tuple[np.ndarray, np.ndarray]:
+    """The stacks of X's components and of their adjoints."""
+    A = np.array(X.mats)
+    return A, adjoint(A, X.field)
+
+
+# entries the buffer of one walk may hold: it caps how many tuples of a
+# stack share a walk, so that memory stays bounded for long polynomials
+_WALK_ENTRIES = 2**16
+
+
+class _Walk:
+    """Sums of terms ``(c, (u_1, ..., u_k), tail)``, each c tr(u_1)...
+    tr(u_k) tail with words of letters that ``letter_rows`` maps to rows of
+    a letter stack, planned once for many stacks.  The walk fills one
+    buffer: the letter stack, the unit word when a word is empty, then the
+    longer prefixes level by level, each level grouped by last letter into
+    one stacked matmul of the parents (a slice when contiguous) by that
+    letter."""
+
+    def __init__(self, sums, letter_rows: dict):
+        words = [w for terms in sums for _, pure, tail in terms for w in (*pure, tail)]
+        rows = {(u,): r for u, r in letter_rows.items()}
+        levels: List[Dict[object, list]] = [{} for _ in range(max(map(len, words), default=0) - 1)]
+        seen = set()
+        for w in words:
+            for l in range(len(w), 1, -1):
+                if w[:l] in seen:
+                    break
+                seen.add(w[:l])
+                levels[l - 2].setdefault(w[l - 1], []).append(w[:l])
+        self.letters, self.unit = len(letter_rows), () in words
+        rows[()], self.size = self.letters, self.letters + self.unit
+        self.steps = []
+        for level in levels:
+            for u, ps in level.items():
+                parents = [rows[p[:-1]] for p in ps]
+                p0, a, b = parents[0], self.size, self.size + len(ps)
+                run = parents == list(range(p0, p0 + len(ps)))
+                self.steps.append((letter_rows[u], a, b, slice(p0, p0 + len(ps)) if run else np.array(parents)))
+                rows.update(zip(ps, range(a, b)))
+                self.size = b
+        self.sums = [(np.array([c for c, _, _ in terms]), np.array([rows[t] for _, _, t in terms], dtype=np.intp),
+                      [(k, [rows[u] for u in pure]) for k, (_, pure, _) in enumerate(terms) if pure])
+                     for terms in sums]
+
+    def __call__(self, letters: Sequence[np.ndarray], dtype, coeffs=None) -> List[np.ndarray]:
+        """Each sum on the stack of the blocks ``letters`` (r, ..., n, n), with
+        ``coeffs`` (an array per sum) for the plan's when given; zeros of
+        ``dtype`` if empty.  The weights c tr(u_1)...tr(u_k), per tuple on
+        a stack of tuples, multiply their tails at once, and one reduction
+        adds the products in term order, bit for bit a sequential sum.  A
+        stack of tuples is split so that no buffer exceeds _WALK_ENTRIES."""
+        if letters[0].ndim == 4 and self.size * letters[0][0].size > _WALK_ENTRIES:
+            step = max(1, _WALK_ENTRIES // (self.size * letters[0][0, 0].size))
+            parts = [self([L[:, t : t + step] for L in letters], dtype, coeffs)
+                     for t in range(0, letters[0].shape[1], step)]
+            return [np.concatenate(vals) for vals in zip(*parts)]
+        B = np.empty((self.size,) + letters[0].shape[1:], dtype=np.result_type(*letters))
+        np.concatenate(letters, out=B[: self.letters])
+        if self.unit:
+            B[self.letters] = np.eye(B.shape[-1], dtype=B.dtype)
+        for r, a, b, parents in self.steps:
+            np.matmul(B[parents], B[r], out=B[a:b])
+        out = []
+        for i, (C, tails, traced) in enumerate(self.sums):
+            C = C if coeffs is None else coeffs[i]
+            if traced:
+                weights = C.tolist()
+                for k, us in traced:
+                    for u in us:
+                        weights[k] = weights[k] * np.trace(B[u], axis1=-2, axis2=-1)
+                C = np.array(np.broadcast_arrays(*weights))
+            P = C.reshape(C.shape + (1,) * (B.ndim - C.ndim)) * B[tails]
+            # add.reduce adds the terms in order, but pairwise on a lone entry
+            out.append(np.zeros(B.shape[1:], dtype) if not len(C)
+                       else np.add.reduce(P) if P[0].size > 1 else np.add.accumulate(P)[-1])
+        return out
+
+
+class _PolyPlan(_Walk):
+    """The walk of an NCPoly or a TracePoly on g-tuples.  When every
+    coefficient is an int or a Fraction (``exact``) it also keeps what
+    evaluating over the integers needs: the LCD L of the coefficients,
+    the degree D, each term's integer coefficient c L and degree, and the
+    summed weights of each term shape that the overflow bound needs."""
+
+    def __init__(self, p, g: int):
+        _check_vars(p.num_vars(), g)
+        items = ([(c, (), w) for w, c in p.coeffs.items()] if isinstance(p, NCPoly)
+                 else [(c, pure, tail) for (pure, tail), c in p.coeffs.items()])
+        super().__init__([items], _letter_rows(g))
+        self.g = g
+        self.exact = all(isinstance(c, (int, Fraction)) for c, _, _ in items)
+        if self.exact:
+            self.L = math.lcm(*(c.denominator for c, _, _ in items))
+            self.int_coeffs, self.shapes = [], {}
+            for c, pure, tail in items:
+                c = int(c * self.L)
+                self.int_coeffs.append((c, sum(map(len, pure)) + len(tail)))
+                shape = (len(tail), tuple(sorted(map(len, pure))))
+                self.shapes[shape] = self.shapes.get(shape, 0) + max(abs(c), 1)
+            self.D = max((m for _, m in self.int_coeffs), default=0)
+
+    def bound(self, n: int, M: int, d: int) -> int:
+        """Cap on every entry, product and partial sum of the walk on n x n
+        integer matrices with entries at most M in size, each term of
+        degree m weighted d^(D - m): a product of l factors has entries at
+        most n^(l-1) M^l and a trace at most n^l M^l."""
+        M = max(M, 1)
+        total = 0
+        for (l, traced), w in self.shapes.items():
+            b = w * d ** (self.D - l - sum(traced)) * n ** max(l - 1, 0) * M**l
+            for u in traced:
+                b *= (n * M) ** max(u, 1)
+            total += b
+        return total
+
+    def value(self, X: MatTuple) -> np.ndarray:
+        """p(X): over the integers when every entry and coefficient is an int
+        or a Fraction (see ``_exact_values``), else in X's arithmetic."""
+        exact = _is_exact(X.mats[0])
+        vals = exact and self.exact and _exact_values(self, [X])
+        if vals:
+            return next(vals)
+        return self(_letters(X), object if exact else None)[0]
+
+
+def _plan(p, g: int) -> _PolyPlan:
+    """p's plan on g-tuples, made on first use and kept on p: a polynomial
+    does not change once built, and oracles evaluate one on many tuples."""
+    if not isinstance(p, (NCPoly, TracePoly)):
+        raise TypeError(f"{type(p).__name__} is not an NCPoly or a TracePoly")
+    if g not in p._plans:
+        p._plans[g] = _PolyPlan(p, g)
+    return p._plans[g]
+
+
+def eval_word(w: Word, X: MatTuple) -> np.ndarray:
     """Product of components (and their adjoints) in word order."""
-    if cache is None:
-        cache = {}
-    w = tuple(w)
-    if w in cache:
-        return cache[w]
-    if not w:
-        out = eye_like(X.n, X.mats[0])
-    else:
-        prefix = eval_word(w[:-1], X, cache)
-        k, starred = w[-1]
-        if k > X.g:
-            raise ValueError(f"word uses x{k} but tuple has {X.g} components")
-        m = adjoint(X.mats[k - 1], X.field) if starred else X.mats[k - 1]
-        out = prefix.dot(m) if len(w) > 1 else m
-    cache[w] = out
-    return out
-
-
-def _zeros(X: MatTuple) -> np.ndarray:
-    """The value of the zero polynomial: object zeros on an exact tuple."""
-    return np.zeros((X.n, X.n), dtype=object if _is_exact(X.mats[0]) else None)
-
-
-def _terms(p):
-    """The term view of an NCPoly or TracePoly: one ``(coefficient, traced
-    words, tail)`` per term, where the term is c tr(u_1)...tr(u_k) tail
-    (no traced words for an NCPoly)."""
-    if isinstance(p, NCPoly):
-        return [(c, (), w) for w, c in p.coeffs.items()]
-    if isinstance(p, TracePoly):
-        return [(c, pure, tail) for (pure, tail), c in p.coeffs.items()]
-    raise TypeError(f"{type(p).__name__} is not an NCPoly or a TracePoly")
-
-
-def _eval_terms(items, X: MatTuple) -> np.ndarray:
-    """The sum of the terms ``items`` (see ``_terms``) at X: over the
-    integers when every entry and coefficient is an int or a Fraction,
-    else term by term in the entries' own arithmetic, words shared
-    through one ``eval_word`` cache."""
-    plan = _integer_plan(items, X.g) if _is_exact(X.mats[0]) else None
-    vals = plan and _exact_values(plan, [X])
-    if vals is not None:
-        return next(vals)
-    cache: Dict[Word, np.ndarray] = {}
-    out = None
-    for c, pure, tail in items:
-        val = c
-        for w in pure:
-            val = val * np.trace(eval_word(w, X, cache))
-        term = val * eval_word(tail, X, cache)
-        out = term if out is None else out + term
-    return _zeros(X) if out is None else out
+    return eval_ncpoly(NCPoly.from_word(w), X)
 
 
 def eval_ncpoly(p: NCPoly, X: MatTuple) -> np.ndarray:
-    return _eval_terms(_terms(p), X)
+    return _plan(p, X.g).value(X)
 
 
 def eval_tracepoly(p: TracePoly, X: MatTuple) -> np.ndarray:
-    return _eval_terms(_terms(p), X)
+    return _plan(p, X.g).value(X)
 
 
 # -- exact evaluation on integers ------------------------------------
@@ -256,205 +343,47 @@ def _exact_quotient(N: np.ndarray, q: int) -> np.ndarray:
     return np.array([Fraction(v, q) for v in N.ravel().tolist()], dtype=object).reshape(N.shape)
 
 
-def _prefix_plan(words: Iterable[Word], g: int):
-    """``(levels, steps)`` for a walk over the prefixes of ``words``.
-
-    ``levels[l]`` maps each distinct length-l prefix to its row in level l
-    (level 0 is the unit word); rows are grouped by last letter, whose
-    row in the letter stack is k - 1 for x_k and g + k - 1 for x_k*.
-    ``steps[l - 1]`` holds the row of each word's prefix in level l - 1
-    and, per letter, its row and the slice of level l ending in it."""
-    prefixes: List[Dict[Word, None]] = [{(): None}]
-    for w in words:
-        prefixes.extend({} for _ in range(len(w) + 1 - len(prefixes)))
-        for l in range(len(w), 0, -1):
-            if w[:l] in prefixes[l]:
-                break
-            prefixes[l][w[:l]] = None
-    levels: List[Dict[Word, int]] = [{(): 0}]
-    steps = []
-    for ws in prefixes[1:]:
-        keyed = []
-        for w in ws:
-            k, starred = w[-1]
-            if k > g:
-                raise ValueError(f"word uses x{k} but tuple has {g} components")
-            keyed.append((g * starred + k - 1, w))
-        keyed.sort(key=lambda t: t[0])
-        parents = np.array([levels[-1][w[:-1]] for _, w in keyed], dtype=np.intp)
-        groups = []
-        for i, (r, _) in enumerate(keyed):
-            if not groups or groups[-1][0] != r:
-                groups.append([r, i, i])
-            groups[-1][2] = i + 1
-        levels.append({w: i for i, (_, w) in enumerate(keyed)})
-        steps.append((parents, groups))
-    return levels, steps
-
-
-def _walk(steps, A: np.ndarray):
-    """Yield level by level the stacked products of a plan's words on the
-    integer tuples A of shape (g, T, n, n): each word's product is its
-    prefix's times its last letter, one batched matmul per letter."""
-    letters = np.concatenate([A, A.swapaxes(-1, -2)])
-    P = np.broadcast_to(np.eye(A.shape[-1], dtype=A.dtype), (1,) + A.shape[1:])
-    yield P
-    for parents, groups in steps:
-        Q = np.empty((len(parents),) + A.shape[1:], dtype=A.dtype)
-        for r, a, b in groups:
-            np.matmul(P[parents[a:b]], letters[r], out=Q[a:b])
-        P = Q
-        yield P
-
-
-class _IntegerPlan:
-    """What evaluating p over the integers needs that no tuple changes:
-    the LCD L of its coefficients, its degree D, its terms split into
-    trace-free ones (an integer weight per tail word, level by level of
-    the tail walk) and traced ones, the walk plans of the tails and of the
-    traced words (see ``_prefix_plan``), and the summed weights of each
-    term shape that the overflow bound needs."""
-
-    def __init__(self, items, g: int):
-        self.L = math.lcm(*(c.denominator for c, _, _ in items))
-        self.D = 0
-        self.traced = _prefix_plan((u for _, pure, _ in items for u in pure), g)
-        self.tails = _prefix_plan((tail for _, _, tail in items), g)
-        weights: Dict[Word, int] = {}
-        self.traced_terms = []
-        self.shapes: Dict[tuple, int] = {}
-        for c, pure, tail in items:
-            c, m = int(c * self.L), sum(map(len, pure)) + len(tail)
-            self.D = max(self.D, m)
-            weights[tail] = weights.get(tail, 0) + (0 if pure else c)
-            if pure:
-                self.traced_terms.append((c, pure, tail, m))
-            shape = (len(tail), tuple(sorted(map(len, pure))))
-            self.shapes[shape] = self.shapes.get(shape, 0) + max(abs(c), 1)
-        self.tail_weights = []  # per tail level: the words ending a term, their rows, their weights
-        for lev in self.tails[0]:
-            words = [w for w in lev if w in weights]
-            self.tail_weights.append((words, np.array([lev[w] for w in words], dtype=np.intp),
-                                [weights[w] for w in words]))
-
-    def bound(self, n: int, M: int, d: int) -> int:
-        """Cap on every entry, product and partial sum of the walk on n x n
-        integer matrices with entries at most M in size, each term of
-        degree m weighted d^(D - m): a product of l factors has entries at
-        most n^(l-1) M^l and a trace at most n^l M^l."""
-        M = max(M, 1)
-        total = 0
-        for (l, traced), w in self.shapes.items():
-            b = w * d ** (self.D - l - sum(traced)) * n ** max(l - 1, 0) * M**l
-            for u in traced:
-                b *= (n * M) ** max(u, 1)
-            total += b
-        return total
-
-
-def _integer_plan(items, g: int):
-    """The ``_IntegerPlan`` of the terms ``items`` (see ``_terms``) on
-    g-tuples; None unless every coefficient is an int or a Fraction."""
-    if not all(isinstance(c, (int, Fraction)) for c, _, _ in items):
-        return None
-    return _IntegerPlan(items, g)
-
-
-def _integer_sum(plan: _IntegerPlan, weights, traced_terms, A: np.ndarray) -> np.ndarray:
-    """Sum of the plan's terms, weighted as ``weights`` (per tail level) and
-    ``traced_terms`` say, on the stacked integer tuples A of shape
-    (g, T, n, n): one walk for the traced words, then one for the tails."""
-    T = A.shape[1]
-    coef: Dict[Word, object] = {}  # tail -> per-trial weight of the traced terms
-    if traced_terms:
-        traces = {}
-        for lev, P in zip(plan.traced[0], _walk(plan.traced[1], A)):
-            tr = np.trace(P, axis1=-2, axis2=-1)
-            traces.update((w, tr[i]) for w, i in lev.items())
-        for c, pure, tail in traced_terms:
-            val = c
-            for u in pure:
-                val = val * traces[u]
-            coef[tail] = coef.get(tail, 0) + val
-    out = np.zeros(A.shape[1:], dtype=A.dtype)
-    for P, (words, rows, wts) in zip(_walk(plan.tails[1], A), weights):
-        if not words:
-            continue
-        Q = P if len(rows) == len(P) else P[rows]
-        if coef:
-            C = np.repeat(wts[:, None], T, axis=1)
-            for j, w in enumerate(words):
-                if w in coef:
-                    C[j] += coef[w]
-            out += np.einsum("wt,wtij->tij", C, Q)
-        else:
-            out += np.einsum("w,wtij->tij", wts, Q)
-    return out
-
-
-# integers one level of the stacked walk may hold: it caps how many
-# tuples share a walk, so that memory stays bounded for long polynomials
-_LEVEL_ENTRIES = 2**16
-
-
-def _exact_values(plan: _IntegerPlan, tuples: Sequence[MatTuple]):
-    """An iterator over the exact values, on the g-tuples of n x n matrices
-    ``tuples``, of the polynomial ``plan`` was made for: Python ints when
-    no denominator remains, Fractions otherwise.  None unless every entry
-    is an int or a Fraction.
-
-    The common denominator d of all entries is cleared once: with A = d X,
-    each term of degree m is weighted d^(D - m), so every value is one
-    integer sum divided by L d^D.  The tuples are stacked, as many per walk
-    as ``_LEVEL_ENTRIES`` allows."""
+def _exact_values(plan: _PolyPlan, tuples: Sequence[MatTuple]):
+    """An iterator over the exact values of ``plan``'s polynomial on the
+    g-tuples ``tuples``: Python ints, or Fractions when a denominator
+    remains; None unless every entry is an int or a Fraction.  With the
+    common denominator d of all entries cleared, A = d X, a term of degree
+    m is weighted d^(D - m), so each value is one integer sum divided by
+    L d^D."""
     cleared = _clear_denominators([m for X in tuples for m in X.mats])
     if cleared is None:
         return None
     A, d = cleared
-    T, g, n = len(tuples), tuples[0].g, tuples[0].n
+    T, g, n = len(tuples), plan.g, tuples[0].n
     A = _narrowed(A.reshape(T, g, n, n).swapaxes(0, 1), plan.bound(n, _max_abs(A), d))
-    D = plan.D
-    weights = [(words, rows, np.array([c * d ** (D - l) for c in wts], dtype=A.dtype))
-               for l, (words, rows, wts) in enumerate(plan.tail_weights)]
-    traced_terms = [(c * d ** (D - m), pure, tail) for c, pure, tail, m in plan.traced_terms]
-    step = max(1, _LEVEL_ENTRIES // (max(map(len, plan.traced[0] + plan.tails[0])) * n * n))
-    return (_exact_quotient(v, plan.L * d**D) for s in range(0, T, step)
-            for v in _integer_sum(plan, weights, traced_terms, A[:, s : s + step]))
-
-
-def _eval_term(
-    mats: Sequence[np.ndarray], letters: Word, X: MatTuple, eye_s: np.ndarray
-) -> np.ndarray:
-    """a_0 X_{k_1} a_1 ... X_{k_m} a_m, each coefficient acting as kron(a, eye_s)."""
-    acc = np.kron(np.asarray(mats[0]), eye_s)
-    for (k, starred), a in zip(letters, mats[1:]):
-        m = adjoint(X.mats[k - 1], X.field) if starred else X.mats[k - 1]
-        acc = acc.dot(m).dot(np.kron(np.asarray(a), eye_s))
-    return acc
+    coeffs = [np.array([c * d ** (plan.D - m) for c, m in plan.int_coeffs])]
+    return (_exact_quotient(v, plan.L * d**plan.D) for v in plan((A, A.swapaxes(-1, -2)), A.dtype, coeffs)[0])
 
 
 def eval_genpoly(p: GenPoly, X: MatTuple) -> np.ndarray:
-    """Evaluate at level ns; coefficients a act as kron(a, I_s)."""
+    """Evaluate at level ns; coefficients a act as kron(a, I_s).  A term
+    a_0 u_1 a_1 ... u_m a_m is one word in the letters of X and one slot
+    kron(a, I_s) per distinct coefficient array."""
     if X.n % p.n:
         raise ValueError(f"evaluation size {X.n} is not a multiple of coefficient size {p.n}")
-    s = X.n // p.n
-    eye_s = eye_like(s, X.mats[0])
+    _check_vars(max((max_var(t.letters) for t in p.terms), default=0), X.g)
+    eye_s = np.eye(X.n // p.n, dtype=X.mats[0].dtype)
+    coeffs = {id(a): a for t in p.terms for a in t.mats}
+    letter_rows = {**_letter_rows(X.g), **{key: 2 * X.g + i for i, key in enumerate(coeffs)}}
+    words = [(id(t.mats[0]),) + sum(((u, id(a)) for u, a in zip(t.letters, t.mats[1:])), ()) for t in p.terms]
+    slots = [np.kron(a, eye_s) for a in coeffs.values()]
     exact = _is_exact(X.mats[0])
-    out = np.zeros((X.n, X.n), dtype=object if exact else complex)
-    for t in p.terms:
-        out = out + _eval_term(t.mats, t.letters, X, eye_s)
-    if not exact and not np.iscomplexobj(X.mats[0]) and not any(
-        np.iscomplexobj(m) for t in p.terms for m in t.mats
-    ):
-        out = out.real
-    return out
+    out = _Walk([[(1, (), w) for w in words]], letter_rows)(
+        _letters(X) + ((np.array(slots),) if slots else ()), object if exact else complex)[0]
+    real = not exact and not any(map(np.iscomplexobj, X.mats + tuple(slots)))
+    return out.real if real else out
 
 
 def eval_poly(p, X: MatTuple) -> np.ndarray:
     """Dispatch over the three polynomial flavors."""
     if isinstance(p, GenPoly):
         return eval_genpoly(p, X)
-    return _eval_terms(_terms(p), X)
+    return _plan(p, X.g).value(X)
 
 
 # -- random sampling ------------------------------------------------

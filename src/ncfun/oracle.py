@@ -20,6 +20,9 @@ from . import identities
 from .mateval import (
     DEFAULT_TOL,
     MatTuple,
+    _Walk,
+    _check_vars,
+    _letter_rows,
     _rng,
     adjoint,
     conjugate,
@@ -399,24 +402,27 @@ def directional_derivative(
     return tops[-1], err
 
 
+def _symbolic_derivatives(f: FreeMapOracle, X: MatTuple, H: np.ndarray) -> List[np.ndarray]:
+    """D f(X)[H] for a polynomial-backed oracle on the T directions H of
+    shape (g, T, n, n): one (T, n, n) array per output.  By the product
+    rule a word w spawns len(w) words, each with one letter x_k replaced
+    by x_(g+k), its H-letter in the 2g-tuple (X, H); one walk evaluates
+    them all, summed in (word, position) order."""
+    g = X.g
+    _check_vars(max(p.num_vars() for p in f.polys), g)
+    sums = [[(c, (), w[:i] + ((k + g, starred),) + w[i + 1:])
+             for w, c in p.coeffs.items() for i, (k, starred) in enumerate(w)] for p in f.polys]
+    XH = np.concatenate([np.broadcast_to(np.stack(X.mats)[:, None], H.shape), H])
+    dt = complex if X.field == "complex" else float
+    outs = _Walk(sums, _letter_rows(2 * g))((XH, adjoint(XH, X.field)), dt)
+    return [v.real if X.field == "real" else v for v in outs]
+
+
 def symbolic_directional_derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) -> MatTuple:
     """Exact product-rule derivative for polynomial-backed oracles."""
     if not f.polys:
         raise ValueError("oracle has no symbolic backing")
-    outs = []
-    for p in f.polys:
-        acc = np.zeros((X.n, X.n), dtype=complex if X.field == "complex" else float)
-        for w, c in p.coeffs.items():
-            for pos in range(len(w)):
-                cur = None
-                for i, (k, starred) in enumerate(w):
-                    src = H if i == pos else X
-                    m = adjoint(src.mats[k - 1], X.field) if starred else src.mats[k - 1]
-                    cur = m if cur is None else cur @ m
-                if cur is not None:
-                    acc = acc + c * cur
-        outs.append(acc.real if X.field == "real" else acc)
-    return MatTuple(outs, X.field)
+    return MatTuple([v[0] for v in _symbolic_derivatives(f, X, np.stack(H.mats)[:, None])], X.field)
 
 
 def derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) -> MatTuple:

@@ -51,9 +51,11 @@ def _check_mode(mode: str) -> str:
 
 class _SparsePoly:
     """Arithmetic shared by NCPoly and TracePoly; ``_space`` names what two
-    operands must share, and ``_like`` rebuilds a result in that space."""
+    operands must share, and ``_like`` rebuilds a result in that space.
+    ``_plans`` keeps the polynomial's evaluation plans by tuple arity (see
+    :mod:`ncfun.mateval`)."""
 
-    __slots__ = ("coeffs", "mode")
+    __slots__ = ("coeffs", "mode", "_plans")
 
     def _space(self) -> tuple:
         return (self.mode,)
@@ -121,6 +123,7 @@ class NCPoly(_SparsePoly):
                 raise ValueError(f"starred letters not allowed in {FREE} mode: {word_str(w)}")
             clean[tuple(w)] = c
         self.coeffs = clean
+        self._plans = {}
 
     # -- constructors ------------------------------------------------
 
@@ -240,6 +243,7 @@ class TracePoly(_SparsePoly):
                     raise ValueError("starred letters not allowed in free mode")
             clean[key] = clean.get(key, 0) + c
         self.coeffs = {k: c for k, c in clean.items() if c != 0}
+        self._plans = {}
 
     def _space(self) -> tuple:
         return (self.mode, self.field)

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from ncfun import GenPoly, NCPoly
+from ncfun import GenPoly, MatTuple, NCPoly
 from ncfun.identities import IdentityReport, random_int_tuple
+from ncfun.mateval import adjoint
 
 
 def max_basis_diff(p: GenPoly, q: GenPoly) -> float:
@@ -15,27 +16,73 @@ def max_basis_diff(p: GenPoly, q: GenPoly) -> float:
 
 
 def word_value(w, X) -> np.ndarray:
-    """Left-to-right product of the (real, exact) components a word names."""
-    out = np.eye(X.n, dtype=int).astype(object)
+    """Left-to-right product of the components (and adjoints) a word names,
+    in the tuple's own dtype: the first letter itself, then one ``.dot``
+    per further letter; the identity for the empty word."""
+    out = None
     for k, starred in w:
-        out = out.dot(X.mats[k - 1].T if starred else X.mats[k - 1])
-    return out
+        m = X.mats[k - 1]
+        if starred:
+            m = m.conj().T if X.field == "complex" else m.T
+        out = m if out is None else out.dot(m)
+    return np.eye(X.n, dtype=X.mats[0].dtype) if out is None else out
 
 
 def reference_eval(p, X) -> np.ndarray:
-    """p(X) term by term in Python arithmetic on object matrices: no
-    prefix sharing, no denominator clearing, no int64."""
+    """p(X) as a plain sum in the tuple's own arithmetic: each term
+    c tr(u_1)...tr(u_k) tail computed on its own, and the terms added in
+    order from the first; no prefix sharing, no stacking, no denominator
+    clearing, no int64."""
     if isinstance(p, NCPoly):
         items = [(c, (), w) for w, c in p.coeffs.items()]
     else:
         items = [(c, pure, tail) for (pure, tail), c in p.coeffs.items()]
-    total = np.zeros((X.n, X.n), dtype=int).astype(object)
+    total = None
     for c, pure, tail in items:
         val = c
         for u in pure:
             val = val * np.trace(word_value(u, X))
-        total = total + val * word_value(tail, X)
-    return total
+        term = val * word_value(tail, X)
+        total = term if total is None else total + term
+    return np.zeros((X.n, X.n), dtype=X.mats[0].dtype) if total is None else total
+
+
+def reference_derivative(f, X, H) -> MatTuple:
+    """The product rule of a polynomial oracle as a plain loop: each word
+    rebuilt once per position, with H in that position, and the words
+    added in (word, position) order to zero."""
+    outs = []
+    for p in f.polys:
+        acc = np.zeros((X.n, X.n), dtype=complex if X.field == "complex" else float)
+        for w, c in p.coeffs.items():
+            for pos in range(len(w)):
+                cur = None
+                for i, (k, starred) in enumerate(w):
+                    src = H if i == pos else X
+                    m = adjoint(src.mats[k - 1], X.field) if starred else src.mats[k - 1]
+                    cur = m if cur is None else cur @ m
+                acc = acc + c * cur
+        outs.append(acc.real if X.field == "real" else acc)
+    return MatTuple(outs, X.field)
+
+
+def reference_jacobian(f, X) -> np.ndarray:
+    """The Jacobian of a polynomial oracle column by column: one
+    ``reference_derivative`` per matrix unit E_ij in component k (and, for
+    complex maps, per i E_ij after them), its outputs flattened, with the
+    real parts above the imaginary ones for complex maps."""
+    n, dt = X.n, complex if f.field == "complex" else float
+    cols = []
+    for s in (1.0,) if f.field == "real" else (1.0, 1j):
+        for k in range(f.g):
+            for i in range(n):
+                for j in range(n):
+                    mats = [np.zeros((n, n), dtype=dt) for _ in range(f.g)]
+                    mats[k][i, j] = s
+                    d = reference_derivative(f, X, MatTuple(mats, f.field))
+                    flat = np.concatenate([np.asarray(m, dtype=dt).ravel() for m in d.mats])
+                    cols.append(np.concatenate([flat.real, flat.imag]) if f.field == "complex" else flat)
+    return np.stack(cols, axis=1)
 
 
 def reference_is_identity(p, n: int, trials: int, seed: int) -> IdentityReport:

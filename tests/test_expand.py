@@ -6,6 +6,7 @@ import pytest
 
 from ncfun import (
     INV,
+    GenPoly,
     MatTuple,
     NCPoly,
     coefficient_algebra,
@@ -17,7 +18,6 @@ from ncfun import (
     taylor_at_zero,
 )
 from ncfun.expand import center_tuple, monomial_columns
-from ncfun.mateval import _eval_term
 from ncfun.oracle import random_ncpoly
 from ncfun.words import words_of_degree
 
@@ -156,18 +156,17 @@ def _complex_center():
     ],
 )
 def test_stacked_columns_match_term_by_term(group, center, involution):
-    # the stacked prefix products against one _eval_term call per monomial
+    # the stacked prefix products against one eval_genpoly call per monomial
     basis = coefficient_algebra(group, center)
     dt = complex if center.field == "complex" else float
     s = 2
     bas = [np.asarray(b, dtype=dt) for b in basis.mats]
     P = np.stack([np.kron(b, np.eye(s)) for b in bas])
     H = random_mattuple(center.g, center.n * s, np.random.default_rng(12), center.field)
-    eye_s = np.eye(s, dtype=dt)
     for m in range(4):
         want = np.stack(
             [
-                _eval_term([bas[i] for i in I], K, H, eye_s).ravel()
+                eval_genpoly(GenPoly.monomial([bas[i] for i in I], K), H).ravel()
                 for I in itertools.product(range(basis.dim), repeat=m + 1)
                 for K in words_of_degree(center.g, m, involution)
             ],
@@ -176,6 +175,14 @@ def test_stacked_columns_match_term_by_term(group, center, involution):
         got = monomial_columns(P, H, m, involution)
         assert got.shape == want.shape and got.dtype == dt
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_eval_at_needs_a_multiple_of_the_center_size():
+    exp = expand_at_point(oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1)), e12(), D=1, s_eval=2, seed=0)
+    for n in (1, 5):
+        with pytest.raises(ValueError, match=f"size {n} is not a positive multiple of the center size 2"):
+            exp.eval_at(random_mattuple(1, n, 0))
+    assert exp.eval_at(center_tuple(e12(), 2)).n == 4
 
 
 def test_expand_evaluations_are_the_oracle_calls():

@@ -24,7 +24,10 @@ from ncfun import (
     random_group_element,
     random_mattuple,
 )
+from ncfun.invfun import assemble_jacobian
 from ncfun.oracle import random_ncpoly
+
+from helpers import reference_jacobian
 
 x1 = NCPoly.variable(1)
 
@@ -147,6 +150,31 @@ def test_newton_evaluates_f_once_per_accepted_step():
     f = oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True))
     tr = newton_invert(f, MatTuple([0.1 * np.eye(3) + 0.05 * np.tri(3)]))
     assert tr.converged and f.calls == 1 + len(tr.iterates)
+
+
+@pytest.mark.parametrize("mode", [FREE, INV])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_stacked_jacobian_matches_reference_columns_bit_for_bit(mode, field):
+    # n = 8 splits the stack of directions over several walks
+    for seed in range(4):
+        g = 1 + seed % 2
+        polys = [random_ncpoly(g, 3, mode, seed=20 * seed + j, n_terms=5, field=field) for j in range(g)]
+        f = oracle_from_ncpoly(polys, field=field)
+        for n in (1, 2, 3, 8):
+            X = random_mattuple(f.g, n, seed + n, field)
+            got, want = assemble_jacobian(f, X), reference_jacobian(f, X)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_newton_stop_reasons():
+    f = oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True))
+    # x + x x^t = Y has no solution here; the residual stalls near 0.157
+    tr = newton_invert(f, MatTuple([0.1 * np.random.default_rng(3).standard_normal((8, 8))]), tol=1e-12)
+    assert not tr.converged and tr.reason == "stagnated" and len(tr.iterates) <= 10
+    assert tr.iterates[-1][0] > 0.1
+    Y = MatTuple([0.1 * np.eye(3) + 0.05 * np.tri(3)])
+    assert newton_invert(f, Y).reason == "converged"
+    assert newton_invert(f, Y, maxit=1).reason == "maxit"
 
 
 def test_newton_matches_formal_inverse():

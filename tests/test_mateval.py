@@ -25,8 +25,10 @@ from ncfun import (
     sym_matrix_function,
 )
 from ncfun.mateval import matrix_units
+from ncfun.oracle import random_ncpoly
+from ncfun.words import words_of_degree
 
-from helpers import max_basis_diff
+from helpers import max_basis_diff, reference_eval
 
 
 def e(n, i, j):
@@ -130,6 +132,12 @@ def test_eval_genpoly_scalar_coefficients():
     X = random_mattuple(2, 4, rng)
     p = GenPoly.from_ncpoly(NCPoly.variable(1) * NCPoly.variable(2), 2).scale(1.5)
     assert np.allclose(eval_genpoly(p, X), 1.5 * X.mats[0] @ X.mats[1])
+
+
+def test_eval_genpoly_keeps_a_later_complex_component():
+    X = MatTuple([np.eye(2), 1j * np.eye(2)], "complex")
+    p = GenPoly.monomial([np.eye(2), np.eye(2)], parse_word("x2"))
+    assert np.array_equal(eval_genpoly(p, X), 1j * np.eye(2))
 
 
 def test_eval_genpoly_uniqueness_oracle():
@@ -296,3 +304,42 @@ def test_exact_eval_sums_past_int64():
     # clearing d = 2^40 weights the constant term by d^2 = 2^80
     tiny = MatTuple([np.array([[Fraction(1, 2**40)]], dtype=object)])
     assert eval_ncpoly(NCPoly({(): 1, ((1, False),) * 2: 1}), tiny)[0, 0] == 1 + Fraction(1, 2**80)
+
+
+def _random_tracepoly(g, mode, field, rng):
+    """A few terms c tr(u_1)...tr(u_k) tail with k <= 2 and short words."""
+    inv = mode == INV
+    words = [w for m in range(3) for w in words_of_degree(g, m, inv)]
+    coeffs = {}
+    for _ in range(5):
+        pure = tuple(words[int(rng.integers(1, len(words)))] for _ in range(int(rng.integers(0, 3))))
+        c = float(rng.uniform(-1, 1))
+        coeffs[(pure, words[int(rng.integers(0, len(words)))])] = complex(c, 0.5) if field == "complex" else c
+    return TracePoly(coeffs, mode, field)
+
+
+def _fraction_tuple(g, n, rng):
+    return MatTuple([np.array([[Fraction(int(a), int(b)) for a, b in zip(r1, r2)] for r1, r2 in
+                               zip(rng.integers(-4, 5, (n, n)), rng.integers(1, 4, (n, n)))], dtype=object)
+                     for _ in range(g)])
+
+
+def test_eval_matches_the_plain_term_loop():
+    # floats and complex numbers bit for bit, exact entries as numbers
+    rng = np.random.default_rng(11)
+    for seed in range(8):
+        mode = INV if seed % 2 else "free"
+        for field in ("real", "complex"):
+            p = random_ncpoly(2, 4, mode, seed=seed, n_terms=6, field=field)
+            t = _random_tracepoly(2, mode, field, rng)
+            for n in (1, 2, 3, 5):
+                X = random_mattuple(2, n, rng, field)
+                for poly, ev in ((p, eval_ncpoly), (t, eval_tracepoly)):
+                    got, want = ev(poly, X), reference_eval(poly, X)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+        q = NCPoly({w: Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for w in p.coeffs}, mode)
+        tq = TracePoly({k: Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 4))) for k in t.coeffs}, mode)
+        for X in (_fraction_tuple(2, 3, rng), MatTuple([rng.integers(-4, 5, (3, 3)).astype(object)] * 2)):
+            for poly, ev in ((q, eval_ncpoly), (tq, eval_tracepoly)):
+                got, want = ev(poly, X), reference_eval(poly, X)
+                assert got.dtype == object and all(got[i, j] == want[i, j] for i in range(3) for j in range(3))

@@ -23,6 +23,8 @@ from ncfun import (
 )
 from ncfun.oracle import DEFAULT_LEVELS, neville_to_zero, random_ncpoly
 
+from helpers import reference_derivative
+
 
 def e(n, i, j):
     m = np.zeros((n, n))
@@ -120,6 +122,21 @@ def test_directional_derivative_values():
     assert np.linalg.norm(symbolic_directional_derivative(g, X, H).mats[0] - want2) < 1e-13
     est2, _ = directional_derivative(g, X, H)
     assert np.linalg.norm(est2.mats[0] - want2) < 1e-8
+
+
+@pytest.mark.parametrize("mode", ["free", "involution"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_symbolic_derivative_is_the_product_rule_bit_for_bit(mode, field):
+    # the walk against a plain per-position product-rule loop
+    for seed in range(6):
+        g = 1 + seed % 2
+        polys = [random_ncpoly(g, 4, mode, seed=10 * seed + j, n_terms=6, field=field) for j in range(g)]
+        f = oracle_from_ncpoly(polys, field=field)
+        for n in (1, 2, 3, 5):
+            X = random_mattuple(f.g, n, seed + n, field)
+            H = random_mattuple(f.g, n, seed + 50 + n, field)
+            got, want = symbolic_directional_derivative(f, X, H), reference_derivative(f, X, H)
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got.mats, want.mats))
 
 
 def test_neville_to_zero_exact_on_polynomials():
