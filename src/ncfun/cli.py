@@ -83,15 +83,8 @@ class Emitter:
             self.line(f"PASS {rep.name} max_residual={rep.max_violation!r}",
                       kind="pass", check=rep.name, residual=rep.max_violation)
         else:
-            level = 0
-            if rep.witnesses:
-                info = rep.witnesses[0][0]
-                lv = info[0] if isinstance(info, tuple) else info
-                if isinstance(lv, tuple):
-                    lv = sum(lv)
-                if isinstance(lv, int):
-                    level = lv
-            self.fail(rep.name, level, rep.max_violation)
+            # the level the first violation ran at (none is kept when tol is nan)
+            self.fail(rep.name, rep.witnesses[0][2] if rep.witnesses else 0, rep.max_violation)
 
 
 def _read(path: str) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import List, Tuple
 
 import numpy as np
@@ -172,9 +172,8 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
     rng = _rng(seed)
     calls0 = f.calls
 
-    def shifted(H: MatTuple) -> MatTuple:
-        return f(C + H)
-
+    # f about C, scanned as any map of f's kind at radius inf; its calls count on f
+    shifted = replace(f, evaluator=lambda H: f(C + H), polys=None, radius=math.inf)
     Dint = D
     if f.is_polynomial():
         Dint = max(D, f.poly_degree())
@@ -198,14 +197,7 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
         B = np.empty((samples * per_sample, f.gprime), dtype=dt)
         for r in range(samples):
             H = random_mattuple(f.g, level, rng, f.field, norm=1.0)
-            y = homogeneous_part_eval(
-                shifted,
-                m,
-                H,
-                Dint,
-                refine=0 if f.is_polynomial() else None,
-                h=min(1.0, f.radius_at(level) / 2.0) if f.is_polynomial() else None,
-            )
+            y = homogeneous_part_eval(shifted, m, H, Dint)
             rows = slice(r * per_sample, (r + 1) * per_sample)
             M[rows] = monomial_columns(P, H, m, mode == INV)
             for j in range(f.gprime):

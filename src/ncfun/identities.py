@@ -6,9 +6,10 @@ The standard polynomial S_2k vanishes identically on M_n iff k >= n
 rather than expanding the (2k)! terms, and works with exact integer or
 Fraction entries.  Exact evaluation runs on integers: S_m, being
 multilinear, clears each argument's denominator and divides once at the
-end, and ``is_identity`` evaluates all its exact trials as one stack of
-integer tuples (see :mod:`ncfun.mateval`), in int64 only when a bound on
-the entries proves that nothing overflows.
+end, in int64 only when a bound on the entries proves that nothing
+overflows.  ``is_identity`` evaluates its trials, exact or float, on the
+polynomial's kept plan (see :mod:`ncfun.mateval`): the first alone, the
+rest as one stack.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .mateval import (
     MatTuple,
     _clear_denominators,
     _exact_quotient,
-    _exact_values,
     _max_abs,
     _narrowed,
     _plan,
@@ -82,11 +82,11 @@ def eval_standard(mats: Sequence):
     if m < 1:
         raise ValueError("S_m needs m >= 1 arguments")
     if all(isinstance(a, np.ndarray) and a.dtype == object for a in mats):
-        cleared = [_clear_denominators([a]) for a in mats]
+        cleared = [_clear_denominators(a) for a in mats]
         if all(c is not None for c in cleared):
             n = mats[0].shape[-1]
             bound = math.factorial(m) * n ** (m - 1) * math.prod(max(_max_abs(A), 1) for A, _ in cleared)
-            ints = [_narrowed(A[0], bound) for A, _ in cleared]
+            ints = [_narrowed(A, bound) for A, _ in cleared]
             return _exact_quotient(_subset_dp(ints), math.prod(d for _, d in cleared))
     return _subset_dp(mats)
 
@@ -144,14 +144,14 @@ def is_identity(
     passes all trials with probability at most (deg p / |S|)^trials
     (Schwartz-Zippel), reported as ``failure_bound``.
 
-    Trials are drawn in order from one generator.  Exact trials of a
-    polynomial with int or Fraction coefficients are evaluated over the
-    integers (coefficients times their LCD, see :mod:`ncfun.mateval`):
-    the first trial alone, since a non-identity usually shows there, then
-    the others drawn and evaluated together in one stacked prefix walk.
-    Other coefficients and float trials run one trial at a time.  The
-    first nonzero trial is the witness either way, and ``max_residual``
-    covers the trials up to it.
+    Trials are drawn in order from one generator and evaluated on p's
+    kept plan (see :mod:`ncfun.mateval`): the first trial alone, since a
+    non-identity usually shows there, then the others drawn and
+    evaluated together as one stack.  Exact trials of a polynomial with
+    int or Fraction coefficients run over the integers (coefficients
+    times their LCD), others in their own arithmetic.  The first nonzero
+    trial is the witness, and ``max_residual`` covers the trials up to
+    it.
     """
     if n < 1 or trials < 1:
         raise ValueError(f"is_identity needs n >= 1 and trials >= 1, got n={n}, trials={trials}")
@@ -162,15 +162,11 @@ def is_identity(
     plan = _plan(p, g)
 
     def evaluated():
-        if not exact or not plan.exact:
-            for _ in range(trials):
-                X = random_int_tuple(g, n, rng, -d, d) if exact else random_mattuple(g, n, rng)
-                yield X, plan.value(X)
-            return
         for batch in (1, trials - 1):
-            draws = [random_int_tuple(g, n, rng, -d, d) for _ in range(batch)]
+            draws = [random_int_tuple(g, n, rng, -d, d) if exact else random_mattuple(g, n, rng)
+                     for _ in range(batch)]
             if draws:
-                yield from zip(draws, _exact_values(plan, draws))
+                yield from zip(draws, plan.values(np.stack([X.mats for X in draws], axis=1), "real"))
 
     worst = 0.0
     for X, val in evaluated():

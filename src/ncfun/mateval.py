@@ -6,19 +6,24 @@ Every polynomial value is a sum of words on a letter stack: a tuple's
 components and their adjoints, plus one slot kron(a, I_s) per coefficient
 of a generalized polynomial.  One engine, ``_Walk``, computes all words
 of a sum in one prefix walk, stacked over tuples when asked, in any
-dtype, and adds the terms in order.  Exact evaluation (object arrays of
-int or Fraction entries and coefficients) runs the same walk on
-integers: the common denominators are cleared once, the walk is int64
-only when a bound proves that nothing overflows (Python ints otherwise),
-and the sum is divided once at the end.  Other object entries keep
-plain Python arithmetic.
+dtype, and adds the terms in order.
+
+An NCPoly or a TracePoly is evaluated only through its ``_PolyPlan``,
+made on first use and kept on the polynomial: ``values`` takes one tuple
+or a stack of tuples, and the plan also keeps, once asked, the plan of
+the product-rule derivative D p(X)[H] (``_derivative_plan``).  Exact
+evaluation (object arrays of int or Fraction entries and coefficients)
+runs the same walk on integers: the common denominators are cleared
+once, the walk is int64 only when a bound proves that nothing overflows
+(Python ints otherwise), and the sum is divided once at the end.  Other
+object entries keep plain Python arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -113,16 +118,30 @@ class MatTuple:
         return cls([np.zeros((n, n), dtype=dt) for _ in range(g)], field)
 
 
+def block_tuple(A, B, C, D) -> MatTuple:
+    """The tuple of 2 x 2 block matrices [[A_k, B_k], [C_k, D_k]] built from
+    the components of the g-tuples A, B, C, D, where None is a zero block;
+    a zero block takes the size of its block row and column."""
+    blocks = (A, B, C, D)
+    given = [T for T in blocks if T is not None]
+    n0 = (A or B or C).n
+    halves = (slice(0, n0), slice(n0, None))
+    cuts = [(rows, cols) for rows in halves for cols in halves]
+    n = n0 + (D or C or B).n
+    mats = []
+    for k in range(given[0].g):
+        m = np.zeros((n, n), dtype=np.result_type(*(T.mats[k] for T in given)))
+        for T, cut in zip(blocks, cuts):
+            if T is not None:
+                m[cut] = T.mats[k]
+        mats.append(m)
+    return MatTuple(mats, given[0].field)
+
+
 def direct_sum(X: MatTuple, Y: MatTuple) -> MatTuple:
     if X.g != Y.g or X.field != Y.field:
         raise ValueError("tuples must share arity and field")
-    mats = []
-    for a, b in zip(X.mats, Y.mats):
-        m = np.zeros((X.n + Y.n, X.n + Y.n), dtype=np.result_type(a, b))
-        m[: X.n, : X.n] = a
-        m[X.n :, X.n :] = b
-        mats.append(m)
-    return MatTuple(mats, X.field)
+    return block_tuple(X, None, None, Y)
 
 
 def conjugate(X: MatTuple, sigma: np.ndarray, group: str | None = None) -> MatTuple:
@@ -154,14 +173,9 @@ def _check_vars(k: int, g: int) -> None:
 
 
 def _letter_rows(g: int) -> Dict[Letter, int]:
-    """The row of each letter in the stacks of ``_letters``."""
+    """The row of each letter in a letter stack: the g components, then
+    their adjoints."""
     return {(k, starred): g * starred + k - 1 for starred in (False, True) for k in range(1, g + 1)}
-
-
-def _letters(X: MatTuple) -> Tuple[np.ndarray, np.ndarray]:
-    """The stacks of X's components and of their adjoints."""
-    A = np.array(X.mats)
-    return A, adjoint(A, X.field)
 
 
 # entries the buffer of one walk may hold: it caps how many tuples of a
@@ -243,14 +257,16 @@ class _PolyPlan(_Walk):
     coefficient is an int or a Fraction (``exact``) it also keeps what
     evaluating over the integers needs: the LCD L of the coefficients,
     the degree D, each term's integer coefficient c L and degree, and the
-    summed weights of each term shape that the overflow bound needs."""
+    summed weights of each term shape that the overflow bound needs.
+    ``derivative`` is the plan of the polynomial's product-rule
+    derivative, made on first use (see ``_derivative_plan``)."""
 
     def __init__(self, p, g: int):
         _check_vars(p.num_vars(), g)
         items = ([(c, (), w) for w, c in p.coeffs.items()] if isinstance(p, NCPoly)
                  else [(c, pure, tail) for (pure, tail), c in p.coeffs.items()])
         super().__init__([items], _letter_rows(g))
-        self.g = g
+        self.g, self.derivative = g, None
         self.exact = all(isinstance(c, (int, Fraction)) for c, _, _ in items)
         if self.exact:
             self.L = math.lcm(*(c.denominator for c, _, _ in items))
@@ -276,14 +292,25 @@ class _PolyPlan(_Walk):
             total += b
         return total
 
+    def values(self, A: np.ndarray, field: str) -> np.ndarray:
+        """p on the components A of one g-tuple, shape (g, n, n), or of a
+        stack of T of them, shape (g, T, n, n).  When every entry and
+        coefficient is an int or a Fraction the walk runs over the
+        integers d A, d the common denominator of all entries; a term of
+        degree m is weighted d^(D - m), so each value is one integer sum
+        divided by L d^D (Python ints, or Fractions when a denominator
+        remains).  Other tuples keep their own arithmetic."""
+        exact = A.dtype == object
+        cleared = exact and self.exact and _clear_denominators(A)
+        if not cleared:
+            return self((A, adjoint(A, field)), object if exact else None)[0]
+        N, d = cleared
+        N = _narrowed(N, self.bound(A.shape[-1], _max_abs(N), d))
+        coeffs = [np.array([c * d ** (self.D - m) for c, m in self.int_coeffs])]
+        return _exact_quotient(self((N, N.swapaxes(-1, -2)), N.dtype, coeffs)[0], self.L * d**self.D)
+
     def value(self, X: MatTuple) -> np.ndarray:
-        """p(X): over the integers when every entry and coefficient is an int
-        or a Fraction (see ``_exact_values``), else in X's arithmetic."""
-        exact = _is_exact(X.mats[0])
-        vals = exact and self.exact and _exact_values(self, [X])
-        if vals:
-            return next(vals)
-        return self(_letters(X), object if exact else None)[0]
+        return self.values(np.array(X.mats), X.field)
 
 
 def _plan(p, g: int) -> _PolyPlan:
@@ -294,6 +321,19 @@ def _plan(p, g: int) -> _PolyPlan:
     if g not in p._plans:
         p._plans[g] = _PolyPlan(p, g)
     return p._plans[g]
+
+
+def _derivative_plan(p: NCPoly, g: int) -> _PolyPlan:
+    """The plan of D p(X)[H] on 2g-tuples (X, H), kept beside p's plan on
+    g-tuples.  By the product rule a word w spawns len(w) words, each
+    with one letter x_k replaced by x_(g+k), its H-letter, in (word,
+    position) order."""
+    plan = _plan(p, g)
+    if plan.derivative is None:
+        spawned = {w[:i] + ((k + g, starred),) + w[i + 1:]: c
+                   for w, c in p.coeffs.items() for i, (k, starred) in enumerate(w)}
+        plan.derivative = _PolyPlan(NCPoly(spawned, p.mode), 2 * g)
+    return plan.derivative
 
 
 def eval_word(w: Word, X: MatTuple) -> np.ndarray:
@@ -314,16 +354,15 @@ def eval_tracepoly(p: TracePoly, X: MatTuple) -> np.ndarray:
 _INT64_MAX = 2**63 - 1
 
 
-def _clear_denominators(arrays: Sequence[np.ndarray]):
-    """``(A, d)`` with ``arrays[i] == A[i] / d`` entry by entry, where d is
-    the least common denominator of all entries and A an object array of
-    Python ints; None unless every entry is an int or a Fraction."""
-    flat = [v for a in arrays for v in np.asarray(a).ravel().tolist()]
+def _clear_denominators(A: np.ndarray):
+    """``(N, d)`` with ``A == N / d`` entry by entry, where d is the least
+    common denominator of all entries and N an object array of Python
+    ints; None unless every entry is an int or a Fraction."""
+    flat = A.ravel().tolist()
     if not all(isinstance(v, (int, Fraction)) for v in flat):
         return None
     d = math.lcm(*(v.denominator for v in flat))
-    A = np.array([int(v * d) for v in flat], dtype=object)
-    return A.reshape((len(arrays),) + np.shape(arrays[0])), d
+    return np.array([int(v * d) for v in flat], dtype=object).reshape(A.shape), d
 
 
 def _max_abs(A: np.ndarray) -> int:
@@ -343,23 +382,6 @@ def _exact_quotient(N: np.ndarray, q: int) -> np.ndarray:
     return np.array([Fraction(v, q) for v in N.ravel().tolist()], dtype=object).reshape(N.shape)
 
 
-def _exact_values(plan: _PolyPlan, tuples: Sequence[MatTuple]):
-    """An iterator over the exact values of ``plan``'s polynomial on the
-    g-tuples ``tuples``: Python ints, or Fractions when a denominator
-    remains; None unless every entry is an int or a Fraction.  With the
-    common denominator d of all entries cleared, A = d X, a term of degree
-    m is weighted d^(D - m), so each value is one integer sum divided by
-    L d^D."""
-    cleared = _clear_denominators([m for X in tuples for m in X.mats])
-    if cleared is None:
-        return None
-    A, d = cleared
-    T, g, n = len(tuples), plan.g, tuples[0].n
-    A = _narrowed(A.reshape(T, g, n, n).swapaxes(0, 1), plan.bound(n, _max_abs(A), d))
-    coeffs = [np.array([c * d ** (plan.D - m) for c, m in plan.int_coeffs])]
-    return (_exact_quotient(v, plan.L * d**plan.D) for v in plan((A, A.swapaxes(-1, -2)), A.dtype, coeffs)[0])
-
-
 def eval_genpoly(p: GenPoly, X: MatTuple) -> np.ndarray:
     """Evaluate at level ns; coefficients a act as kron(a, I_s).  A term
     a_0 u_1 a_1 ... u_m a_m is one word in the letters of X and one slot
@@ -372,9 +394,9 @@ def eval_genpoly(p: GenPoly, X: MatTuple) -> np.ndarray:
     letter_rows = {**_letter_rows(X.g), **{key: 2 * X.g + i for i, key in enumerate(coeffs)}}
     words = [(id(t.mats[0]),) + sum(((u, id(a)) for u, a in zip(t.letters, t.mats[1:])), ()) for t in p.terms]
     slots = [np.kron(a, eye_s) for a in coeffs.values()]
-    exact = _is_exact(X.mats[0])
+    exact, A = _is_exact(X.mats[0]), np.array(X.mats)
     out = _Walk([[(1, (), w) for w in words]], letter_rows)(
-        _letters(X) + ((np.array(slots),) if slots else ()), object if exact else complex)[0]
+        (A, adjoint(A, X.field)) + ((np.array(slots),) if slots else ()), object if exact else complex)[0]
     real = not exact and not any(map(np.iscomplexobj, X.mats + tuple(slots)))
     return out.real if real else out
 

@@ -5,7 +5,10 @@ derivative identities.
 Oracles are pure callables on :class:`~ncfun.mateval.MatTuple` inputs;
 declared metadata (group, smoothness, radius) is advisory and verified
 by the checkers, never assumed.  Out-of-domain evaluation raises
-:class:`DomainError` rather than extrapolating.
+:class:`DomainError` rather than extrapolating.  A checker's witnesses
+keep the level it ran at.  Polynomial-backed oracles evaluate and
+differentiate through the plans kept on their polynomials (see
+:mod:`ncfun.mateval`), so no call plans a walk twice.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from . import identities
 from .mateval import (
     DEFAULT_TOL,
     MatTuple,
-    _Walk,
-    _check_vars,
-    _letter_rows,
+    _derivative_plan,
     _rng,
     adjoint,
+    block_tuple,
     conjugate,
     direct_sum,
     eval_ncpoly,
@@ -33,7 +35,6 @@ from .mateval import (
     sym_matrix_function,
 )
 from .poly import FREE, INV, NCPoly
-from .words import word_has_star
 
 
 class DomainError(ValueError):
@@ -101,12 +102,8 @@ def oracle_from_ncpoly(
     polys = tuple(p) if isinstance(p, (tuple, list)) else (p,)
     if not polys:
         raise ValueError("oracle_from_ncpoly needs at least one polynomial")
-    modes = {q.mode for q in polys}
-    starred = any(word_has_star(w) for q in polys for w in q.coeffs)
-    if INV in modes or starred:
-        group = "U" if field == "complex" else "O"
-    else:
-        group = "GL"
+    # starred letters need with-involution mode, so the modes decide the group
+    group = ("U" if field == "complex" else "O") if any(q.mode == INV for q in polys) else "GL"
     g = max((q.num_vars() for q in polys), default=1) or 1
     d = max(q.degree() for q in polys)
 
@@ -255,10 +252,12 @@ class CheckReport:
     def passed(self) -> bool:
         return self.max_violation <= self.tol
 
-    def record(self, residual: float, info) -> None:
+    def record(self, residual: float, level: int, info) -> None:
+        """One trial at ``level``; above tol it is kept as a witness
+        ``(info, residual, level)``."""
         self.max_violation = max(self.max_violation, residual)
         if residual > self.tol:
-            self.witnesses.append((info, residual))
+            self.witnesses.append((info, residual, level))
 
     def __repr__(self):
         status = "pass" if self.passed else "FAIL"
@@ -297,9 +296,9 @@ def check_direct_sums(
                 res = lhs.max_diff(rhs)
             except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:
                 # evaluator failure is a recorded witness, not fatal
-                report.record(math.inf, ((m, n), repr(e)))
+                report.record(math.inf, m + n, ((m, n), repr(e)))
                 continue
-            report.record(res, ((m, n), X, Y))
+            report.record(res, m + n, ((m, n), X, Y))
     return report
 
 
@@ -326,9 +325,9 @@ def check_similarity(
                 rhs = conjugate(f(X), sigma)
                 res = lhs.max_diff(rhs)
             except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:
-                report.record(math.inf, ((n,), repr(e)))
+                report.record(math.inf, n, ((n,), repr(e)))
                 continue
-            report.record(res, (n, X, sigma))
+            report.record(res, n, (n, X, sigma))
     return report
 
 
@@ -404,17 +403,11 @@ def directional_derivative(
 
 def _symbolic_derivatives(f: FreeMapOracle, X: MatTuple, H: np.ndarray) -> List[np.ndarray]:
     """D f(X)[H] for a polynomial-backed oracle on the T directions H of
-    shape (g, T, n, n): one (T, n, n) array per output.  By the product
-    rule a word w spawns len(w) words, each with one letter x_k replaced
-    by x_(g+k), its H-letter in the 2g-tuple (X, H); one walk evaluates
-    them all, summed in (word, position) order."""
-    g = X.g
-    _check_vars(max(p.num_vars() for p in f.polys), g)
-    sums = [[(c, (), w[:i] + ((k + g, starred),) + w[i + 1:])
-             for w, c in p.coeffs.items() for i, (k, starred) in enumerate(w)] for p in f.polys]
+    shape (g, T, n, n): one (T, n, n) array per output, from each
+    polynomial's kept derivative plan on the stack of 2g-tuples (X, H)."""
     XH = np.concatenate([np.broadcast_to(np.stack(X.mats)[:, None], H.shape), H])
-    dt = complex if X.field == "complex" else float
-    outs = _Walk(sums, _letter_rows(2 * g))((XH, adjoint(XH, X.field)), dt)
+    letters, dt = (XH, adjoint(XH, X.field)), complex if X.field == "complex" else float
+    outs = [_derivative_plan(p, X.g)(letters, dt)[0] for p in f.polys]
     return [v.real if X.field == "real" else v for v in outs]
 
 
@@ -436,18 +429,6 @@ def derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) -> MatTuple:
 # -- derivative identities --------------------------------------------
 
 
-def _block_upper(X: MatTuple, H: MatTuple) -> MatTuple:
-    mats = []
-    for a, b in zip(X.mats, H.mats):
-        n = a.shape[0]
-        m = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, b))
-        m[:n, :n] = a
-        m[:n, n:] = b
-        m[n:, n:] = a
-        mats.append(m)
-    return MatTuple(mats, X.field)
-
-
 def check_triangular_identity(
     f: FreeMapOracle, X: MatTuple, H: MatTuple, tol: float = 1e-6
 ) -> CheckReport:
@@ -455,7 +436,7 @@ def check_triangular_identity(
     f([[X,H],[0,X]]) = [[f(X), Df(X)(H)], [0, f(X)]]."""
     report = CheckReport("triangular_identity", 1, tol)
     n = X.n
-    val = f(_block_upper(X, H))
+    val = f(block_tuple(X, H, None, X))
     fX = f(X)
     dF = derivative(f, X, H)
     res = 0.0
@@ -465,7 +446,7 @@ def check_triangular_identity(
         res = max(res, float(np.linalg.norm(blk[n:, n:] - fX.mats[j], 2)))
         res = max(res, float(np.linalg.norm(blk[n:, :n], 2)))
         res = max(res, float(np.linalg.norm(blk[:n, n:] - dF.mats[j], 2)))
-    report.record(res, (X, H))
+    report.record(res, n, (X, H))
     return report
 
 
@@ -484,20 +465,14 @@ def check_commutator_identity(
     report = CheckReport("commutator_identity", 1, tol)
     lhs = derivative(f, X, commutator_tuple(a, X))
     rhs = commutator_tuple(a, f(X))
-    report.record(lhs.max_diff(rhs), (X, a))
+    report.record(lhs.max_diff(rhs), X.n, (X, a))
     return report
 
 
 def offdiag_direction(X1: MatTuple, X2: MatTuple) -> MatTuple:
     """The direction [[0, X1 - X2], [X1 - X2, 0]] at the direct sum of X1 and X2."""
-    n = X1.n
-    mats = []
-    for a, b in zip(X1.mats, X2.mats):
-        m = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, b))
-        m[:n, n:] = a - b
-        m[n:, :n] = a - b
-        mats.append(m)
-    return MatTuple(mats, X1.field)
+    d = X1 - X2
+    return block_tuple(None, d, d, None)
 
 
 def check_did_block(
@@ -518,5 +493,5 @@ def check_did_block(
         res = max(res, float(np.linalg.norm(blk[n:, :n] - d, 2)))
         res = max(res, float(np.linalg.norm(blk[:n, :n], 2)))
         res = max(res, float(np.linalg.norm(blk[n:, n:], 2)))
-    report.record(res, (X1, X2))
+    report.record(res, n, (X1, X2))
     return report

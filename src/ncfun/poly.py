@@ -52,10 +52,11 @@ def _check_mode(mode: str) -> str:
 class _SparsePoly:
     """Arithmetic shared by NCPoly and TracePoly; ``_space`` names what two
     operands must share, and ``_like`` rebuilds a result in that space.
-    ``_plans`` keeps the polynomial's evaluation plans by tuple arity (see
-    :mod:`ncfun.mateval`)."""
+    A polynomial does not change once built, so what is derived from all
+    its words is found once and kept: ``_plans``, its evaluation plans by
+    tuple arity (see :mod:`ncfun.mateval`), and ``_num_vars``."""
 
-    __slots__ = ("coeffs", "mode", "_plans")
+    __slots__ = ("coeffs", "mode", "_plans", "_num_vars")
 
     def _space(self) -> tuple:
         return (self.mode,)
@@ -69,6 +70,12 @@ class _SparsePoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def num_vars(self) -> int:
+        """The largest variable index in any word; 0 if there is none."""
+        if self._num_vars is None:
+            self._num_vars = max((max_var(w) for m in self.coeffs for w in self._words(m)), default=0)
+        return self._num_vars
 
     def cleanup(self, tol: float):
         """Drop coefficients with magnitude <= tol."""
@@ -123,7 +130,7 @@ class NCPoly(_SparsePoly):
                 raise ValueError(f"starred letters not allowed in {FREE} mode: {word_str(w)}")
             clean[tuple(w)] = c
         self.coeffs = clean
-        self._plans = {}
+        self._plans, self._num_vars = {}, None
 
     # -- constructors ------------------------------------------------
 
@@ -153,8 +160,9 @@ class NCPoly(_SparsePoly):
         """Max word length; -1 for the zero polynomial."""
         return max((len(w) for w in self.coeffs), default=-1)
 
-    def num_vars(self) -> int:
-        return max((max_var(w) for w in self.coeffs), default=0)
+    @staticmethod
+    def _words(w: Word) -> Tuple[Word, ...]:
+        return (w,)
 
     def is_homogeneous(self) -> bool:
         return len({len(w) for w in self.coeffs}) <= 1
@@ -243,7 +251,7 @@ class TracePoly(_SparsePoly):
                     raise ValueError("starred letters not allowed in free mode")
             clean[key] = clean.get(key, 0) + c
         self.coeffs = {k: c for k, c in clean.items() if c != 0}
-        self._plans = {}
+        self._plans, self._num_vars = {}, None
 
     def _space(self) -> tuple:
         return (self.mode, self.field)
@@ -279,8 +287,9 @@ class TracePoly(_SparsePoly):
             default=-1,
         )
 
-    def num_vars(self) -> int:
-        return max((max_var(w) for (pure, tail) in self.coeffs for w in pure + (tail,)), default=0)
+    @staticmethod
+    def _words(key: TraceMonomial) -> Tuple[Word, ...]:
+        return key[0] + (key[1],)
 
     # -- arithmetic --------------------------------------------------
 

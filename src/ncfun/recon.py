@@ -104,27 +104,19 @@ def _scan_params(f, X: MatTuple) -> Tuple[float, int]:
 
 
 def homogeneous_part_eval(
-    f: FreeMapOracle | Callable[[MatTuple], MatTuple],
-    m: int,
-    X: MatTuple,
-    D: int,
-    h: float | None = None,
-    refine: int | None = None,
+    f: FreeMapOracle | Callable[[MatTuple], MatTuple], m: int, X: MatTuple, D: int
 ) -> MatTuple:
     """Value of the degree-m homogeneous part of f at X.
 
     Exact (up to Vandermonde conditioning) when f is a polynomial map of
     degree <= D; for analytic f the Chebyshev fit aliases degrees > D,
-    which the radius-halving Richardson refinement suppresses.
+    which the radius-halving Richardson refinement suppresses.  The scan
+    radius and refinements follow from f (see ``_scan_params``).
     """
     if m > D:
         raise ValueError(f"m={m} exceeds degree bound D={D}")
     field = f.field if isinstance(f, FreeMapOracle) else X.field
-    if h is None or refine is None:
-        auto_h, auto_refine = _scan_params(f, X)
-        h = auto_h if h is None else h
-        refine = auto_refine if refine is None else refine
-    parts = _part_scan(f, X, D, h, refine, row0=False)
+    parts = _part_scan(f, X, D, *_scan_params(f, X), row0=False)
     return MatTuple([p[m].reshape(X.n, X.n) for p in parts], field)
 
 
@@ -142,6 +134,24 @@ def _trie_prefix_length(letters: int, D: int, max_level: Optional[int]) -> int:
     return j
 
 
+def _shift_units(nodes: List[Word], g: int, level: int, exact: bool, field: str) -> MatTuple:
+    """The tuple in M_level on the words ``nodes`` (each after its parent,
+    node i indexing row and column i): node u x_k puts e_{u, u x_k} into
+    component k and u x_k^t puts e_{u x_k^t, u} there; exact entries are
+    Fraction(1) in object arrays."""
+    index = {u: i for i, u in enumerate(nodes)}
+    dt = object if exact else complex if field == "complex" else float
+    one = Fraction(1) if exact else 1.0
+    mats = [np.zeros((level, level), dtype=dt) for _ in range(g)]
+    for i, u in enumerate(nodes[1:], start=1):
+        p, (k, starred) = index[u[:-1]], u[-1]
+        if starred:
+            mats[k - 1][i, p] = one
+        else:
+            mats[k - 1][p, i] = one
+    return MatTuple(mats, field)
+
+
 def _trie_tuple(prefix: Word, D: int, alphabet: List[Letter], g: int, field: str):
     """Sub-trie tuple of the words of degree <= D that start with
     ``prefix``, plus the chain from the root down to it; returns the
@@ -153,16 +163,7 @@ def _trie_tuple(prefix: Word, D: int, alphabet: List[Letter], g: int, field: str
         if len(layer[0]) == D:
             break
         layer = [u + (a,) for u in layer for a in alphabet]
-    index = {u: i for i, u in enumerate(nodes)}
-    dt = complex if field == "complex" else float
-    mats = [np.zeros((len(nodes), len(nodes)), dtype=dt) for _ in range(g)]
-    for i, u in enumerate(nodes[1:], start=1):
-        p, (k, starred) = index[u[:-1]], u[-1]
-        if starred:
-            mats[k - 1][i, p] = 1.0
-        else:
-            mats[k - 1][p, i] = 1.0
-    return MatTuple(mats, field), nodes
+    return _shift_units(nodes, g, len(nodes), False, field), nodes
 
 
 def _trie_reads(f: FreeMapOracle, D: int) -> List[Dict[Word, object]]:
@@ -203,25 +204,13 @@ def matenote_plan(
 ) -> MatTuple:
     """Shift-unit tuple a = (a_1..a_g) in M_level for a degree-m word:
     position p carrying x_k adds e_{p,p+1} to a_k, and x_k^t adds
-    e_{p+1,p}."""
+    e_{p+1,p}; the one-word chain of the trie tuples."""
     m = len(w)
     if level is None:
         level = m + 1
     if level < m + 1:
         raise ValueError(f"level {level} too small for degree {m}")
-    if exact:
-        mats = [np.zeros((level, level), dtype=object) for _ in range(g)]
-        one = Fraction(1)
-    else:
-        dt = complex if field == "complex" else float
-        mats = [np.zeros((level, level), dtype=dt) for _ in range(g)]
-        one = 1.0
-    for p, (k, starred) in enumerate(w):
-        if starred:
-            mats[k - 1][p + 1, p] += one
-        else:
-            mats[k - 1][p, p + 1] += one
-    return MatTuple(mats, field)
+    return _shift_units([w[:p] for p in range(m + 1)], g, level, exact, field)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from ncfun import GenPoly, MatTuple, NCPoly
-from ncfun.identities import IdentityReport, random_int_tuple
+from ncfun import GenPoly, MatTuple, NCPoly, random_mattuple
+from ncfun.identities import FLOAT_TOL, IdentityReport, random_int_tuple
 from ncfun.mateval import adjoint
 
 
@@ -85,18 +85,26 @@ def reference_jacobian(f, X) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def reference_is_identity(p, n: int, trials: int, seed: int) -> IdentityReport:
-    """The exact identity test as a plain loop: one trial at a time, drawn
-    as ``is_identity`` draws them, evaluated by ``reference_eval``, and
-    stopped at the first nonzero value."""
+def reference_is_identity(p, n: int, trials: int, seed: int, exact: bool = True) -> IdentityReport:
+    """The identity test as a plain loop: one trial at a time, drawn as
+    ``is_identity`` draws them, evaluated by ``reference_eval``, and
+    stopped at the first nonzero value (any nonzero entry for exact
+    trials, a Frobenius norm above FLOAT_TOL for float ones)."""
     rng = np.random.default_rng(seed)
     deg = max(p.degree(), 0)
     d = max(3, deg)
     worst = 0.0
     for _ in range(trials):
-        X = random_int_tuple(max(p.num_vars(), 1), n, rng, -d, d)
-        val = reference_eval(p, X).ravel()
-        worst = max(worst, float(max(abs(v) for v in val)))
-        if any(v != 0 for v in val):
+        g = max(p.num_vars(), 1)
+        X = random_int_tuple(g, n, rng, -d, d) if exact else random_mattuple(g, n, rng)
+        val = reference_eval(p, X)
+        if exact:
+            mag, nonzero = float(max(abs(v) for v in val.ravel())), any(v != 0 for v in val.ravel())
+        else:
+            mag = float(np.linalg.norm(val))
+            nonzero = mag > FLOAT_TOL
+        worst = max(worst, mag)
+        if nonzero:
             return IdentityReport(False, trials, n, witness=X, max_residual=worst)
-    return IdentityReport(True, trials, n, max_residual=worst, failure_bound=(deg / (2 * d + 1)) ** trials)
+    bound = (deg / (2 * d + 1)) ** trials if exact else None
+    return IdentityReport(True, trials, n, max_residual=worst, failure_bound=bound)

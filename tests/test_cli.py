@@ -67,6 +67,15 @@ def test_check_pass_and_fail_grammar(capsys):
     assert fails and all(FAIL_RE.match(ln) for ln in fails)
 
 
+def test_check_fail_lines_give_the_level_each_check_ran_at(capsys):
+    # the derivative identities run at the first level >= 2 of --levels
+    code, out, _ = run(capsys, "check", "--map", "smooth_nonanalytic:5", "--group", "GL", "--levels", "2",
+                       "--trials", "3")
+    assert code == 2
+    assert [ln.rsplit(" ", 1)[0] for ln in out.splitlines()] == [
+        "PASS direct_sums", "FAIL similarity[GL] level=2", "FAIL triangular_identity level=2"]
+
+
 def test_check_output_sorted(capsys):
     code, out, _ = run(capsys, "check", "--map", "sinxxt", "--trials", "3")
     names = [ln.split()[1] for ln in out.strip().splitlines()]

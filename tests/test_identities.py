@@ -171,27 +171,36 @@ CAYLEY_HAMILTON = TracePoly({((), X1 * 2): 1, ((X1,), X1): -1,
 S4 = standard_polynomial(2)
 
 
-@pytest.mark.parametrize("p, n, trials, seed", [
-    *[(standard_polynomial(k), n, 12, 10 * k + n) for k in (2, 3) for n in (2, 3, 4)],
-    (CAYLEY_HAMILTON, 2, 25, 1),
-    (CAYLEY_HAMILTON, 3, 25, 2),
-    # float coefficients: Python arithmetic one trial at a time
-    (NCPoly({X1 + X2: 0.5, X2 + X1: -0.5, X1 * 2: 1.5}), 2, 10, 3),
-    (S4.scale(0.5), 2, 10, 4),
+@pytest.mark.parametrize("p, n, trials, seed, exact", [
+    *[(standard_polynomial(k), n, 12, 10 * k + n, True) for k in (2, 3) for n in (2, 3, 4)],
+    (CAYLEY_HAMILTON, 2, 25, 1, True),
+    (CAYLEY_HAMILTON, 3, 25, 2, True),
+    # float coefficients: Python arithmetic on the stack of integer trials
+    (NCPoly({X1 + X2: 0.5, X2 + X1: -0.5, X1 * 2: 1.5}), 2, 10, 3, True),
+    (S4.scale(0.5), 2, 10, 4, True),
     # magnitude bounds past int64: the stacked walk runs on Python ints
-    (NCPoly.variable(1) ** 30, 2, 5, 5),
-    (S4.scale(2**80), 2, 10, 6),
-    (S4.scale(Fraction(1, 3**45)) + NCPoly.variable(1) * NCPoly.variable(2), 2, 10, 7),
+    (NCPoly.variable(1) ** 30, 2, 5, 5, True),
+    (S4.scale(2**80), 2, 10, 6, True),
+    (S4.scale(Fraction(1, 3**45)) + NCPoly.variable(1) * NCPoly.variable(2), 2, 10, 7, True),
+    # float trials: standard-normal tuples, Frobenius residuals
+    *[(standard_polynomial(k), n, 12, 10 * k + n, False) for k in (2, 3) for n in (1, 2, 3)],
+    (CAYLEY_HAMILTON, 2, 25, 1, False),
+    (CAYLEY_HAMILTON, 3, 25, 2, False),
+    (NCPoly({X1 + X2: 0.5, X2 + X1: -0.5, X1 * 2: 1.5}), 1, 10, 3, False),
 ], ids=["s4-m2", "s4-m3", "s4-m4", "s6-m2", "s6-m3", "s6-m4", "ch-m2", "ch-m3",
-        "float-non-identity", "float-identity", "x1^30", "s4-times-2^80", "s4-over-3^45"])
-def test_is_identity_matches_per_trial_reference(p, n, trials, seed):
-    got = is_identity(p, n, trials=trials, seed=seed, exact=True)
-    want = reference_is_identity(p, n, trials, seed)
+        "float-non-identity", "float-identity", "x1^30", "s4-times-2^80", "s4-over-3^45",
+        "float-trials-s4-m1", "float-trials-s4-m2", "float-trials-s4-m3",
+        "float-trials-s6-m1", "float-trials-s6-m2", "float-trials-s6-m3",
+        "float-trials-ch-m2", "float-trials-ch-m3", "float-trials-commutative-m1"])
+def test_is_identity_matches_per_trial_reference(p, n, trials, seed, exact):
+    got = is_identity(p, n, trials=trials, seed=seed, exact=exact)
+    want = reference_is_identity(p, n, trials, seed, exact)
     assert (got.is_identity, got.trials, got.level) == (want.is_identity, want.trials, want.level)
     assert got.max_residual == want.max_residual and got.failure_bound == want.failure_bound
     assert (got.witness is None) == (want.witness is None)
     if want.witness is not None:
-        assert all(a.dtype == object and (a == b).all() for a, b in zip(got.witness.mats, want.witness.mats))
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got.witness.mats, want.witness.mats))
+        assert all(a.dtype == (object if exact else float) for a in got.witness.mats)
 
 
 def test_exact_eval_with_mixed_denominators_matches_fraction_reference():

@@ -139,6 +139,43 @@ def test_symbolic_derivative_is_the_product_rule_bit_for_bit(mode, field):
             assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got.mats, want.mats))
 
 
+def test_derivative_plans_are_kept_on_the_polynomials(monkeypatch):
+    # the first derivative plans each polynomial's product rule once; later
+    # calls, on the oracle or on a dataclasses.replace copy, plan nothing
+    from ncfun import mateval
+    from ncfun.invfun import assemble_jacobian
+
+    f = oracle_from_ncpoly([random_ncpoly(2, 4, INV, seed=1, n_terms=8), random_ncpoly(2, 3, INV, seed=2)])
+    X, H = random_mattuple(2, 3, 0), random_mattuple(2, 3, 1)
+    first = symbolic_directional_derivative(f, X, H)
+    kept = [mateval._derivative_plan(p, 2) for p in f.polys]
+    built = []
+    init = mateval._PolyPlan.__init__
+    monkeypatch.setattr(mateval._PolyPlan, "__init__", lambda self, p, g: built.append(g) or init(self, p, g))
+    copy = dataclasses.replace(f, name="copy")
+    for h in (f, copy):
+        again = symbolic_directional_derivative(h, X, H)
+        assert all(np.array_equal(a, b) for a, b in zip(first.mats, again.mats))
+    assemble_jacobian(copy, X)
+    assert built == [] and all(mateval._derivative_plan(p, 2) is d for p, d in zip(copy.polys, kept))
+
+
+def test_checks_record_the_level_they_ran_at():
+    # X -> tr(X) I fails direct sums and both block identities, X -> diag(X)
+    # fails similarity and the commutator identity; each witness keeps the
+    # level its check ran at (m + n for a direct sum)
+    tr_map = FreeMapOracle(1, 1, lambda X: MatTuple([np.trace(X.mats[0]) * np.eye(X.n)]), group="O")
+    diag_map = FreeMapOracle(1, 1, lambda X: MatTuple([np.diag(np.diag(X.mats[0]))]), group="O")
+    rng = np.random.default_rng(2)
+    X, H = random_mattuple(1, 3, rng), random_mattuple(1, 3, rng)
+    a = rng.standard_normal((3, 3))
+    reports = [check_direct_sums(tr_map, [(1, 1)], trials=3), check_triangular_identity(tr_map, X, H),
+               check_did_block(tr_map, X, H), check_similarity(diag_map, "O", levels=(2,), trials=3),
+               check_commutator_identity(diag_map, X, a - a.T)]
+    assert [r.passed for r in reports] == [False] * 5
+    assert [r.witnesses[0][2] for r in reports] == [2, 3, 3, 2, 3]
+
+
 def test_neville_to_zero_exact_on_polynomials():
     # data that is a polynomial of degree <= R in x, sampled at R+1 nodes,
     # extrapolates to its value at 0 for both node families in use
@@ -166,14 +203,14 @@ def test_triangular_identity():
     assert check_triangular_identity(oracle_from_ncpoly(NCPoly.variable(1) ** 2), X, H).passed
     # f = x1: the (1,2) block is exactly H
     f1 = oracle_from_ncpoly(NCPoly.variable(1))
-    from ncfun.oracle import _block_upper
+    from ncfun.mateval import block_tuple
 
-    val = f1(_block_upper(X, H)).mats[0]
+    val = f1(block_tuple(X, H, None, X)).mats[0]
     assert np.array_equal(val[:2, 2:], H.mats[0])
     # f = x1^3 with H = I: derivative block is 3 X^2
     f3 = oracle_from_ncpoly(NCPoly.variable(1) ** 3)
     I = MatTuple([np.eye(2)])
-    val3 = f3(_block_upper(X, I)).mats[0]
+    val3 = f3(block_tuple(X, I, None, X)).mats[0]
     assert np.linalg.norm(val3[:2, 2:] - 3 * np.linalg.matrix_power(X.mats[0], 2)) < 1e-12
 
 
