@@ -83,8 +83,8 @@ class Emitter:
             self.line(f"PASS {rep.name} max_residual={rep.max_violation!r}",
                       kind="pass", check=rep.name, residual=rep.max_violation)
         else:
-            # the level the first violation ran at (none is kept when tol is nan)
-            self.fail(rep.name, rep.witnesses[0][2] if rep.witnesses else 0, rep.max_violation)
+            # the level the first violation ran at
+            self.fail(rep.name, rep.witnesses[0][2], rep.max_violation)
 
 
 def _read(path: str) -> str:
@@ -110,6 +110,18 @@ def _parse_float(text: str) -> float:
     if "/" in text:
         return float(Fraction(text))
     return float(text)
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0 (no residual exceeds nan, and
+    every residual exceeds a negative tol)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def load_map(spec: str) -> FreeMapOracle:
@@ -375,7 +387,7 @@ def cmd_implicit(args, emit: Emitter) -> int:
 def build_parser() -> Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-8)
+    common.add_argument("--tol", type=_tolerance, default=1e-8)
     common.add_argument("--json", action="store_true", help="mirror reports as JSON lines")
     common.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 

@@ -141,7 +141,42 @@ def block_tuple(A, B, C, D) -> MatTuple:
 def direct_sum(X: MatTuple, Y: MatTuple) -> MatTuple:
     if X.g != Y.g or X.field != Y.field:
         raise ValueError("tuples must share arity and field")
-    return block_tuple(X, None, None, Y)
+    return MatTuple([direct_sums(a, b) for a, b in zip(X.mats, Y.mats)], X.field)
+
+
+# -- stacks of tuples -------------------------------------------------
+#
+# A stack holds the components of T tuples at one level as one array of
+# shape (g, T, n, n).  Each function below does per tuple what the
+# MatTuple operation of the same idea does, with the same arithmetic.
+
+
+def direct_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The block diagonal matrices [[a, 0], [0, b]] of two stacks of blocks
+    (..., m, m) and (..., n, n)."""
+    m = A.shape[-1]
+    out = np.zeros(A.shape[:-2] + (m + B.shape[-1],) * 2, dtype=np.result_type(A, B))
+    out[..., :m, :m] = A
+    out[..., m:, m:] = B
+    return out
+
+
+def stack_norms(A: np.ndarray) -> np.ndarray:
+    """``MatTuple.norm`` of each tuple of a stack: shape (T,)."""
+    return np.linalg.norm(A, 2, axis=(-2, -1)).max(axis=0)
+
+
+def stack_diffs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``MatTuple.max_diff`` of each pair of tuples of two stacks: shape (T,)."""
+    return stack_norms(np.asarray(A - B, dtype=complex))
+
+
+def scaled_to(A: np.ndarray, norms) -> np.ndarray:
+    """Each tuple of a stack scaled to the given norm, as ``random_mattuple``
+    scales one (a zero tuple stays as it is)."""
+    cur = stack_norms(A)
+    c = np.divide(norms, cur, out=np.ones_like(cur), where=cur > 0)
+    return A * c[:, None, None]
 
 
 def conjugate(X: MatTuple, sigma: np.ndarray, group: str | None = None) -> MatTuple:
@@ -349,6 +384,12 @@ def eval_tracepoly(p: TracePoly, X: MatTuple) -> np.ndarray:
     return _plan(p, X.g).value(X)
 
 
+def eval_stack(polys: Sequence, A: np.ndarray, field: str) -> np.ndarray:
+    """The NCPolys or TracePolys ``polys`` on each g-tuple of the stack A
+    (g, T, n, n): shape (len(polys), T, n, n), one walk per polynomial."""
+    return np.stack([_plan(p, A.shape[0]).values(A, field) for p in polys])
+
+
 # -- exact evaluation on integers ------------------------------------
 
 _INT64_MAX = 2**63 - 1
@@ -450,19 +491,22 @@ def random_mattuple(
     g: int, n: int, seed=0, field: str = "real", norm: float | None = None
 ) -> MatTuple:
     """Standard-normal tuple, optionally rescaled to a given norm."""
-    rng = _rng(seed)
+    mats = standard_mats(g, n, _rng(seed), field)
+    if norm is None:
+        return MatTuple(mats, field)
+    return MatTuple(list(scaled_to(np.stack(mats)[:, None], [norm])[:, 0]), field)
+
+
+def standard_mats(g: int, n: int, rng: np.random.Generator, field: str = "real") -> List[np.ndarray]:
+    """The components of a standard-normal g-tuple, drawn from rng one
+    component at a time (real part, then imaginary part, when complex)."""
     mats = []
     for _ in range(g):
         m = rng.standard_normal((n, n))
         if field == "complex":
             m = (m + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
         mats.append(m)
-    X = MatTuple(mats, field)
-    if norm is not None:
-        cur = X.norm()
-        if cur > 0:
-            X = X.scale(norm / cur)
-    return X
+    return mats
 
 
 

@@ -5,10 +5,16 @@ derivative identities.
 Oracles are pure callables on :class:`~ncfun.mateval.MatTuple` inputs;
 declared metadata (group, smoothness, radius) is advisory and verified
 by the checkers, never assumed.  Out-of-domain evaluation raises
-:class:`DomainError` rather than extrapolating.  A checker's witnesses
-keep the level it ran at.  Polynomial-backed oracles evaluate and
-differentiate through the plans kept on their polynomials (see
-:mod:`ncfun.mateval`), so no call plans a walk twice.
+:class:`DomainError` rather than extrapolating.  ``FreeMapOracle.stack``
+evaluates a stack of tuples at one level in one call, with the checks
+of a single call; ``calls`` counts the tuples evaluated, a stack of T
+counting T, so the black-box cost (evaluations and their level) does
+not depend on how they were batched, and ``batches`` counts the stacks.
+The axiom checks draw their trials first and evaluate each level as
+stacks.  A checker's witnesses keep the level it ran at.
+Polynomial-backed oracles evaluate stacks and differentiate through the
+plans kept on their polynomials (see :mod:`ncfun.mateval`), so no call
+plans a walk twice.
 """
 
 from __future__ import annotations
@@ -27,11 +33,15 @@ from .mateval import (
     _rng,
     adjoint,
     block_tuple,
-    conjugate,
     direct_sum,
+    direct_sums,
     eval_ncpoly,
+    eval_stack,
     random_group_element,
-    random_mattuple,
+    scaled_to,
+    stack_diffs,
+    stack_norms,
+    standard_mats,
     sym_matrix_function,
 )
 from .poly import FREE, INV, NCPoly
@@ -56,8 +66,10 @@ class FreeMapOracle:
     name: str = ""
     polys: Optional[Tuple[NCPoly, ...]] = None  # symbolic backing, if any
     max_level: Optional[int] = None  # larger levels are refused; None: no limit
-    # evaluator calls made through this object (not copied by dataclasses.replace)
+    # tuples evaluated through this object, and the stacks among them (not
+    # copied by dataclasses.replace)
     calls: int = dc_field(default=0, init=False, compare=False, repr=False)
+    batches: int = dc_field(default=0, init=False, compare=False, repr=False)
 
     def radius_at(self, n: int) -> float:
         if callable(self.radius):
@@ -75,21 +87,61 @@ class FreeMapOracle:
         """Word mode of the map's series: with involution for O/U maps."""
         return INV if self.group in ("O", "U") else FREE
 
+    def _admit(self, n: int, norms: Callable[[], Sequence[float]]) -> None:
+        """DomainError for a level n above ``max_level``, or, at a finite
+        radius, for the first input norm (from ``norms``) that reaches it."""
+        if self.max_level is not None and n > self.max_level:
+            raise DomainError(f"level {n} above the largest level {self.max_level} of {self.name or 'the map'}")
+        r = self.radius_at(n)
+        if math.isfinite(r):
+            for v in norms():
+                if v >= r:
+                    raise DomainError(f"input norm {v:.3g} outside radius {r:.3g} at level {n}")
+
     def __call__(self, X: MatTuple) -> MatTuple:
         if not isinstance(X, MatTuple):
             X = MatTuple(X, self.field)
         if X.g != self.g:
             raise ValueError(f"oracle expects {self.g} components, got {X.g}")
-        if self.max_level is not None and X.n > self.max_level:
-            raise DomainError(f"level {X.n} above the largest level {self.max_level} of {self.name or 'the map'}")
-        r = self.radius_at(X.n)
-        if math.isfinite(r) and X.mats[0].dtype != object and X.norm() >= r:
-            raise DomainError(f"input norm {X.norm():.3g} outside radius {r:.3g} at level {X.n}")
+        self._admit(X.n, lambda: [] if X.mats[0].dtype == object else [X.norm()])
         self.calls += 1
         out = self.evaluator(X)
         if not isinstance(out, MatTuple):
             out = MatTuple(out if isinstance(out, (tuple, list)) else [out], self.field)
         return out
+
+    def stack(self, A: np.ndarray) -> np.ndarray:
+        """f on each of the T tuples of a stack at one level: A holds their
+        components, shape (g, T, n, n), and the values come back the same
+        way, shape (g', T, n, n), in one dtype.  The checks are those of a
+        single call, made per tuple; complex entries make the stack
+        complex, as they make a conjugated MatTuple.  ``calls`` grows by T
+        and ``batches`` by 1.  A polynomial-backed oracle evaluates the
+        whole stack through the plans kept on ``polys``, which it trusts
+        as ``derivative`` does; any other calls itself once per tuple."""
+        A = np.asarray(A)
+        if A.ndim != 4 or A.shape[0] != self.g or not A.shape[1]:
+            raise ValueError(f"oracle expects a stack of shape ({self.g}, T >= 1, n, n), got {A.shape}")
+        field = "complex" if np.iscomplexobj(A) else self.field
+        self.batches += 1
+        if self.polys is None:
+            return call_each(self, A, field)
+        exact = A.dtype == object
+        if not exact and not np.all(np.isfinite(A)):
+            raise ValueError("non-finite entries")
+        self._admit(A.shape[-1], lambda: [] if exact else stack_norms(A).tolist())
+        self.calls += A.shape[1]
+        out = eval_stack(self.polys, A, field)
+        if not exact and not np.all(np.isfinite(out)):
+            raise ValueError("non-finite entries")
+        return out
+
+
+def call_each(f: Callable[[MatTuple], MatTuple], A: np.ndarray, field: str) -> np.ndarray:
+    """The values of f on the tuples of the stack A (g, T, n, n), one call
+    per tuple of the given field, stacked the same way."""
+    vals = [f(MatTuple(A[:, t], field)).mats for t in range(A.shape[1])]
+    return np.array(vals).swapaxes(0, 1)
 
 
 # -- constructors -----------------------------------------------------
@@ -275,6 +327,32 @@ def _sample_radius(f: FreeMapOracle, *ns: int) -> float:
     return r / 2.0
 
 
+_EVAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def _record_trials(report: CheckReport, level: int, trials: int, residuals, witness, key) -> None:
+    """Record the trials of one level in order.  ``residuals(ts)`` gives the
+    residuals of the trials ts (an index of the stacks) at once; when the
+    whole level raises, each trial runs again as a stack of one, and one
+    that fails is recorded as an inf residual with ``(key, repr(error))``,
+    so an evaluator failure is a witness, not fatal.  A trial above tol
+    keeps ``witness(t)``."""
+    try:
+        results = residuals(slice(None)).tolist()
+    except _EVAL_ERRORS:
+        results = []
+        for t in range(trials):
+            try:
+                results.append(residuals(slice(t, t + 1)).item())
+            except _EVAL_ERRORS as e:
+                results.append(e)
+    for t, r in enumerate(results):
+        if isinstance(r, Exception):
+            report.record(math.inf, level, (key, repr(r)))
+        else:
+            report.record(r, level, witness(t) if r > report.tol else None)
+
+
 def check_direct_sums(
     f: FreeMapOracle,
     levels: Sequence[Tuple[int, int]] = DEFAULT_LEVELS,
@@ -282,23 +360,26 @@ def check_direct_sums(
     tol: float = DEFAULT_TOL,
     seed=0,
 ) -> CheckReport:
-    """Residuals of f(X+Y block diag) - f(X)+f(Y) block diag."""
+    """Residuals of f(X+Y block diag) - f(X)+f(Y) block diag.  The trials
+    of a level pair are drawn first, then evaluated as three stacks: the
+    direct sums, the X and the Y."""
     rng = _rng(seed)
     report = CheckReport("direct_sums", trials * len(levels), tol)
-    for (m, n) in levels:
+    for (m, n) in levels if trials > 0 else ():
         r = _sample_radius(f, m, n, m + n)
-        for _ in range(trials):
-            X = random_mattuple(f.g, m, rng, f.field, norm=r * rng.uniform(0.05, 1))
-            Y = random_mattuple(f.g, n, rng, f.field, norm=r * rng.uniform(0.05, 1))
-            try:
-                lhs = f(direct_sum(X, Y))
-                rhs = direct_sum(f(X), f(Y))
-                res = lhs.max_diff(rhs)
-            except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:
-                # evaluator failure is a recorded witness, not fatal
-                report.record(math.inf, m + n, ((m, n), repr(e)))
-                continue
-            report.record(res, m + n, ((m, n), X, Y))
+        uX, Xs, uY, Ys = zip(*[(rng.uniform(0.05, 1), standard_mats(f.g, m, rng, f.field),
+                                rng.uniform(0.05, 1), standard_mats(f.g, n, rng, f.field))
+                               for _ in range(trials)])
+        X = scaled_to(np.stack(Xs, axis=1), r * np.array(uX))
+        Y = scaled_to(np.stack(Ys, axis=1), r * np.array(uY))
+
+        def residuals(ts):
+            lhs = f.stack(direct_sums(X[:, ts], Y[:, ts]))
+            return stack_diffs(lhs, direct_sums(f.stack(X[:, ts]), f.stack(Y[:, ts])))
+
+        _record_trials(report, m + n, trials, residuals,
+                       lambda t: ((m, n), MatTuple(X[:, t], f.field), MatTuple(Y[:, t], f.field)),
+                       (m, n))
     return report
 
 
@@ -310,24 +391,29 @@ def check_similarity(
     tol: float = DEFAULT_TOL,
     seed=0,
 ) -> CheckReport:
-    """Residuals of f(s X s^-1) - s f(X) s^-1 for s sampled in the group."""
+    """Residuals of f(s X s^-1) - s f(X) s^-1 for s sampled in the group.
+    The trials of a level are drawn first, then evaluated as two stacks:
+    the conjugated X and the X."""
     group = group or f.group
     rng = _rng(seed)
     report = CheckReport(f"similarity[{group}]", trials * len(levels), tol)
-    for n in levels:
-        for _ in range(trials):
-            sigma = random_group_element(group, n, rng, field=f.field)
-            cond = float(np.linalg.cond(sigma))
-            r = _sample_radius(f, n) / max(1.0, cond)
-            X = random_mattuple(f.g, n, rng, f.field, norm=r * rng.uniform(0.05, 1))
+    for n in levels if trials > 0 else ():
+        sigmas, us, Xs = zip(*[(random_group_element(group, n, rng, field=f.field), rng.uniform(0.05, 1),
+                                standard_mats(f.g, n, rng, f.field)) for _ in range(trials)])
+        S = np.array(sigmas)
+        r = _sample_radius(f, n) / np.maximum(1.0, np.linalg.cond(S))
+        X = scaled_to(np.stack(Xs, axis=1), r * np.array(us))
+
+        def residuals(ts):
             try:
-                lhs = f(conjugate(X, sigma))
-                rhs = conjugate(f(X), sigma)
-                res = lhs.max_diff(rhs)
-            except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:
-                report.record(math.inf, n, ((n,), repr(e)))
-                continue
-            report.record(res, n, (n, X, sigma))
+                inv = np.linalg.inv(S[ts])
+            except np.linalg.LinAlgError as e:
+                raise ValueError("sigma is singular") from e
+            lhs = f.stack(S[ts] @ X[:, ts] @ inv)
+            return stack_diffs(lhs, S[ts] @ f.stack(X[:, ts]) @ inv)
+
+        _record_trials(report, n, trials, residuals,
+                       lambda t: (n, MatTuple(X[:, t], f.field), S[t]), (n,))
     return report
 
 

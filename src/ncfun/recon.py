@@ -30,8 +30,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .mateval import MatTuple, _rng, eval_ncpoly, random_mattuple
-from .oracle import FreeMapOracle, neville_to_zero
+from .mateval import MatTuple, _rng, eval_stack, scaled_to, stack_diffs, standard_mats
+from .mateval import eval_ncpoly  # noqa: F401  (unused; bench/test_bench.py looks it up here)
+from .oracle import FreeMapOracle, call_each, neville_to_zero
 from .poly import FREE, INV, NCPoly
 from .series import FormalSeries
 from .words import Letter, Word, words_of_degree
@@ -62,19 +63,21 @@ def _part_scan(
     row when ``row0``).
 
     Chebyshev fit of t -> f(tX) at radius h, h/2, ..., h/2^refine,
-    extrapolated in h^2 toward 0.
+    extrapolated in h^2 toward 0.  The nodes of one radius are one stack
+    when f is a FreeMapOracle, one call each for a plain callable.
     """
     taus = _cheb_nodes(D)
     V = np.vander(taus, D + 1, increasing=True)
+    A = np.array(X.mats)[:, None]
     ests: List[List[np.ndarray]] = []
     for j in range(refine + 1):
         r = h / 2**j
-        vals = [f(X.scale(float(r * t))) for t in taus]
+        scaled = A * (r * taus)[:, None, None]
+        vals = f.stack(scaled) if isinstance(f, FreeMapOracle) else call_each(f, scaled, X.field)
         scale = r ** np.arange(D + 1)
         per_slot = []
-        for k in range(len(vals[0].mats)):
-            mats = [np.asarray(v.mats[k]) for v in vals]
-            B = np.array([a[0] if row0 else a.ravel() for a in mats])
+        for v in vals:
+            B = v[:, 0] if row0 else v.reshape(len(taus), -1)
             C = np.linalg.solve(V, B)  # coefficients in tau = t/r
             per_slot.append(C / scale[:, None])
         ests.append(per_slot)
@@ -317,16 +320,18 @@ def _probe(f: FreeMapOracle, polys, levels, samples: int, radius: Callable[[int]
     """``(worst, witness)``: the largest deviation of f from the polynomials
     ``polys`` on ``samples`` random tuples at each of ``levels``, drawn in
     order from one generator with norms radius(n) * U(0.1, 1), and the
-    first tuple that reached it (None when every deviation is 0)."""
+    first tuple that reached it (None when every deviation is 0).  The
+    samples of a level are drawn first, then evaluated as one stack."""
     rng = _rng(seed)
     worst, witness = 0.0, None
     for n in levels:
         r = radius(n)
-        for _ in range(samples):
-            X = random_mattuple(f.g, n, rng, f.field, norm=r * rng.uniform(0.1, 1.0))
-            res = f(X).max_diff(MatTuple([eval_ncpoly(q, X) for q in polys], f.field))
-            if res > worst:
-                worst, witness = res, X
+        us, Xs = zip(*[(rng.uniform(0.1, 1.0), standard_mats(f.g, n, rng, f.field)) for _ in range(samples)])
+        X = scaled_to(np.stack(Xs, axis=1), r * np.array(us))
+        res = stack_diffs(f.stack(X), eval_stack(polys, X, f.field))
+        for t, v in enumerate(res.tolist()):
+            if v > worst:
+                worst, witness = v, MatTuple(X[:, t], f.field)
     return worst, witness
 
 

@@ -108,3 +108,109 @@ def reference_is_identity(p, n: int, trials: int, seed: int, exact: bool = True)
             return IdentityReport(False, trials, n, witness=X, max_residual=worst)
     bound = (deg / (2 * d + 1)) ** trials if exact else None
     return IdentityReport(True, trials, n, max_residual=worst, failure_bound=bound)
+
+
+# -- per-trial references for the stacked checks ----------------------
+
+EVAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def reference_tuple(g: int, n: int, rng, field: str, norm: float) -> MatTuple:
+    """A standard-normal tuple drawn component by component and scaled to
+    ``norm`` through ``MatTuple.norm`` and ``MatTuple.scale``."""
+    mats = []
+    for _ in range(g):
+        m = rng.standard_normal((n, n))
+        if field == "complex":
+            m = (m + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        mats.append(m)
+    X = MatTuple(mats, field)
+    cur = X.norm()
+    return X.scale(norm / cur) if cur > 0 else X
+
+
+def reference_direct_sums(f, levels, trials, tol, seed):
+    """``check_direct_sums`` one trial at a time through ``f(...)``, each
+    trial drawn, evaluated and recorded before the next."""
+    from ncfun.mateval import block_tuple
+    from ncfun.oracle import CheckReport, _sample_radius
+
+    rng = np.random.default_rng(seed)
+    report = CheckReport("direct_sums", trials * len(levels), tol)
+    for (m, n) in levels:
+        r = _sample_radius(f, m, n, m + n)
+        for _ in range(trials):
+            X = reference_tuple(f.g, m, rng, f.field, r * rng.uniform(0.05, 1))
+            Y = reference_tuple(f.g, n, rng, f.field, r * rng.uniform(0.05, 1))
+            try:
+                lhs = f(block_tuple(X, None, None, Y))
+                rhs = block_tuple(f(X), None, None, f(Y))
+                res = lhs.max_diff(rhs)
+            except EVAL_ERRORS as e:
+                report.record(np.inf, m + n, ((m, n), repr(e)))
+                continue
+            report.record(res, m + n, ((m, n), X, Y))
+    return report
+
+
+def reference_similarity(f, group, levels, trials, tol, seed):
+    """``check_similarity`` one trial at a time through ``f(...)`` and
+    ``conjugate``."""
+    from ncfun.mateval import conjugate, random_group_element
+    from ncfun.oracle import CheckReport, _sample_radius
+
+    rng = np.random.default_rng(seed)
+    report = CheckReport(f"similarity[{group}]", trials * len(levels), tol)
+    for n in levels:
+        for _ in range(trials):
+            sigma = random_group_element(group, n, rng, field=f.field)
+            r = _sample_radius(f, n) / max(1.0, float(np.linalg.cond(sigma)))
+            X = reference_tuple(f.g, n, rng, f.field, r * rng.uniform(0.05, 1))
+            try:
+                lhs = f(conjugate(X, sigma))
+                rhs = conjugate(f(X), sigma)
+                res = lhs.max_diff(rhs)
+            except EVAL_ERRORS as e:
+                report.record(np.inf, n, ((n,), repr(e)))
+                continue
+            report.record(res, n, (n, X, sigma))
+    return report
+
+
+def reference_probe(f, polys, levels, samples, radius, seed):
+    """``recon._probe`` one sample at a time through ``f(...)`` and
+    ``eval_ncpoly``."""
+    from ncfun.mateval import eval_ncpoly
+
+    rng = np.random.default_rng(seed)
+    worst, witness = 0.0, None
+    for n in levels:
+        r = radius(n)
+        for _ in range(samples):
+            X = reference_tuple(f.g, n, rng, f.field, r * rng.uniform(0.1, 1.0))
+            res = f(X).max_diff(MatTuple([eval_ncpoly(q, X) for q in polys], f.field))
+            if res > worst:
+                worst, witness = res, X
+    return worst, witness
+
+
+def same_info(a, b) -> bool:
+    """Witness infos equal entry by entry: tuples element-wise, MatTuples
+    and arrays by ``np.array_equal`` (and field), anything else by ==."""
+    if isinstance(a, MatTuple) or isinstance(b, MatTuple):
+        return (isinstance(a, MatTuple) and isinstance(b, MatTuple) and a.field == b.field
+                and a.g == b.g and all(np.array_equal(x, y) for x, y in zip(a.mats, b.mats)))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(same_info(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def same_report(a, b) -> bool:
+    """Two check reports with the same name, trials, max violation and
+    witnesses, bit for bit."""
+    return (a.name == b.name and a.trials == b.trials and a.max_violation == b.max_violation
+            and len(a.witnesses) == len(b.witnesses)
+            and all(ra == rb and la == lb and same_info(ia, ib)
+                    for (ia, ra, la), (ib, rb, lb) in zip(a.witnesses, b.witnesses)))

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,3 +309,24 @@ def test_check_determinism_across_runs(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_tol_must_be_finite_and_nonnegative(capsys):
+    # no residual exceeds nan, and every one exceeds a negative tol: both
+    # are usage errors, refused before any check runs
+    for tol in ("nan", "-1", "inf", "-inf", "1e-8x"):
+        code, out, err = run(capsys, "check", "--map", "sinxxt", "--trials", "2", "--tol", tol)
+        assert code == 1 and out == "" and "--tol" in err and "Traceback" not in err, tol
+    # tol 0 is allowed: round-off then fails similarity, with a FAIL line
+    code, out, err = run(capsys, "check", "--map", "sinxxt", "--trials", "2", "--tol", "0")
+    assert code == 2 and err == "" and any(FAIL_RE.match(ln) for ln in out.splitlines())
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "ncfun", "check", "--map", "sinxxt", "--trials", "2"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.startswith("PASS ")

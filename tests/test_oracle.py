@@ -23,7 +23,7 @@ from ncfun import (
 )
 from ncfun.oracle import DEFAULT_LEVELS, neville_to_zero, random_ncpoly
 
-from helpers import reference_derivative
+from helpers import reference_derivative, reference_direct_sums, reference_similarity, same_report
 
 
 def e(n, i, j):
@@ -344,3 +344,89 @@ def test_second_order_directional_derivative():
     assert err < 1e-4
     with pytest.raises(ValueError):
         directional_derivative(f, X, H, order=3)
+
+
+def _flaky(X):
+    # raises on some level-3 tuples and returns inf on some level-2 ones
+    if X.n == 3 and X.mats[0][0, 0] > 0:
+        raise ArithmeticError("flaky")
+    if X.n == 2 and X.mats[0][0, 1] > 0.2:
+        return MatTuple([np.full((2, 2), np.inf)])
+    return MatTuple([X.mats[0] @ X.mats[0]])
+
+
+def _stacked_check_cases():
+    tr_map = FreeMapOracle(1, 1, lambda X: MatTuple([np.trace(X.mats[0]) * np.eye(X.n)]), group="O")
+    diag_map = FreeMapOracle(1, 1, lambda X: MatTuple([np.diag(np.diag(X.mats[0]))]), group="O")
+    cases = [
+        ("free_g2", oracle_from_ncpoly(random_ncpoly(2, 3, seed=1)), ("GL",)),
+        ("inv_g2", oracle_from_ncpoly(random_ncpoly(2, 2, INV, seed=2)), ("O", "GL")),
+        ("complex_u", oracle_from_ncpoly(random_ncpoly(2, 2, INV, seed=3, field="complex"), field="complex"),
+         ("U", "GL")),
+        ("sinxxt", builtin_map("sinxxt"), ("O",)),
+        ("tr_map", tr_map, ("O",)),
+        ("diag_map", diag_map, ("O",)),
+        ("raising", FreeMapOracle(1, 1, _flaky, group="GL"), ("GL", "O")),
+    ]
+    return [pytest.param(f, groups, id=name) for name, f, groups in cases]
+
+
+@pytest.mark.parametrize("f,groups", _stacked_check_cases())
+def test_stacked_checks_match_the_per_trial_reference(f, groups):
+    # the stacked checks draw every trial first and evaluate each level as
+    # stacks; reports, witnesses and levels are bit for bit those of the
+    # per-trial loop over f(...)
+    pairs = [(1, 1), (1, 2), (2, 3), (3, 3)]
+    for seed in (0, 1, 2):
+        for tol in (1e-8, 1e-14):
+            assert same_report(check_direct_sums(f, pairs, trials=6, tol=tol, seed=seed),
+                               reference_direct_sums(f, pairs, 6, tol, seed))
+            for group in groups:
+                assert same_report(check_similarity(f, group, (1, 2, 3), trials=6, tol=tol, seed=seed),
+                                   reference_similarity(f, group, (1, 2, 3), 6, tol, seed))
+
+
+@pytest.mark.parametrize("polynomial", [True, False])
+def test_checks_count_one_call_per_tuple_and_one_batch_per_stack(polynomial):
+    f = oracle_from_ncpoly(random_ncpoly(2, 2, INV, seed=4)) if polynomial else builtin_map("sinxxt")
+    check_direct_sums(f, DEFAULT_LEVELS, trials=7)
+    assert (f.calls, f.batches) == (3 * 7 * len(DEFAULT_LEVELS), 3 * len(DEFAULT_LEVELS))
+    f.calls = f.batches = 0
+    check_similarity(f, levels=(1, 2, 3), trials=5)
+    assert (f.calls, f.batches) == (2 * 5 * 3, 2 * 3)
+    # no trials: nothing drawn, nothing evaluated
+    assert check_direct_sums(f, trials=0).passed and check_similarity(f, trials=0).passed
+    assert (f.calls, f.batches) == (2 * 5 * 3, 2 * 3)
+
+
+def test_stack_is_a_stack_of_calls():
+    f = oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=5))
+    A = np.stack([np.stack(random_mattuple(2, 3, s, norm=0.8).mats) for s in range(4)], axis=1)
+    out = f.stack(A)
+    assert out.shape == (1, 4, 3, 3) and (f.calls, f.batches) == (4, 1)
+    for t in range(4):
+        assert np.array_equal(out[:, t], np.stack(f(MatTuple(A[:, t])).mats))
+    with pytest.raises(ValueError, match="stack of shape"):
+        f.stack(A[:1])
+    with pytest.raises(DomainError, match="level 3"):
+        dataclasses.replace(f, max_level=2).stack(A)
+    near = dataclasses.replace(f, radius=0.5)
+    with pytest.raises(DomainError, match="input norm 0.8"):
+        near.stack(A)
+    assert near.calls == 0  # refused before any evaluation
+    big = oracle_from_ncpoly(NCPoly({((1, False),) * 2: 1e300}))
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+        big.stack(1e10 * np.ones((1, 2, 2, 2)))
+
+
+def test_stack_on_a_shifted_copy_uses_its_evaluator():
+    # expand_at_point evaluates a copy with a new evaluator and polys=None;
+    # its stacks must go through that evaluator, not the stale polynomial
+    f = oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1))
+    C = MatTuple([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    shifted = dataclasses.replace(f, evaluator=lambda H: f(C + H), polys=None)
+    H = np.stack([np.stack(random_mattuple(1, 2, s, norm=0.3).mats) for s in range(3)], axis=1)
+    out = shifted.stack(H)
+    assert np.array_equal(out, f.stack(H + np.stack(C.mats)[:, None]))
+    assert not np.allclose(out, f.stack(H))
+    assert (shifted.calls, shifted.batches) == (3, 1) and f.calls == 3 + 3 + 3

@@ -344,3 +344,42 @@ def test_taylor_finite_radius():
     xxt = parse_word("x1 x1*")
     want = NCPoly({xxt * k: 1.0 for k in range(1, 4)}, INV)
     assert s.max_coeff_diff(want) < 1e-7
+
+
+@pytest.mark.parametrize("mode,field", [(FREE, "real"), (INV, "real"), (INV, "complex")])
+def test_probe_matches_the_per_sample_reference(mode, field):
+    from ncfun.recon import _probe
+
+    from helpers import reference_probe, same_info
+
+    f = oracle_from_ncpoly(random_ncpoly(2, 3, mode, seed=6, field=field), field=field)
+    near = tuple(p + NCPoly({((1, False),): 1e-6}, mode) for p in f.polys)
+    for polys in (f.polys, near):
+        for seed in (0, 1):
+            args = (f, polys, (1, 2, 4), 5, lambda n: min(1.0, f.radius_at(n) / 2.0), seed)
+            worst, witness = _probe(*args)
+            ref_worst, ref_witness = reference_probe(*args)
+            assert worst == ref_worst and same_info(witness, ref_witness)
+    assert witness is not None  # the perturbed polynomials deviate
+    calls, batches = f.calls, f.batches
+    _probe(f, f.polys, (1, 2), 4, lambda n: 0.3, 0)
+    assert (f.calls - calls, f.batches - batches) == (8, 2)
+
+
+def test_part_scan_stacks_each_radius():
+    from ncfun import builtin_map
+
+    # one stack per Richardson refinement (four for an analytic map), and
+    # a polynomial map's one stack through its plans is bit for bit the
+    # per-node calls a plain callable makes
+    f = builtin_map("sinxxt")
+    homogeneous_part_eval(f, 3, random_mattuple(1, 3, 6, norm=0.5), 5)
+    assert (f.calls, f.batches) == (6 * 4, 4)
+    from ncfun.recon import _part_scan
+
+    f = oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=7))
+    X = random_mattuple(2, 3, 6, norm=0.5)
+    via_stack = _part_scan(f, X, 3, 0.8, 1, row0=False)
+    assert (f.calls, f.batches) == (8, 2)
+    via_calls = _part_scan(lambda Z: f(Z), X, 3, 0.8, 1, row0=False)
+    assert f.calls == 16 and all(np.array_equal(a, b) for a, b in zip(via_stack, via_calls))
