@@ -133,6 +133,9 @@ def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[For
     for s in F:
         if s.constant_part() != 0:
             raise ValueError("formal inverse needs zero constant part")
+        k = s.poly.num_vars()
+        if k > g:
+            raise ValueError(f"F has g = {g} components but uses x{k}")
     mode = F[0].mode
     rows = linear_part(F).inverse_rows()  # raises when singular
     stars = (False, True) if mode == INV else (False,)
@@ -143,8 +146,8 @@ def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[For
     # linear part is the identity up to the round-off of L^{-1} L)
     G = [_from_length(fb, 2) for fb in Fbar]
     H = list(FormalSeries.identity_tuple(g, D, mode))
-    for d in range(2, D + 1):
-        K = [series_compose(gg, H) for gg in G]
+    for d in range(2, D + 1):  # words of length d of G o H need G and H only up to length d
+        K = compose_tuple([FormalSeries.from_ncpoly(gg.poly, d) for gg in G], H)
         for i in range(g):
             Kd = {w: -c for w, c in K[i].to_ncpoly().coeffs.items() if len(w) == d}
             H[i] = FormalSeries.from_ncpoly(NCPoly({**H[i].to_ncpoly().coeffs, **Kd}, mode), D)
@@ -155,6 +158,8 @@ def composition_residual(F: Sequence[FormalSeries], H: Sequence[FormalSeries]) -
     """Max coefficient deviation of F o H and H o F from the identity."""
     if not F or not H:
         raise ValueError(f"composition residual of an empty tuple {'F' if not F else 'H'}")
+    if len(F) != len(H):
+        raise ValueError(f"composition residual of tuples of {len(F)} and {len(H)} series")
     D = min(min(s.order for s in F), min(s.order for s in H))
     ident = FormalSeries.identity_tuple(len(F), D, F[0].mode)
     out = 0.0

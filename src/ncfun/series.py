@@ -3,41 +3,43 @@
 A :class:`FormalSeries` is one :class:`~ncfun.poly.NCPoly` whose words
 have length <= its order D, listed shortest first, plus D; its degree-m
 part is a view of that polynomial.  All operations truncate at the
-smaller order.  Substitution applies the involution convention (series
+smaller order; products and substitution run on graded parts, one word
+map per degree.  Substitution applies the involution convention (series
 for x_k^t) = involution of (series for x_k), which matches matrix
 transposition under evaluation.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .poly import FREE, INV, NCPoly
 from .words import Word, word_str
 
 
-def _graded_sum(terms: Iterable[Tuple[Word, object]]) -> Dict[Word, object]:
-    """Sum of (word, coefficient) pairs, listed shortest first (stable).
-    Exact zeros drop out as they arise, as with repeated ``NCPoly +``, so
-    the values and the word order match summing the pairs one at a time."""
-    acc: Dict[Word, object] = {}
-    for w, c in terms:
-        c = acc.get(w, 0) + c
-        if c == 0:
-            acc.pop(w, None)
-        else:
-            acc[w] = c
-    return dict(sorted(acc.items(), key=lambda wc: len(wc[0])))
+Parts = List[Dict[Word, object]]  # graded parts: parts[m] maps the words of length m to coefficients
 
 
-def _products(a: Dict[Word, object], b: Dict[Word, object], D: int):
-    """Pairs (u v, a_u b_v) of length <= D; b is listed shortest first."""
-    for u, x in a.items():
-        for v, y in b.items():
-            if len(u) + len(v) > D:
-                break
-            yield u + v, x * y
+def _parts(coeffs: Dict[Word, object], D: int) -> Parts:
+    """The words of length <= D of a word map, as graded parts 0..D."""
+    parts: Parts = [{} for _ in range(D + 1)]
+    for w, c in coeffs.items():
+        if len(w) <= D:
+            parts[len(w)][w] = c
+    return parts
+
+
+def _mul_into(out: Parts, a: Parts, b: Parts) -> Parts:
+    """Add the product a b, truncated at degree len(out) - 1, into out."""
+    D = len(out) - 1
+    for i, ai in enumerate(a[: D + 1]):
+        for j, bj in enumerate(b[: D + 1 - i]):
+            o = out[i + j]
+            for u, x in ai.items():
+                for v, y in bj.items():
+                    w = u + v
+                    o[w] = o.get(w, 0) + x * y
+    return out
 
 
 class FormalSeries:
@@ -71,10 +73,14 @@ class FormalSeries:
         """p without its words longer than ``order``."""
         if order < 0:
             raise ValueError("truncation order must be >= 0")
+        return cls._from_parts(_parts(p.coeffs, order), p.mode)
+
+    @classmethod
+    def _from_parts(cls, parts: Parts, mode: str) -> "FormalSeries":
+        """The series of order len(parts) - 1 with these graded parts."""
         s = cls.__new__(cls)
-        kept = ((w, c) for w, c in p.coeffs.items() if len(w) <= order)
-        s.poly = NCPoly(dict(sorted(kept, key=lambda wc: len(wc[0]))), p.mode)
-        s.order = order
+        s.poly = NCPoly({w: c for part in parts for w, c in part.items()}, mode)
+        s.order = len(parts) - 1
         return s
 
     @classmethod
@@ -124,8 +130,8 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return self.scale(other)
         D = self._common_order(other)
-        prod = _graded_sum(_products(self.poly.coeffs, other.poly.coeffs, D))
-        return FormalSeries.from_ncpoly(NCPoly(prod, self.mode), D)
+        prod = _mul_into([{} for _ in range(D + 1)], _parts(self.poly.coeffs, D), _parts(other.poly.coeffs, D))
+        return FormalSeries._from_parts(prod, self.mode)
 
     def involution(self) -> "FormalSeries":
         return FormalSeries.from_ncpoly(self.poly.involution(), self.order)
@@ -162,34 +168,49 @@ def series_compose(F: FormalSeries, G: Sequence[FormalSeries]) -> FormalSeries:
     involution of G[k-1] replaces x_k^t.
 
     Every component of G must have zero constant part, so the result is
-    well defined degree-by-degree up to the common truncation order.
+    well defined degree-by-degree up to the common truncation order D.
+    It is Horner's rule over the word trie of F: the series of the node
+    u is S(u) = c_u + sum_l G_l S(u l), truncated at D - |u|, so each
+    edge of the trie costs one product and F o G = S(empty word).
     """
+    return compose_tuple((F,), G)[0]
+
+
+def compose_tuple(F: Sequence[FormalSeries], G: Sequence[FormalSeries]) -> tuple:
+    """``series_compose`` of each component of F; G is split into parts once."""
     if not G:
         raise ValueError("empty substitution tuple")
-    D = min([F.order] + [g.order for g in G])
-    mode = G[0].mode
+    mode, order = G[0].mode, min(g.order for g in G)
     subs = {}
     for k, g in enumerate(G, start=1):
         if g.mode != mode:
             raise ValueError("mixed modes in substitution tuple")
         if g.constant_part() != 0:
             raise ValueError("substituted series must have zero constant part")
-        subs[k, False] = g.poly.coeffs
+        subs[k, False] = _parts(g.poly.coeffs, order)
         if mode == INV:
-            subs[k, True] = g.involution().poly.coeffs
+            subs[k, True] = _parts(g.poly.involution().coeffs, order)
 
-    def term(w, c):
-        t = {(): c}
-        for let in w:
-            if let not in subs:
-                raise ValueError(f"no series for {word_str((let,))} in a {mode} tuple of {len(G)}")
-            t = _graded_sum(_products(t, subs[let], D))
-        return t.items()
+    def horner(node, room: int) -> Parts:
+        out: Parts = [{} for _ in range(room + 1)]
+        if node[0] is not None:
+            out[0][()] = node[0]
+        for let, child in node[1].items():
+            _mul_into(out, subs[let], horner(child, room - 1))
+        return out
 
-    words = ((w, c) for w, c in F.poly.coeffs.items() if len(w) <= D)
-    total = _graded_sum(chain.from_iterable(term(w, c) for w, c in words))
-    return FormalSeries.from_ncpoly(NCPoly(total, mode), D)
-
-
-def compose_tuple(F: Sequence[FormalSeries], G: Sequence[FormalSeries]) -> tuple:
-    return tuple(series_compose(f, G) for f in F)
+    composed = []
+    for f in F:
+        D = min(f.order, order)
+        root: list = [None, {}]  # node: [coefficient of its word or None, children by letter]
+        for w, c in f.poly.coeffs.items():
+            for let in w:
+                if let not in subs:
+                    raise ValueError(f"no series for {word_str((let,))} in a {mode} tuple of {len(G)}")
+            if len(w) <= D:
+                node = root
+                for let in w:
+                    node = node[1].setdefault(let, [None, {}])
+                node[0] = c
+        composed.append(FormalSeries._from_parts(horner(root, D), mode))
+    return tuple(composed)

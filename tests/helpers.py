@@ -2,9 +2,11 @@
 
 import numpy as np
 
-from ncfun import GenPoly, MatTuple, NCPoly, random_mattuple
+from ncfun import INV, FormalSeries, GenPoly, MatTuple, NCPoly, random_mattuple
 from ncfun.identities import FLOAT_TOL, IdentityReport, random_int_tuple
+from ncfun.invfun import _from_length, _linear_series, linear_part
 from ncfun.mateval import adjoint
+from ncfun.series import compose_tuple
 
 
 def max_basis_diff(p: GenPoly, q: GenPoly) -> float:
@@ -214,3 +216,64 @@ def same_report(a, b) -> bool:
             and len(a.witnesses) == len(b.witnesses)
             and all(ra == rb and la == lb and same_info(ia, ib)
                     for (ia, ra, la), (ib, rb, lb) in zip(a.witnesses, b.witnesses)))
+
+
+def _graded_sum(terms):
+    """Sum of (word, coefficient) pairs, listed shortest first (stable);
+    exact zeros drop out as they arise."""
+    acc = {}
+    for w, c in terms:
+        c = acc.get(w, 0) + c
+        if c == 0:
+            acc.pop(w, None)
+        else:
+            acc[w] = c
+    return dict(sorted(acc.items(), key=lambda wc: len(wc[0])))
+
+
+def _products(a, b, D):
+    """Pairs (u v, a_u b_v) of length <= D; b is listed shortest first."""
+    for u, x in a.items():
+        for v, y in b.items():
+            if len(u) + len(v) > D:
+                break
+            yield u + v, x * y
+
+
+def reference_compose(F, G) -> FormalSeries:
+    """F o G by the per-word route: each word c_w w of F kept at the
+    common order D is multiplied out on its own, letter by letter from
+    the left as ((c_w G_1) G_2) ..., every partial product truncated at D,
+    and all terms summed in word order; no prefix sharing."""
+    D = min([F.order] + [g.order for g in G])
+    mode = G[0].mode
+    subs = {}
+    for k, g in enumerate(G, start=1):
+        subs[k, False] = g.poly.coeffs
+        if mode == INV:
+            subs[k, True] = g.involution().poly.coeffs
+    terms = []
+    for w, c in F.poly.coeffs.items():
+        if len(w) <= D:
+            t = {(): c}
+            for let in w:
+                t = _graded_sum(_products(t, subs[let], D))
+            terms.extend(t.items())
+    return FormalSeries.from_ncpoly(NCPoly(_graded_sum(terms), mode), D)
+
+
+def reference_formal_inverse(F, D: int) -> tuple:
+    """``formal_inverse`` with every step composed at the full order D
+    instead of the step's own degree d."""
+    g, mode = len(F), F[0].mode
+    rows = linear_part(F).inverse_rows()
+    stars = (False, True) if mode == INV else (False,)
+    letters = [(k, starred) for k in range(1, g + 1) for starred in stars]
+    G = [_from_length(fb, 2) for fb in compose_tuple(_linear_series(rows, letters, D, mode), F)]
+    H = list(FormalSeries.identity_tuple(g, D, mode))
+    for d in range(2, D + 1):
+        K = compose_tuple(G, H)
+        for i in range(g):
+            Kd = {w: -c for w, c in K[i].poly.coeffs.items() if len(w) == d}
+            H[i] = FormalSeries.from_ncpoly(NCPoly({**H[i].poly.coeffs, **Kd}, mode), D)
+    return compose_tuple(H, _linear_series(rows, sorted(letters, key=lambda let: let[1]), D, mode))

@@ -27,7 +27,7 @@ from ncfun import (
 from ncfun.invfun import assemble_jacobian
 from ncfun.oracle import random_ncpoly
 
-from helpers import reference_jacobian
+from helpers import reference_formal_inverse, reference_jacobian
 
 x1 = NCPoly.variable(1)
 
@@ -122,6 +122,56 @@ def test_formal_inverse_and_residual_boundary_checks():
         composition_residual((), [H])
     with pytest.raises(ValueError, match="empty tuple H"):
         composition_residual([F], ())
+
+
+def test_formal_inverse_refuses_letters_beyond_g():
+    # a 1-tuple in x1 and x2 has no inverse in x1 alone
+    F = FormalSeries.from_ncpoly(x1 + NCPoly.variable(2), 3)
+    with pytest.raises(ValueError, match="g = 1 components but uses x2"):
+        formal_inverse([F])
+    with pytest.raises(ValueError, match="g = 1 components but uses x2"):
+        formal_inverse([FormalSeries.from_ncpoly(ivar(1) + ivar(2, True) * ivar(1), 3)])
+
+
+def test_composition_residual_refuses_tuples_of_different_lengths():
+    F = FormalSeries.from_ncpoly(x1 - x1 * x1, 3)
+    with pytest.raises(ValueError, match="tuples of 1 and 2 series"):
+        composition_residual([F], [F, F])
+
+
+def _mixed_involution_g2(D):
+    """An involution g=2 tuple whose linear part mixes x and x^t, with one
+    quadratic and two cubic terms: its inverse is dense up to degree D."""
+    return [
+        FormalSeries.from_ncpoly(ivar(1) + ivar(1, True).scale(0.5) + ivar(2).scale(0.3)
+                                 + (ivar(1) * ivar(2) * ivar(1, True)).scale(0.4)
+                                 + (ivar(1) * ivar(2, True)).scale(0.25), D),
+        FormalSeries.from_ncpoly(ivar(2) + ivar(2, True).scale(-0.4) + ivar(1).scale(0.2)
+                                 + (ivar(2, True) * ivar(1) * ivar(2)).scale(0.7), D),
+    ]
+
+
+def test_formal_inverse_mixed_involution_g2_d5():
+    F = _mixed_involution_g2(5)
+    H = formal_inverse(F)
+    assert sum(len(h.to_ncpoly().coeffs) for h in H) == 2 * sum(4**m for m in range(1, 6))  # every word of length 1..5
+    assert composition_residual(F, H) <= 1e-14
+
+
+def test_formal_inverse_order_d_steps_match_full_order_steps():
+    # step d keeps only the words of length d of G o H, which longer words never feed
+    rng = np.random.default_rng(4)
+    cases = [([FormalSeries.from_ncpoly(x1 - x1 * x1, 8)], 8), (_mixed_involution_g2(4), 4)]
+    for mode in (FREE, INV):
+        F = []
+        for i in range(2):
+            p = random_ncpoly(2, 4, mode, rng, n_terms=6)
+            p = p - NCPoly({(): p.coefficient(())}, mode) - p.homogeneous_part(1)
+            F.append(FormalSeries.from_ncpoly(NCPoly.variable(i + 1, mode=mode) + p, 4))
+        cases.append((F, 4))
+    for F, D in cases:
+        got, want = formal_inverse(F, D), reference_formal_inverse(F, D)
+        assert [list(h.to_ncpoly().coeffs.items()) for h in got] == [list(h.to_ncpoly().coeffs.items()) for h in want]
 
 
 def test_linear_part_structure():

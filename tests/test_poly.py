@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from ncfun import (
     series_compose,
 )
 
-from helpers import max_basis_diff
+from helpers import max_basis_diff, reference_compose
 
 x1 = NCPoly.variable(1)
 x2 = NCPoly.variable(2)
@@ -251,6 +253,65 @@ def test_series_compose_matches_evaluation_exactly(case):
     F, G, X = case
     inner = MatTuple([Gk(X) for Gk in G])
     assert (series_compose(F, G)(X) == F(inner)).all()
+
+
+def _random_series(rng, g, D, coeff, min_len=0):
+    """A series of order D in x1, x1^t, ..., xg, xg^t: 8 random words of
+    lengths min_len..D with coefficients coeff(rng)."""
+    letters = [(k, starred) for k in range(1, g + 1) for starred in (False, True)]
+    coeffs = {}
+    for _ in range(8):
+        picks = rng.integers(0, len(letters), int(rng.integers(min_len, D + 1)))
+        coeffs[tuple(letters[i] for i in picks)] = coeff(rng)
+    return FormalSeries.from_ncpoly(NCPoly(coeffs, INV), D)
+
+
+def _int(rng):
+    return int(rng.integers(-3, 4))
+
+
+def _fraction(rng):
+    return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7)))
+
+
+@pytest.mark.parametrize("coeff", [_int, _fraction])
+def test_series_compose_matches_per_word_reference_exactly(coeff):
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        g, DF, DG = int(rng.integers(1, 3)), int(rng.integers(0, 6)), int(rng.integers(1, 6))
+        F = _random_series(rng, g, DF, coeff)
+        G = [_random_series(rng, g, DG, coeff, min_len=1) for _ in range(g)]
+        got, want = series_compose(F, G), reference_compose(F, G)
+        assert got.order == want.order == min(DF, DG) and got == want
+
+
+def _float(rng):
+    return rng.uniform(-1, 1)
+
+
+def _complex(rng):
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def test_series_compose_matches_per_word_reference_on_floats():
+    # the Horner route multiplies in another order, so floats may differ by round-off
+    rng = np.random.default_rng(6)
+    for trial in range(40):
+        D, coeff = int(rng.integers(1, 6)), _complex if trial % 2 else _float
+        F = _random_series(rng, 2, D, coeff)
+        G = [_random_series(rng, 2, D, coeff, min_len=1) for _ in range(2)]
+        got, want = series_compose(F, G), reference_compose(F, G)
+        scale = max((abs(c) for c in want.poly.coeffs.values()), default=0.0)
+        assert got.max_coeff_diff(want) <= 1e-13 * scale
+
+
+def test_series_compose_checks_every_letter_of_F():
+    # x2 x2 x2 x2 lies beyond the common order 3, but it still names x2
+    G = [FormalSeries.from_ncpoly(x1, 3)]
+    for w in ("x2", "x2 x2 x2 x2", "x1 x2 x1 x1 x1"):
+        F = FormalSeries.from_ncpoly(NCPoly({parse_word("x1"): 1, parse_word(w): 2}), 5)
+        with pytest.raises(ValueError, match="no series for x2 in a free tuple of 1"):
+            series_compose(F, G)
 
 
 def test_series_compose_rejects_constant_part():
