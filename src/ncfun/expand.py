@@ -9,18 +9,21 @@ and solves for the scalar coefficients in the least-squares sense from
 random evaluations at level n * s_eval with s_eval > D (where the
 expression is unique).
 
-Each sample's columns come from stacked prefix products, one batch of
-matrix products per letter (``monomial_columns``), and the system stays
-in the map's field (float64 for real maps).  The cost is then the
-``lstsq`` solve itself, on (samples * level^2) rows and dim^(m+1) L^m
-unknowns for L letters.
+Each degree draws all its samples first, then reads them as one
+stacked scan of t -> f(C + tH) about the embedded center C (one
+``FreeMapOracle.stack`` per Richardson refinement), and builds every
+sample's columns from stacked prefix products, one batch of matrix
+products per letter (``monomial_columns``).  The system stays in the
+map's field (float64 for real maps).  The cost is then the ``lstsq``
+solve itself, on (samples * level^2) rows and dim^(m+1) L^m unknowns
+for L letters.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import List, Tuple
 
 import numpy as np
@@ -35,11 +38,13 @@ from .mateval import (
     centralizer,
     eval_genpoly,
     generated_algebra,
-    random_mattuple,
+    scaled_to,
+    standard_mats,
 )
 from .oracle import FreeMapOracle
 from .poly import INV
-from .recon import homogeneous_part_eval
+from .recon import _part_scan, _scan_params
+from .recon import homogeneous_part_eval  # noqa: F401  (unused; bench/test_bench.py looks it up here)
 from .words import words_of_degree
 
 MAX_DEGREE = 3
@@ -106,38 +111,50 @@ class GenExpansion:
         return worst
 
 
-def monomial_columns(P: np.ndarray, H: MatTuple, m: int, involution: bool) -> np.ndarray:
+def monomial_columns(P: np.ndarray, H: MatTuple | np.ndarray, m: int, involution: bool) -> np.ndarray:
     """Every degree-m basis monomial b_{i0} u_{k1} b_{i1} ... u_{km} b_{im}
-    at H, as the (N*N, dim^(m+1) L^m) block of flattened values.
+    at H, as the (N*N, dim^(m+1) L^m) block of flattened values; for a
+    stack H of S tuples, shape (g, S, N, N), the S blocks one under the
+    other, (S*N*N, dim^(m+1) L^m).
 
     ``P`` stacks the embedded coefficients kron(b_i, I_s), shape (dim, N, N);
     the L letters are x1, x1*, x2, ... (x1, x2, ... without involution).
-    All products are built at once, each prefix shared by every monomial
-    that extends it, in the left-to-right association of
-    ``mateval.eval_genpoly``.  Columns run over the coefficient indices I
-    outermost and the word K innermost, K in ``words_of_degree`` order.
+    A sample's products are built at once, each prefix shared by every
+    monomial that extends it, in the left-to-right association of
+    ``mateval.eval_genpoly``, and written into the sample's block; one
+    sample at a time keeps a single copy of all columns in memory.
+    Columns run over the coefficient indices I outermost and the word K
+    innermost, K in ``words_of_degree`` order.
     """
     dim, N = P.shape[0], P.shape[1]
-    letters = []
-    for h in H.mats:
-        letters.append(h)
-        if involution:
-            letters.append(adjoint(h, H.field))
-    Hs = np.stack(letters)
-    acc = P
-    for _ in range(m):
-        acc = (acc[:, None] @ Hs[None]).reshape(-1, N, N)
-        acc = (acc[:, None] @ P[None]).reshape(-1, N, N)
-    # axes (i0, k1, i1, ..., km, im) -> (i0, i1, ..., im, k1, ..., km)
-    acc = acc.reshape((dim,) + (len(letters), dim) * m + (N * N,))
-    axes = [0] + [2 + 2 * t for t in range(m)] + [1 + 2 * t for t in range(m)] + [2 * m + 1]
-    return acc.transpose(axes).reshape(-1, N * N).T
+    Hs = (np.stack(H.mats)[:, None] if isinstance(H, MatTuple) else H).swapaxes(0, 1)  # (S, g, N, N)
+    S = Hs.shape[0]
+    if involution:
+        star = adjoint(Hs, "complex" if np.iscomplexobj(Hs) else "real")
+        Hs = np.stack([Hs, star], axis=2).reshape(S, -1, N, N)
+    L = Hs.shape[1]
+    # axes (i0, k1, i1, ..., km, im, entry) -> (entry, i0, i1, ..., im, k1, ..., km)
+    shape = (dim,) + (L, dim) * m + (N * N,)
+    axes = [2 * m + 1, 0] + [2 + 2 * t for t in range(m)] + [1 + 2 * t for t in range(m)]
+    out = np.empty((S, N * N, dim ** (m + 1) * L**m), dtype=np.result_type(P, Hs))
+    for s in range(S):
+        acc = P
+        for _ in range(m):
+            acc = (acc[:, None] @ Hs[s][None]).reshape(-1, N, N)
+            acc = (acc[:, None] @ P[None]).reshape(-1, N, N)
+        out[s] = acc.reshape(shape).transpose(axes).reshape(N * N, -1)
+    return out.reshape(S * N * N, -1)
 
 
 def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) -> GenExpansion:
     """Constructive expansion about A, degree by degree up to D.
 
-    Degree m has dim^(m+1) L^m unknowns (L = g letters, 2g with
+    Each degree draws its samples first (standard-normal tuples at level
+    n s_eval, each scaled to norm 1), then reads all of them as one
+    stacked scan about the embedded center: f itself is evaluated, with
+    its own checks on every tuple, at the scan radius of a map of f's
+    kind with infinite radius, since f's radius about the center is not
+    known.  Degree m has dim^(m+1) L^m unknowns (L = g letters, 2g with
     involution), fitted by ``lstsq`` on samples * (n s_eval)^2 rows, at
     least twice as many as unknowns; that solve is where the time goes.
     Hard practical caps: D <= 3, center size <= 3, coefficient-algebra
@@ -168,12 +185,9 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
         )
     mode = f.mode
     level = n * s_eval
-    C = center_tuple(A, s_eval)
+    C = np.stack(center_tuple(A, s_eval).mats)
     rng = _rng(seed)
     calls0 = f.calls
-
-    # f about C, scanned as any map of f's kind at radius inf; its calls count on f
-    shifted = replace(f, evaluator=lambda H: f(C + H), polys=None, radius=math.inf)
     Dint = D
     if f.is_polynomial():
         Dint = max(D, f.poly_degree())
@@ -193,15 +207,12 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
         unknowns = len(monomials)
         per_sample = level * level
         samples = max(2, math.ceil(2.0 * unknowns / per_sample))
-        M = np.empty((samples * per_sample, unknowns), dtype=dt)
-        B = np.empty((samples * per_sample, f.gprime), dtype=dt)
-        for r in range(samples):
-            H = random_mattuple(f.g, level, rng, f.field, norm=1.0)
-            y = homogeneous_part_eval(shifted, m, H, Dint)
-            rows = slice(r * per_sample, (r + 1) * per_sample)
-            M[rows] = monomial_columns(P, H, m, mode == INV)
-            for j in range(f.gprime):
-                B[rows, j] = y.mats[j].ravel()
+        draws = [standard_mats(f.g, level, rng, f.field) for _ in range(samples)]
+        H = scaled_to(np.stack(draws, axis=1), np.ones(samples))
+        parts_m = _part_scan(f, H, Dint, *_scan_params(f, H, radius=math.inf), row0=False, C=C)[:, :, m]
+        M = monomial_columns(P, H, m, mode == INV)
+        # C order: the norms of the residual below sum in memory order
+        B = parts_m.reshape(f.gprime, -1).T.astype(dt, order="C")
         sol, _, rank, sv = np.linalg.lstsq(M, B, rcond=RANK_CUTOFF)
         nulldims.append(unknowns - int(rank))
         fit = M @ sol

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .mateval import MatTuple, direct_sum
-from .oracle import FreeMapOracle, _symbolic_derivatives, derivative, offdiag_direction
+from .oracle import FreeMapOracle, _central_differences, _symbolic_derivatives, derivative, offdiag_direction
 from .poly import FREE, INV, NCPoly
 from .recon import taylor_at_zero
 from .series import FormalSeries, compose_tuple, series_compose
@@ -183,6 +183,7 @@ class NewtonTrace:
     X: Optional[MatTuple] = None
     cond: float = math.nan
     reason: str = "maxit"  # why the iteration stopped: "converged", "stagnated" or "maxit"
+    evaluations: int = 0  # oracle calls made by the solve
 
     def __repr__(self):
         tail = self.iterates[-1][0] if self.iterates else math.nan
@@ -220,14 +221,16 @@ def assemble_jacobian(f: FreeMapOracle, X: MatTuple) -> np.ndarray:
     """Frechet derivative at X over the structural coordinate
     directions: a real (g' n^2) x (g n^2) matrix in real mode, the real
     embedding of size (2 g' n^2) x (2 g n^2) in complex mode.  Columns
-    come from one stacked product-rule derivative over every direction
-    for polynomial-backed oracles, and from finite differences
-    otherwise."""
+    come from one stacked derivative over every direction: the
+    product rule for polynomial-backed oracles, and otherwise central
+    differences, one stack of all 2T perturbed tuples per Richardson
+    step (RICHARDSON_STEPS + 1 stacks, 8 calls per direction)."""
     E = _unit_directions(f.g, X.n, f.field)
     if f.polys is None:
-        cols = [_vec(derivative(f, X, MatTuple(list(E[:, t]), f.field))) for t in range(E.shape[1])]
-        return np.stack(cols, axis=1)
-    V = np.stack(_symbolic_derivatives(f, X, E), axis=1).reshape(E.shape[1], -1)
+        V = _central_differences(f, X, E)[0].swapaxes(0, 1)
+    else:
+        V = np.stack(_symbolic_derivatives(f, X, E), axis=1)
+    V = V.reshape(E.shape[1], -1)
     return (np.concatenate([V.real, V.imag], axis=1) if f.field == "complex" else V).T
 
 
@@ -243,10 +246,16 @@ def newton_invert(
     right-hand side.  The iteration stops when the residual is below
     ``tol`` (converged), when it is above STALL_FACTOR times its value
     STALL_ITERS iterations earlier (stagnated: f(X) = Y may have no
-    solution near the path), or after ``maxit`` iterations."""
+    solution near the path), or after ``maxit`` iterations.
+    ``evaluations`` counts the oracle calls made."""
     if f.g != f.gprime:
         raise ValueError("newton inversion needs matching input/output arity")
+    if Y.g != f.gprime:
+        raise ValueError(f"target Y has {Y.g} components, the map has {f.gprime} outputs")
     n = Y.n
+    if X0 is not None and (X0.g, X0.n) != (f.g, n):
+        raise ValueError(f"start X0 has g={X0.g}, n={X0.n}; the map takes g={f.g} and the target Y has n={n}")
+    calls0 = f.calls
     X = X0 if X0 is not None else MatTuple.zeros(f.g, n, f.field)
     trace = NewtonTrace()
     fX = f(X)
@@ -278,6 +287,7 @@ def newton_invert(
     trace.converged = res < tol
     trace.reason = "converged" if trace.converged else trace.reason
     trace.X = X
+    trace.evaluations = f.calls - calls0
     return trace
 
 
@@ -333,7 +343,9 @@ def implicit_numeric(
     tol: float = 1e-12,
     maxit: int = 50,
 ) -> NewtonTrace:
-    """Solve f(xhat, y) = 0 for y by Newton at a concrete point, from y = 0."""
+    """Solve f(xhat, y) = 0 for y by Newton at a concrete point, from y = 0.
+    Each evaluation of the map y -> f(xhat, y) is one call of f, so the
+    trace's ``evaluations`` are calls of f."""
     g2 = f.g - g1
     n = xhat.n
 

@@ -11,7 +11,9 @@ of a single call; ``calls`` counts the tuples evaluated, a stack of T
 counting T, so the black-box cost (evaluations and their level) does
 not depend on how they were batched, and ``batches`` counts the stacks.
 The axiom checks draw their trials first and evaluate each level as
-stacks.  A checker's witnesses keep the level it ran at.
+stacks, and the finite-difference derivatives evaluate each Richardson
+step of all their directions as one stack.  A checker's witnesses keep
+the level it ran at.
 Polynomial-backed oracles evaluate stacks and differentiate through the
 plans kept on their polynomials (see :mod:`ncfun.mateval`), so no call
 plans a walk twice.
@@ -420,26 +422,20 @@ def check_similarity(
 # -- derivatives ------------------------------------------------------
 
 
-def _tuple_comb(a: MatTuple, b: MatTuple, ca: float, cb: float) -> MatTuple:
-    return MatTuple([ca * x + cb * y for x, y in zip(a.mats, b.mats)], a.field)
-
-
-def neville_to_zero(
-    ests: Sequence[Sequence[np.ndarray]], xs: Sequence[float]
-) -> List[List[np.ndarray]]:
+def neville_to_zero(ests: Sequence[np.ndarray], xs: Sequence) -> List[np.ndarray]:
     """Neville extrapolation to x = 0 of estimates sampled at nodes xs.
 
-    ``ests[j]`` holds per-component arrays taken at node ``xs[j]``.
-    Returns the top entry of each tableau column: the last uses every
-    node, and its distance to the one before is the error indicator.
+    ``ests[j]`` is the array (or the sequence of equally shaped component
+    arrays) taken at node ``xs[j]``; a node may be an array that
+    broadcasts against it, one node per sample.  The arithmetic is
+    elementwise.  Returns the top entry of each tableau column: the last
+    uses every node, and its distance to the one before is the error
+    indicator.
     """
-    tab = [list(e) for e in ests]
+    tab = [np.asarray(e) for e in ests]
     tops = [tab[0]]
     for k in range(1, len(tab)):
-        tab = [
-            [(xs[i] * b - xs[i + k] * a) / (xs[i] - xs[i + k]) for a, b in zip(tab[i], tab[i + 1])]
-            for i in range(len(tab) - 1)
-        ]
+        tab = [(xs[i] * tab[i + 1] - xs[i + k] * tab[i]) / (xs[i] - xs[i + k]) for i in range(len(tab) - 1)]
         tops.append(tab[0])
     return tops
 
@@ -447,44 +443,58 @@ def neville_to_zero(
 RICHARDSON_STEPS = 3
 
 
-def directional_derivative(
-    f: FreeMapOracle, X: MatTuple, H: MatTuple, order: int = 1
-) -> Tuple[MatTuple, float]:
-    """Central-difference Gateaux derivative with RICHARDSON_STEPS
-    halvings of the step h0 = 1e-3 (1 + |X|) and Richardson refinement.
+def _check_direction(X: MatTuple, H: MatTuple) -> None:
+    if (H.g, H.n) != (X.g, X.n):
+        raise ValueError(f"direction H has g={H.g}, n={H.n} but the point X has g={X.g}, n={X.n}")
 
-    Returns (estimate, error indicator); the indicator is the max
-    difference between the last two extrapolants.
+
+def _central_differences(f: FreeMapOracle, X: MatTuple, H: np.ndarray, order: int = 1):
+    """Central-difference Gateaux derivatives of f at X along each of the
+    T directions of the stack H (g, T, n, n), with RICHARDSON_STEPS
+    halvings of the step h0 = 1e-3 (1 + |X|) and Richardson refinement.
+    Each step is one stack of the 2T tuples X + h H_t, then X - h H_t
+    (8 calls per direction in all; order 2 adds one call for f(X)).
+
+    Returns the estimates, shape (g', T, n, n), and each direction's
+    error indicator, shape (T,): the max difference between the last two
+    extrapolants.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    T = H.shape[1]
+    x = np.stack(X.mats)[:, None]
     h0 = 1e-3 * (1.0 + X.norm())
-    ests: List[MatTuple] = []
-    fX = f(X) if order == 2 else None
+    fX = np.stack(f(X).mats)[:, None] if order == 2 else None
+    ests: List[np.ndarray] = []
     for j in range(RICHARDSON_STEPS + 1):
         h = h0 / 2**j
-        fp = f(_tuple_comb(X, H, 1.0, h))
-        fm = f(_tuple_comb(X, H, 1.0, -h))
-        if order == 1:
-            est = MatTuple([(a - b) / (2 * h) for a, b in zip(fp.mats, fm.mats)], fp.field)
-        else:
-            est = MatTuple(
-                [(a - 2 * c + b) / h**2 for a, b, c in zip(fp.mats, fm.mats, fX.mats)],
-                fp.field,
-            )
-        for m in est.mats:
-            if not np.all(np.isfinite(np.asarray(m, dtype=complex))):
-                raise ValueError("non-finite evaluation in directional derivative")
+        vals = f.stack(np.concatenate([1.0 * x + h * H, 1.0 * x + -h * H], axis=1))
+        fp, fm = vals[:, :T], vals[:, T:]
+        est = (fp - fm) / (2 * h) if order == 1 else (fp - 2 * fX + fm) / h**2
+        if not np.all(np.isfinite(est)):
+            raise ValueError("non-finite evaluation in directional derivative")
         ests.append(est)
     # Richardson in h^2 (central differences have even error expansions);
     # the relative nodes (h/h0)^2 = 4^-j are powers of two, so the tableau
     # is exactly the classic (4^k b - a)/(4^k - 1) one
-    tops = [
-        MatTuple(t, ests[0].field)
-        for t in neville_to_zero([e.mats for e in ests], [4.0**-j for j in range(len(ests))])
-    ]
-    err = tops[-1].max_diff(tops[-2])
-    return tops[-1], err
+    tops = neville_to_zero(ests, [4.0**-j for j in range(len(ests))])
+    return tops[-1], stack_diffs(tops[-1], tops[-2])
+
+
+def directional_derivative(
+    f: FreeMapOracle, X: MatTuple, H: MatTuple, order: int = 1
+) -> Tuple[MatTuple, float]:
+    """Central-difference Gateaux derivative with RICHARDSON_STEPS
+    halvings of the step h0 = 1e-3 (1 + |X|) and Richardson refinement:
+    the one-direction case of the stacked differences of
+    ``invfun.assemble_jacobian``.
+
+    Returns (estimate, error indicator); the indicator is the max
+    difference between the last two extrapolants.
+    """
+    _check_direction(X, H)
+    est, err = _central_differences(f, X, np.stack(H.mats)[:, None], order)
+    return MatTuple(list(est[:, 0]), "complex" if np.iscomplexobj(est) else X.field), float(err[0])
 
 
 def _symbolic_derivatives(f: FreeMapOracle, X: MatTuple, H: np.ndarray) -> List[np.ndarray]:
@@ -501,6 +511,7 @@ def symbolic_directional_derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) 
     """Exact product-rule derivative for polynomial-backed oracles."""
     if not f.polys:
         raise ValueError("oracle has no symbolic backing")
+    _check_direction(X, H)
     return MatTuple([v[0] for v in _symbolic_derivatives(f, X, np.stack(H.mats)[:, None])], X.field)
 
 
@@ -508,8 +519,7 @@ def derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) -> MatTuple:
     """Directional derivative; exact symbolic path for polynomial oracles."""
     if f.polys is not None:
         return symbolic_directional_derivative(f, X, H)
-    est, _ = directional_derivative(f, X, H)
-    return est
+    return directional_derivative(f, X, H)[0]
 
 
 # -- derivative identities --------------------------------------------

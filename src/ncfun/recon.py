@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .mateval import MatTuple, _rng, eval_stack, scaled_to, stack_diffs, standard_mats
+from .mateval import MatTuple, _rng, eval_stack, scaled_to, stack_diffs, stack_norms, standard_mats
 from .mateval import eval_ncpoly  # noqa: F401  (unused; bench/test_bench.py looks it up here)
 from .oracle import FreeMapOracle, call_each, neville_to_zero
 from .poly import FREE, INV, NCPoly
@@ -56,36 +56,59 @@ def _cheb_nodes(D: int) -> np.ndarray:
 
 
 def _part_scan(
-    f: Callable[[MatTuple], MatTuple], X: MatTuple, D: int, h: float, refine: int, row0: bool
-) -> List[np.ndarray]:
-    """Homogeneous parts 0..D of f at X, per output slot, as an array
-    whose row m is the flattened degree-m part (only its first matrix
-    row when ``row0``).
+    f: FreeMapOracle | Callable[[MatTuple], MatTuple],
+    X: MatTuple | np.ndarray,
+    D: int,
+    h: float | np.ndarray,
+    refine: int,
+    row0: bool,
+    C: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Homogeneous parts 0..D of t -> f(C + tX) in t, per output slot,
+    with row m the flattened degree-m part (only its first matrix row
+    when ``row0``): shape (g', D+1, cols) for one tuple X, and
+    (g', S, D+1, cols) for a stack of S tuples, shape (g, S, n, n), each
+    with its own radius in h.  The center C (components, shape (g, n, n))
+    is added only when given, so a scan about 0 keeps the signs of zeros.
 
-    Chebyshev fit of t -> f(tX) at radius h, h/2, ..., h/2^refine,
-    extrapolated in h^2 toward 0.  The nodes of one radius are one stack
-    when f is a FreeMapOracle, one call each for a plain callable.
+    Chebyshev fit at radius h, h/2, ..., h/2^refine, extrapolated in h^2
+    toward 0.  Each radius reads the nodes of every tuple as one stack
+    when f is a FreeMapOracle (one call each for a plain callable), and
+    fits them with one Vandermonde solve stacked over every output and
+    tuple; the Neville nodes are per tuple.
     """
+    one = isinstance(X, MatTuple)
+    A = np.array(X.mats)[:, None] if one else X
+    g, S, n = A.shape[0], A.shape[1], A.shape[-1]
+    field = X.field if one else "complex" if np.iscomplexobj(A) else "real"
+    hs = [h] if one else h.tolist()  # Python floats: the squares (h/2^j)^2 below use Python's pow,
+    # which rounds some of them differently from numpy's
+    h = np.array(hs)[:, None]
     taus = _cheb_nodes(D)
     V = np.vander(taus, D + 1, increasing=True)
-    A = np.array(X.mats)[:, None]
-    ests: List[List[np.ndarray]] = []
+    powers = np.arange(D + 1)
+    ests: List[np.ndarray] = []
     for j in range(refine + 1):
         r = h / 2**j
-        scaled = A * (r * taus)[:, None, None]
-        vals = f.stack(scaled) if isinstance(f, FreeMapOracle) else call_each(f, scaled, X.field)
-        scale = r ** np.arange(D + 1)
-        per_slot = []
-        for v in vals:
-            B = v[:, 0] if row0 else v.reshape(len(taus), -1)
-            C = np.linalg.solve(V, B)  # coefficients in tau = t/r
-            per_slot.append(C / scale[:, None])
-        ests.append(per_slot)
-    return neville_to_zero(ests, [(h / 2**j) ** 2 for j in range(refine + 1)])[-1]
+        nodes = A[:, :, None] * (r * taus)[..., None, None]
+        if C is not None:
+            nodes = C[:, None, None] + nodes
+        nodes = nodes.reshape(g, S * (D + 1), n, n)
+        vals = f.stack(nodes) if isinstance(f, FreeMapOracle) else call_each(f, nodes, field)
+        vals = vals.reshape((-1, S, D + 1) + vals.shape[-2:])
+        B = vals[..., 0, :] if row0 else vals.reshape(vals.shape[:3] + (-1,))
+        # coefficients in tau = t/r, per output and tuple, then in t
+        ests.append(np.linalg.solve(V, B) / (r**powers)[..., None])
+    xs = [np.array([(x / 2**j) ** 2 for x in hs])[:, None, None] for j in range(refine + 1)]
+    parts = neville_to_zero(ests, xs)[-1]
+    return parts[:, 0] if one else parts
 
 
-def _scan_params(f, X: MatTuple) -> Tuple[float, int]:
-    """Radius h and Richardson refinements of the scan of t -> f(tX).
+def _scan_params(f, X: MatTuple | np.ndarray, radius: Optional[float] = None):
+    """Radius h and Richardson refinements of the scan of t -> f(tX): h a
+    float for one tuple X, an array with one radius per tuple for a stack
+    (g, S, n, n).  ``radius`` replaces f's own radius at X's level (a
+    scan about a center, where the radius of f is not known, passes inf).
 
     A polynomial oracle scans at the cap 1 with no refinement, any
     other map at ANALYTIC_RADIUS_CAP with ANALYTIC_REFINE halvings.  At
@@ -94,15 +117,18 @@ def _scan_params(f, X: MatTuple) -> Tuple[float, int]:
     itself; dividing by their norm would amplify round-off by ||X||^m
     in the degree-m part.  At finite radius ||hX|| <= radius/2.
     """
+    one = isinstance(X, MatTuple)
     if isinstance(f, FreeMapOracle):
-        is_poly, rad = f.is_polynomial(), f.radius_at(X.n)
+        is_poly, rad = f.is_polynomial(), f.radius_at(X.n if one else X.shape[-1])
     else:
         is_poly, rad = False, math.inf
+    rad = rad if radius is None else radius
     cap = 1.0 if is_poly else ANALYTIC_RADIUS_CAP
+    norm, at_least = (X.norm(), max) if one else (stack_norms(X), np.maximum)
     if math.isinf(rad):
-        h = cap / max(1.0, X.norm() / 2.0)
+        h = cap / at_least(1.0, norm / 2.0)
     else:
-        h = min(cap, rad / 2.0) / max(1.0, X.norm())
+        h = min(cap, rad / 2.0) / at_least(1.0, norm)
     return h, 0 if is_poly else ANALYTIC_REFINE
 
 
@@ -182,7 +208,7 @@ def _trie_reads(f: FreeMapOracle, D: int) -> List[Dict[Word, object]]:
         T, nodes = _trie_tuple(prefix, D, alphabet, f.g, f.field)
         h, refine = _scan_params(f, T)
         if involution:
-            rows = _part_scan(f, T, D, h, refine, row0=True)
+            rows = list(_part_scan(f, T, D, h, refine, row0=True))  # iterated once per node
         else:
             val = f(T.scale(h))
             rows = [v[0] for v in val.mats]

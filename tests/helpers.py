@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ncfun import INV, FormalSeries, GenPoly, MatTuple, NCPoly, random_mattuple
+from ncfun import INV, FormalSeries, GenPoly, GenTerm, MatTuple, NCPoly, random_mattuple
 from ncfun.identities import FLOAT_TOL, IdentityReport, random_int_tuple
 from ncfun.invfun import _from_length, _linear_series, linear_part
 from ncfun.mateval import adjoint
@@ -277,3 +277,138 @@ def reference_formal_inverse(F, D: int) -> tuple:
             Kd = {w: -c for w, c in K[i].poly.coeffs.items() if len(w) == d}
             H[i] = FormalSeries.from_ncpoly(NCPoly({**H[i].poly.coeffs, **Kd}, mode), D)
     return compose_tuple(H, _linear_series(rows, sorted(letters, key=lambda let: let[1]), D, mode))
+
+
+# -- per-sample and per-direction references for the stacked scans -----
+
+
+def reference_part_eval(f, m, X, D):
+    """Degree-m part of f at X by the single-tuple Chebyshev scan: one
+    ``f.stack`` of the D+1 nodes per radius h/2^j, one Vandermonde solve
+    per output, and the Neville tableau in Python floats, with the scan
+    radius of a map of f's kind at infinite radius."""
+    from ncfun.recon import ANALYTIC_RADIUS_CAP, ANALYTIC_REFINE, _cheb_nodes
+
+    cap, refine = (1.0, 0) if f.is_polynomial() else (ANALYTIC_RADIUS_CAP, ANALYTIC_REFINE)
+    h = cap / max(1.0, X.norm() / 2.0)
+    taus = _cheb_nodes(D)
+    V = np.vander(taus, D + 1, increasing=True)
+    A = np.array(X.mats)[:, None]
+    tab, xs = [], [(h / 2**j) ** 2 for j in range(refine + 1)]
+    for j in range(refine + 1):
+        r = h / 2**j
+        vals = f.stack(A * (r * taus)[:, None, None])
+        tab.append([np.linalg.solve(V, v.reshape(len(taus), -1)) / (r ** np.arange(D + 1))[:, None]
+                    for v in vals])
+    for k in range(1, len(tab)):
+        tab = [[(xs[i] * b - xs[i + k] * a) / (xs[i] - xs[i + k]) for a, b in zip(tab[i], tab[i + 1])]
+               for i in range(len(tab) - 1)]
+    return MatTuple([p[m].reshape(X.n, X.n) for p in tab[0]], f.field)
+
+
+def reference_expand_at_point(f, A, D, s_eval, seed=0):
+    """``expand_at_point`` one sample at a time: each sample drawn by
+    ``random_mattuple``, read through a shifted copy of f (evaluator
+    H -> f(C + H), no polys, infinite radius) by ``reference_part_eval``,
+    and its columns built on their own.  Returns (parts, residuals,
+    nullspace_dims, evaluations)."""
+    import dataclasses
+    import itertools
+    import math
+
+    from ncfun.expand import center_tuple, coefficient_algebra, monomial_columns
+    from ncfun.mateval import RANK_CUTOFF
+    from ncfun.words import words_of_degree
+
+    basis = coefficient_algebra(f.group, A)
+    level, involution = A.n * s_eval, f.mode == INV
+    C = center_tuple(A, s_eval)
+    rng = np.random.default_rng(seed)
+    calls0 = f.calls
+    shifted = dataclasses.replace(f, evaluator=lambda H: f(C + H), polys=None, radius=math.inf)
+    Dint = max(D, f.poly_degree()) if f.is_polynomial() else D
+    dt = complex if f.field == "complex" else float
+    bas = [np.asarray(b, dtype=dt) for b in basis.mats]
+    P = np.stack([np.kron(b, np.eye(s_eval, dtype=dt)) for b in bas])
+    parts, residuals, nulldims = [], [], []
+    for m in range(D + 1):
+        monomials = [(I, K) for I in itertools.product(range(basis.dim), repeat=m + 1)
+                     for K in words_of_degree(f.g, m, involution)]
+        per_sample = level * level
+        samples = max(2, math.ceil(2.0 * len(monomials) / per_sample))
+        M = np.empty((samples * per_sample, len(monomials)), dtype=dt)
+        B = np.empty((samples * per_sample, f.gprime), dtype=dt)
+        for r in range(samples):
+            H = random_mattuple(f.g, level, rng, f.field, norm=1.0)
+            y = reference_part_eval(shifted, m, H, Dint)
+            rows = slice(r * per_sample, (r + 1) * per_sample)
+            M[rows] = monomial_columns(P, H, m, involution)
+            for j in range(f.gprime):
+                B[rows, j] = y.mats[j].ravel()
+        sol, _, rank, _ = np.linalg.lstsq(M, B, rcond=RANK_CUTOFF)
+        nulldims.append(len(monomials) - int(rank))
+        residuals.append(float(np.linalg.norm(M @ sol - B) / max(1.0, np.linalg.norm(B))))
+        comps = []
+        for j in range(f.gprime):
+            terms = [GenTerm([sol[c, j] * bas[I[0]]] + [bas[i] for i in I[1:]], K)
+                     for c, (I, K) in enumerate(monomials) if abs(sol[c, j]) > 1e-10]
+            comps.append(GenPoly(A.n, terms, f.mode))
+        parts.append(tuple(comps))
+    return parts, residuals, nulldims, f.calls - calls0
+
+
+def black_box(g: int, field: str = "real"):
+    """A black box (no polys) for the derivative routes: (x, y) ->
+    (x + sin(x y*), y x) with an entrywise sine, for g = 1 x -> x + sin(x x*).
+    Not a free map; only its values matter."""
+    from ncfun import FreeMapOracle
+
+    def ev(X):
+        x, y = X.mats[0], X.mats[-1]
+        return MatTuple([x + np.sin(x @ y.conj().T), y @ x][:g], X.field)
+
+    return FreeMapOracle(g, g, ev, field=field, group="O" if field == "real" else "U", name="black box")
+
+
+def reference_directional_derivative(f, X, H, order=1):
+    """Central differences along one direction, one call per perturbed
+    tuple: X + h H and X - h H built component by component as
+    1.0 x + h y, the quotients per component, and the Richardson
+    tableau in 4^-j."""
+    h0 = 1e-3 * (1.0 + X.norm())
+    fX = f(X) if order == 2 else None
+    tab = []
+    for j in range(4):
+        h = h0 / 2**j
+        fp = f(MatTuple([1.0 * x + h * y for x, y in zip(X.mats, H.mats)], X.field))
+        fm = f(MatTuple([1.0 * x + -h * y for x, y in zip(X.mats, H.mats)], X.field))
+        if order == 1:
+            tab.append([(a - b) / (2 * h) for a, b in zip(fp.mats, fm.mats)])
+        else:
+            tab.append([(a - 2 * c + b) / h**2 for a, b, c in zip(fp.mats, fm.mats, fX.mats)])
+    xs, tops = [4.0**-j for j in range(4)], [tab[0]]
+    for k in range(1, len(tab)):
+        tab = [[(xs[i] * b - xs[i + k] * a) / (xs[i] - xs[i + k]) for a, b in zip(tab[i], tab[i + 1])]
+               for i in range(len(tab) - 1)]
+        tops.append(tab[0])
+    est = MatTuple(tops[-1], fp.field)
+    return est, est.max_diff(MatTuple(tops[-2], fp.field))
+
+
+def reference_fd_jacobian(f, X) -> np.ndarray:
+    """The finite-difference Jacobian of a black box column by column: one
+    ``reference_directional_derivative`` per matrix unit E_ij in component
+    k (and, for complex maps, per i E_ij after them), its outputs
+    flattened, real parts above imaginary ones for complex maps."""
+    n, dt = X.n, complex if f.field == "complex" else float
+    cols = []
+    for s in (1.0,) if f.field == "real" else (1.0, 1j):
+        for k in range(f.g):
+            for i in range(n):
+                for j in range(n):
+                    mats = [np.zeros((n, n), dtype=dt) for _ in range(f.g)]
+                    mats[k][i, j] = s
+                    d, _ = reference_directional_derivative(f, X, MatTuple(mats, f.field))
+                    flat = np.concatenate([np.asarray(m, dtype=dt).ravel() for m in d.mats])
+                    cols.append(np.concatenate([flat.real, flat.imag]) if f.field == "complex" else flat)
+    return np.stack(cols, axis=1)

@@ -9,6 +9,7 @@ from ncfun import (
     GenPoly,
     MatTuple,
     NCPoly,
+    builtin_map,
     coefficient_algebra,
     eval_genpoly,
     expand_at_point,
@@ -20,6 +21,8 @@ from ncfun import (
 from ncfun.expand import center_tuple, monomial_columns
 from ncfun.oracle import random_ncpoly
 from ncfun.words import words_of_degree
+
+from helpers import reference_expand_at_point
 
 
 def ivar(k, starred=False):
@@ -186,6 +189,8 @@ def test_eval_at_needs_a_multiple_of_the_center_size():
 
 
 def test_expand_evaluations_are_the_oracle_calls():
+    # a copy without polys evaluates every tuple through its evaluator, so
+    # the calls can be counted from outside
     seen = []
     f = oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1))
 
@@ -193,8 +198,41 @@ def test_expand_evaluations_are_the_oracle_calls():
         seen.append(X.n)
         return _ev(X)
 
-    f = dataclasses.replace(f, evaluator=evaluator)
+    f = dataclasses.replace(f, evaluator=evaluator, polys=None)
     exp = expand_at_point(f, e12(), D=2, s_eval=3, seed=0)
     assert exp.evaluations == len(seen) == f.calls > 0
     again = expand_at_point(f, e12(), D=1, s_eval=3, seed=1)
     assert again.evaluations == len(seen) - exp.evaluations > 0
+    # a polynomial-backed oracle evaluates its stacks through its plans
+    g = oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1))
+    assert expand_at_point(g, e12(), D=2, s_eval=3, seed=0).evaluations == g.calls == exp.evaluations
+
+
+def _gl_g2_cubic():
+    x1, x2 = NCPoly.variable(1), NCPoly.variable(2)
+    return oracle_from_ncpoly(x1 * x2 * x1 + (x2 * x2).scale(-0.5) + x1.scale(0.7) + x2 * x1 * x1)
+
+
+@pytest.mark.parametrize(
+    "make_f, center, D, s_eval",
+    [
+        pytest.param(_gl_g2_cubic, _diag_gl_center(), 3, 4, id="free-gl-g2-diag-d3"),
+        pytest.param(lambda: oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1)), e12(), 2, 3, id="o-e12-d2"),
+        pytest.param(lambda: builtin_map("sinxxt"), MatTuple([np.diag([0.2, 0.45])]), 2, 3, id="sinxxt-d2"),
+        pytest.param(lambda: oracle_from_ncpoly(random_ncpoly(1, 2, INV, seed=3, n_terms=5, field="complex"),
+                                                field="complex"), _complex_center(), 2, 3, id="u-complex-d2"),
+    ],
+)
+def test_stacked_expansion_matches_the_per_sample_reference(make_f, center, D, s_eval):
+    # one stacked scan per degree about the center, bit for bit the
+    # per-sample reads through a shifted copy, with the same oracle calls
+    for seed in (0, 1):
+        f, g = make_f(), make_f()
+        exp = expand_at_point(f, center, D=D, s_eval=s_eval, seed=seed)
+        parts, residuals, nulldims, evaluations = reference_expand_at_point(g, center, D, s_eval, seed)
+        assert (exp.residuals, exp.nullspace_dims, exp.evaluations) == (residuals, nulldims, evaluations)
+        assert f.calls == g.calls == evaluations > 0
+        for got, want in zip(exp.parts, parts, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert [t.letters for t in a.terms] == [t.letters for t in b.terms]
+                assert all(np.array_equal(x, y) for s, t in zip(a.terms, b.terms) for x, y in zip(s.mats, t.mats))

@@ -25,9 +25,9 @@ from ncfun import (
     random_mattuple,
 )
 from ncfun.invfun import assemble_jacobian
-from ncfun.oracle import random_ncpoly
+from ncfun.oracle import RICHARDSON_STEPS, random_ncpoly
 
-from helpers import reference_formal_inverse, reference_jacobian
+from helpers import black_box, reference_fd_jacobian, reference_formal_inverse, reference_jacobian
 
 x1 = NCPoly.variable(1)
 
@@ -367,3 +367,52 @@ def test_formal_inverse_pure_transpose_linear_part():
         (K,) = formal_inverse([G])
         res = composition_residual([G], [K])
         assert type(res) is float and res < 1e-10
+
+
+@pytest.mark.parametrize("g, field", [(2, "real"), (1, "complex")])
+def test_black_box_jacobian_matches_the_per_direction_reference(g, field):
+    # all directions as one stack per Richardson step, bit for bit the
+    # per-direction differences, with 8 calls per direction
+    rng = np.random.default_rng(31)
+    for n in (2, 3):
+        f, ref = black_box(g, field), black_box(g, field)
+        X = random_mattuple(g, n, rng, field, norm=0.4)
+        J = assemble_jacobian(f, X)
+        assert np.array_equal(J, reference_fd_jacobian(ref, X))
+        directions = g * n * n * (2 if field == "complex" else 1)
+        assert J.shape == (directions, directions)
+        assert f.calls == ref.calls == 8 * directions
+        assert f.batches == RICHARDSON_STEPS + 1
+
+
+def test_newton_checks_its_inputs_before_calling_f():
+    f = oracle_from_ncpoly([x1 + x1 * NCPoly.variable(2), NCPoly.variable(2)])
+    Y = random_mattuple(2, 2, 0)
+    cases = [
+        (random_mattuple(1, 2, 0), None, "target Y has 1 components, the map has 2 outputs"),
+        (Y, random_mattuple(1, 2, 1), r"start X0 has g=1, n=2; the map takes g=2 and the target Y has n=2"),
+        (Y, random_mattuple(2, 3, 1), r"start X0 has g=2, n=3; the map takes g=2 and the target Y has n=2"),
+    ]
+    for target, X0, msg in cases:
+        with pytest.raises(ValueError, match=msg):
+            newton_invert(f, target, X0=X0)
+    assert f.calls == 0
+
+
+def _counted(f):
+    seen = []
+
+    def evaluator(X, _ev=f.evaluator):
+        seen.append(X.n)
+        return _ev(X)
+
+    return dataclasses.replace(f, evaluator=evaluator, polys=None), seen
+
+
+def test_newton_trace_counts_the_oracle_calls():
+    f, seen = _counted(oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True)))
+    tr = newton_invert(f, MatTuple([0.1 * np.random.default_rng(4).standard_normal((2, 2))]))
+    assert tr.converged and tr.evaluations == len(seen) == f.calls > 0
+    f, seen = _counted(oracle_from_ncpoly(ivar(2) - ivar(1) * ivar(1, True)))
+    tr = implicit_numeric(f, 1, random_mattuple(1, 2, 5))
+    assert tr.converged and tr.evaluations == len(seen) == f.calls > 0

@@ -16,6 +16,7 @@ from ncfun import (
     check_direct_sums,
     check_similarity,
     check_triangular_identity,
+    derivative,
     directional_derivative,
     oracle_from_ncpoly,
     random_mattuple,
@@ -23,7 +24,14 @@ from ncfun import (
 )
 from ncfun.oracle import DEFAULT_LEVELS, neville_to_zero, random_ncpoly
 
-from helpers import reference_derivative, reference_direct_sums, reference_similarity, same_report
+from helpers import (
+    black_box,
+    reference_derivative,
+    reference_direct_sums,
+    reference_directional_derivative,
+    reference_similarity,
+    same_report,
+)
 
 
 def e(n, i, j):
@@ -420,8 +428,8 @@ def test_stack_is_a_stack_of_calls():
 
 
 def test_stack_on_a_shifted_copy_uses_its_evaluator():
-    # expand_at_point evaluates a copy with a new evaluator and polys=None;
-    # its stacks must go through that evaluator, not the stale polynomial
+    # a copy with a new evaluator and polys=None must evaluate its stacks
+    # through that evaluator, not through the stale polynomial
     f = oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1))
     C = MatTuple([np.array([[0.0, 1.0], [0.0, 0.0]])])
     shifted = dataclasses.replace(f, evaluator=lambda H: f(C + H), polys=None)
@@ -430,3 +438,38 @@ def test_stack_on_a_shifted_copy_uses_its_evaluator():
     assert np.array_equal(out, f.stack(H + np.stack(C.mats)[:, None]))
     assert not np.allclose(out, f.stack(H))
     assert (shifted.calls, shifted.batches) == (3, 1) and f.calls == 3 + 3 + 3
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("kind", ["black-box-g2", "complex-black-box", "polynomial"])
+def test_directional_derivative_matches_the_per_call_reference(kind, order):
+    # one stack per Richardson step, bit for bit the per-call differences
+    field = "complex" if kind == "complex-black-box" else "real"
+    rng = np.random.default_rng(21)
+    for n in (2, 3):
+        if kind == "polynomial":
+            f, g = (oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=n, n_terms=6)) for _ in range(2))
+        else:
+            f, g = (black_box(1 if field == "complex" else 2, field) for _ in range(2))
+        X = random_mattuple(f.g, n, rng, field, norm=0.4)
+        H = random_mattuple(f.g, n, rng, field)
+        est, err = directional_derivative(f, X, H, order=order)
+        want, want_err = reference_directional_derivative(g, X, H, order=order)
+        assert est.field == want.field and err == want_err
+        assert all(np.array_equal(a, b) for a, b in zip(est.mats, want.mats, strict=True))
+        assert f.calls == g.calls == 8 + (order == 2)
+
+
+def test_directions_are_checked_against_the_point():
+    X = random_mattuple(1, 2, 0)
+    for f in (black_box(1), oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1))):
+        for H in (random_mattuple(2, 2, 1), random_mattuple(1, 3, 1)):
+            msg = f"direction H has g={H.g}, n={H.n} but the point X has g=1, n=2"
+            with pytest.raises(ValueError, match=msg):
+                derivative(f, X, H)
+            with pytest.raises(ValueError, match=msg):
+                directional_derivative(f, X, H)
+            if f.polys is not None:
+                with pytest.raises(ValueError, match=msg):
+                    symbolic_directional_derivative(f, X, H)
+        assert f.calls == 0
