@@ -188,12 +188,17 @@ def cmd_eval(args, emit: Emitter) -> int:
 
 def _check_levels(arg: str) -> List[int]:
     try:
-        return [int(t) for t in arg.split(",") if t]
+        levels = [int(t) for t in arg.split(",") if t]
     except ValueError:
         raise CliError(f"bad levels {arg!r}") from None
+    if not levels or min(levels) < 1:
+        raise CliError(f"--levels needs one or more levels >= 1, got {arg!r}")
+    return levels
 
 
 def cmd_check(args, emit: Emitter) -> int:
+    if args.trials < 1:  # the library reports no trials as a pass
+        raise CliError(f"--trials must be >= 1, got {args.trials}")
     f = load_map(args.map)
     levels = _check_levels(args.levels)
     pair_levels = [(m, n) for i, m in enumerate(levels) for n in levels[i:]]
@@ -224,6 +229,8 @@ def cmd_check(args, emit: Emitter) -> int:
 
 
 def cmd_extract(args, emit: Emitter) -> int:
+    if args.degree < 0:  # the homogeneity probe runs before matenote_extract checks it
+        raise CliError(f"degree must be >= 0, got {args.degree}")
     f = load_map(args.map)
     # matenote reads assume f is homogeneous of this degree: probe
     # f(X) = 2^m f(X/2) at one random point first
@@ -444,8 +451,9 @@ def build_parser() -> Parser:
     pi.set_defaults(func=cmd_identity)
 
     pv = sub.add_parser("invert", parents=[common], help="formal or Newton inversion")
-    pv.add_argument("--formal", action="store_true")
-    pv.add_argument("--newton", action="store_true")
+    pv_mode = pv.add_mutually_exclusive_group()
+    pv_mode.add_argument("--formal", action="store_true")
+    pv_mode.add_argument("--newton", action="store_true", help="the default")
     pv.add_argument("--degree", type=int, default=5)
     pv.add_argument("--poly", default=None, help="NCPOLY1 tuple for --formal")
     pv.add_argument("--map", default=None, help="map spec for --newton")
@@ -457,8 +465,9 @@ def build_parser() -> Parser:
     pm = sub.add_parser("implicit", parents=[common], help="implicit function solve")
     pm.add_argument("--map", required=True)
     pm.add_argument("--split", type=int, required=True, help="number of x components g1")
-    pm.add_argument("--formal", action="store_true")
-    pm.add_argument("--numeric", action="store_true")
+    pm_mode = pm.add_mutually_exclusive_group()
+    pm_mode.add_argument("--formal", action="store_true")
+    pm_mode.add_argument("--numeric", action="store_true", help="the default")
     pm.add_argument("--degree", type=int, default=3)
     pm.add_argument("--at", default=None, help="MTX1 x block for --numeric")
     pm.add_argument("--maxit", type=int, default=50)

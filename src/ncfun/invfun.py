@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .mateval import MatTuple, direct_sum
-from .oracle import FreeMapOracle, _central_differences, _symbolic_derivatives, derivative, offdiag_direction
+from .oracle import FreeMapOracle, _derivatives, derivative, offdiag_direction
 from .poly import FREE, INV, NCPoly
 from .recon import taylor_at_zero
 from .series import FormalSeries, compose_tuple, series_compose
@@ -226,11 +226,7 @@ def assemble_jacobian(f: FreeMapOracle, X: MatTuple) -> np.ndarray:
     differences, one stack of all 2T perturbed tuples per Richardson
     step (RICHARDSON_STEPS + 1 stacks, 8 calls per direction)."""
     E = _unit_directions(f.g, X.n, f.field)
-    if f.polys is None:
-        V = _central_differences(f, X, E)[0].swapaxes(0, 1)
-    else:
-        V = np.stack(_symbolic_derivatives(f, X, E), axis=1)
-    V = V.reshape(E.shape[1], -1)
+    V = _derivatives(f, X, E).swapaxes(0, 1).reshape(E.shape[1], -1)
     return (np.concatenate([V.real, V.imag], axis=1) if f.field == "complex" else V).T
 
 
@@ -248,6 +244,8 @@ def newton_invert(
     STALL_ITERS iterations earlier (stagnated: f(X) = Y may have no
     solution near the path), or after ``maxit`` iterations.
     ``evaluations`` counts the oracle calls made."""
+    if maxit < 0:
+        raise ValueError(f"maxit must be >= 0, got {maxit}")
     if f.g != f.gprime:
         raise ValueError("newton inversion needs matching input/output arity")
     if Y.g != f.gprime:
@@ -382,7 +380,7 @@ def injectivity_check(f: FreeMapOracle, X1: MatTuple, X2: MatTuple) -> Injectivi
         return InjectivityReport(False, gap, note="values differ; no obstruction test applicable")
     Z = direct_sum(X1, X2)
     img = derivative(f, Z, offdiag_direction(X1, X2))
-    img_norm = max(float(np.linalg.norm(np.asarray(m), 2)) for m in img.mats)
+    img_norm = img.norm()
     J = assemble_jacobian(f, Z)
     smin = float(np.linalg.svd(J, compute_uv=False)[-1])
     return InjectivityReport(

@@ -87,8 +87,8 @@ class MatTuple:
         return len(self.mats)
 
     def norm(self) -> float:
-        """Max operator 2-norm over components."""
-        return max(float(np.linalg.norm(m, 2)) for m in self.mats)
+        """Max operator 2-norm over components: ``stack_norms`` of one tuple."""
+        return float(stack_norms(np.array(self.mats)))
 
     def __add__(self, other: "MatTuple") -> "MatTuple":
         return MatTuple([a + b for a, b in zip(self.mats, other.mats)], self.field)
@@ -104,10 +104,8 @@ class MatTuple:
         return self.scale(c)
 
     def max_diff(self, other: "MatTuple") -> float:
-        return max(
-            float(np.linalg.norm(np.asarray(a - b, dtype=complex), 2))
-            for a, b in zip(self.mats, other.mats)
-        )
+        """``stack_diffs`` of one pair of tuples."""
+        return float(stack_diffs(np.array(self.mats), np.array(other.mats)))
 
     def __repr__(self):
         return f"MatTuple(g={self.g}, n={self.n}, field={self.field})"
@@ -162,12 +160,15 @@ def direct_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def stack_norms(A: np.ndarray) -> np.ndarray:
-    """``MatTuple.norm`` of each tuple of a stack: shape (T,)."""
-    return np.linalg.norm(A, 2, axis=(-2, -1)).max(axis=0)
+    """The max operator 2-norm over the components of each tuple of a
+    stack: shape (T,); of one tuple (g, n, n), a scalar.  A matrix's norm
+    is its first singular value, the one ``np.linalg.norm(m, 2)`` takes."""
+    return np.linalg.svd(A, compute_uv=False)[..., 0].max(axis=0)
 
 
 def stack_diffs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``MatTuple.max_diff`` of each pair of tuples of two stacks: shape (T,)."""
+    """``stack_norms`` of the differences of each pair of tuples of two
+    stacks, taken in complex arithmetic."""
     return stack_norms(np.asarray(A - B, dtype=complex))
 
 

@@ -5,18 +5,18 @@ derivative identities.
 Oracles are pure callables on :class:`~ncfun.mateval.MatTuple` inputs;
 declared metadata (group, smoothness, radius) is advisory and verified
 by the checkers, never assumed.  Out-of-domain evaluation raises
-:class:`DomainError` rather than extrapolating.  ``FreeMapOracle.stack``
-evaluates a stack of tuples at one level in one call, with the checks
-of a single call; ``calls`` counts the tuples evaluated, a stack of T
-counting T, so the black-box cost (evaluations and their level) does
-not depend on how they were batched, and ``batches`` counts the stacks.
-The axiom checks draw their trials first and evaluate each level as
-stacks, and the finite-difference derivatives evaluate each Richardson
-step of all their directions as one stack.  A checker's witnesses keep
-the level it ran at.
-Polynomial-backed oracles evaluate stacks and differentiate through the
-plans kept on their polynomials (see :mod:`ncfun.mateval`), so no call
-plans a walk twice.
+:class:`DomainError` rather than extrapolating.  A single call and a
+``FreeMapOracle.stack`` of tuples at one level run one evaluation body:
+the input checks, then ``calls`` grows by the tuples evaluated, so the
+black-box cost (evaluations and their level) does not depend on how
+they were batched (``batches`` counts the stacks).  ``polys`` decides
+the route: the plans kept on the polynomials (see :mod:`ncfun.mateval`)
+evaluate a polynomial-backed oracle's stacks, and ``evaluator``, the
+black-box route, is called once per tuple, its values checked.  The
+axiom checks draw their trials first and evaluate each level as stacks;
+derivatives follow the product rule through the kept plans, or take
+central differences with each Richardson step of all their directions
+as one stack.  A checker's witnesses keep the level it ran at.
 """
 
 from __future__ import annotations
@@ -89,61 +89,66 @@ class FreeMapOracle:
         """Word mode of the map's series: with involution for O/U maps."""
         return INV if self.group in ("O", "U") else FREE
 
-    def _admit(self, n: int, norms: Callable[[], Sequence[float]]) -> None:
-        """DomainError for a level n above ``max_level``, or, at a finite
-        radius, for the first input norm (from ``norms``) that reaches it."""
-        if self.max_level is not None and n > self.max_level:
-            raise DomainError(f"level {n} above the largest level {self.max_level} of {self.name or 'the map'}")
-        r = self.radius_at(n)
-        if math.isfinite(r):
-            for v in norms():
-                if v >= r:
-                    raise DomainError(f"input norm {v:.3g} outside radius {r:.3g} at level {n}")
-
     def __call__(self, X: MatTuple) -> MatTuple:
+        """f at one tuple: the evaluation body on a stack of one, which
+        counts one call and no batch."""
         if not isinstance(X, MatTuple):
             X = MatTuple(X, self.field)
-        if X.g != self.g:
-            raise ValueError(f"oracle expects {self.g} components, got {X.g}")
-        self._admit(X.n, lambda: [] if X.mats[0].dtype == object else [X.norm()])
-        self.calls += 1
-        out = self.evaluator(X)
-        if not isinstance(out, MatTuple):
-            out = MatTuple(out if isinstance(out, (tuple, list)) else [out], self.field)
-        return out
+        out = self._evaluate(np.array(X.mats)[:, None], X.field)[:, 0]
+        return MatTuple(list(out), "complex" if np.iscomplexobj(out) else X.field)
 
     def stack(self, A: np.ndarray) -> np.ndarray:
         """f on each of the T tuples of a stack at one level: A holds their
         components, shape (g, T, n, n), and the values come back the same
-        way, shape (g', T, n, n), in one dtype.  The checks are those of a
-        single call, made per tuple; complex entries make the stack
-        complex, as they make a conjugated MatTuple.  ``calls`` grows by T
-        and ``batches`` by 1.  A polynomial-backed oracle evaluates the
-        whole stack through the plans kept on ``polys``, which it trusts
-        as ``derivative`` does; any other calls itself once per tuple."""
+        way, shape (g', T, n, n), in one dtype.  Complex entries make the
+        stack complex, as they make a conjugated MatTuple.  The evaluation
+        body of a single call, with ``calls`` grown by T, plus one batch."""
         A = np.asarray(A)
-        if A.ndim != 4 or A.shape[0] != self.g or not A.shape[1]:
-            raise ValueError(f"oracle expects a stack of shape ({self.g}, T >= 1, n, n), got {A.shape}")
-        field = "complex" if np.iscomplexobj(A) else self.field
         self.batches += 1
-        if self.polys is None:
-            return call_each(self, A, field)
-        exact = A.dtype == object
-        if not exact and not np.all(np.isfinite(A)):
+        return self._evaluate(A, "complex" if np.iscomplexobj(A) else self.field)
+
+    def _evaluate(self, A: np.ndarray, field: str) -> np.ndarray:
+        """The one evaluation body, for a stack A of shape (g, T, n, n).
+        It checks the arity and the entries, refuses a level above
+        ``max_level`` and, at a finite radius, the first input norm that
+        reaches it, and counts T calls.  ``polys`` decides the route: when
+        set, the plans kept on them evaluate the whole stack, trusted as
+        ``derivative`` trusts them; otherwise ``evaluator`` (the black-box
+        route) is called once per tuple of the given field, and each value
+        must have g' components of the input's size.  Values must be
+        finite unless exact."""
+        if A.ndim != 4 or A.shape[0] != self.g or not A.shape[1] or A.shape[2] != A.shape[3]:
+            raise ValueError(f"oracle expects a stack of shape ({self.g}, T >= 1, n, n), got {A.shape}")
+        exact, n = A.dtype == object, A.shape[-1]
+        if not exact and not np.isfinite(A).all():
             raise ValueError("non-finite entries")
-        self._admit(A.shape[-1], lambda: [] if exact else stack_norms(A).tolist())
+        if self.max_level is not None and n > self.max_level:
+            raise DomainError(f"level {n} above the largest level {self.max_level} of {self.name or 'the map'}")
+        r = self.radius_at(n)
+        if math.isfinite(r) and not exact:
+            for v in stack_norms(A).tolist():
+                if v >= r:
+                    raise DomainError(f"input norm {v:.3g} outside radius {r:.3g} at level {n}")
         self.calls += A.shape[1]
-        out = eval_stack(self.polys, A, field)
-        if not exact and not np.all(np.isfinite(out)):
-            raise ValueError("non-finite entries")
+        if self.polys is not None:
+            out = eval_stack(self.polys, A, field)
+        else:
+            out = np.array([self._components(self.evaluator(MatTuple(A[:, t], field)), n)
+                            for t in range(A.shape[1])]).swapaxes(0, 1)
+        if out.dtype != object and not np.isfinite(out).all():
+            raise ValueError(f"{self.name or 'the map'} returned non-finite entries at level {n}")
         return out
 
-
-def call_each(f: Callable[[MatTuple], MatTuple], A: np.ndarray, field: str) -> np.ndarray:
-    """The values of f on the tuples of the stack A (g, T, n, n), one call
-    per tuple of the given field, stacked the same way."""
-    vals = [f(MatTuple(A[:, t], field)).mats for t in range(A.shape[1])]
-    return np.array(vals).swapaxes(0, 1)
+    def _components(self, value, n: int):
+        """The components of one value of ``evaluator`` at level n: a
+        MatTuple, a sequence of matrices or one matrix, refused unless it
+        is g' matrices of shape (n, n)."""
+        mats = value.mats if isinstance(value, MatTuple) else value if isinstance(value, (tuple, list)) else (value,)
+        shapes = [np.shape(m) for m in mats]
+        if shapes != [(n, n)] * self.gprime:
+            raise ValueError(f"{self.name or 'the map'} returned components of shapes {shapes} at level {n}; "
+                             f"expected {self.gprime} of shape ({n}, {n})")
+        return mats
 
 
 # -- constructors -----------------------------------------------------
@@ -497,14 +502,21 @@ def directional_derivative(
     return MatTuple(list(est[:, 0]), "complex" if np.iscomplexobj(est) else X.field), float(err[0])
 
 
-def _symbolic_derivatives(f: FreeMapOracle, X: MatTuple, H: np.ndarray) -> List[np.ndarray]:
+def _symbolic_derivatives(f: FreeMapOracle, X: MatTuple, H: np.ndarray) -> np.ndarray:
     """D f(X)[H] for a polynomial-backed oracle on the T directions H of
-    shape (g, T, n, n): one (T, n, n) array per output, from each
-    polynomial's kept derivative plan on the stack of 2g-tuples (X, H)."""
+    shape (g, T, n, n), shape (g', T, n, n): from each polynomial's kept
+    derivative plan on the stack of 2g-tuples (X, H)."""
     XH = np.concatenate([np.broadcast_to(np.stack(X.mats)[:, None], H.shape), H])
     letters, dt = (XH, adjoint(XH, X.field)), complex if X.field == "complex" else float
     outs = [_derivative_plan(p, X.g)(letters, dt)[0] for p in f.polys]
-    return [v.real if X.field == "real" else v for v in outs]
+    return np.stack([v.real if X.field == "real" else v for v in outs])
+
+
+def _derivatives(f: FreeMapOracle, X: MatTuple, H: np.ndarray) -> np.ndarray:
+    """D f(X)[H] on the T directions H of shape (g, T, n, n), shape
+    (g', T, n, n): the product rule for a polynomial-backed oracle,
+    central differences for any other."""
+    return _symbolic_derivatives(f, X, H) if f.polys is not None else _central_differences(f, X, H)[0]
 
 
 def symbolic_directional_derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) -> MatTuple:
@@ -512,14 +524,14 @@ def symbolic_directional_derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) 
     if not f.polys:
         raise ValueError("oracle has no symbolic backing")
     _check_direction(X, H)
-    return MatTuple([v[0] for v in _symbolic_derivatives(f, X, np.stack(H.mats)[:, None])], X.field)
+    return MatTuple(list(_symbolic_derivatives(f, X, np.stack(H.mats)[:, None])[:, 0]), X.field)
 
 
 def derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) -> MatTuple:
     """Directional derivative; exact symbolic path for polynomial oracles."""
-    if f.polys is not None:
-        return symbolic_directional_derivative(f, X, H)
-    return directional_derivative(f, X, H)[0]
+    _check_direction(X, H)
+    V = _derivatives(f, X, np.stack(H.mats)[:, None])[:, 0]
+    return MatTuple(list(V), "complex" if np.iscomplexobj(V) else X.field)
 
 
 # -- derivative identities --------------------------------------------

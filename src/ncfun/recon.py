@@ -32,7 +32,7 @@ import numpy as np
 
 from .mateval import MatTuple, _rng, eval_stack, scaled_to, stack_diffs, stack_norms, standard_mats
 from .mateval import eval_ncpoly  # noqa: F401  (unused; bench/test_bench.py looks it up here)
-from .oracle import FreeMapOracle, call_each, neville_to_zero
+from .oracle import FreeMapOracle, neville_to_zero
 from .poly import FREE, INV, NCPoly
 from .series import FormalSeries
 from .words import Letter, Word, words_of_degree
@@ -56,34 +56,25 @@ def _cheb_nodes(D: int) -> np.ndarray:
 
 
 def _part_scan(
-    f: FreeMapOracle | Callable[[MatTuple], MatTuple],
-    X: MatTuple | np.ndarray,
-    D: int,
-    h: float | np.ndarray,
-    refine: int,
-    row0: bool,
+    f: FreeMapOracle, A: np.ndarray, D: int, h: np.ndarray, refine: int, row0: bool,
     C: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Homogeneous parts 0..D of t -> f(C + tX) in t, per output slot,
-    with row m the flattened degree-m part (only its first matrix row
-    when ``row0``): shape (g', D+1, cols) for one tuple X, and
-    (g', S, D+1, cols) for a stack of S tuples, shape (g, S, n, n), each
-    with its own radius in h.  The center C (components, shape (g, n, n))
-    is added only when given, so a scan about 0 keeps the signs of zeros.
+    """Homogeneous parts 0..D of t -> f(C + tX) in t for each tuple X of
+    the stack A (g, S, n, n), each with its own radius in h (shape (S,)):
+    shape (g', S, D+1, cols), with row m the flattened degree-m part (only
+    its first matrix row when ``row0``).  The center C (components, shape
+    (g, n, n)) is added only when given, so a scan about 0 keeps the signs
+    of zeros.
 
     Chebyshev fit at radius h, h/2, ..., h/2^refine, extrapolated in h^2
-    toward 0.  Each radius reads the nodes of every tuple as one stack
-    when f is a FreeMapOracle (one call each for a plain callable), and
-    fits them with one Vandermonde solve stacked over every output and
-    tuple; the Neville nodes are per tuple.
+    toward 0.  Each radius reads the nodes of every tuple as one
+    ``f.stack`` and fits them with one Vandermonde solve stacked over
+    every output and tuple; the Neville nodes are per tuple.
     """
-    one = isinstance(X, MatTuple)
-    A = np.array(X.mats)[:, None] if one else X
     g, S, n = A.shape[0], A.shape[1], A.shape[-1]
-    field = X.field if one else "complex" if np.iscomplexobj(A) else "real"
-    hs = [h] if one else h.tolist()  # Python floats: the squares (h/2^j)^2 below use Python's pow,
+    hs = h.tolist()  # Python floats: the squares (h/2^j)^2 below use Python's pow,
     # which rounds some of them differently from numpy's
-    h = np.array(hs)[:, None]
+    h = h[:, None]
     taus = _cheb_nodes(D)
     V = np.vander(taus, D + 1, increasing=True)
     powers = np.arange(D + 1)
@@ -93,22 +84,20 @@ def _part_scan(
         nodes = A[:, :, None] * (r * taus)[..., None, None]
         if C is not None:
             nodes = C[:, None, None] + nodes
-        nodes = nodes.reshape(g, S * (D + 1), n, n)
-        vals = f.stack(nodes) if isinstance(f, FreeMapOracle) else call_each(f, nodes, field)
+        vals = f.stack(nodes.reshape(g, S * (D + 1), n, n))
         vals = vals.reshape((-1, S, D + 1) + vals.shape[-2:])
         B = vals[..., 0, :] if row0 else vals.reshape(vals.shape[:3] + (-1,))
         # coefficients in tau = t/r, per output and tuple, then in t
         ests.append(np.linalg.solve(V, B) / (r**powers)[..., None])
     xs = [np.array([(x / 2**j) ** 2 for x in hs])[:, None, None] for j in range(refine + 1)]
-    parts = neville_to_zero(ests, xs)[-1]
-    return parts[:, 0] if one else parts
+    return neville_to_zero(ests, xs)[-1]
 
 
-def _scan_params(f, X: MatTuple | np.ndarray, radius: Optional[float] = None):
-    """Radius h and Richardson refinements of the scan of t -> f(tX): h a
-    float for one tuple X, an array with one radius per tuple for a stack
-    (g, S, n, n).  ``radius`` replaces f's own radius at X's level (a
-    scan about a center, where the radius of f is not known, passes inf).
+def _scan_params(f: FreeMapOracle, A: np.ndarray, radius: Optional[float] = None):
+    """Radius h, one per tuple of the stack A (g, S, n, n), and Richardson
+    refinements of the scans of t -> f(tX).  ``radius`` replaces f's own
+    radius at A's level (a scan about a center, where the radius of f is
+    not known, passes inf).
 
     A polynomial oracle scans at the cap 1 with no refinement, any
     other map at ANALYTIC_RADIUS_CAP with ANALYTIC_REFINE halvings.  At
@@ -117,24 +106,14 @@ def _scan_params(f, X: MatTuple | np.ndarray, radius: Optional[float] = None):
     itself; dividing by their norm would amplify round-off by ||X||^m
     in the degree-m part.  At finite radius ||hX|| <= radius/2.
     """
-    one = isinstance(X, MatTuple)
-    if isinstance(f, FreeMapOracle):
-        is_poly, rad = f.is_polynomial(), f.radius_at(X.n if one else X.shape[-1])
-    else:
-        is_poly, rad = False, math.inf
-    rad = rad if radius is None else radius
-    cap = 1.0 if is_poly else ANALYTIC_RADIUS_CAP
-    norm, at_least = (X.norm(), max) if one else (stack_norms(X), np.maximum)
-    if math.isinf(rad):
-        h = cap / at_least(1.0, norm / 2.0)
-    else:
-        h = min(cap, rad / 2.0) / at_least(1.0, norm)
-    return h, 0 if is_poly else ANALYTIC_REFINE
+    rad = f.radius_at(A.shape[-1]) if radius is None else radius
+    cap = 1.0 if f.is_polynomial() else ANALYTIC_RADIUS_CAP
+    norm = stack_norms(A)
+    h = cap / np.maximum(1.0, norm / 2.0) if math.isinf(rad) else min(cap, rad / 2.0) / np.maximum(1.0, norm)
+    return h, 0 if f.is_polynomial() else ANALYTIC_REFINE
 
 
-def homogeneous_part_eval(
-    f: FreeMapOracle | Callable[[MatTuple], MatTuple], m: int, X: MatTuple, D: int
-) -> MatTuple:
+def homogeneous_part_eval(f: FreeMapOracle, m: int, X: MatTuple, D: int) -> MatTuple:
     """Value of the degree-m homogeneous part of f at X.
 
     Exact (up to Vandermonde conditioning) when f is a polynomial map of
@@ -142,11 +121,13 @@ def homogeneous_part_eval(
     which the radius-halving Richardson refinement suppresses.  The scan
     radius and refinements follow from f (see ``_scan_params``).
     """
+    if m < 0:  # a negative index would read the top part
+        raise ValueError(f"degree must be >= 0, got {m}")
     if m > D:
         raise ValueError(f"m={m} exceeds degree bound D={D}")
-    field = f.field if isinstance(f, FreeMapOracle) else X.field
-    parts = _part_scan(f, X, D, *_scan_params(f, X), row0=False)
-    return MatTuple([p[m].reshape(X.n, X.n) for p in parts], field)
+    A = np.array(X.mats)[:, None]
+    parts = _part_scan(f, A, D, *_scan_params(f, A), row0=False)
+    return MatTuple([p[0, m].reshape(X.n, X.n) for p in parts], f.field)
 
 
 # -- every coefficient at once from word-trie tuples ------------------
@@ -206,12 +187,13 @@ def _trie_reads(f: FreeMapOracle, D: int) -> List[Dict[Word, object]]:
     on_chain = set()  # words shorter than j are shared by sub-tries: read once
     for prefix in words_of_degree(f.g, j, involution):
         T, nodes = _trie_tuple(prefix, D, alphabet, f.g, f.field)
-        h, refine = _scan_params(f, T)
+        A = np.array(T.mats)[:, None]
+        h, refine = _scan_params(f, A)
         if involution:
-            rows = list(_part_scan(f, T, D, h, refine, row0=True))  # iterated once per node
+            rows = list(_part_scan(f, A, D, h, refine, row0=True)[:, 0])  # iterated once per node
         else:
-            val = f(T.scale(h))
-            rows = [v[0] for v in val.mats]
+            h = h.item()  # a Python float: h**m below rounds as Python's pow
+            rows = [v[0] for v in f(T.scale(h)).mats]
         for i, w in enumerate(nodes):
             if i < j:
                 if w in on_chain:
@@ -263,6 +245,8 @@ def matenote_extract(
 
     (2g)^m evaluations in involution mode, g^m otherwise.
     """
+    if m < 0:
+        raise ValueError(f"degree must be >= 0, got {m}")
     involution = mode == INV
     coeff_maps: List[dict] = []
     count = 0
@@ -321,6 +305,8 @@ def taylor_at_zero(
     matenote route (one plan per word at level m+1, through
     :func:`homogeneous_part_eval`) and flags differences above ``tol``.
     ``evaluations`` counts every oracle call made here."""
+    if D < 0:
+        raise ValueError(f"degree must be >= 0, got {D}")
     calls_before = f.calls
     mode = f.mode
     series = tuple(FormalSeries.from_ncpoly(NCPoly(c, mode), D) for c in _trie_reads(f, D))

@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+import dataclasses
+
 import numpy as np
 
 from ncfun import INV, FormalSeries, GenPoly, GenTerm, MatTuple, NCPoly, random_mattuple
@@ -312,7 +314,6 @@ def reference_expand_at_point(f, A, D, s_eval, seed=0):
     H -> f(C + H), no polys, infinite radius) by ``reference_part_eval``,
     and its columns built on their own.  Returns (parts, residuals,
     nullspace_dims, evaluations)."""
-    import dataclasses
     import itertools
     import math
 
@@ -355,6 +356,18 @@ def reference_expand_at_point(f, A, D, s_eval, seed=0):
             comps.append(GenPoly(A.n, terms, f.mode))
         parts.append(tuple(comps))
     return parts, residuals, nulldims, f.calls - calls0
+
+
+def counted(f):
+    """A copy of the oracle f without polys, so that its evaluator sees
+    every tuple evaluated, and the list of their levels it records."""
+    seen = []
+
+    def evaluator(X, _ev=f.evaluator):
+        seen.append(X.n)
+        return _ev(X)
+
+    return dataclasses.replace(f, evaluator=evaluator, polys=None), seen
 
 
 def black_box(g: int, field: str = "real"):

@@ -330,3 +330,30 @@ def test_python_dash_m_runs_the_cli():
                           cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.startswith("PASS ")
+
+
+def test_empty_or_negative_work_is_refused(tmp_path, capsys):
+    # no trial, no level, a level < 1, a negative degree or iteration limit:
+    # exit 1 with a message and nothing written, not a PASS or a late error
+    for extra in (["--trials", "0"], ["--trials", "-1"], ["--levels", ","], ["--levels", "0"], ["--levels", "-2"]):
+        code, out, err = run(capsys, "check", "--map", "sinxxt", *extra)
+        assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err, extra
+    for cmd in ("taylor", "extract"):
+        code, out, err = run(capsys, cmd, "--map", "sinxxt", "--degree", "-1")
+        assert code == 1 and out == "" and "degree must be >= 0, got -1" in err
+    p = NCPoly.variable(1, mode=INV) + NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True)
+    pf, yf, sol = tmp_path / "p.ncpoly", tmp_path / "y.mtx", tmp_path / "sol.mtx"
+    pf.write_text(dump_ncpolys([p]))
+    yf.write_text(dump_mattuple(random_mattuple(1, 2, 3, norm=0.05)))
+    code, out, err = run(capsys, "invert", "--newton", "--map", f"poly:{pf}", "--target", str(yf),
+                         "--maxit", "-3", "-o", str(sol))
+    assert code == 1 and out == "" and "maxit must be >= 0, got -3" in err and not sol.exists()
+
+
+def test_mode_flags_are_mutually_exclusive(tmp_path, capsys):
+    pf = tmp_path / "p.ncpoly"
+    pf.write_text(dump_ncpolys([NCPoly.variable(2) + NCPoly.variable(1)]))
+    for argv in (["invert", "--formal", "--newton", "--poly", str(pf)],
+                 ["implicit", "--map", f"poly:{pf}", "--split", "1", "--formal", "--numeric"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "not allowed with argument --formal" in err

@@ -27,7 +27,7 @@ from ncfun import (
 from ncfun.invfun import assemble_jacobian
 from ncfun.oracle import RICHARDSON_STEPS, random_ncpoly
 
-from helpers import black_box, reference_fd_jacobian, reference_formal_inverse, reference_jacobian
+from helpers import black_box, counted, reference_fd_jacobian, reference_formal_inverse, reference_jacobian
 
 x1 = NCPoly.variable(1)
 
@@ -399,20 +399,21 @@ def test_newton_checks_its_inputs_before_calling_f():
     assert f.calls == 0
 
 
-def _counted(f):
-    seen = []
-
-    def evaluator(X, _ev=f.evaluator):
-        seen.append(X.n)
-        return _ev(X)
-
-    return dataclasses.replace(f, evaluator=evaluator, polys=None), seen
-
-
 def test_newton_trace_counts_the_oracle_calls():
-    f, seen = _counted(oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True)))
+    f, seen = counted(oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True)))
     tr = newton_invert(f, MatTuple([0.1 * np.random.default_rng(4).standard_normal((2, 2))]))
     assert tr.converged and tr.evaluations == len(seen) == f.calls > 0
-    f, seen = _counted(oracle_from_ncpoly(ivar(2) - ivar(1) * ivar(1, True)))
+    f, seen = counted(oracle_from_ncpoly(ivar(2) - ivar(1) * ivar(1, True)))
     tr = implicit_numeric(f, 1, random_mattuple(1, 2, 5))
     assert tr.converged and tr.evaluations == len(seen) == f.calls > 0
+
+
+def test_negative_maxit_is_refused_before_any_call():
+    f = oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True))
+    g = oracle_from_ncpoly(ivar(2) - ivar(1) * ivar(1, True))
+    for solve in (lambda: newton_invert(f, random_mattuple(1, 2, 0), maxit=-3),
+                  lambda: implicit_numeric(g, 1, random_mattuple(1, 2, 5), maxit=-1)):
+        with pytest.raises(ValueError, match="maxit must be >= 0, got -"):
+            solve()
+    assert f.calls == g.calls == 0
+    assert newton_invert(f, random_mattuple(1, 2, 0), maxit=0).evaluations == 1

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ncfun import (
+    FREE,
     INV,
     DomainError,
     FreeMapOracle,
@@ -18,14 +21,18 @@ from ncfun import (
     check_triangular_identity,
     derivative,
     directional_derivative,
+    expand_at_point,
+    newton_invert,
     oracle_from_ncpoly,
     random_mattuple,
     symbolic_directional_derivative,
+    taylor_at_zero,
 )
 from ncfun.oracle import DEFAULT_LEVELS, neville_to_zero, random_ncpoly
 
 from helpers import (
     black_box,
+    counted,
     reference_derivative,
     reference_direct_sums,
     reference_directional_derivative,
@@ -473,3 +480,74 @@ def test_directions_are_checked_against_the_point():
                 with pytest.raises(ValueError, match=msg):
                     symbolic_directional_derivative(f, X, H)
         assert f.calls == 0
+
+
+def test_evaluator_values_are_checked():
+    # a value must be g' components of the input's size with finite
+    # entries; otherwise f(X), f.stack and every pipeline refuse it, naming
+    # the map, what it returned and what was expected
+    X = random_mattuple(1, 2, 0, norm=0.5)
+    short = FreeMapOracle(1, 2, lambda X: X, name="short")
+    small = FreeMapOracle(1, 1, lambda X: MatTuple([np.ones((1, 1))]), name="small")
+    nan = FreeMapOracle(1, 1, lambda X: [np.full((X.n, X.n), np.nan)], name="nan")
+    for f, msg in ((short, "short returned components of shapes [(2, 2)] at level 2; expected 2 of shape (2, 2)"),
+                   (small, "small returned components of shapes [(1, 1)] at level 2; expected 1 of shape (2, 2)"),
+                   (nan, "nan returned non-finite entries at level 2")):
+        for evaluate in (lambda: f(X), lambda: f.stack(np.array(X.mats)[:, None])):
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                evaluate()
+        with pytest.raises(ValueError, match=f"{f.name} returned"):
+            taylor_at_zero(f, 2)
+    with pytest.raises(ValueError, match="small returned"):
+        newton_invert(small, MatTuple([0.1 * np.eye(2)]))
+    # the axiom checks record the refusals as failed trials
+    rep = check_direct_sums(short, [(1, 1)], trials=2)
+    assert not rep.passed and "short returned" in rep.witnesses[0][0][1]
+
+
+def _exact_tuple(g, n, seed):
+    rng = np.random.default_rng(seed)
+    return MatTuple([np.array([[Fraction(int(a), int(b)) for a, b in zip(ra, rb)]
+                               for ra, rb in zip(rng.integers(-4, 5, (n, n)), rng.integers(1, 4, (n, n)))],
+                              dtype=object) for _ in range(g)])
+
+
+@pytest.mark.parametrize("mode,field,exact", [(FREE, "real", False), (INV, "real", False),
+                                              (INV, "complex", False), (INV, "real", True)])
+def test_call_is_the_evaluator_bit_for_bit(mode, field, exact):
+    # f(X) reads the plans on polys as a stack of one; its values, dtypes
+    # and field are the evaluator's, and those of a copy without polys
+    for seed in range(4):
+        polys = [random_ncpoly(2, 3, mode, seed=10 * seed + j, field=field) for j in range(2)]
+        if exact:
+            polys = [NCPoly({w: Fraction(round(8 * c), 3) for w, c in p.coeffs.items()}, mode) for p in polys]
+        f = oracle_from_ncpoly(polys, field=field)
+        copy = dataclasses.replace(f, polys=None)
+        for n in (1, 2, 4):
+            X = _exact_tuple(2, n, seed + n) if exact else random_mattuple(2, n, seed + n, field)
+            got = f(X)
+            for want in (f.evaluator(X), copy(X)):
+                assert got.field == want.field
+                assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                           for a, b in zip(got.mats, want.mats, strict=True))
+        assert f.calls == copy.calls == 3 and f.batches == 0
+
+
+@pytest.mark.parametrize("kind", ["sinxxt", "polynomial"])
+def test_library_counts_match_outside_counts(kind):
+    # each pipeline's evaluations are the calls the oracle counts, and on a
+    # counting copy without polys also the tuples its evaluator sees
+    def make():
+        return builtin_map("sinxxt") if kind == "sinxxt" else oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True))
+
+    # sin(x x^t) is invertible near a nonzero scalar, not at level 2
+    Y, X0 = ((MatTuple([[[math.sin(0.36)]]]), MatTuple([[[0.5]]])) if kind == "sinxxt"
+             else (MatTuple([0.1 * np.random.default_rng(4).standard_normal((2, 2))]), None))
+    pipelines = (lambda f: taylor_at_zero(f, 3),
+                 lambda f: expand_at_point(f, MatTuple([np.diag([0.2, 0.45])]), 1, 2),
+                 lambda f: newton_invert(f, Y, X0=X0))
+    for run in pipelines:
+        f = make()
+        assert run(f).evaluations == f.calls > 0
+        copy, seen = counted(make())
+        assert run(copy).evaluations == copy.calls == len(seen) > 0

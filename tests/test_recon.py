@@ -23,6 +23,8 @@ from ncfun import (
 from ncfun.oracle import FreeMapOracle, random_ncpoly
 from ncfun.recon import TRIE_MAX_LEVEL
 
+from helpers import counted
+
 
 def ivar(k, starred=False):
     return NCPoly.variable(k, starred, mode=INV)
@@ -280,16 +282,6 @@ def test_trie_and_matenote_agree_on_sinxxt():
     assert taylor_at_zero(f, 6, tol=1e-8, cross_check=True).flags == []
 
 
-def counted(f):
-    seen = []
-
-    def evaluator(X, _ev=f.evaluator):
-        seen.append(X.n)
-        return _ev(X)
-
-    return dataclasses.replace(f, evaluator=evaluator), seen
-
-
 def test_taylor_evaluations_are_the_oracle_calls():
     from ncfun import builtin_map
 
@@ -371,15 +363,26 @@ def test_part_scan_stacks_each_radius():
 
     # one stack per Richardson refinement (four for an analytic map), and
     # a polynomial map's one stack through its plans is bit for bit the
-    # per-node calls a plain callable makes
+    # per-node calls its evaluator makes on a copy without polys
     f = builtin_map("sinxxt")
     homogeneous_part_eval(f, 3, random_mattuple(1, 3, 6, norm=0.5), 5)
     assert (f.calls, f.batches) == (6 * 4, 4)
     from ncfun.recon import _part_scan
 
     f = oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=7))
-    X = random_mattuple(2, 3, 6, norm=0.5)
-    via_stack = _part_scan(f, X, 3, 0.8, 1, row0=False)
+    A, h = np.array(random_mattuple(2, 3, 6, norm=0.5).mats)[:, None], np.array([0.8])
+    via_stack = _part_scan(f, A, 3, h, 1, row0=False)
     assert (f.calls, f.batches) == (8, 2)
-    via_calls = _part_scan(lambda Z: f(Z), X, 3, 0.8, 1, row0=False)
-    assert f.calls == 16 and all(np.array_equal(a, b) for a, b in zip(via_stack, via_calls))
+    per_call = dataclasses.replace(f, polys=None)
+    via_calls = _part_scan(per_call, A, 3, h, 1, row0=False)
+    assert per_call.calls == 8 and np.array_equal(via_stack, via_calls)
+
+
+def test_negative_degrees_are_refused():
+    f = oracle_from_ncpoly(ivar(1) * ivar(1, True))
+    for read in (lambda: taylor_at_zero(f, -1), lambda: reconstruct_polynomial(f, -1),
+                 lambda: matenote_extract(f, -1, 1, INV),
+                 lambda: homogeneous_part_eval(f, -1, random_mattuple(1, 2, 0), 2)):
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            read()
+    assert f.calls == 0
