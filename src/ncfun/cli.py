@@ -32,7 +32,7 @@ from .invfun import (
     implicit_residual,
     newton_invert,
 )
-from .mateval import MatTuple, eval_poly, random_mattuple
+from .mateval import MatTuple, eval_poly, eval_stack, random_mattuple, stack_diffs
 from .oracle import (
     FreeMapOracle,
     builtin_map,
@@ -43,7 +43,7 @@ from .oracle import (
     check_triangular_identity,
     oracle_from_ncpoly,
 )
-from .recon import homogeneous_part_eval, matenote_extract, taylor_at_zero
+from .recon import _part_scan, _scan_params, matenote_extract, taylor_at_zero
 from .series import FormalSeries
 from .words import cyclic_canonical, parse_word, word_involution, word_str
 
@@ -255,17 +255,16 @@ def cmd_taylor(args, emit: Emitter) -> int:
     polys = [s.to_ncpoly() for s in tay.series]
     _write(args.output, formats.dump_ncpolys(polys))
     # per-degree certificate: recovered part vs a fresh homogeneous-part
-    # evaluation at random probes one level above the extraction level
+    # evaluation at three random probes one level above the extraction
+    # level, read as one stacked scan
     rng = np.random.default_rng(args.seed + 1)
     for m in range(args.degree + 1):
         level = m + 2
-        r = 0.0
-        for _ in range(3):
-            X = random_mattuple(f.g, level, rng, f.field,
-                                norm=min(0.5, f.radius_at(level) / 4.0))
-            want = homogeneous_part_eval(f, m, X, args.degree)
-            got = MatTuple([eval_poly(p.homogeneous_part(m), X) for p in polys], f.field)
-            r = max(r, got.max_diff(want))
+        A = np.stack([random_mattuple(f.g, level, rng, f.field, norm=min(0.5, f.radius_at(level) / 4.0)).mats
+                      for _ in range(3)], axis=1)
+        want = _part_scan(f, A, args.degree, *_scan_params(f, A), row0=False)[:, :, m]
+        got = eval_stack([p.homogeneous_part(m) for p in polys], A, f.field)
+        r = float(stack_diffs(got, want.reshape(got.shape)).max())
         emit.line(f"degree={m} residual={r!r} level={level}",
                   kind="taylor", degree=m, residual=r, level=level)
         if r > args.tol:

@@ -9,14 +9,16 @@ and solves for the scalar coefficients in the least-squares sense from
 random evaluations at level n * s_eval with s_eval > D (where the
 expression is unique).
 
-Each degree draws all its samples first, then reads them as one
-stacked scan of t -> f(C + tH) about the embedded center C (one
-``FreeMapOracle.stack`` per Richardson refinement), and builds every
-sample's columns from stacked prefix products, one batch of matrix
-products per letter (``monomial_columns``).  The system stays in the
-map's field (float64 for real maps).  The cost is then the ``lstsq``
-solve itself, on (samples * level^2) rows and dim^(m+1) L^m unknowns
-for L letters.
+All degrees share one sample draw, as many tuples as the top degree D
+needs, and one stacked scan of t -> f(C + tH) about the embedded
+center C (one ``FreeMapOracle.stack`` per Richardson refinement), whose
+part m is degree m's right-hand side.  Every sample's least-squares
+columns come from one ``mateval._Walk`` prefix walk over the letters
+x_k, their adjoints and the slots kron(b_i, I_s): a degree-m monomial is
+a prefix of the degree-(m+1) ones, so all degrees share it.  The system
+stays in the map's field (float64 for real maps).  The cost is then the
+``lstsq`` solves, on (samples * level^2) rows and dim^(m+1) L^m
+unknowns for L letters.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from .mateval import (
     RANK_CUTOFF,
     MatTuple,
     SubspaceBasis,
+    _letter_rows,
     _rng,
+    _Walk,
     adjoint,
     centralizer,
     eval_genpoly,
@@ -86,19 +90,16 @@ class GenExpansion:
         return len(self.parts[0]) if self.parts else 0
 
     def eval_at(self, X: MatTuple) -> MatTuple:
-        """Sum of parts at X - A^{+s} (X at any level n*s)."""
+        """Sum of parts at X - A^{+s} (X at any level n*s), one
+        ``eval_genpoly`` over the terms of every part per output."""
         n = self.center.n
+        if X.g != self.center.g:
+            raise ValueError(f"tuple has {X.g} components, the center {self.center.g}")
         if X.n < n or X.n % n:
             raise ValueError(f"evaluation size {X.n} is not a positive multiple of the center size {n}")
-        C = center_tuple(self.center, X.n // n)
-        H = X - C
-        outs = []
-        for j in range(self.gprime):
-            acc = np.zeros((X.n, X.n), dtype=complex if X.field == "complex" else float)
-            for m in range(self.order + 1):
-                acc = acc + eval_genpoly(self.parts[m][j], H)
-            outs.append(acc)
-        return MatTuple(outs, X.field)
+        H = X - center_tuple(self.center, X.n // n)
+        sums = [GenPoly(n, [t for part in self.parts for t in part[j].terms], self.mode) for j in range(self.gprime)]
+        return MatTuple([eval_genpoly(p, H) for p in sums], X.field)
 
     def coefficient_residual(self) -> float:
         """Max residual of any coefficient matrix against the algebra basis."""
@@ -111,52 +112,17 @@ class GenExpansion:
         return worst
 
 
-def monomial_columns(P: np.ndarray, H: MatTuple | np.ndarray, m: int, involution: bool) -> np.ndarray:
-    """Every degree-m basis monomial b_{i0} u_{k1} b_{i1} ... u_{km} b_{im}
-    at H, as the (N*N, dim^(m+1) L^m) block of flattened values; for a
-    stack H of S tuples, shape (g, S, N, N), the S blocks one under the
-    other, (S*N*N, dim^(m+1) L^m).
-
-    ``P`` stacks the embedded coefficients kron(b_i, I_s), shape (dim, N, N);
-    the L letters are x1, x1*, x2, ... (x1, x2, ... without involution).
-    A sample's products are built at once, each prefix shared by every
-    monomial that extends it, in the left-to-right association of
-    ``mateval.eval_genpoly``, and written into the sample's block; one
-    sample at a time keeps a single copy of all columns in memory.
-    Columns run over the coefficient indices I outermost and the word K
-    innermost, K in ``words_of_degree`` order.
-    """
-    dim, N = P.shape[0], P.shape[1]
-    Hs = (np.stack(H.mats)[:, None] if isinstance(H, MatTuple) else H).swapaxes(0, 1)  # (S, g, N, N)
-    S = Hs.shape[0]
-    if involution:
-        star = adjoint(Hs, "complex" if np.iscomplexobj(Hs) else "real")
-        Hs = np.stack([Hs, star], axis=2).reshape(S, -1, N, N)
-    L = Hs.shape[1]
-    # axes (i0, k1, i1, ..., km, im, entry) -> (entry, i0, i1, ..., im, k1, ..., km)
-    shape = (dim,) + (L, dim) * m + (N * N,)
-    axes = [2 * m + 1, 0] + [2 + 2 * t for t in range(m)] + [1 + 2 * t for t in range(m)]
-    out = np.empty((S, N * N, dim ** (m + 1) * L**m), dtype=np.result_type(P, Hs))
-    for s in range(S):
-        acc = P
-        for _ in range(m):
-            acc = (acc[:, None] @ Hs[s][None]).reshape(-1, N, N)
-            acc = (acc[:, None] @ P[None]).reshape(-1, N, N)
-        out[s] = acc.reshape(shape).transpose(axes).reshape(N * N, -1)
-    return out.reshape(S * N * N, -1)
-
-
 def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) -> GenExpansion:
-    """Constructive expansion about A, degree by degree up to D.
+    """Constructive expansion about A up to degree D.
 
-    Each degree draws its samples first (standard-normal tuples at level
-    n s_eval, each scaled to norm 1), then reads all of them as one
-    stacked scan about the embedded center: f itself is evaluated, with
-    its own checks on every tuple, at the scan radius of a map of f's
-    kind with infinite radius, since f's radius about the center is not
-    known.  Degree m has dim^(m+1) L^m unknowns (L = g letters, 2g with
-    involution), fitted by ``lstsq`` on samples * (n s_eval)^2 rows, at
-    least twice as many as unknowns; that solve is where the time goes.
+    The samples are drawn once (standard-normal tuples at level n s_eval,
+    each scaled to norm 1) and read as one stacked scan about the
+    embedded center: f itself is evaluated, with its own checks on every
+    tuple, at the scan radius of a map of f's kind with infinite radius,
+    since f's radius about the center is not known.  Degree m has
+    dim^(m+1) L^m unknowns (L = g letters, 2g with involution), fitted by
+    ``lstsq`` on samples * (n s_eval)^2 rows, at least twice as many as
+    the unknowns of degree D; those solves are where the time goes.
     Hard practical caps: D <= 3, center size <= 3, coefficient-algebra
     dimension <= 4.  Each degree's least-squares residual is reported in
     ``residuals``; a large one signals f not free for the declared group,
@@ -195,41 +161,33 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
     dt = complex if f.field == "complex" else float
     bas = [np.asarray(b, dtype=dt) for b in basis.mats]
     P = np.stack([np.kron(b, np.eye(s_eval, dtype=dt)) for b in bas])
+    monomials = [[(I, K) for I in itertools.product(range(basis.dim), repeat=m + 1)
+                  for K in words_of_degree(f.g, m, mode == INV)] for m in range(D + 1)]
+    samples = max(2, math.ceil(2.0 * len(monomials[D]) / level**2))
+    draws = [standard_mats(f.g, level, rng, f.field) for _ in range(samples)]
+    H = scaled_to(np.stack(draws, axis=1), np.ones(samples))
+    scan = _part_scan(f, H, Dint, *_scan_params(f, H, radius=math.inf), row0=False, C=C)
+    # the monomial b_{i0} u_1 b_{i1} ... as a word, letter i the slot kron(b_i, I_s)
+    rows = {**_letter_rows(f.g), **{i: 2 * f.g + i for i in range(basis.dim)}}
+    words = [(I[0],) + sum(zip(K, I[1:]), ()) for mons in monomials for I, K in mons]
+    letters = (H, adjoint(H, f.field), np.broadcast_to(P[:, None], P.shape[:1] + H.shape[1:]))
+    columns = _Walk([[(1, (), w) for w in words]], rows).tails(letters).reshape(len(words), -1)
     parts: List[Tuple[GenPoly, ...]] = []
     residuals: List[float] = []
     nulldims: List[int] = []
-    for m in range(D + 1):
-        monomials = [
-            (I, K)
-            for I in itertools.product(range(basis.dim), repeat=m + 1)
-            for K in words_of_degree(f.g, m, mode == INV)
-        ]
-        unknowns = len(monomials)
-        per_sample = level * level
-        samples = max(2, math.ceil(2.0 * unknowns / per_sample))
-        draws = [standard_mats(f.g, level, rng, f.field) for _ in range(samples)]
-        H = scaled_to(np.stack(draws, axis=1), np.ones(samples))
-        parts_m = _part_scan(f, H, Dint, *_scan_params(f, H, radius=math.inf), row0=False, C=C)[:, :, m]
-        M = monomial_columns(P, H, m, mode == INV)
+    c0 = 0
+    for m, mons in enumerate(monomials):
+        M = columns[c0 : c0 + len(mons)].T
+        c0 += len(mons)
         # C order: the norms of the residual below sum in memory order
-        B = parts_m.reshape(f.gprime, -1).T.astype(dt, order="C")
-        sol, _, rank, sv = np.linalg.lstsq(M, B, rcond=RANK_CUTOFF)
-        nulldims.append(unknowns - int(rank))
-        fit = M @ sol
-        res = float(
-            np.linalg.norm(fit - B) / max(1.0, np.linalg.norm(B))
-        )
-        residuals.append(res)
+        B = scan[:, :, m].reshape(f.gprime, -1).T.astype(dt, order="C")
+        sol, _, rank, _ = np.linalg.lstsq(M, B, rcond=RANK_CUTOFF)
+        nulldims.append(len(mons) - int(rank))
+        residuals.append(float(np.linalg.norm(M @ sol - B) / max(1.0, np.linalg.norm(B))))
         comp_polys = []
         for j in range(f.gprime):
-            terms = []
-            for c, (I, K) in enumerate(monomials):
-                coeff = sol[c, j]
-                if abs(coeff) <= 1e-10:
-                    continue
-                mats = [bas[i] for i in I]
-                mats = [coeff * mats[0]] + list(mats[1:])
-                terms.append(GenTerm(mats, K))
+            terms = [GenTerm([sol[c, j] * bas[I[0]]] + [bas[i] for i in I[1:]], K)
+                     for c, (I, K) in enumerate(mons) if abs(sol[c, j]) > 1e-10]
             comp_polys.append(GenPoly(n, terms, mode))
         parts.append(tuple(comp_polys))
     return GenExpansion(

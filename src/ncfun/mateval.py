@@ -90,10 +90,17 @@ class MatTuple:
         """Max operator 2-norm over components: ``stack_norms`` of one tuple."""
         return float(stack_norms(np.array(self.mats)))
 
+    def _same_shape(self, other: "MatTuple") -> None:
+        if (self.g, self.n) != (other.g, other.n):
+            raise ValueError(f"tuples differ in arity or size: "
+                             f"g={self.g}, n={self.n} and g={other.g}, n={other.n}")
+
     def __add__(self, other: "MatTuple") -> "MatTuple":
+        self._same_shape(other)
         return MatTuple([a + b for a, b in zip(self.mats, other.mats)], self.field)
 
     def __sub__(self, other: "MatTuple") -> "MatTuple":
+        self._same_shape(other)
         return MatTuple([a - b for a, b in zip(self.mats, other.mats)], self.field)
 
     def scale(self, c) -> "MatTuple":
@@ -105,6 +112,7 @@ class MatTuple:
 
     def max_diff(self, other: "MatTuple") -> float:
         """``stack_diffs`` of one pair of tuples."""
+        self._same_shape(other)
         return float(stack_diffs(np.array(self.mats), np.array(other.mats)))
 
     def __repr__(self):
@@ -254,24 +262,49 @@ class _Walk:
                       [(k, [rows[u] for u in pure]) for k, (_, pure, _) in enumerate(terms) if pure])
                      for terms in sums]
 
-    def __call__(self, letters: Sequence[np.ndarray], dtype, coeffs=None) -> List[np.ndarray]:
-        """Each sum on the stack of the blocks ``letters`` (r, ..., n, n), with
-        ``coeffs`` (an array per sum) for the plan's when given; zeros of
-        ``dtype`` if empty.  The weights c tr(u_1)...tr(u_k), per tuple on
-        a stack of tuples, multiply their tails at once, and one reduction
-        adds the products in term order, bit for bit a sequential sum.  A
-        stack of tuples is split so that no buffer exceeds _WALK_ENTRIES."""
-        if letters[0].ndim == 4 and self.size * letters[0][0].size > _WALK_ENTRIES:
-            step = max(1, _WALK_ENTRIES // (self.size * letters[0][0, 0].size))
-            parts = [self([L[:, t : t + step] for L in letters], dtype, coeffs)
-                     for t in range(0, letters[0].shape[1], step)]
-            return [np.concatenate(vals) for vals in zip(*parts)]
+    def _pieces(self, letters: Sequence[np.ndarray]) -> list:
+        """The letter stack ``letters`` (r, ..., n, n) in pieces, each with
+        the slice of the tuple axis it holds: one piece, unless a stack of
+        tuples needs more to keep each buffer within _WALK_ENTRIES."""
+        L0 = letters[0]
+        if L0.ndim < 4 or self.size * L0[0].size <= _WALK_ENTRIES:
+            return [(slice(None), letters)]
+        step = max(1, _WALK_ENTRIES // (self.size * L0[0, 0].size))
+        return [(slice(t, t + step), [L[:, t : t + step] for L in letters])
+                for t in range(0, L0.shape[1], step)]
+
+    def _fill(self, letters: Sequence[np.ndarray]) -> np.ndarray:
+        """The buffer of one piece: its letters, the unit, every prefix."""
         B = np.empty((self.size,) + letters[0].shape[1:], dtype=np.result_type(*letters))
         np.concatenate(letters, out=B[: self.letters])
         if self.unit:
             B[self.letters] = np.eye(B.shape[-1], dtype=B.dtype)
         for r, a, b, parents in self.steps:
             np.matmul(B[parents], B[r], out=B[a:b])
+        return B
+
+    def tails(self, letters: Sequence[np.ndarray]) -> np.ndarray:
+        """The unweighted terms of the first sum, each tail's value on the
+        letter stack ``letters``: shape (terms, ..., n, n).  Each value is
+        added to 0, as the sums of ``__call__`` are, so that a -0.0 entry
+        reads 0.0 here too."""
+        tails = self.sums[0][1]
+        out = np.empty((len(tails),) + letters[0].shape[1:], dtype=np.result_type(*letters))
+        for cut, piece in self._pieces(letters):
+            np.add(self._fill(piece)[tails], 0.0, out=out[:, cut])
+        return out
+
+    def __call__(self, letters: Sequence[np.ndarray], dtype, coeffs=None) -> List[np.ndarray]:
+        """Each sum on the stack of the blocks ``letters`` (r, ..., n, n), with
+        ``coeffs`` (an array per sum) for the plan's when given; zeros of
+        ``dtype`` if empty.  The weights c tr(u_1)...tr(u_k), per tuple on
+        a stack of tuples, multiply their tails at once, and one reduction
+        adds the products in term order, bit for bit a sequential sum."""
+        pieces = self._pieces(letters)
+        if len(pieces) > 1:
+            parts = [self(piece, dtype, coeffs) for _, piece in pieces]
+            return [np.concatenate(vals) for vals in zip(*parts)]
+        B = self._fill(letters)
         out = []
         for i, (C, tails, traced) in enumerate(self.sums):
             C = C if coeffs is None else coeffs[i]

@@ -284,8 +284,8 @@ def reference_formal_inverse(F, D: int) -> tuple:
 # -- per-sample and per-direction references for the stacked scans -----
 
 
-def reference_part_eval(f, m, X, D):
-    """Degree-m part of f at X by the single-tuple Chebyshev scan: one
+def reference_parts(f, X, D):
+    """Parts 0..D of f at X by the single-tuple Chebyshev scan: one
     ``f.stack`` of the D+1 nodes per radius h/2^j, one Vandermonde solve
     per output, and the Neville tableau in Python floats, with the scan
     radius of a map of f's kind at infinite radius."""
@@ -305,24 +305,26 @@ def reference_part_eval(f, m, X, D):
     for k in range(1, len(tab)):
         tab = [[(xs[i] * b - xs[i + k] * a) / (xs[i] - xs[i + k]) for a, b in zip(tab[i], tab[i + 1])]
                for i in range(len(tab) - 1)]
-    return MatTuple([p[m].reshape(X.n, X.n) for p in tab[0]], f.field)
+    return [MatTuple([p[m].reshape(X.n, X.n) for p in tab[0]], f.field) for m in range(D + 1)]
 
 
 def reference_expand_at_point(f, A, D, s_eval, seed=0):
-    """``expand_at_point`` one sample at a time: each sample drawn by
-    ``random_mattuple``, read through a shifted copy of f (evaluator
-    H -> f(C + H), no polys, infinite radius) by ``reference_part_eval``,
-    and its columns built on their own.  Returns (parts, residuals,
-    nullspace_dims, evaluations)."""
+    """``expand_at_point`` one sample at a time: the samples degree D needs,
+    each drawn by ``random_mattuple`` and read through a shifted copy of
+    f (evaluator H -> f(C + H), no polys, infinite radius) by
+    ``reference_parts``, and each column one ``eval_genpoly`` of one
+    monomial per sample.  Columns are stored term by term, as the walk's
+    tails are, so that ``M @ sol`` runs in the same memory layout.
+    Returns (parts, residuals, nullspace_dims, evaluations)."""
     import itertools
     import math
 
-    from ncfun.expand import center_tuple, coefficient_algebra, monomial_columns
-    from ncfun.mateval import RANK_CUTOFF
+    from ncfun.expand import center_tuple, coefficient_algebra
+    from ncfun.mateval import RANK_CUTOFF, eval_genpoly
     from ncfun.words import words_of_degree
 
     basis = coefficient_algebra(f.group, A)
-    level, involution = A.n * s_eval, f.mode == INV
+    level = A.n * s_eval
     C = center_tuple(A, s_eval)
     rng = np.random.default_rng(seed)
     calls0 = f.calls
@@ -330,29 +332,30 @@ def reference_expand_at_point(f, A, D, s_eval, seed=0):
     Dint = max(D, f.poly_degree()) if f.is_polynomial() else D
     dt = complex if f.field == "complex" else float
     bas = [np.asarray(b, dtype=dt) for b in basis.mats]
-    P = np.stack([np.kron(b, np.eye(s_eval, dtype=dt)) for b in bas])
-    parts, residuals, nulldims = [], [], []
-    for m in range(D + 1):
-        monomials = [(I, K) for I in itertools.product(range(basis.dim), repeat=m + 1)
-                     for K in words_of_degree(f.g, m, involution)]
-        per_sample = level * level
-        samples = max(2, math.ceil(2.0 * len(monomials) / per_sample))
-        M = np.empty((samples * per_sample, len(monomials)), dtype=dt)
-        B = np.empty((samples * per_sample, f.gprime), dtype=dt)
-        for r in range(samples):
-            H = random_mattuple(f.g, level, rng, f.field, norm=1.0)
-            y = reference_part_eval(shifted, m, H, Dint)
-            rows = slice(r * per_sample, (r + 1) * per_sample)
-            M[rows] = monomial_columns(P, H, m, involution)
+    monomials = [[(I, K) for I in itertools.product(range(basis.dim), repeat=m + 1)
+                  for K in words_of_degree(f.g, m, f.mode == INV)] for m in range(D + 1)]
+    per_sample = level * level
+    samples = max(2, math.ceil(2.0 * len(monomials[D]) / per_sample))
+    cols = [np.empty((len(mons), samples * per_sample), dtype=dt) for mons in monomials]
+    B = np.empty((D + 1, samples * per_sample, f.gprime), dtype=dt)
+    for r in range(samples):
+        H = random_mattuple(f.g, level, rng, f.field, norm=1.0)
+        rows = slice(r * per_sample, (r + 1) * per_sample)
+        for m, y in enumerate(reference_parts(shifted, H, Dint)[: D + 1]):
             for j in range(f.gprime):
-                B[rows, j] = y.mats[j].ravel()
-        sol, _, rank, _ = np.linalg.lstsq(M, B, rcond=RANK_CUTOFF)
-        nulldims.append(len(monomials) - int(rank))
-        residuals.append(float(np.linalg.norm(M @ sol - B) / max(1.0, np.linalg.norm(B))))
+                B[m, rows, j] = y.mats[j].ravel()
+            for c, (I, K) in enumerate(monomials[m]):
+                cols[m][c, rows] = eval_genpoly(GenPoly.monomial([bas[i] for i in I], K), H).ravel()
+    parts, residuals, nulldims = [], [], []
+    for m, mons in enumerate(monomials):
+        M = cols[m].T
+        sol, _, rank, _ = np.linalg.lstsq(M, B[m], rcond=RANK_CUTOFF)
+        nulldims.append(len(mons) - int(rank))
+        residuals.append(float(np.linalg.norm(M @ sol - B[m]) / max(1.0, np.linalg.norm(B[m]))))
         comps = []
         for j in range(f.gprime):
             terms = [GenTerm([sol[c, j] * bas[I[0]]] + [bas[i] for i in I[1:]], K)
-                     for c, (I, K) in enumerate(monomials) if abs(sol[c, j]) > 1e-10]
+                     for c, (I, K) in enumerate(mons) if abs(sol[c, j]) > 1e-10]
             comps.append(GenPoly(A.n, terms, f.mode))
         parts.append(tuple(comps))
     return parts, residuals, nulldims, f.calls - calls0

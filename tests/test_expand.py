@@ -18,7 +18,8 @@ from ncfun import (
     random_mattuple,
     taylor_at_zero,
 )
-from ncfun.expand import center_tuple, monomial_columns
+from ncfun.expand import center_tuple
+from ncfun.mateval import _Walk
 from ncfun.oracle import random_ncpoly
 from ncfun.words import words_of_degree
 
@@ -150,42 +151,18 @@ def _complex_center():
     return MatTuple([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))], "complex")
 
 
-@pytest.mark.parametrize(
-    "group, center, involution",
-    [
-        pytest.param("GL", _diag_gl_center(), False, id="gl-diag-g2"),
-        pytest.param("O", e12(), True, id="o-e12-g1"),
-        pytest.param("U", _complex_center(), True, id="u-complex-g1"),
-    ],
-)
-def test_stacked_columns_match_term_by_term(group, center, involution):
-    # the stacked prefix products against one eval_genpoly call per monomial
-    basis = coefficient_algebra(group, center)
-    dt = complex if center.field == "complex" else float
-    s = 2
-    bas = [np.asarray(b, dtype=dt) for b in basis.mats]
-    P = np.stack([np.kron(b, np.eye(s)) for b in bas])
-    H = random_mattuple(center.g, center.n * s, np.random.default_rng(12), center.field)
-    for m in range(4):
-        want = np.stack(
-            [
-                eval_genpoly(GenPoly.monomial([bas[i] for i in I], K), H).ravel()
-                for I in itertools.product(range(basis.dim), repeat=m + 1)
-                for K in words_of_degree(center.g, m, involution)
-            ],
-            axis=1,
-        )
-        got = monomial_columns(P, H, m, involution)
-        assert got.shape == want.shape and got.dtype == dt
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
 def test_eval_at_needs_a_multiple_of_the_center_size():
     exp = expand_at_point(oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1)), e12(), D=1, s_eval=2, seed=0)
     for n in (1, 5):
         with pytest.raises(ValueError, match=f"size {n} is not a positive multiple of the center size 2"):
             exp.eval_at(random_mattuple(1, n, 0))
     assert exp.eval_at(center_tuple(e12(), 2)).n == 4
+
+
+def test_eval_at_needs_the_center_arity():
+    exp = expand_at_point(_e12_map(), e12(), D=1, s_eval=2, seed=0)
+    with pytest.raises(ValueError, match="tuple has 2 components, the center 1"):
+        exp.eval_at(MatTuple([np.zeros((2, 2))] * 2))
 
 
 def test_expand_evaluations_are_the_oracle_calls():
@@ -213,19 +190,24 @@ def _gl_g2_cubic():
     return oracle_from_ncpoly(x1 * x2 * x1 + (x2 * x2).scale(-0.5) + x1.scale(0.7) + x2 * x1 * x1)
 
 
-@pytest.mark.parametrize(
-    "make_f, center, D, s_eval",
-    [
-        pytest.param(_gl_g2_cubic, _diag_gl_center(), 3, 4, id="free-gl-g2-diag-d3"),
-        pytest.param(lambda: oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1)), e12(), 2, 3, id="o-e12-d2"),
-        pytest.param(lambda: builtin_map("sinxxt"), MatTuple([np.diag([0.2, 0.45])]), 2, 3, id="sinxxt-d2"),
-        pytest.param(lambda: oracle_from_ncpoly(random_ncpoly(1, 2, INV, seed=3, n_terms=5, field="complex"),
-                                                field="complex"), _complex_center(), 2, 3, id="u-complex-d2"),
-    ],
-)
+def _e12_map():
+    return oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1))
+
+
+EXPANSION_CASES = [
+    pytest.param(_gl_g2_cubic, _diag_gl_center(), 3, 4, id="free-gl-g2-diag-d3"),
+    pytest.param(_e12_map, e12(), 2, 3, id="o-e12-d2"),
+    pytest.param(lambda: builtin_map("sinxxt"), MatTuple([np.diag([0.2, 0.45])]), 2, 3, id="sinxxt-d2"),
+    pytest.param(lambda: oracle_from_ncpoly(random_ncpoly(1, 2, INV, seed=3, n_terms=5, field="complex"),
+                                            field="complex"), _complex_center(), 2, 3, id="u-complex-d2"),
+]
+
+
+@pytest.mark.parametrize("make_f, center, D, s_eval", EXPANSION_CASES)
 def test_stacked_expansion_matches_the_per_sample_reference(make_f, center, D, s_eval):
-    # one stacked scan per degree about the center, bit for bit the
-    # per-sample reads through a shifted copy, with the same oracle calls
+    # one stacked scan about the center and the walk's columns, bit for bit
+    # the per-sample reads through a shifted copy and per-term columns,
+    # with the same oracle calls
     for seed in (0, 1):
         f, g = make_f(), make_f()
         exp = expand_at_point(f, center, D=D, s_eval=s_eval, seed=seed)
@@ -236,3 +218,46 @@ def test_stacked_expansion_matches_the_per_sample_reference(make_f, center, D, s
             for a, b in zip(got, want, strict=True):
                 assert [t.letters for t in a.terms] == [t.letters for t in b.terms]
                 assert all(np.array_equal(x, y) for s, t in zip(a.terms, b.terms) for x, y in zip(s.mats, t.mats))
+
+
+@pytest.mark.parametrize("make_f, center, D, s_eval", EXPANSION_CASES)
+def test_walk_columns_match_term_by_term(monkeypatch, make_f, center, D, s_eval):
+    # the columns expand_at_point takes from its prefix walk, against one
+    # eval_genpoly call per monomial and sample, bit for bit
+    seen = []
+    tails = _Walk.tails
+
+    def spy(walk, letters):
+        seen.append((letters, tails(walk, letters)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(_Walk, "tails", spy)
+    f = make_f()
+    expand_at_point(f, center, D=D, s_eval=s_eval, seed=0)
+    ((letters, got),) = seen
+    dt = complex if f.field == "complex" else float
+    bas = [np.asarray(b, dtype=dt) for b in coefficient_algebra(f.group, center).mats]
+    assert np.array_equal(letters[2][:, 0], np.stack([np.kron(b, np.eye(s_eval)) for b in bas]))
+    monomials = [(I, K) for m in range(D + 1) for I in itertools.product(range(len(bas)), repeat=m + 1)
+                 for K in words_of_degree(f.g, m, f.mode == INV)]
+    H = letters[0]
+    assert got.shape == (len(monomials),) + H.shape[1:] and got.dtype == dt
+    for s in range(H.shape[1]):
+        X = MatTuple(list(H[:, s]), f.field)
+        want = np.stack([eval_genpoly(GenPoly.monomial([bas[i] for i in I], K), X) for I, K in monomials])
+        assert got[:, s].tobytes() == want.tobytes()  # the signs of zeros too
+
+
+@pytest.mark.parametrize(
+    "make_f, center, D, s_eval, calls",
+    [
+        pytest.param(_gl_g2_cubic, _diag_gl_center(), 3, 4, 16, id="free-gl-g2-diag-d3"),
+        pytest.param(_e12_map, e12(), 2, 3, 45, id="o-e12-d2"),
+        pytest.param(lambda: builtin_map("sinxxt"), MatTuple([np.diag([0.2, 0.45])]), 2, 3, 24, id="sinxxt-d2"),
+    ],
+)
+def test_one_scan_serves_every_degree(make_f, center, D, s_eval, calls):
+    # the samples of degree D, read once: (D+1) nodes per sample and radius
+    f = make_f()
+    exp = expand_at_point(f, center, D=D, s_eval=s_eval, seed=0)
+    assert exp.evaluations == f.calls == calls

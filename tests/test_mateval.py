@@ -286,6 +286,21 @@ def test_mattuple_guards():
         eval_word(parse_word("x3"), MatTuple([np.eye(2)]))
 
 
+def test_difference_of_tuples_of_different_arity_is_refused():
+    with pytest.raises(ValueError, match="tuples differ in arity or size: g=2, n=2 and g=1, n=2"):
+        random_mattuple(2, 2, 0) - random_mattuple(1, 2, 1)
+
+
+def test_max_diff_of_tuples_of_different_arity_is_refused():
+    with pytest.raises(ValueError, match="tuples differ in arity or size: g=2, n=2 and g=1, n=2"):
+        random_mattuple(2, 2, 0).max_diff(random_mattuple(1, 2, 1))
+
+
+def test_sum_of_tuples_of_different_size_is_refused():
+    with pytest.raises(ValueError, match="tuples differ in arity or size: g=1, n=2 and g=1, n=1"):
+        random_mattuple(1, 2, 0) + random_mattuple(1, 1, 1)
+
+
 def test_zero_polynomials_keep_the_tuple_dtype():
     exact = MatTuple([np.array([[1, 2], [3, 4]], dtype=object)])
     mixed = MatTuple([np.array([[1.5, 2], [3, 4]], dtype=object)])  # a float entry: Python arithmetic
