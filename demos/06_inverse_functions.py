@@ -9,6 +9,7 @@ import numpy as np
 from ncfun import (
     INV,
     FormalSeries,
+    FreeMapOracle,
     MatTuple,
     NCPoly,
     composition_residual,
@@ -21,6 +22,7 @@ from ncfun import (
     oracle_from_ncpoly,
     random_group_element,
     random_mattuple,
+    sym_matrix_function,
 )
 
 # -- series reversion ----------------------------------------------------
@@ -54,6 +56,14 @@ print("equivariance gap:",
 approx = eval_ncpoly(Hi.to_ncpoly(), Y)
 print("formal vs newton at |Y| = 0.05:", np.linalg.norm(approx - trace.X.mats[0], 2),
       " (~ |Y|^4 =", 0.05**4, ")")
+
+# a black box (no symbolic backing) gets a finite-difference Jacobian once,
+# 8 calls per coordinate direction, then Broyden updates from the steps
+box = FreeMapOracle(1, 1, lambda X: MatTuple([X.mats[0] + sym_matrix_function("sin", X.mats[0] @ X.mats[0].T)]),
+                    group="O", name="x + sin(x x^t)")
+trace_b = newton_invert(box, random_mattuple(1, 3, rng, norm=0.1), tol=1e-11)
+print(f"\nblack box x + sin(x x^t) at n=3: {trace_b.reason} after {len(trace_b.iterates)} iterations,",
+      f"evaluations={trace_b.evaluations} jacobians={trace_b.jacobians}")
 
 # -- implicit functions -----------------------------------------------------
 # f(x, y) = y + y x + x = 0 defines y = h(x) with h = -x + x^2 - ...

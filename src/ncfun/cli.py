@@ -316,8 +316,10 @@ def cmd_identity(args, emit: Emitter) -> int:
 
 def _report_newton(solve, check: str, level: int, output: Optional[str], emit: Emitter) -> int:
     """Run a Newton solve and report it: ``FAIL <check>_jacobian`` on a
-    singular Jacobian, one line per iterate, the last iterate to output,
-    and ``FAIL <check>`` if it did not converge."""
+    singular Jacobian, one line per iterate, the stop line ``newton
+    reason=<r> iterations=<k> evaluations=<N> jacobians=<K> level=<n>``,
+    the last iterate to output, and ``FAIL <check>`` if it did not
+    converge."""
     try:
         trace = solve()
     except NewtonError as e:
@@ -326,6 +328,9 @@ def _report_newton(solve, check: str, level: int, output: Optional[str], emit: E
         return VERIFY_ERROR
     for i, (res, step) in enumerate(trace.iterates):
         emit.line(f"iter={i} res={res!r} step={step!r}", kind="newton", iter=i, res=res, step=step)
+    stop = dict(reason=trace.reason, iterations=len(trace.iterates), evaluations=trace.evaluations,
+                jacobians=trace.jacobians, level=level)
+    emit.line("newton " + " ".join(f"{k}={v}" for k, v in stop.items()), kind="newton_stop", **stop)
     if trace.X is not None:
         _write(output, formats.dump_mattuple(trace.X))
     if not trace.converged:

@@ -6,6 +6,14 @@ is normalized and restored by one linear substitution lam = L^{-1} y,
 and levelwise Newton iteration on the black-box map.
 The two agree to the truncation order on small targets; both inherit
 the free property (G-equivariance) of the input map.
+
+A Newton solve assembles the Jacobian at every iterate when that costs
+no oracle calls (the product rule of a polynomial oracle).  A black
+box's finite-difference Jacobian costs 8 calls per coordinate
+direction, so it is assembled once and carried along by Broyden's
+rank-one updates, and assembled again only after a damped step or when
+the kept one is ill-conditioned.  ``NewtonTrace`` counts the oracle
+calls (``evaluations``) and the Jacobians assembled (``jacobians``).
 """
 
 from __future__ import annotations
@@ -184,6 +192,7 @@ class NewtonTrace:
     cond: float = math.nan
     reason: str = "maxit"  # why the iteration stopped: "converged", "stagnated" or "maxit"
     evaluations: int = 0  # oracle calls made by the solve
+    jacobians: int = 0  # Jacobians assembled by the solve
 
     def __repr__(self):
         tail = self.iterates[-1][0] if self.iterates else math.nan
@@ -243,7 +252,18 @@ def newton_invert(
     ``tol`` (converged), when it is above STALL_FACTOR times its value
     STALL_ITERS iterations earlier (stagnated: f(X) = Y may have no
     solution near the path), or after ``maxit`` iterations.
-    ``evaluations`` counts the oracle calls made."""
+
+    The Jacobian is assembled at the start.  When that cost no oracle
+    calls (the product rule of a polynomial oracle), it is assembled
+    again at every iterate.  Otherwise (finite differences of a black
+    box, 8 calls per coordinate direction) it is kept: after a full step
+    s with residual change y, Broyden's rank-one update
+    J + (y - J s) s^t / (s^t s) in the real coordinates of ``_vec``
+    carries it to the next iterate, and it is assembled afresh after a
+    damped step or when the kept one fails the condition test.  Only a
+    freshly assembled singular Jacobian raises NewtonError.
+    ``evaluations`` counts the oracle calls made, ``jacobians`` the
+    Jacobians assembled."""
     if maxit < 0:
         raise ValueError(f"maxit must be >= 0, got {maxit}")
     if f.g != f.gprime:
@@ -253,24 +273,34 @@ def newton_invert(
     n = Y.n
     if X0 is not None and (X0.g, X0.n) != (f.g, n):
         raise ValueError(f"start X0 has g={X0.g}, n={X0.n}; the map takes g={f.g} and the target Y has n={n}")
+    for name, T in (("target Y", Y), ("start X0", X0)):
+        if T is not None and T.field == "complex" and f.field == "real":
+            raise ValueError(f"{name} is complex but {f.name or 'the map'} is a real map")
     calls0 = f.calls
     X = X0 if X0 is not None else MatTuple.zeros(f.g, n, f.field)
     trace = NewtonTrace()
     fX = f(X)
     res = fX.max_diff(Y)
     history = [res]
+    J, kept = None, False  # kept: J is updated across iterates, not assembled at each
     for _ in range(maxit):
         if res < tol:
             break
         if len(history) > STALL_ITERS and res > STALL_FACTOR * history[-1 - STALL_ITERS]:
             trace.reason = "stagnated"
             break
-        J = assemble_jacobian(f, X)
-        cond = float(np.linalg.cond(J))
+        cond = math.inf if J is None else float(np.linalg.cond(J))
+        if not cond <= 1e14:  # no Jacobian kept, or the kept one fails (a NaN fails too)
+            c = f.calls
+            J = assemble_jacobian(f, X)
+            trace.jacobians += 1
+            kept = f.calls > c
+            cond = float(np.linalg.cond(J))
+            if not cond <= 1e14:
+                raise NewtonError(f"singular derivative (condition estimate {cond:.3g})")
         trace.cond = cond
-        if not np.isfinite(cond) or cond > 1e14:
-            raise NewtonError(f"singular derivative (condition estimate {cond:.3g})")
-        delta = np.linalg.solve(J, _vec(fX) - _vec(Y))
+        r = _vec(fX) - _vec(Y)
+        delta = np.linalg.solve(J, r)
         step = 2.0
         for _ in range(MAX_HALVINGS + 1):  # the last, most halved step is taken unchecked
             step /= 2.0
@@ -279,6 +309,10 @@ def newton_invert(
             rn = fXn.max_diff(Y)
             if rn < res or rn < tol:
                 break
+        if kept and step == 1.0:  # Broyden: s = -delta, y = the change of the residual
+            J = J - np.outer(_vec(fXn) - _vec(Y) - r + J @ delta, delta) / (delta @ delta)
+        else:
+            J = None
         X, fX, res = Xn, fXn, rn
         history.append(res)
         trace.iterates.append((res, float(step * np.linalg.norm(delta))))
@@ -343,7 +377,13 @@ def implicit_numeric(
 ) -> NewtonTrace:
     """Solve f(xhat, y) = 0 for y by Newton at a concrete point, from y = 0.
     Each evaluation of the map y -> f(xhat, y) is one call of f, so the
-    trace's ``evaluations`` are calls of f."""
+    trace's ``evaluations`` are calls of f.  The sub-oracle is a black
+    box, so its Jacobian is kept and updated as ``newton_invert``
+    describes."""
+    if not 1 <= g1 < f.g:
+        raise ValueError(f"split g1={g1} must be in 1 .. {f.g - 1} for a map of g={f.g} inputs")
+    if xhat.g != g1:
+        raise ValueError(f"point xhat has g={xhat.g} components, the split is g1={g1}")
     g2 = f.g - g1
     n = xhat.n
 

@@ -69,6 +69,15 @@ class MatTuple:
         self.mats = mats
         self.field = field
 
+    @classmethod
+    def _checked(cls, mats, field: str) -> "MatTuple":
+        """A tuple of components the caller has already checked (square
+        arrays of one size, finite unless exact, complex only in a
+        complex field), built without checking them again."""
+        X = object.__new__(cls)
+        X.mats, X.field = tuple(mats), field
+        return X
+
     @property
     def g(self) -> int:
         return len(self.mats)

@@ -95,7 +95,7 @@ class FreeMapOracle:
         if not isinstance(X, MatTuple):
             X = MatTuple(X, self.field)
         out = self._evaluate(np.array(X.mats)[:, None], X.field)[:, 0]
-        return MatTuple(list(out), "complex" if np.iscomplexobj(out) else X.field)
+        return MatTuple._checked(out, "complex" if np.iscomplexobj(out) else X.field)
 
     def stack(self, A: np.ndarray) -> np.ndarray:
         """f on each of the T tuples of a stack at one level: A holds their
@@ -133,7 +133,7 @@ class FreeMapOracle:
         if self.polys is not None:
             out = eval_stack(self.polys, A, field)
         else:
-            out = np.array([self._components(self.evaluator(MatTuple(A[:, t], field)), n)
+            out = np.array([self._components(self.evaluator(MatTuple._checked(A[:, t], field)), n)
                             for t in range(A.shape[1])]).swapaxes(0, 1)
         if out.dtype != object and not np.isfinite(out).all():
             raise ValueError(f"{self.name or 'the map'} returned non-finite entries at level {n}")

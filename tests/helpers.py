@@ -428,3 +428,44 @@ def reference_fd_jacobian(f, X) -> np.ndarray:
                     flat = np.concatenate([np.asarray(m, dtype=dt).ravel() for m in d.mats])
                     cols.append(np.concatenate([flat.real, flat.imag]) if f.field == "complex" else flat)
     return np.stack(cols, axis=1)
+
+
+def reference_newton(f, Y, tol=1e-12, maxit=50):
+    """Damped Newton for a polynomial oracle with a fresh Jacobian at every
+    iterate: ``reference_jacobian`` columns, one solve for the step on the
+    flattened residual (real parts above imaginary ones for complex
+    maps), halvings until the residual drops, and the stop rules of
+    ``newton_invert``.  Returns (iterates, X, calls of f)."""
+    from ncfun.invfun import MAX_HALVINGS, STALL_FACTOR, STALL_ITERS
+
+    n, cplx = Y.n, f.field == "complex"
+    N = f.g * n * n
+
+    def flat(T):
+        v = np.concatenate([np.asarray(m, dtype=complex if cplx else float).ravel() for m in T.mats])
+        return np.concatenate([v.real, v.imag]) if cplx else v
+
+    def unflat(v):
+        v = v[:N] + 1j * v[N:] if cplx else v
+        return MatTuple([v[k * n * n:(k + 1) * n * n].reshape(n, n) for k in range(f.g)], f.field)
+
+    calls0 = f.calls
+    X = MatTuple.zeros(f.g, n, f.field)
+    fX = f(X)
+    res = fX.max_diff(Y)
+    history, iterates = [res], []
+    for _ in range(maxit):
+        if res < tol or (len(history) > STALL_ITERS and res > STALL_FACTOR * history[-1 - STALL_ITERS]):
+            break
+        delta = np.linalg.solve(reference_jacobian(f, X), flat(fX) - flat(Y))
+        for k in range(MAX_HALVINGS + 1):
+            step = 0.5**k
+            Xn = X - unflat(step * delta)
+            fXn = f(Xn)
+            rn = fXn.max_diff(Y)
+            if rn < res or rn < tol:
+                break
+        X, fX, res = Xn, fXn, rn
+        history.append(res)
+        iterates.append((res, float(step * np.linalg.norm(delta))))
+    return iterates, X, f.calls - calls0

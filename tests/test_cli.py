@@ -184,6 +184,47 @@ def test_implicit_cli(tmp_path, capsys):
     assert "singular derivative" in out
 
 
+def test_newton_stop_line(tmp_path, capsys):
+    import json
+
+    p = NCPoly.variable(1, mode=INV) + NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True)
+    pf = tmp_path / "p.ncpoly"
+    pf.write_text(dump_ncpolys([p]))
+    yf = tmp_path / "y.mtx"
+    yf.write_text(dump_mattuple(random_mattuple(1, 2, 3, norm=0.05)))
+    sol = tmp_path / "sol.mtx"
+    argv = ["invert", "--newton", "--map", f"poly:{pf}", "--target", str(yf), "--tol", "1e-12", "-o", str(sol)]
+    # converged: the stop line follows the iterate lines; a polynomial map
+    # assembles its Jacobian at every iterate
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and all(ln.startswith(f"iter={i} ") for i, ln in enumerate(lines[:-1]))
+    k = len(lines) - 1
+    assert lines[-1] == f"newton reason=converged iterations={k} evaluations={k + 1} jacobians={k} level=2"
+    code, out, _ = run(capsys, *argv, "--json")
+    stop = json.loads(out.splitlines()[-1])
+    assert stop == {"text": lines[-1], "kind": "newton_stop", "reason": "converged", "iterations": k,
+                    "evaluations": k + 1, "jacobians": k, "level": 2}
+    # stagnated (x + x x^t = Y has no solution; see test_newton_stop_reasons):
+    # the stop line comes before the FAIL line
+    yf.write_text(dump_mattuple(MatTuple([0.1 * np.random.default_rng(3).standard_normal((8, 8))])))
+    code, out, _ = run(capsys, *argv)
+    *_, stop_line, fail = out.splitlines()
+    assert code == 2 and FAIL_RE.match(fail) and fail.startswith("FAIL invert_newton level=8 ")
+    assert re.fullmatch(r"newton reason=stagnated iterations=(\d+) evaluations=\d+ jacobians=\1 level=8", stop_line)
+    # implicit --numeric reports through the black-box sub-oracle: one Jacobian
+    q = NCPoly.variable(2, mode=INV) - NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True)
+    qf = tmp_path / "q.ncpoly"
+    qf.write_text(dump_ncpolys([q]))
+    xf = tmp_path / "x.mtx"
+    xf.write_text(dump_mattuple(MatTuple([np.array([[0.0, 1.0], [0.0, 0.0]])])))
+    code, out, _ = run(capsys, "implicit", "--map", f"poly:{qf}", "--split", "1", "--numeric", "--at", str(xf),
+                       "-o", str(sol))
+    assert code == 0
+    assert re.fullmatch(r"newton reason=converged iterations=\d+ evaluations=\d+ jacobians=1 level=2",
+                        out.splitlines()[-1])
+
+
 def test_implicit_formal_cli(tmp_path, capsys):
     # f(x, y) = y + 0.8 y x + x  ->  h(x) = sum_k (-1)^k 0.8^(k-1) x^k
     x, y = NCPoly.variable(1), NCPoly.variable(2)

@@ -27,7 +27,14 @@ from ncfun import (
 from ncfun.invfun import assemble_jacobian
 from ncfun.oracle import RICHARDSON_STEPS, random_ncpoly
 
-from helpers import black_box, counted, reference_fd_jacobian, reference_formal_inverse, reference_jacobian
+from helpers import (
+    black_box,
+    counted,
+    reference_fd_jacobian,
+    reference_formal_inverse,
+    reference_jacobian,
+    reference_newton,
+)
 
 x1 = NCPoly.variable(1)
 
@@ -417,3 +424,108 @@ def test_negative_maxit_is_refused_before_any_call():
             solve()
     assert f.calls == g.calls == 0
     assert newton_invert(f, random_mattuple(1, 2, 0), maxit=0).evaluations == 1
+
+
+# -- black-box solves: one finite-difference Jacobian, then Broyden updates --
+
+
+def x_plus_sin_xxt():
+    """The O-free black box x -> x + sin(x x^t), sin by spectral calculus."""
+    from ncfun import FreeMapOracle
+    from ncfun.mateval import sym_matrix_function
+
+    def ev(X):
+        x = X.mats[0]
+        return MatTuple([x + sym_matrix_function("sin", x @ x.T)])
+
+    return FreeMapOracle(1, 1, ev, group="O", name="x + sin(x x^t)")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_black_box_copy_and_polynomial_oracle_reach_the_same_solution(n):
+    # two routes to one X: the product-rule Jacobian at every iterate, and
+    # one finite-difference Jacobian kept by Broyden updates
+    f = oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True))
+    box = dataclasses.replace(f, polys=None)
+    Y = random_mattuple(1, n, 7, norm=0.1)
+    tp, tb = newton_invert(f, Y), newton_invert(box, Y)
+    assert tp.converged and tb.converged
+    assert tb.X.max_diff(tp.X) < 1e-10
+    assert tp.jacobians == len(tp.iterates) == 4
+    # a Jacobian per iterate, as before, would take 4 x 8 n^2 calls
+    # (133, 293 and 517 calls in all at n = 2, 3, 4)
+    assert tb.jacobians == 1 and tb.evaluations < 2 * 8 * n * n
+    assert tb.evaluations == box.calls
+
+
+def test_black_box_solve_assembles_one_jacobian():
+    # a Jacobian per iterate took 4 iterations, 4 Jacobians and 293 calls
+    f = x_plus_sin_xxt()
+    Y = random_mattuple(1, 3, 5, norm=0.1)
+    tr = newton_invert(f, Y, tol=1e-11)
+    assert tr.converged and tr.reason == "converged"
+    assert tr.jacobians == 1 and tr.evaluations <= 90
+    assert tr.evaluations == f.calls == 8 * 9 + 1 + len(tr.iterates)
+    assert f(tr.X).max_diff(Y) < 1e-11
+    # the updates matter: keeping the first Jacobian unchanged (the chord
+    # method) takes 38 iterations on this target
+    tr = newton_invert(x_plus_sin_xxt(), random_mattuple(1, 2, 2, norm=0.2), tol=1e-11)
+    assert tr.converged and tr.jacobians == 1 and len(tr.iterates) <= 12
+
+
+def test_black_box_solve_is_equivariant():
+    rng = np.random.default_rng(12)
+    Y = random_mattuple(1, 3, rng, norm=0.1)
+    u = random_group_element("O", 3, rng)
+    tr = newton_invert(x_plus_sin_xxt(), Y, tol=1e-11)
+    trU = newton_invert(x_plus_sin_xxt(), MatTuple([u @ Y.mats[0] @ u.T]), tol=1e-11)
+    assert tr.converged and trU.converged
+    assert np.linalg.norm(trU.X.mats[0] - u @ tr.X.mats[0] @ u.T, 2) < 1e-9
+
+
+def test_damped_black_box_step_assembles_a_fresh_jacobian():
+    # from X = 0 the full step toward this target is damped, so the
+    # Jacobian is assembled again at the next iterate
+    f = x_plus_sin_xxt()
+    Y = random_mattuple(1, 2, 11, norm=0.3)
+    tr = newton_invert(f, Y, tol=1e-11)
+    assert tr.converged and tr.jacobians > 1
+    assert f(tr.X).max_diff(Y) < 1e-11
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_polynomial_solves_match_the_per_iterate_reference(field):
+    rng = np.random.default_rng(8)
+    f = oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True), field=field)
+    for n in (2, 3, 8):
+        Y = random_mattuple(1, n, rng, field, norm=0.1)
+        tr = newton_invert(f, Y, tol=1e-12)
+        iterates, X, calls = reference_newton(f, Y, tol=1e-12)
+        assert tr.iterates == iterates and tr.evaluations == calls
+        assert all(np.array_equal(a, b) for a, b in zip(tr.X.mats, X.mats))
+        assert tr.jacobians == len(tr.iterates) > 0
+
+
+def test_newton_refuses_complex_inputs_for_a_real_map():
+    f = oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True))
+    Y, Z = random_mattuple(1, 2, 0), random_mattuple(1, 2, 1, "complex")
+    with pytest.raises(ValueError, match="target Y is complex"):
+        newton_invert(f, Z)
+    with pytest.raises(ValueError, match="start X0 is complex"):
+        newton_invert(f, Y, X0=Z)
+    assert f.calls == 0
+
+
+def test_implicit_numeric_checks_the_split_before_calling_f():
+    f = oracle_from_ncpoly(ivar(2) - ivar(1) * ivar(1, True))
+    cases = [
+        (0, random_mattuple(1, 2, 0), r"split g1=0 must be in 1 \.\. 1"),
+        (2, random_mattuple(2, 2, 0), r"split g1=2 must be in 1 \.\. 1"),
+        (1, random_mattuple(2, 2, 0), "point xhat has g=2 components, the split is g1=1"),
+    ]
+    for g1, xhat, msg in cases:
+        with pytest.raises(ValueError, match=msg):
+            implicit_numeric(f, g1, xhat)
+    assert f.calls == 0
+    tr = implicit_numeric(f, 1, random_mattuple(1, 2, 5))
+    assert tr.converged and tr.jacobians == 1
