@@ -277,12 +277,18 @@ def cmd_taylor(args, emit: Emitter) -> int:
 
 
 def cmd_expand_at(args, emit: Emitter) -> int:
+    """One residual line per degree, the stop line ``expand
+    evaluations=<N> level=<n>`` (the oracle calls made, 0 for a polynomial
+    map), then ``FAIL expand_at_degree`` for each residual above --tol."""
     f = load_map(args.map)
     A = formats.load_mattuple(_read(args.center))
     exp = expand_at_point(f, A, args.degree, args.s_eval, seed=args.seed)
     level = A.n * args.s_eval
     for m, r in enumerate(exp.residuals):
         emit.line(f"degree={m} residual={r!r} level={level}", kind="expand", degree=m, residual=r)
+    stop = dict(evaluations=exp.evaluations, level=level)
+    emit.line("expand " + " ".join(f"{k}={v}" for k, v in stop.items()), kind="expand_stop", **stop)
+    for r in exp.residuals:
         if r > args.tol:
             emit.fail("expand_at_degree", level, r)
     if args.output:

@@ -3,26 +3,36 @@
 The degree-m homogeneous part of H -> f(A^{+s} + H) is a generalized
 polynomial whose matrix coefficients live in a group-dependent algebra:
 the double centralizer of the algebra generated by A for GL-free maps,
-the *-algebra generated by A for O-free maps.  The solver expresses the
-part over the basis monomials b_{i0} u_{k1} b_{i1} ... u_{km} b_{im}
-and solves for the scalar coefficients in the least-squares sense from
-random evaluations at level n * s_eval with s_eval > D (where the
-expression is unique).
+the *-algebra generated by A for O-free maps.  Each part is expressed
+over the basis monomials b_{i0} u_{k1} b_{i1} ... u_{km} b_{im} of a
+trace-orthonormal basis b_i of that algebra, and ``polys`` decides how
+its scalar coefficients are found.
 
-All degrees share one sample draw, as many tuples as the top degree D
-needs, and one stacked scan of t -> f(C + tH) about the embedded
-center C (one ``FreeMapOracle.stack`` per Richardson refinement), whose
-part m is degree m's right-hand side.  Every sample's least-squares
-columns come from one ``mateval._Walk`` prefix walk over the letters
-x_k, their adjoints and the slots kron(b_i, I_s): a degree-m monomial is
-a prefix of the degree-(m+1) ones, so all degrees share it.  The system
-stays in the map's field (float64 for real maps).  The cost is then the
-``lstsq`` solves, on (samples * level^2) rows and dim^(m+1) L^m
-unknowns for L letters.
+A polynomial-backed oracle is expanded by substitution, with no oracle
+call: X = A + H in every word, each choice of the positions that take H
+giving one term whose coefficients are products of center letters,
+expanded on the basis.  Those products lie in the coefficient algebra,
+so the reported residual of a degree, the largest relative distance of
+a product it used from the algebra, is round-off.
+
+A black box is fitted in the least-squares sense from random
+evaluations at level n * s_eval with s_eval > D (where the expression is
+unique).  All degrees share one sample draw, as many tuples as the top
+degree D needs, and one stacked scan of t -> f(C + tH) about the
+embedded center C (one ``FreeMapOracle.stack`` per Richardson
+refinement), whose part m is degree m's right-hand side.  Every sample's
+least-squares columns come from one ``mateval._Walk`` prefix walk over
+the letters x_k, their adjoints and the slots kron(b_i, I_s): a degree-m
+monomial is a prefix of the degree-(m+1) ones, so all degrees share it.
+The system stays in the map's field (float64 for real maps).  The cost
+is then the ``lstsq`` solves, on (samples * level^2) rows and
+dim^(m+1) L^m unknowns for L letters; the reported residual of a degree
+is its relative least-squares residual.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -80,8 +90,10 @@ class GenExpansion:
     order: int
     s_eval: int
     parts: List[Tuple[GenPoly, ...]]  # parts[m][j] = degree-m part, output j
+    # per degree: the least-squares residual (fitted) or the distance of the
+    # center products from the algebra (substituted); see expand_at_point
     residuals: List[float] = dc_field(default_factory=list)
-    nullspace_dims: List[int] = dc_field(default_factory=list)
+    nullspace_dims: List[int] = dc_field(default_factory=list)  # all 0 when substituted
     mode: str = INV
     evaluations: int = 0  # oracle calls made by expand_at_point
 
@@ -113,23 +125,34 @@ class GenExpansion:
 
 
 def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) -> GenExpansion:
-    """Constructive expansion about A up to degree D.
+    """Constructive expansion about A up to degree D, by one of two routes
+    that ``polys`` decides, after the same guards.
 
-    The samples are drawn once (standard-normal tuples at level n s_eval,
-    each scaled to norm 1) and read as one stacked scan about the
-    embedded center: f itself is evaluated, with its own checks on every
-    tuple, at the scan radius of a map of f's kind with infinite radius,
-    since f's radius about the center is not known.  Degree m has
-    dim^(m+1) L^m unknowns (L = g letters, 2g with involution), fitted by
-    ``lstsq`` on samples * (n s_eval)^2 rows, at least twice as many as
-    the unknowns of degree D; those solves are where the time goes.
-    Hard practical caps: D <= 3, center size <= 3, coefficient-algebra
-    dimension <= 4.  Each degree's least-squares residual is reported in
-    ``residuals``; a large one signals f not free for the declared group,
-    a wrong group, or D too small.  Singular values below RANK_CUTOFF
-    (relative) count as zero, and rank-deficient systems are reported
-    through ``nullspace_dims`` instead of guessing a canonical
-    representative.  ``evaluations`` counts the oracle calls made.
+    A polynomial-backed oracle is expanded by substitution: X = A + H in
+    every word, with no oracle call.  ``residuals[m]`` is then the largest
+    relative distance ||P - proj P|| / max(1, ||P||) from the coefficient
+    algebra of a product P of center letters that degree m uses; it is
+    zero in exact arithmetic, so it measures round-off (or a polynomial
+    whose words the declared group does not allow).
+
+    A black box is fitted.  The samples are drawn once (standard-normal
+    tuples at level n s_eval, each scaled to norm 1) and read as one
+    stacked scan about the embedded center: f itself is evaluated, with
+    its own checks on every tuple, at the scan radius of a map of f's
+    kind with infinite radius, since f's radius about the center is not
+    known.  Degree m has dim^(m+1) L^m unknowns (L = g letters, 2g with
+    involution), fitted by ``lstsq`` on samples * (n s_eval)^2 rows, at
+    least twice as many as the unknowns of degree D; those solves are
+    where the time goes.  ``residuals[m]`` is degree m's relative
+    least-squares residual; a large one signals f not free for the
+    declared group, a wrong group, or D too small.  Singular values below
+    RANK_CUTOFF (relative) count as zero, and rank-deficient systems are
+    reported through ``nullspace_dims`` instead of guessing a canonical
+    representative (all zeros on the substitution route).
+
+    Hard practical caps, on both routes: D <= 3, center size <= 3,
+    coefficient-algebra dimension <= 4.  ``evaluations`` counts the
+    oracle calls made (0 on the substitution route).
     """
     if D < 0:
         raise ValueError(f"degree must be >= 0, got {D}")
@@ -143,32 +166,110 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
         raise ValueError(f"center size {A.n} exceeds practical cap {MAX_CENTER_SIZE}")
     if s_eval <= D:
         raise ValueError(f"need s_eval > D for uniqueness, got s_eval={s_eval}, D={D}")
-    n = A.n
     basis = coefficient_algebra(f.group, A)
     if basis.dim > MAX_BASIS_DIM:
         raise ValueError(
             f"coefficient algebra dimension {basis.dim} exceeds practical cap {MAX_BASIS_DIM}"
         )
-    mode = f.mode
+    calls0 = f.calls
+    dt = complex if f.field == "complex" else float
+    bas = [np.asarray(b, dtype=dt) for b in basis.mats]
+    if f.polys is not None:
+        parts, residuals = _substituted_parts(f, A, D, bas)
+        nulldims = [0] * (D + 1)
+    else:
+        parts, residuals, nulldims = _fitted_parts(f, A, D, s_eval, bas, seed)
+    return GenExpansion(
+        A, f.group, basis, D, s_eval, parts, residuals, nulldims, f.mode, f.calls - calls0
+    )
+
+
+def _gen_poly(n: int, mode: str, bas, coeffs) -> GenPoly:
+    """The sum of the terms a b_{i0} u_1 b_{i1} ... u_m b_{im} over the
+    (I, K, a) of ``coeffs`` (I the basis indices, K the letters), each
+    with |a| <= 1e-10 dropped."""
+    terms = [GenTerm([a * bas[I[0]]] + [bas[i] for i in I[1:]], K) for I, K, a in coeffs if abs(a) > 1e-10]
+    return GenPoly(n, terms, mode)
+
+
+def _substituted_parts(f: FreeMapOracle, A: MatTuple, D: int, bas):
+    """The parts of a polynomial map about A, by substituting X = A + H.
+
+    A word w with coefficient c contributes, for each set S of m <= D of
+    its positions, the term c P_0 w_{s1}(H) P_1 ... w_{sm}(H) P_m, where P_i
+    is the product of the center letters between those positions (x_k ->
+    A_k, x_k^t -> its adjoint; I when empty).  Each P_i is expanded on the
+    trace-orthonormal basis, so the term adds c coords(P_0) x ... x
+    coords(P_m) to the dim^(m+1) coefficient tensor of the letters w[S].
+    Returns the parts, ordered and dropped as the fitted ones, and per
+    degree the largest relative distance of a product P it used from its
+    projection onto the basis."""
+    dt = bas[0].dtype
+    centers = {}
+    for k, a in enumerate(A.mats, 1):
+        centers[(k, False)] = np.asarray(a, dtype=dt)
+        centers[(k, True)] = adjoint(centers[(k, False)], f.field)
+    B = np.stack(bas)
+    segments = {}
+
+    def segment(seg):
+        # coordinates of the product of the center letters seg, and its distance from the span
+        if seg not in segments:
+            P = functools.reduce(np.matmul, [centers[u] for u in seg]) if seg else np.eye(A.n, dtype=dt)
+            c = np.array([np.vdot(b, P) for b in bas])
+            segments[seg] = c, float(np.linalg.norm(P - np.tensordot(c, B, 1)) / max(1.0, np.linalg.norm(P)))
+        return segments[seg]
+
+    tensors = [[{} for _ in f.polys] for _ in range(D + 1)]  # [m][j][K]: coefficient tensor
+    residuals = [0.0] * (D + 1)
+    for j, p in enumerate(f.polys):
+        for w, c in p.coeffs.items():
+            for m in range(min(D, len(w)) + 1):
+                for S in itertools.combinations(range(len(w)), m):
+                    cuts = (-1,) + S + (len(w),)
+                    segs = [segment(w[a + 1 : b]) for a, b in zip(cuts, cuts[1:])]
+                    t = dt.type(c) * functools.reduce(np.multiply.outer, [s[0] for s in segs])
+                    K, acc = tuple(w[i] for i in S), tensors[m][j]
+                    acc[K] = acc[K] + t if K in acc else t
+                    residuals[m] = max(residuals[m], *(s[1] for s in segs))
+    parts: List[Tuple[GenPoly, ...]] = []
+    for m, accs in enumerate(tensors):
+        comps = []
+        for acc in accs:
+            Ks = sorted(acc)  # the order of words_of_degree
+            T = np.stack([acc[K] for K in Ks], axis=-1) if Ks else np.zeros(0)
+            # C order: the basis indices I outer, the letters K inner, as the fitted parts
+            comps.append(_gen_poly(A.n, f.mode, bas, ((r[:-1], Ks[r[-1]], T[tuple(r)])
+                                                       for r in np.argwhere(np.abs(T) > 1e-10).tolist())))
+        parts.append(tuple(comps))
+    return parts, residuals
+
+
+def _fitted_parts(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, bas, seed):
+    """The parts of a black box about A, fitted by ``lstsq`` to one stacked
+    scan of the samples degree D needs (see ``expand_at_point``).  Every
+    sample's columns come from one ``mateval._Walk`` prefix walk over the
+    letters x_k, their adjoints and the slots kron(b_i, I_s).  Returns the
+    parts, the relative residual of each degree and the nullspace
+    dimension of each degree's system."""
+    n, mode = A.n, f.mode
     level = n * s_eval
     C = np.stack(center_tuple(A, s_eval).mats)
     rng = _rng(seed)
-    calls0 = f.calls
     Dint = D
     if f.is_polynomial():
         Dint = max(D, f.poly_degree())
 
-    dt = complex if f.field == "complex" else float
-    bas = [np.asarray(b, dtype=dt) for b in basis.mats]
+    dt = bas[0].dtype
     P = np.stack([np.kron(b, np.eye(s_eval, dtype=dt)) for b in bas])
-    monomials = [[(I, K) for I in itertools.product(range(basis.dim), repeat=m + 1)
+    monomials = [[(I, K) for I in itertools.product(range(len(bas)), repeat=m + 1)
                   for K in words_of_degree(f.g, m, mode == INV)] for m in range(D + 1)]
     samples = max(2, math.ceil(2.0 * len(monomials[D]) / level**2))
     draws = [standard_mats(f.g, level, rng, f.field) for _ in range(samples)]
     H = scaled_to(np.stack(draws, axis=1), np.ones(samples))
     scan = _part_scan(f, H, Dint, *_scan_params(f, H, radius=math.inf), row0=False, C=C)
     # the monomial b_{i0} u_1 b_{i1} ... as a word, letter i the slot kron(b_i, I_s)
-    rows = {**_letter_rows(f.g), **{i: 2 * f.g + i for i in range(basis.dim)}}
+    rows = {**_letter_rows(f.g), **{i: 2 * f.g + i for i in range(len(bas))}}
     words = [(I[0],) + sum(zip(K, I[1:]), ()) for mons in monomials for I, K in mons]
     letters = (H, adjoint(H, f.field), np.broadcast_to(P[:, None], P.shape[:1] + H.shape[1:]))
     columns = _Walk([[(1, (), w) for w in words]], rows).tails(letters).reshape(len(words), -1)
@@ -184,12 +285,6 @@ def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) 
         sol, _, rank, _ = np.linalg.lstsq(M, B, rcond=RANK_CUTOFF)
         nulldims.append(len(mons) - int(rank))
         residuals.append(float(np.linalg.norm(M @ sol - B) / max(1.0, np.linalg.norm(B))))
-        comp_polys = []
-        for j in range(f.gprime):
-            terms = [GenTerm([sol[c, j] * bas[I[0]]] + [bas[i] for i in I[1:]], K)
-                     for c, (I, K) in enumerate(mons) if abs(sol[c, j]) > 1e-10]
-            comp_polys.append(GenPoly(n, terms, mode))
-        parts.append(tuple(comp_polys))
-    return GenExpansion(
-        A, f.group, basis, D, s_eval, parts, residuals, nulldims, mode, f.calls - calls0
-    )
+        parts.append(tuple(_gen_poly(n, mode, bas, ((I, K, sol[c, j]) for c, (I, K) in enumerate(mons)))
+                           for j in range(f.gprime)))
+    return parts, residuals, nulldims

@@ -263,7 +263,8 @@ def newton_invert(
     damped step or when the kept one fails the condition test.  Only a
     freshly assembled singular Jacobian raises NewtonError.
     ``evaluations`` counts the oracle calls made, ``jacobians`` the
-    Jacobians assembled."""
+    Jacobians assembled.  A real ``Y`` or ``X0`` of a complex map is
+    promoted to the complex field first."""
     if maxit < 0:
         raise ValueError(f"maxit must be >= 0, got {maxit}")
     if f.g != f.gprime:
@@ -276,6 +277,9 @@ def newton_invert(
     for name, T in (("target Y", Y), ("start X0", X0)):
         if T is not None and T.field == "complex" and f.field == "real":
             raise ValueError(f"{name} is complex but {f.name or 'the map'} is a real map")
+    if f.field == "complex":  # a real target or start is promoted to the map's field
+        Y, X0 = (T if T is None or T.field == "complex" else
+                 MatTuple([np.asarray(m, dtype=complex) for m in T.mats], "complex") for T in (Y, X0))
     calls0 = f.calls
     X = X0 if X0 is not None else MatTuple.zeros(f.g, n, f.field)
     trace = NewtonTrace()

@@ -255,6 +255,38 @@ def test_expand_at_cli(tmp_path, capsys):
     assert out_file.read_text().count("GENPOLY1") == 3
 
 
+def test_expand_at_stop_line(tmp_path, capsys):
+    import json
+
+    p = NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True) + NCPoly.variable(1, mode=INV)
+    pf = tmp_path / "p.ncpoly"
+    pf.write_text(dump_ncpolys([p]))
+    cf = tmp_path / "a.mtx"
+    cf.write_text(dump_mattuple(MatTuple([np.array([[0.0, 1.0], [0.0, 0.0]])])))
+    argv = ["expand-at", "--map", f"poly:{pf}", "--center", str(cf), "--degree", "2", "--s-eval", "3",
+            "--tol", "1e-6"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    # the stop line follows the residual lines: a polynomial map is expanded
+    # with no oracle call, a black box by its sampled fit
+    lines = out.splitlines()
+    assert all(re.fullmatch(rf"degree={m} residual=\S+ level=6", ln) for m, ln in enumerate(lines[:-1]))
+    assert len(lines) == 4 and lines[-1] == "expand evaluations=0 level=6"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    stop = json.loads(out.splitlines()[-1])
+    assert stop == {"text": lines[-1], "kind": "expand_stop", "evaluations": 0, "level": 6}
+    cf.write_text(dump_mattuple(MatTuple([np.diag([0.2, 0.45])])))
+    argv = ["expand-at", "--map", "sinxxt", "--center", str(cf), "--degree", "2", "--s-eval", "3"]
+    code, out, _ = run(capsys, *argv, "--tol", "1e-6")
+    assert code == 0 and out.splitlines()[-1] == "expand evaluations=24 level=6"
+    # FAIL lines come after the stop line, as for Newton solves
+    code, out, _ = run(capsys, *argv, "--tol", "0")
+    lines = out.splitlines()
+    assert code == 2 and lines[3] == "expand evaluations=24 level=6"
+    assert [ln.split()[:2] for ln in lines[4:]] == [["FAIL", "expand_at_degree"]] * 3
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     p = random_ncpoly(2, 3, INV, seed=9)
     pf = tmp_path / "p.ncpoly"

@@ -180,9 +180,9 @@ def test_expand_evaluations_are_the_oracle_calls():
     assert exp.evaluations == len(seen) == f.calls > 0
     again = expand_at_point(f, e12(), D=1, s_eval=3, seed=1)
     assert again.evaluations == len(seen) - exp.evaluations > 0
-    # a polynomial-backed oracle evaluates its stacks through its plans
+    # a polynomial-backed oracle is expanded by substitution, with no call
     g = oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1))
-    assert expand_at_point(g, e12(), D=2, s_eval=3, seed=0).evaluations == g.calls == exp.evaluations
+    assert expand_at_point(g, e12(), D=2, s_eval=3, seed=0).evaluations == g.calls == 0
 
 
 def _gl_g2_cubic():
@@ -192,6 +192,11 @@ def _gl_g2_cubic():
 
 def _e12_map():
     return oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1))
+
+
+def _fitted(make_f):
+    """The map without polys, so that expand_at_point fits it as a black box."""
+    return dataclasses.replace(make_f(), polys=None)
 
 
 EXPANSION_CASES = [
@@ -207,9 +212,9 @@ EXPANSION_CASES = [
 def test_stacked_expansion_matches_the_per_sample_reference(make_f, center, D, s_eval):
     # one stacked scan about the center and the walk's columns, bit for bit
     # the per-sample reads through a shifted copy and per-term columns,
-    # with the same oracle calls
+    # with the same oracle calls; polynomial maps as black boxes
     for seed in (0, 1):
-        f, g = make_f(), make_f()
+        f, g = _fitted(make_f), _fitted(make_f)
         exp = expand_at_point(f, center, D=D, s_eval=s_eval, seed=seed)
         parts, residuals, nulldims, evaluations = reference_expand_at_point(g, center, D, s_eval, seed)
         assert (exp.residuals, exp.nullspace_dims, exp.evaluations) == (residuals, nulldims, evaluations)
@@ -232,7 +237,7 @@ def test_walk_columns_match_term_by_term(monkeypatch, make_f, center, D, s_eval)
         return seen[-1][1]
 
     monkeypatch.setattr(_Walk, "tails", spy)
-    f = make_f()
+    f = _fitted(make_f)
     expand_at_point(f, center, D=D, s_eval=s_eval, seed=0)
     ((letters, got),) = seen
     dt = complex if f.field == "complex" else float
@@ -257,7 +262,47 @@ def test_walk_columns_match_term_by_term(monkeypatch, make_f, center, D, s_eval)
     ],
 )
 def test_one_scan_serves_every_degree(make_f, center, D, s_eval, calls):
-    # the samples of degree D, read once: (D+1) nodes per sample and radius
-    f = make_f()
+    # the samples of degree D, read once: (D+1) nodes per sample and radius;
+    # polynomial maps as black boxes
+    f = _fitted(make_f)
     exp = expand_at_point(f, center, D=D, s_eval=s_eval, seed=0)
     assert exp.evaluations == f.calls == calls
+
+
+def _e12_cubic():
+    x = ivar(1)
+    return oracle_from_ncpoly(x * ivar(1, True) * x + x * ivar(1, True) + x)
+
+
+@pytest.mark.parametrize(
+    "make_f, center, D, s_eval",
+    [p for p in EXPANSION_CASES if p.id != "sinxxt-d2"]
+    + [pytest.param(_e12_cubic, e12(), 3, 4, id="o-e12-cubic-d3")],
+)
+def test_substitution_matches_the_fitted_expansion(make_f, center, D, s_eval):
+    # two independent routes on one polynomial: substitution with no call,
+    # and the sampled fit of its black-box copy
+    f = make_f()
+    exp = expand_at_point(f, center, D=D, s_eval=s_eval, seed=0)
+    fit = expand_at_point(_fitted(make_f), center, D=D, s_eval=s_eval, seed=0)
+    assert exp.evaluations == f.calls == 0 < fit.evaluations
+    assert exp.nullspace_dims == fit.nullspace_dims == [0] * (D + 1)
+    assert max(exp.residuals) < 1e-14
+    rng = np.random.default_rng(12)
+    for got, want in zip(exp.parts, fit.parts, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert [t.letters for t in a.terms] == [t.letters for t in b.terms]
+            for s in (1, 2):
+                H = random_mattuple(f.g, center.n * s, rng, f.field)
+                x, y = eval_genpoly(a, H), eval_genpoly(b, H)
+                assert np.linalg.norm(x - y) <= 1e-12 * max(1.0, np.linalg.norm(y))
+
+
+def test_substitution_reaches_degree_three_on_a_four_dimensional_algebra():
+    f = _e12_cubic()
+    exp = expand_at_point(f, e12(), D=3, s_eval=4, seed=0)
+    assert exp.basis.dim == 4
+    assert [len(part[0].terms) for part in exp.parts] == [2, 9, 20, 16]
+    # the series is exact: it reassembles f away from the center too
+    X = center_tuple(e12(), 2) + random_mattuple(1, 4, 13, norm=2.0)
+    assert exp.eval_at(X).max_diff(f(X)) < 1e-12 * max(1.0, f(X).norm())

@@ -357,6 +357,19 @@ def test_newton_complex_unitary_map():
     assert gap < 1e-7
 
 
+def test_newton_complex_map_promotes_a_real_target_or_start():
+    # a real Y or X0 is taken into the map's complex field before the first
+    # call: the solve then runs in the real embedding with 2 g n^2 directions
+    f = oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True), field="complex")
+    rng = np.random.default_rng(6)
+    Y = random_mattuple(1, 2, rng, norm=0.05)
+    Yc = random_mattuple(1, 2, rng, field="complex", norm=0.05)
+    for target, start in ((Y, None), (Yc, MatTuple([np.zeros((2, 2))])), (Y, MatTuple([np.zeros((2, 2))]))):
+        tr = newton_invert(f, target, start, tol=1e-13)
+        assert tr.converged and tr.X.field == "complex"
+        assert f(tr.X).max_diff(target) < 1e-12
+
+
 def test_formal_inverse_pure_transpose_linear_part():
     # F = y^t has linear part [[0,1],[1,0]] on the letter space; its
     # inverse is y^t again
