@@ -4,6 +4,8 @@ levelwise Newton iteration, and agreement between the two.
 Run: python demos/06_inverse_functions.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from ncfun import (
@@ -71,12 +73,18 @@ g = oracle_from_ncpoly(NCPoly.variable(2) + NCPoly.variable(2) * NCPoly.variable
 (h,) = implicit_formal(g, 1, 4)
 print("\nimplicit series:", h)
 
-# numerically, f(x, y) = y - x x^t at x = e12 gives y = e11
+# numerically, f(x, y) = y - x x^t at x = e12 gives y = e11; Newton runs
+# on q itself with x held at e12, so its Jacobian along y is the product
+# rule (no oracle call), while a polys=None copy differences it
 q = oracle_from_ncpoly(
     NCPoly.variable(2, mode=INV) - NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True)
 )
-sol = implicit_numeric(q, 1, MatTuple([np.array([[0.0, 1.0], [0.0, 0.0]])]))
+e12 = MatTuple([np.array([[0.0, 1.0], [0.0, 0.0]])])
+sol = implicit_numeric(q, 1, e12)
 print("implicit numeric solution:\n", sol.X.mats[0])
+sol_b = implicit_numeric(dataclasses.replace(q, polys=None), 1, e12)
+print(f"calls: polynomial {sol.evaluations}, polys=None copy {sol_b.evaluations};",
+      f"difference {sol_b.X.max_diff(sol.X):.1e}")
 
 # -- the injectivity obstruction --------------------------------------------
 # x -> x^2 takes the same value at I and -I; the derivative at their

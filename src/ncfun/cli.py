@@ -269,6 +269,7 @@ def cmd_taylor(args, emit: Emitter) -> int:
                   kind="taylor", degree=m, residual=r, level=level)
         if r > args.tol:
             emit.fail("taylor_degree", level, r)
+    emit.line(f"taylor evaluations={f.calls}", kind="taylor_stop", evaluations=f.calls)
     for fl in tay.flags:
         emit.line(f"flag: {fl}", kind="flag")
     if tay.residual > args.tol and f.is_polynomial():

@@ -7,13 +7,12 @@ and levelwise Newton iteration on the black-box map.
 The two agree to the truncation order on small targets; both inherit
 the free property (G-equivariance) of the input map.
 
-A Newton solve assembles the Jacobian at every iterate when that costs
-no oracle calls (the product rule of a polynomial oracle).  A black
-box's finite-difference Jacobian costs 8 calls per coordinate
-direction, so it is assembled once and carried along by Broyden's
-rank-one updates, and assembled again only after a damped step or when
-the kept one is ill-conditioned.  ``NewtonTrace`` counts the oracle
-calls (``evaluations``) and the Jacobians assembled (``jacobians``).
+Inversion and implicit solves run one Newton body on f itself, with
+the x block held fixed for the latter, so ``polys`` picks the route of
+their Jacobians as of every derivative: the product rule at every
+iterate, or finite differences kept by Broyden updates (see
+``newton_invert``).  ``NewtonTrace`` counts the oracle calls
+(``evaluations``) and the Jacobians assembled (``jacobians``).
 """
 
 from __future__ import annotations
@@ -226,6 +225,12 @@ def _unvec(v: np.ndarray, g: int, n: int, field: str) -> MatTuple:
     return MatTuple(mats, field)
 
 
+def _jacobian(f: FreeMapOracle, X: MatTuple, E: np.ndarray) -> np.ndarray:
+    """D f(X) on the T directions E (g, T, n, n): T columns in the coordinates of ``_vec``."""
+    V = _derivatives(f, X, E).swapaxes(0, 1).reshape(E.shape[1], -1)
+    return (np.concatenate([V.real, V.imag], axis=1) if f.field == "complex" else V).T
+
+
 def assemble_jacobian(f: FreeMapOracle, X: MatTuple) -> np.ndarray:
     """Frechet derivative at X over the structural coordinate
     directions: a real (g' n^2) x (g n^2) matrix in real mode, the real
@@ -234,9 +239,68 @@ def assemble_jacobian(f: FreeMapOracle, X: MatTuple) -> np.ndarray:
     product rule for polynomial-backed oracles, and otherwise central
     differences, one stack of all 2T perturbed tuples per Richardson
     step (RICHARDSON_STEPS + 1 stacks, 8 calls per direction)."""
-    E = _unit_directions(f.g, X.n, f.field)
-    V = _derivatives(f, X, E).swapaxes(0, 1).reshape(E.shape[1], -1)
-    return (np.concatenate([V.real, V.imag], axis=1) if f.field == "complex" else V).T
+    return _jacobian(f, X, _unit_directions(f.g, X.n, f.field))
+
+
+def _in_field(f: FreeMapOracle, name: str, T: MatTuple) -> MatTuple:
+    """T as floats of f's field: a complex T of a real map is refused."""
+    if T.field == "complex" and f.field == "real":
+        raise ValueError(f"{name} is complex but {f.name or 'the map'} is a real map")
+    return MatTuple._checked([np.asarray(m, complex if f.field == "complex" else float) for m in T.mats], f.field)
+
+
+def _newton(f: FreeMapOracle, Y: MatTuple, X: MatTuple, head: tuple, tol: float, maxit: int) -> NewtonTrace:
+    """The body of ``newton_invert`` and ``implicit_numeric``: solve f(head, X) = Y from X,
+    the first components ``head`` held fixed, with Jacobians along the unit directions of X."""
+    if maxit < 0:
+        raise ValueError(f"maxit must be >= 0, got {maxit}")
+    E = _unit_directions(X.g, X.n, f.field)
+    E = np.concatenate([np.zeros((len(head),) + E.shape[1:]), E])  # zero on the fixed block
+    at = (lambda Z: MatTuple._checked(head + Z.mats, f.field)) if head else (lambda Z: Z)  # f's input
+    calls0 = f.calls
+    trace = NewtonTrace()
+    fX = f(at(X))
+    res = fX.max_diff(Y)
+    history = [res]
+    J, kept = None, False  # kept: J is updated across iterates, not assembled at each
+    for _ in range(maxit):
+        if res < tol:
+            break
+        if len(history) > STALL_ITERS and res > STALL_FACTOR * history[-1 - STALL_ITERS]:
+            trace.reason = "stagnated"
+            break
+        cond = math.inf if J is None else float(np.linalg.cond(J))
+        if not cond <= 1e14:  # no Jacobian kept, or the kept one fails (a NaN fails too)
+            c = f.calls
+            J = _jacobian(f, at(X), E)
+            trace.jacobians += 1
+            kept = f.calls > c
+            cond = float(np.linalg.cond(J))
+            if not cond <= 1e14:
+                raise NewtonError(f"singular derivative (condition estimate {cond:.3g})")
+        trace.cond = cond
+        r = _vec(fX) - _vec(Y)
+        delta = np.linalg.solve(J, r)
+        step = 2.0
+        for _ in range(MAX_HALVINGS + 1):  # the last, most halved step is taken unchecked
+            step /= 2.0
+            Xn = X - _unvec(step * delta, X.g, X.n, f.field)
+            fXn = f(at(Xn))
+            rn = fXn.max_diff(Y)
+            if rn < res or rn < tol:
+                break
+        if kept and step == 1.0:  # Broyden: s = -delta, y = the change of the residual
+            J = J - np.outer(_vec(fXn) - _vec(Y) - r + J @ delta, delta) / (delta @ delta)
+        else:
+            J = None
+        X, fX, res = Xn, fXn, rn
+        history.append(res)
+        trace.iterates.append((res, float(step * np.linalg.norm(delta))))
+    trace.converged = res < tol
+    trace.reason = "converged" if trace.converged else trace.reason
+    trace.X = X
+    trace.evaluations = f.calls - calls0
+    return trace
 
 
 def newton_invert(
@@ -263,10 +327,8 @@ def newton_invert(
     damped step or when the kept one fails the condition test.  Only a
     freshly assembled singular Jacobian raises NewtonError.
     ``evaluations`` counts the oracle calls made, ``jacobians`` the
-    Jacobians assembled.  A real ``Y`` or ``X0`` of a complex map is
-    promoted to the complex field first."""
-    if maxit < 0:
-        raise ValueError(f"maxit must be >= 0, got {maxit}")
+    Jacobians assembled.  ``Y`` and ``X0`` are taken as floats of the
+    map's field: a real one of a complex map is promoted first."""
     if f.g != f.gprime:
         raise ValueError("newton inversion needs matching input/output arity")
     if Y.g != f.gprime:
@@ -274,57 +336,9 @@ def newton_invert(
     n = Y.n
     if X0 is not None and (X0.g, X0.n) != (f.g, n):
         raise ValueError(f"start X0 has g={X0.g}, n={X0.n}; the map takes g={f.g} and the target Y has n={n}")
-    for name, T in (("target Y", Y), ("start X0", X0)):
-        if T is not None and T.field == "complex" and f.field == "real":
-            raise ValueError(f"{name} is complex but {f.name or 'the map'} is a real map")
-    if f.field == "complex":  # a real target or start is promoted to the map's field
-        Y, X0 = (T if T is None or T.field == "complex" else
-                 MatTuple([np.asarray(m, dtype=complex) for m in T.mats], "complex") for T in (Y, X0))
-    calls0 = f.calls
-    X = X0 if X0 is not None else MatTuple.zeros(f.g, n, f.field)
-    trace = NewtonTrace()
-    fX = f(X)
-    res = fX.max_diff(Y)
-    history = [res]
-    J, kept = None, False  # kept: J is updated across iterates, not assembled at each
-    for _ in range(maxit):
-        if res < tol:
-            break
-        if len(history) > STALL_ITERS and res > STALL_FACTOR * history[-1 - STALL_ITERS]:
-            trace.reason = "stagnated"
-            break
-        cond = math.inf if J is None else float(np.linalg.cond(J))
-        if not cond <= 1e14:  # no Jacobian kept, or the kept one fails (a NaN fails too)
-            c = f.calls
-            J = assemble_jacobian(f, X)
-            trace.jacobians += 1
-            kept = f.calls > c
-            cond = float(np.linalg.cond(J))
-            if not cond <= 1e14:
-                raise NewtonError(f"singular derivative (condition estimate {cond:.3g})")
-        trace.cond = cond
-        r = _vec(fX) - _vec(Y)
-        delta = np.linalg.solve(J, r)
-        step = 2.0
-        for _ in range(MAX_HALVINGS + 1):  # the last, most halved step is taken unchecked
-            step /= 2.0
-            Xn = X - _unvec(step * delta, f.g, n, f.field)
-            fXn = f(Xn)
-            rn = fXn.max_diff(Y)
-            if rn < res or rn < tol:
-                break
-        if kept and step == 1.0:  # Broyden: s = -delta, y = the change of the residual
-            J = J - np.outer(_vec(fXn) - _vec(Y) - r + J @ delta, delta) / (delta @ delta)
-        else:
-            J = None
-        X, fX, res = Xn, fXn, rn
-        history.append(res)
-        trace.iterates.append((res, float(step * np.linalg.norm(delta))))
-    trace.converged = res < tol
-    trace.reason = "converged" if trace.converged else trace.reason
-    trace.X = X
-    trace.evaluations = f.calls - calls0
-    return trace
+    Y = _in_field(f, "target Y", Y)
+    X0 = MatTuple.zeros(f.g, n, f.field) if X0 is None else _in_field(f, "start X0", X0)
+    return _newton(f, Y, X0, (), tol, maxit)
 
 
 # -- implicit function -------------------------------------------------
@@ -379,27 +393,20 @@ def implicit_numeric(
     tol: float = 1e-12,
     maxit: int = 50,
 ) -> NewtonTrace:
-    """Solve f(xhat, y) = 0 for y by Newton at a concrete point, from y = 0.
-    Each evaluation of the map y -> f(xhat, y) is one call of f, so the
-    trace's ``evaluations`` are calls of f.  The sub-oracle is a black
-    box, so its Jacobian is kept and updated as ``newton_invert``
-    describes."""
+    """Solve f(xhat, y) = 0 for y by Newton at a concrete point, from y = 0:
+    the body of ``newton_invert`` on f with the x block held at xhat, so
+    ``polys`` picks the Jacobian's route as for inversion (the product
+    rule, or central differences through ``f.stack``).  ``evaluations``
+    are calls of f.  xhat is taken as floats of the map's field."""
     if not 1 <= g1 < f.g:
         raise ValueError(f"split g1={g1} must be in 1 .. {f.g - 1} for a map of g={f.g} inputs")
     if xhat.g != g1:
         raise ValueError(f"point xhat has g={xhat.g} components, the split is g1={g1}")
-    g2 = f.g - g1
-    n = xhat.n
-
-    def ev(Y: MatTuple) -> MatTuple:
-        return f(MatTuple(tuple(xhat.mats) + tuple(Y.mats), f.field))
-
-    sub = FreeMapOracle(
-        g=g2, gprime=f.gprime, evaluator=ev, field=f.field, group=f.group,
-        smoothness=f.smoothness, radius=f.radius, name=f"{f.name}|x fixed",
-    )
-    target = MatTuple.zeros(f.gprime, n, f.field)
-    return newton_invert(sub, target, tol=tol, maxit=maxit)
+    if f.g - g1 != f.gprime:
+        raise ValueError("implicit solve expects g' = g - g1 outputs")
+    xhat = _in_field(f, "point xhat", xhat)
+    Z = MatTuple.zeros(f.gprime, xhat.n, f.field)
+    return _newton(f, Z, Z, xhat.mats, tol, maxit)
 
 
 # -- injectivity obstruction ------------------------------------------

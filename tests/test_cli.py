@@ -113,6 +113,32 @@ def test_taylor_and_extract(tmp_path, capsys):
     assert FAIL_RE.match(out.strip()) and out.startswith("FAIL extract_homogeneity level=3 ")
 
 
+def test_taylor_stop_line(tmp_path, capsys, monkeypatch):
+    import json
+
+    import ncfun.cli as cli
+
+    maps = []  # the oracle the command loads, to read its calls
+    monkeypatch.setattr(cli, "load_map", lambda spec, load=cli.load_map: maps.append(load(spec)) or maps[-1])
+    pf = tmp_path / "p.ncpoly"
+    pf.write_text(dump_ncpolys([random_ncpoly(2, 2, INV, seed=5)]))
+    argv = ["taylor", "--map", f"poly:{pf}", "--degree", "2", "-o", str(tmp_path / "rec.ncpoly")]
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and [ln.split()[0] for ln in lines[:3]] == ["degree=0", "degree=1", "degree=2"]
+    assert lines[3:] == [f"taylor evaluations={maps[0].calls}"] and maps[0].calls > 0
+    code, out, _ = run(capsys, *argv, "--json")
+    stop = json.loads(out.splitlines()[3])
+    assert stop == {"text": lines[3], "kind": "taylor_stop", "evaluations": maps[1].calls}
+    # the stop line follows the last degree's FAIL line, and the calls of
+    # the trie reads and the certificate scans of a black box
+    code, out, _ = run(capsys, "taylor", "--map", "sinxxt", "--degree", "3", "--tol", "0", "-o",
+                       str(tmp_path / "sin.ncpoly"))
+    lines = out.splitlines()
+    assert code == 2 and lines[-3].startswith("degree=3 ") and lines[-2].startswith("FAIL taylor_degree level=5 ")
+    assert lines[-1] == f"taylor evaluations={maps[2].calls}"
+
+
 def test_invert_formal_cli(tmp_path, capsys):
     x1 = NCPoly.variable(1)
     f = tmp_path / "f.ncpoly"
@@ -212,7 +238,8 @@ def test_newton_stop_line(tmp_path, capsys):
     *_, stop_line, fail = out.splitlines()
     assert code == 2 and FAIL_RE.match(fail) and fail.startswith("FAIL invert_newton level=8 ")
     assert re.fullmatch(r"newton reason=stagnated iterations=(\d+) evaluations=\d+ jacobians=\1 level=8", stop_line)
-    # implicit --numeric reports through the black-box sub-oracle: one Jacobian
+    # implicit --numeric on y - x x^t: one product-rule Jacobian, and two
+    # values of f, at y = 0 and at the solution
     q = NCPoly.variable(2, mode=INV) - NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True)
     qf = tmp_path / "q.ncpoly"
     qf.write_text(dump_ncpolys([q]))
@@ -221,8 +248,7 @@ def test_newton_stop_line(tmp_path, capsys):
     code, out, _ = run(capsys, "implicit", "--map", f"poly:{qf}", "--split", "1", "--numeric", "--at", str(xf),
                        "-o", str(sol))
     assert code == 0
-    assert re.fullmatch(r"newton reason=converged iterations=\d+ evaluations=\d+ jacobians=1 level=2",
-                        out.splitlines()[-1])
+    assert out.splitlines()[-1] == "newton reason=converged iterations=1 evaluations=2 jacobians=1 level=2"
 
 
 def test_implicit_formal_cli(tmp_path, capsys):

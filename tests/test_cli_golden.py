@@ -1,7 +1,7 @@
 """Golden CLI outputs: the exact stdout and ``-o`` bytes of commands whose
 output does not depend on the platform (word and trace canonicalization,
 exact integer arithmetic, and a series inversion whose coefficients are
-exactly representable), and one ``expand-at`` file whose least-squares
+exactly representable), and one ``expand-at`` file whose substituted
 coefficients are compared to 1e-12.  A change to any of these bytes
 changes the CLI's output format or a result, so it has to be made here on
 purpose.
@@ -289,9 +289,11 @@ def test_cli_golden(argv, stdout, written, tmp_path, capsys, monkeypatch):
         assert out.read_bytes() == written
 
 
-# expand-at fits its coefficients by least squares: their last digits
-# are LAPACK round-off (1e-15 here), so the -o file is compared token by
-# token, every number within 1e-12 of these bytes and all else exact
+# expand-at substitutes X = A + H into the poly: map's words, and the
+# last digits of its coefficients are round-off of their coordinates on
+# the basis of the coefficient algebra (1e-15 here), so the -o file is
+# compared token by token, every number within 1e-12 of these bytes and
+# all else exact
 EXPAND_AT_OUT = (
     b"GENPOLY1 n=2 mode=involution terms=2\n"
     b"deg=0 0.0 1.0000000000000002; 0.0 0.0\n"

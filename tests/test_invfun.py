@@ -542,3 +542,70 @@ def test_implicit_numeric_checks_the_split_before_calling_f():
     assert f.calls == 0
     tr = implicit_numeric(f, 1, random_mattuple(1, 2, 5))
     assert tr.converged and tr.jacobians == 1
+
+
+# -- implicit solves: Newton on f itself, the x block held fixed --
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_polynomial_implicit_solve_matches_its_black_box_copy(field):
+    # f(x, y) = y + 1/2 y y^t x + 0.3 x is nonlinear in y: the product rule
+    # at every iterate, against finite differences kept by Broyden updates
+    x, y = ivar(1), ivar(2)
+    p = y + (y * y.involution() * x).scale(0.5) + x.scale(0.3)
+    for n in (2, 3):
+        f = oracle_from_ncpoly(p, field=field)
+        box = dataclasses.replace(f, polys=None)
+        xhat = random_mattuple(1, n, 40 + n, field, norm=0.5)
+        tp, tb = implicit_numeric(f, 1, xhat), implicit_numeric(box, 1, xhat)
+        assert tp.converged and tb.converged and tp.X.field == tb.X.field == field
+        assert tb.X.max_diff(tp.X) < 1e-10
+        assert tp.evaluations == f.calls < 10 and tp.jacobians == len(tp.iterates)
+        directions = n * n * (2 if field == "complex" else 1)
+        assert tb.evaluations >= 8 * directions * tb.jacobians > 0
+
+
+def test_implicit_formal_series_matches_the_newton_solution():
+    # two routes to one y: the degree-8 series h of y + 0.8 y x + x + 1/2 y y^t,
+    # evaluated at a small point, and the Newton solution of f(xhat, y) = 0
+    x, y = ivar(1), ivar(2)
+    f = oracle_from_ncpoly(y + (y * x).scale(0.8) + x + (y * y.involution()).scale(0.5))
+    (h,) = implicit_formal(f, 1, 8)
+    xhat = random_mattuple(1, 3, 17, norm=0.1)
+    tr = implicit_numeric(f, 1, xhat)
+    assert tr.converged and tr.evaluations < 10
+    assert np.linalg.norm(tr.X.mats[0] - eval_ncpoly(h.to_ncpoly(), xhat), 2) < 1e-8
+
+
+def test_black_box_implicit_solve_differences_stacks_of_f():
+    # each Richardson step of a Jacobian is one stack of f, not one
+    # call of f per perturbed tuple
+    f = dataclasses.replace(oracle_from_ncpoly(ivar(2) - ivar(1) * ivar(1, True)), polys=None)
+    tr = implicit_numeric(f, 1, random_mattuple(1, 3, 5))
+    assert tr.converged and tr.jacobians >= 1
+    assert f.batches == (RICHARDSON_STEPS + 1) * tr.jacobians
+    assert tr.evaluations == f.calls == 8 * 9 * tr.jacobians + 1 + len(tr.iterates)
+
+
+def test_implicit_numeric_checks_the_field_before_calling_f():
+    f = oracle_from_ncpoly(ivar(2) - ivar(1) * ivar(1, True))
+    with pytest.raises(ValueError, match="point xhat is complex but poly is a real map"):
+        implicit_numeric(f, 1, random_mattuple(1, 2, 5, "complex"))
+    assert f.calls == 0
+    # a real point of a complex map is promoted
+    fc = oracle_from_ncpoly(ivar(2) - ivar(1) * ivar(1, True), field="complex")
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    tr = implicit_numeric(fc, 1, MatTuple([e12]))
+    assert tr.converged and tr.X.field == "complex" and tr.X.max_diff(MatTuple([e12 @ e12.T])) < 1e-14
+
+
+def test_exact_inputs_are_solved_as_floats():
+    # an exact tuple (as an MTX1 file of integers loads) solves as its floats
+    e12 = np.array([[0, 1], [0, 0]])
+    f = oracle_from_ncpoly(ivar(2) - ivar(1) * ivar(1, True))
+    tr, exact = (implicit_numeric(f, 1, MatTuple([e12.astype(t)])) for t in (float, object))
+    assert exact.converged and exact.iterates == tr.iterates and exact.X.max_diff(tr.X) == 0
+    f = oracle_from_ncpoly(ivar(1) + ivar(1) * ivar(1, True))
+    Y = random_mattuple(1, 2, 3, norm=0.1)
+    tr, exact = (newton_invert(f, Y, X0=MatTuple([np.zeros((2, 2), t)])) for t in (float, object))
+    assert exact.converged and exact.iterates == tr.iterates and exact.X.max_diff(tr.X) == 0
