@@ -43,7 +43,7 @@ from .oracle import (
     check_triangular_identity,
     oracle_from_ncpoly,
 )
-from .recon import _part_scan, _scan_params, matenote_extract, taylor_at_zero
+from .recon import _part_scan, matenote_extract, taylor_at_zero
 from .series import FormalSeries
 from .words import cyclic_canonical, parse_word, word_involution, word_str
 
@@ -262,7 +262,7 @@ def cmd_taylor(args, emit: Emitter) -> int:
         level = m + 2
         A = np.stack([random_mattuple(f.g, level, rng, f.field, norm=min(0.5, f.radius_at(level) / 4.0)).mats
                       for _ in range(3)], axis=1)
-        want = _part_scan(f, A, args.degree, *_scan_params(f, A), row0=False)[:, :, m]
+        want = _part_scan(f, A, args.degree)[:, :, m]
         got = eval_stack([p.homogeneous_part(m) for p in polys], A, f.field)
         r = float(stack_diffs(got, want.reshape(got.shape)).max())
         emit.line(f"degree={m} residual={r!r} level={level}",

@@ -19,8 +19,8 @@ A black box is fitted in the least-squares sense from random
 evaluations at level n * s_eval with s_eval > D (where the expression is
 unique).  All degrees share one sample draw, as many tuples as the top
 degree D needs, and one stacked scan of t -> f(C + tH) about the
-embedded center C (one ``FreeMapOracle.stack`` per Richardson
-refinement), whose part m is degree m's right-hand side.  Every sample's
+embedded center C (one ``FreeMapOracle.stack`` of its Chebyshev
+nodes), whose part m is degree m's right-hand side.  Every sample's
 least-squares columns come from one ``mateval._Walk`` prefix walk over
 the letters x_k, their adjoints and the slots kron(b_i, I_s): a degree-m
 monomial is a prefix of the degree-(m+1) ones, so all degrees share it.
@@ -57,7 +57,7 @@ from .mateval import (
 )
 from .oracle import FreeMapOracle
 from .poly import INV
-from .recon import _part_scan, _scan_params
+from .recon import _part_scan
 from .recon import homogeneous_part_eval  # noqa: F401  (unused; bench/test_bench.py looks it up here)
 from .words import words_of_degree
 
@@ -256,10 +256,6 @@ def _fitted_parts(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, bas, seed)
     level = n * s_eval
     C = np.stack(center_tuple(A, s_eval).mats)
     rng = _rng(seed)
-    Dint = D
-    if f.is_polynomial():
-        Dint = max(D, f.poly_degree())
-
     dt = bas[0].dtype
     P = np.stack([np.kron(b, np.eye(s_eval, dtype=dt)) for b in bas])
     monomials = [[(I, K) for I in itertools.product(range(len(bas)), repeat=m + 1)
@@ -267,7 +263,7 @@ def _fitted_parts(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, bas, seed)
     samples = max(2, math.ceil(2.0 * len(monomials[D]) / level**2))
     draws = [standard_mats(f.g, level, rng, f.field) for _ in range(samples)]
     H = scaled_to(np.stack(draws, axis=1), np.ones(samples))
-    scan = _part_scan(f, H, Dint, *_scan_params(f, H, radius=math.inf), row0=False, C=C)
+    scan = _part_scan(f, H, D, C=C, radius=math.inf)
     # the monomial b_{i0} u_1 b_{i1} ... as a word, letter i the slot kron(b_i, I_s)
     rows = {**_letter_rows(f.g), **{i: 2 * f.g + i for i in range(len(bas))}}
     words = [(I[0],) + sum(zip(K, I[1:]), ()) for mons in monomials for I, K in mons]

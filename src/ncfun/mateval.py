@@ -324,9 +324,11 @@ class _Walk:
                         weights[k] = weights[k] * np.trace(B[u], axis1=-2, axis2=-1)
                 C = np.array(np.broadcast_arrays(*weights))
             P = C.reshape(C.shape + (1,) * (B.ndim - C.ndim)) * B[tails]
-            # add.reduce adds the terms in order, but pairwise on a lone entry
-            out.append(np.zeros(B.shape[1:], dtype) if not len(C)
-                       else np.add.reduce(P) if P[0].size > 1 else np.add.accumulate(P)[-1])
+            # add.reduce adds the terms in order, but pairwise on a lone entry,
+            # where accumulate keeps the -0.0 that reduce drops: floats add 0.0
+            lone = len(C) and P[0].size == 1
+            acc = np.zeros(B.shape[1:], dtype) if not len(C) else np.add.accumulate(P)[-1] if lone else np.add.reduce(P)
+            out.append(acc + 0.0 if lone and acc.dtype.kind in "fc" else acc)
         return out
 
 

@@ -11,9 +11,9 @@ are split by their first j letters into sub-tries (plus the chain from
 the root down to the prefix) of at most TRIE_MAX_LEVEL nodes, or of the
 oracle's ``max_level`` when it declares a smaller one.  Without
 involution T is nilpotent and one evaluation f(hT) holds h^|w| c_w at
-(root, w); with involution one Chebyshev scan of t -> f(tT), with
-Richardson refinement in the radius for non-polynomial oracles,
-separates every degree at once.
+(root, w); with involution one Chebyshev scan of t -> f(tT), one
+stacked read of its nodes at one radius, separates every degree at
+once.
 
 Matenote plans (:func:`matenote_extract`, for ``ncfun extract`` and the
 cross-check): one shift-unit tuple in M_{m+1} per degree-m word w, whose
@@ -32,13 +32,15 @@ import numpy as np
 
 from .mateval import MatTuple, _rng, eval_stack, scaled_to, stack_diffs, stack_norms, standard_mats
 from .mateval import eval_ncpoly  # noqa: F401  (unused; bench/test_bench.py looks it up here)
-from .oracle import FreeMapOracle, neville_to_zero
+from .oracle import FreeMapOracle
 from .poly import FREE, INV, NCPoly
 from .series import FormalSeries
 from .words import Letter, Word, words_of_degree
 
-ANALYTIC_RADIUS_CAP = 0.25  # empirical: with 3 refinements gives ~1e-8 coefficients
-ANALYTIC_REFINE = 3
+ANALYTIC_RADIUS_CAP = 0.25  # empirical: with SCAN_EXTRA_NODES gives ~1e-10 coefficients
+# nodes a non-polynomial scan reads past degree D: fewer let the tail
+# alias (6: errors up to 8e-7), more cost calls (sweep in CHANGES.md)
+SCAN_EXTRA_NODES = 10
 CLEANUP_TOL = 1e-9  # float coefficients at or below this read as zero
 RESIDUAL_LEVELS = (1, 2)  # levels and samples per level of the Taylor residual
 RESIDUAL_SAMPLES = 4
@@ -50,83 +52,73 @@ CERT_SAMPLES = 5  # certificate samples at each of levels d+1, d+2
 TRIE_MAX_LEVEL = 64
 
 
-def _cheb_nodes(D: int) -> np.ndarray:
-    j = np.arange(D + 1)
-    return np.cos(np.pi * (2 * j + 1) / (2 * (D + 1)))
+def _cheb_nodes(N: int) -> np.ndarray:
+    j = np.arange(N)
+    return np.cos(np.pi * (2 * j + 1) / (2 * N))
 
 
-def _part_scan(
-    f: FreeMapOracle, A: np.ndarray, D: int, h: np.ndarray, refine: int, row0: bool,
-    C: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Homogeneous parts 0..D of t -> f(C + tX) in t for each tuple X of
-    the stack A (g, S, n, n), each with its own radius in h (shape (S,)):
-    shape (g', S, D+1, cols), with row m the flattened degree-m part (only
-    its first matrix row when ``row0``).  The center C (components, shape
-    (g, n, n)) is added only when given, so a scan about 0 keeps the signs
-    of zeros.
+def _scan_radius(f: FreeMapOracle, A: np.ndarray, radius: Optional[float] = None) -> np.ndarray:
+    """Radius h of the scans of t -> f(tX), one per tuple of the stack A
+    (g, S, n, n).  ``radius`` replaces f's own radius at A's level (a scan
+    about a center, where the radius of f is not known, passes inf).
 
-    Chebyshev fit at radius h, h/2, ..., h/2^refine, extrapolated in h^2
-    toward 0.  Each radius reads the nodes of every tuple as one
-    ``f.stack`` and fits them with one Vandermonde solve stacked over
-    every output and tuple; the Neville nodes are per tuple.
-    """
-    g, S, n = A.shape[0], A.shape[1], A.shape[-1]
-    hs = h.tolist()  # Python floats: the squares (h/2^j)^2 below use Python's pow,
-    # which rounds some of them differently from numpy's
-    h = h[:, None]
-    taus = _cheb_nodes(D)
-    V = np.vander(taus, D + 1, increasing=True)
-    powers = np.arange(D + 1)
-    ests: List[np.ndarray] = []
-    for j in range(refine + 1):
-        r = h / 2**j
-        nodes = A[:, :, None] * (r * taus)[..., None, None]
-        if C is not None:
-            nodes = C[:, None, None] + nodes
-        vals = f.stack(nodes.reshape(g, S * (D + 1), n, n))
-        vals = vals.reshape((-1, S, D + 1) + vals.shape[-2:])
-        B = vals[..., 0, :] if row0 else vals.reshape(vals.shape[:3] + (-1,))
-        # coefficients in tau = t/r, per output and tuple, then in t
-        ests.append(np.linalg.solve(V, B) / (r**powers)[..., None])
-    xs = [np.array([(x / 2**j) ** 2 for x in hs])[:, None, None] for j in range(refine + 1)]
-    return neville_to_zero(ests, xs)[-1]
-
-
-def _scan_params(f: FreeMapOracle, A: np.ndarray, radius: Optional[float] = None):
-    """Radius h, one per tuple of the stack A (g, S, n, n), and Richardson
-    refinements of the scans of t -> f(tX).  ``radius`` replaces f's own
-    radius at A's level (a scan about a center, where the radius of f is
-    not known, passes inf).
-
-    A polynomial oracle scans at the cap 1 with no refinement, any
-    other map at ANALYTIC_RADIUS_CAP with ANALYTIC_REFINE halvings.  At
-    infinite radius h keeps ||hX|| <= 2 cap, so read tuples (norm <= 2:
-    each component is a sum of two partial isometries) scan at the cap
-    itself; dividing by their norm would amplify round-off by ||X||^m
-    in the degree-m part.  At finite radius ||hX|| <= radius/2.
+    A polynomial oracle scans at the cap 1, any other map at
+    ANALYTIC_RADIUS_CAP.  At infinite radius h keeps ||hX|| <= 2 cap, so
+    read tuples (norm <= 2: each component is a sum of two partial
+    isometries) scan at the cap itself; dividing by their norm would
+    amplify round-off by ||X||^m in the degree-m part.  At finite radius
+    ||hX|| <= radius/2.
     """
     rad = f.radius_at(A.shape[-1]) if radius is None else radius
     cap = 1.0 if f.is_polynomial() else ANALYTIC_RADIUS_CAP
     norm = stack_norms(A)
-    h = cap / np.maximum(1.0, norm / 2.0) if math.isinf(rad) else min(cap, rad / 2.0) / np.maximum(1.0, norm)
-    return h, 0 if f.is_polynomial() else ANALYTIC_REFINE
+    return cap / np.maximum(1.0, norm / 2.0) if math.isinf(rad) else min(cap, rad / 2.0) / np.maximum(1.0, norm)
+
+
+def _part_scan(
+    f: FreeMapOracle, A: np.ndarray, D: int, row0: bool = False,
+    C: Optional[np.ndarray] = None, radius: Optional[float] = None,
+) -> np.ndarray:
+    """Homogeneous parts 0..D of t -> f(C + tX) in t for each tuple X of
+    the stack A (g, S, n, n): shape (g', S, D+1, cols), with row m the
+    flattened degree-m part (only its first matrix row when ``row0``).
+    The center C (components, shape (g, n, n)) is added only when given,
+    so a scan about 0 keeps the signs of zeros.
+
+    One ``f.stack`` reads N Chebyshev nodes of every tuple at its
+    ``_scan_radius`` (given ``radius``), and one Vandermonde solve,
+    stacked over outputs and tuples, fits them: N = max(D, deg f) + 1
+    for a polynomial map, exact and unaliased, D + 1 + SCAN_EXTRA_NODES
+    for any other, whose top degrees take up the tail of the series.
+    """
+    g, S, n = A.shape[0], A.shape[1], A.shape[-1]
+    N = max(D, f.poly_degree()) + 1 if f.is_polynomial() else D + 1 + SCAN_EXTRA_NODES
+    h = _scan_radius(f, A, radius)[:, None]
+    taus = _cheb_nodes(N)
+    nodes = A[:, :, None] * (h * taus)[..., None, None]
+    if C is not None:
+        nodes = C[:, None, None] + nodes
+    vals = f.stack(nodes.reshape(g, S * N, n, n))
+    vals = vals.reshape((-1, S, N) + vals.shape[-2:])
+    B = vals[..., 0, :] if row0 else vals.reshape(vals.shape[:3] + (-1,))
+    # coefficients in tau = t/h, per output and tuple, then in t
+    coeffs = np.linalg.solve(np.vander(taus, N, increasing=True), B) / (h ** np.arange(N))[..., None]
+    return coeffs[:, :, : D + 1]
 
 
 def homogeneous_part_eval(f: FreeMapOracle, m: int, X: MatTuple, D: int) -> MatTuple:
-    """Value of the degree-m homogeneous part of f at X.
+    """Value of the degree-m homogeneous part of f at X, read by one
+    ``_part_scan`` of degrees 0..D.
 
-    Exact (up to Vandermonde conditioning) when f is a polynomial map of
-    degree <= D; for analytic f the Chebyshev fit aliases degrees > D,
-    which the radius-halving Richardson refinement suppresses.  The scan
-    radius and refinements follow from f (see ``_scan_params``).
+    Exact (up to Vandermonde conditioning) for a polynomial map, whose
+    scan takes a node per degree of f; for any other map the
+    SCAN_EXTRA_NODES degrees above D absorb the tail of the series.
     """
     if m < 0:  # a negative index would read the top part
         raise ValueError(f"degree must be >= 0, got {m}")
     if m > D:
         raise ValueError(f"m={m} exceeds degree bound D={D}")
-    A = np.array(X.mats)[:, None]
-    parts = _part_scan(f, A, D, *_scan_params(f, A), row0=False)
+    parts = _part_scan(f, np.array(X.mats)[:, None], D)
     return MatTuple([p[0, m].reshape(X.n, X.n) for p in parts], f.field)
 
 
@@ -188,11 +180,10 @@ def _trie_reads(f: FreeMapOracle, D: int) -> List[Dict[Word, object]]:
     for prefix in words_of_degree(f.g, j, involution):
         T, nodes = _trie_tuple(prefix, D, alphabet, f.g, f.field)
         A = np.array(T.mats)[:, None]
-        h, refine = _scan_params(f, A)
         if involution:
-            rows = list(_part_scan(f, A, D, h, refine, row0=True)[:, 0])  # iterated once per node
+            rows = list(_part_scan(f, A, D, row0=True)[:, 0])  # iterated once per node
         else:
-            h = h.item()  # a Python float: h**m below rounds as Python's pow
+            h = _scan_radius(f, A).item()  # a Python float: h**m below rounds as Python's pow
             rows = [v[0] for v in f(T.scale(h)).mats]
         for i, w in enumerate(nodes):
             if i < j:

@@ -286,26 +286,18 @@ def reference_formal_inverse(F, D: int) -> tuple:
 
 def reference_parts(f, X, D):
     """Parts 0..D of f at X by the single-tuple Chebyshev scan: one
-    ``f.stack`` of the D+1 nodes per radius h/2^j, one Vandermonde solve
-    per output, and the Neville tableau in Python floats, with the scan
-    radius of a map of f's kind at infinite radius."""
-    from ncfun.recon import ANALYTIC_RADIUS_CAP, ANALYTIC_REFINE, _cheb_nodes
+    ``f.stack`` of its N nodes (max(D, deg f) + 1 for a polynomial map,
+    D + 1 + SCAN_EXTRA_NODES otherwise) and one Vandermonde solve per
+    output, with the scan radius of a map of f's kind at infinite radius."""
+    from ncfun.recon import ANALYTIC_RADIUS_CAP, SCAN_EXTRA_NODES, _cheb_nodes
 
-    cap, refine = (1.0, 0) if f.is_polynomial() else (ANALYTIC_RADIUS_CAP, ANALYTIC_REFINE)
-    h = cap / max(1.0, X.norm() / 2.0)
-    taus = _cheb_nodes(D)
-    V = np.vander(taus, D + 1, increasing=True)
-    A = np.array(X.mats)[:, None]
-    tab, xs = [], [(h / 2**j) ** 2 for j in range(refine + 1)]
-    for j in range(refine + 1):
-        r = h / 2**j
-        vals = f.stack(A * (r * taus)[:, None, None])
-        tab.append([np.linalg.solve(V, v.reshape(len(taus), -1)) / (r ** np.arange(D + 1))[:, None]
-                    for v in vals])
-    for k in range(1, len(tab)):
-        tab = [[(xs[i] * b - xs[i + k] * a) / (xs[i] - xs[i + k]) for a, b in zip(tab[i], tab[i + 1])]
-               for i in range(len(tab) - 1)]
-    return [MatTuple([p[m].reshape(X.n, X.n) for p in tab[0]], f.field) for m in range(D + 1)]
+    N = max(D, f.poly_degree()) + 1 if f.is_polynomial() else D + 1 + SCAN_EXTRA_NODES
+    r = (1.0 if f.is_polynomial() else ANALYTIC_RADIUS_CAP) / max(1.0, X.norm() / 2.0)
+    taus = _cheb_nodes(N)
+    V = np.vander(taus, N, increasing=True)
+    vals = f.stack(np.array(X.mats)[:, None] * (r * taus)[:, None, None])
+    parts = [np.linalg.solve(V, v.reshape(N, -1)) / (r ** np.arange(N))[:, None] for v in vals]
+    return [MatTuple([p[m].reshape(X.n, X.n) for p in parts], f.field) for m in range(D + 1)]
 
 
 def reference_expand_at_point(f, A, D, s_eval, seed=0):
@@ -329,7 +321,6 @@ def reference_expand_at_point(f, A, D, s_eval, seed=0):
     rng = np.random.default_rng(seed)
     calls0 = f.calls
     shifted = dataclasses.replace(f, evaluator=lambda H: f(C + H), polys=None, radius=math.inf)
-    Dint = max(D, f.poly_degree()) if f.is_polynomial() else D
     dt = complex if f.field == "complex" else float
     bas = [np.asarray(b, dtype=dt) for b in basis.mats]
     monomials = [[(I, K) for I in itertools.product(range(basis.dim), repeat=m + 1)
@@ -341,7 +332,7 @@ def reference_expand_at_point(f, A, D, s_eval, seed=0):
     for r in range(samples):
         H = random_mattuple(f.g, level, rng, f.field, norm=1.0)
         rows = slice(r * per_sample, (r + 1) * per_sample)
-        for m, y in enumerate(reference_parts(shifted, H, Dint)[: D + 1]):
+        for m, y in enumerate(reference_parts(shifted, H, D)):
             for j in range(f.gprime):
                 B[m, rows, j] = y.mats[j].ravel()
             for c, (I, K) in enumerate(monomials[m]):

@@ -139,6 +139,16 @@ def test_taylor_stop_line(tmp_path, capsys, monkeypatch):
     assert lines[-1] == f"taylor evaluations={maps[2].calls}"
 
 
+def test_taylor_below_the_degree_of_a_polynomial_map(tmp_path, capsys):
+    # (x x^t)^2 read to degree 2 has no terms and passes every per-degree
+    # certificate; only the truncation residual fails
+    out_file = tmp_path / "p.ncpoly"
+    code, out, _ = run(capsys, "taylor", "--map", "pow_xxt:2", "--degree", "2", "-o", str(out_file))
+    fails = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert code == 2 and fails == ["taylor_residual"]
+    assert "terms=0" in out_file.read_text().splitlines()
+
+
 def test_invert_formal_cli(tmp_path, capsys):
     x1 = NCPoly.variable(1)
     f = tmp_path / "f.ncpoly"
@@ -305,11 +315,11 @@ def test_expand_at_stop_line(tmp_path, capsys):
     cf.write_text(dump_mattuple(MatTuple([np.diag([0.2, 0.45])])))
     argv = ["expand-at", "--map", "sinxxt", "--center", str(cf), "--degree", "2", "--s-eval", "3"]
     code, out, _ = run(capsys, *argv, "--tol", "1e-6")
-    assert code == 0 and out.splitlines()[-1] == "expand evaluations=24 level=6"
+    assert code == 0 and out.splitlines()[-1] == "expand evaluations=26 level=6"
     # FAIL lines come after the stop line, as for Newton solves
     code, out, _ = run(capsys, *argv, "--tol", "0")
     lines = out.splitlines()
-    assert code == 2 and lines[3] == "expand evaluations=24 level=6"
+    assert code == 2 and lines[3] == "expand evaluations=26 level=6"
     assert [ln.split()[:2] for ln in lines[4:]] == [["FAIL", "expand_at_degree"]] * 3
 
 

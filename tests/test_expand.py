@@ -258,11 +258,12 @@ def test_walk_columns_match_term_by_term(monkeypatch, make_f, center, D, s_eval)
     [
         pytest.param(_gl_g2_cubic, _diag_gl_center(), 3, 4, 16, id="free-gl-g2-diag-d3"),
         pytest.param(_e12_map, e12(), 2, 3, 45, id="o-e12-d2"),
-        pytest.param(lambda: builtin_map("sinxxt"), MatTuple([np.diag([0.2, 0.45])]), 2, 3, 24, id="sinxxt-d2"),
+        pytest.param(lambda: builtin_map("sinxxt"), MatTuple([np.diag([0.2, 0.45])]), 2, 3, 26, id="sinxxt-d2"),
     ],
 )
 def test_one_scan_serves_every_degree(make_f, center, D, s_eval, calls):
-    # the samples of degree D, read once: (D+1) nodes per sample and radius;
+    # the samples of degree D, read once: one node per degree of a
+    # polynomial map, D + 1 + SCAN_EXTRA_NODES of any other per sample;
     # polynomial maps as black boxes
     f = _fitted(make_f)
     exp = expand_at_point(f, center, D=D, s_eval=s_eval, seed=0)

@@ -321,6 +321,18 @@ def test_exact_eval_sums_past_int64():
     assert eval_ncpoly(NCPoly({(): 1, ((1, False),) * 2: 1}), tiny)[0, 0] == 1 + Fraction(1, 2**80)
 
 
+def test_lone_entry_sums_read_zero_without_its_sign():
+    # -x1 at a zero tuple: a 1x1 block reads 0.0, as every larger one does,
+    # and exact entries stay Python integers
+    neg = NCPoly.variable(1).scale(-1)
+    for dt, field in ((float, "real"), (complex, "complex")):
+        for n in (1, 2):
+            val = eval_ncpoly(neg, MatTuple([np.zeros((n, n), dtype=dt)], field))
+            assert val.dtype == dt and not val.any() and not np.signbit(val.real).any()
+    val = eval_ncpoly(neg, MatTuple([np.array([[3]], dtype=object)]))
+    assert val.dtype == object and type(val[0, 0]) is int and val[0, 0] == -3
+
+
 def _random_tracepoly(g, mode, field, rng):
     """A few terms c tr(u_1)...tr(u_k) tail with k <= 2 and short words."""
     inv = mode == INV

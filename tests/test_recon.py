@@ -303,7 +303,7 @@ def test_taylor_keeps_to_the_oracle_max_level():
     # (D=2 with j=1 would be level 8, D=3 level 44)
     f, seen = counted(builtin_map("nonuniform"))
     tay = taylor_at_zero(f, 2)
-    assert max(seen) == 3 and tay.evaluations == len(seen) == 440
+    assert max(seen) == 3 and tay.evaluations == len(seen) == 476
     assert all(p.is_zero() for p in tay.series[0].parts)  # deg h_1 = 6
     # D=3 plans chains of level 4, checked on a cheap stand-in evaluator
     seen = []
@@ -314,7 +314,38 @@ def test_taylor_keeps_to_the_oracle_max_level():
 
     stand_in = dataclasses.replace(builtin_map("nonuniform"), evaluator=zero)
     tay = taylor_at_zero(stand_in, 3)
-    assert max(seen) == 4 and tay.evaluations == len(seen) == 6**3 * 16 + 8
+    assert max(seen) == 4 and tay.evaluations == len(seen) == 6**3 * 14 + 8
+
+
+@pytest.mark.parametrize("D", [1, 2])
+def test_scans_below_the_degree_of_a_polynomial_do_not_alias(D):
+    # x x^t x + x read to degree 1 or 2: a node per degree of the map keeps
+    # the cubic part out of the x coefficient
+    x = ivar(1)
+    tay = taylor_at_zero(oracle_from_ncpoly(x * ivar(1, True) * x + x), D)
+    assert tay.series[0].to_ncpoly().max_coeff_diff(x) <= 1e-12
+
+
+def test_homogeneous_parts_below_the_degree_of_a_polynomial_vanish():
+    from ncfun import builtin_map
+
+    # (x x^t)^2 has no part of degree <= 2
+    f, X = builtin_map("pow_xxt", alpha=2.0), random_mattuple(1, 3, 5, norm=0.5)
+    for m in range(3):
+        assert np.abs(homogeneous_part_eval(f, m, X, 2).mats[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("D", range(2, 7))
+def test_sinxxt_taylor_against_the_closed_form(D):
+    # sin(x x^t) = x x^t - (x x^t)^3 / 6 + ...: one scan of D + 11 nodes per
+    # sub-trie (one per first letter), plus the 8 residual samples
+    from ncfun import builtin_map
+
+    tay = taylor_at_zero(builtin_map("sinxxt"), D)
+    xxt = NCPoly.from_word(parse_word("x1 x1*"))
+    want = xxt + (xxt**3).scale(-1.0 / 6.0) if D >= 6 else xxt
+    assert tay.series[0].to_ncpoly().max_coeff_diff(want) <= 5e-10
+    assert tay.evaluations == 2 * (D + 11) + 8
 
 
 def test_taylor_finite_radius():
@@ -358,24 +389,24 @@ def test_probe_matches_the_per_sample_reference(mode, field):
     assert (f.calls - calls, f.batches - batches) == (8, 2)
 
 
-def test_part_scan_stacks_each_radius():
+def test_part_scan_reads_one_stack():
     from ncfun import builtin_map
 
-    # one stack per Richardson refinement (four for an analytic map), and
+    # one stack of D + 1 + SCAN_EXTRA_NODES nodes for an analytic map, and
     # a polynomial map's one stack through its plans is bit for bit the
     # per-node calls its evaluator makes on a copy without polys
     f = builtin_map("sinxxt")
     homogeneous_part_eval(f, 3, random_mattuple(1, 3, 6, norm=0.5), 5)
-    assert (f.calls, f.batches) == (6 * 4, 4)
+    assert (f.calls, f.batches) == (16, 1)
     from ncfun.recon import _part_scan
 
     f = oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=7))
-    A, h = np.array(random_mattuple(2, 3, 6, norm=0.5).mats)[:, None], np.array([0.8])
-    via_stack = _part_scan(f, A, 3, h, 1, row0=False)
-    assert (f.calls, f.batches) == (8, 2)
+    A = np.array(random_mattuple(2, 3, 6, norm=0.5).mats)[:, None]
+    via_stack = _part_scan(f, A, 3)
+    assert (f.calls, f.batches) == (4, 1)
     per_call = dataclasses.replace(f, polys=None)
-    via_calls = _part_scan(per_call, A, 3, h, 1, row0=False)
-    assert per_call.calls == 8 and np.array_equal(via_stack, via_calls)
+    via_calls = _part_scan(per_call, A, 3)
+    assert per_call.calls == 4 and np.array_equal(via_stack, via_calls)
 
 
 def test_negative_degrees_are_refused():
