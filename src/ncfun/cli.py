@@ -32,7 +32,7 @@ from .invfun import (
     implicit_residual,
     newton_invert,
 )
-from .mateval import MatTuple, eval_poly, eval_stack, random_mattuple, stack_diffs
+from .mateval import MatTuple, eval_poly, eval_stack, random_mattuple, scaled_to, stack_diffs, standard_block
 from .oracle import (
     FreeMapOracle,
     builtin_map,
@@ -260,8 +260,7 @@ def cmd_taylor(args, emit: Emitter) -> int:
     rng = np.random.default_rng(args.seed + 1)
     for m in range(args.degree + 1):
         level = m + 2
-        A = np.stack([random_mattuple(f.g, level, rng, f.field, norm=min(0.5, f.radius_at(level) / 4.0)).mats
-                      for _ in range(3)], axis=1)
+        A = scaled_to(standard_block(f.g, level, 3, rng, f.field), np.full(3, min(0.5, f.radius_at(level) / 4.0)))
         want = _part_scan(f, A, args.degree)[:, :, m]
         got = eval_stack([p.homogeneous_part(m) for p in polys], A, f.field)
         r = float(stack_diffs(got, want.reshape(got.shape)).max())

@@ -53,7 +53,7 @@ from .mateval import (
     eval_genpoly,
     generated_algebra,
     scaled_to,
-    standard_mats,
+    standard_block,
 )
 from .oracle import FreeMapOracle
 from .poly import INV
@@ -261,8 +261,7 @@ def _fitted_parts(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, bas, seed)
     monomials = [[(I, K) for I in itertools.product(range(len(bas)), repeat=m + 1)
                   for K in words_of_degree(f.g, m, mode == INV)] for m in range(D + 1)]
     samples = max(2, math.ceil(2.0 * len(monomials[D]) / level**2))
-    draws = [standard_mats(f.g, level, rng, f.field) for _ in range(samples)]
-    H = scaled_to(np.stack(draws, axis=1), np.ones(samples))
+    H = scaled_to(standard_block(f.g, level, samples, rng, f.field), np.ones(samples))
     scan = _part_scan(f, H, D, C=C, radius=math.inf)
     # the monomial b_{i0} u_1 b_{i1} ... as a word, letter i the slot kron(b_i, I_s)
     rows = {**_letter_rows(f.g), **{i: 2 * f.g + i for i in range(len(bas))}}

@@ -261,20 +261,23 @@ def _newton(f: FreeMapOracle, Y: MatTuple, X: MatTuple, head: tuple, tol: float,
     trace = NewtonTrace()
     fX = f(at(X))
     res = fX.max_diff(Y)
-    history = [res]
-    J, kept = None, False  # kept: J is updated across iterates, not assembled at each
+    start, history = (X, fX, res), [res]
+    J, kept, broyden = None, False, True  # kept: J is updated across iterates, not assembled at each
     for _ in range(maxit):
         if res < tol:
             break
         if len(history) > STALL_ITERS and res > STALL_FACTOR * history[-1 - STALL_ITERS]:
-            trace.reason = "stagnated"
-            break
+            if not kept:
+                trace.reason = "stagnated"
+                break
+            # Broyden's path can stall where a Jacobian per iterate converges
+            (X, fX, res), history, J, broyden = start, [start[2]], None, False
         cond = math.inf if J is None else float(np.linalg.cond(J))
         if not cond <= 1e14:  # no Jacobian kept, or the kept one fails (a NaN fails too)
             c = f.calls
             J = _jacobian(f, at(X), E)
             trace.jacobians += 1
-            kept = f.calls > c
+            kept = broyden and f.calls > c
             cond = float(np.linalg.cond(J))
             if not cond <= 1e14:
                 raise NewtonError(f"singular derivative (condition estimate {cond:.3g})")
@@ -324,8 +327,11 @@ def newton_invert(
     s with residual change y, Broyden's rank-one update
     J + (y - J s) s^t / (s^t s) in the real coordinates of ``_vec``
     carries it to the next iterate, and it is assembled afresh after a
-    damped step or when the kept one fails the condition test.  Only a
-    freshly assembled singular Jacobian raises NewtonError.
+    damped step or when the kept one fails the condition test.  A kept
+    solve that stagnates runs once more from its start with a Jacobian
+    at every iterate (Broyden's path can stall where that one
+    converges); ``maxit`` bounds both runs, and ``iterates`` holds both.
+    Only a freshly assembled singular Jacobian raises NewtonError.
     ``evaluations`` counts the oracle calls made, ``jacobians`` the
     Jacobians assembled.  ``Y`` and ``X0`` are taken as floats of the
     map's field: a real one of a complex map is promoted first."""

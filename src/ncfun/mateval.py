@@ -16,7 +16,9 @@ evaluation (object arrays of int or Fraction entries and coefficients)
 runs the same walk on integers: the common denominators are cleared
 once, the walk is int64 only when a bound proves that nothing overflows
 (Python ints otherwise), and the sum is divided once at the end.  Other
-object entries keep plain Python arithmetic.
+object entries keep plain Python arithmetic.  Random tuples and group
+elements come in blocks of T (``standard_block``, ``group_block``), drawn
+trial-major in one generator call: the stream of T single draws.
 """
 
 from __future__ import annotations
@@ -504,32 +506,39 @@ def _rng(seed) -> np.random.Generator:
 
 
 def random_group_element(group: str, n: int, seed=0, field: str | None = None) -> np.ndarray:
-    """Random element of GL_n / O_n / U_n.
+    """Random element of GL_n / O_n / U_n: a ``group_block`` of one."""
+    return group_block(group, n, 1, _rng(seed), field)[0]
 
-    O and U are Haar distributed (QR with sign/phase-fixed triangular
-    factor); GL resamples standard-normal matrices until the condition
-    number estimate is below 1e6.
-    """
-    rng = _rng(seed)
+
+def group_block(group: str, n: int, T: int, rng: np.random.Generator, field: str | None = None) -> np.ndarray:
+    """T random elements of GL_n / O_n / U_n, a stack (T, n, n) drawn
+    trial-major in one call, an element's real part before its imaginary
+    part.  O and U are Haar: one stacked QR of standard-normal matrices
+    ((x + iy)/sqrt 2 for U), Q's columns fixed by the sign/phase of R's
+    diagonal.  GL keeps standard-normal matrices (x + iy when ``field``
+    is complex) of condition number below 1e6 and redraws the others as
+    one block until none is left."""
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}")
-    if group == "O":
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        d = np.sign(np.diag(r))
-        d[d == 0] = 1.0
-        return q * d
-    if group == "U":
-        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-        q, r = np.linalg.qr(z)
-        d = np.diag(r).copy()
-        d[d == 0] = 1.0
-        return q * (d / np.abs(d))
-    while True:
-        m = rng.standard_normal((n, n))
-        if field == "complex":
-            m = m + 1j * rng.standard_normal((n, n))
-        if np.linalg.cond(m) < 1e6:
-            return m
+    cplx = group == "U" or (group == "GL" and field == "complex")
+
+    def draw(k: int) -> np.ndarray:
+        if not cplx:
+            return rng.standard_normal((k, n, n))
+        z = rng.standard_normal((k, 2, n, n))
+        return z[:, 0] + 1j * z[:, 1]
+
+    if group == "GL":
+        S = draw(T)
+        bad = np.flatnonzero(~(np.linalg.cond(S) < 1e6))  # a NaN condition number is rejected too
+        while bad.size:
+            S[bad] = draw(bad.size)
+            bad = bad[~(np.linalg.cond(S[bad]) < 1e6)]
+        return S
+    q, r = np.linalg.qr(draw(T) / np.sqrt(2) if cplx else draw(T))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_mattuple(
@@ -543,17 +552,27 @@ def random_mattuple(
 
 
 def standard_mats(g: int, n: int, rng: np.random.Generator, field: str = "real") -> List[np.ndarray]:
-    """The components of a standard-normal g-tuple, drawn from rng one
-    component at a time (real part, then imaginary part, when complex)."""
-    mats = []
-    for _ in range(g):
-        m = rng.standard_normal((n, n))
-        if field == "complex":
-            m = (m + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-        mats.append(m)
-    return mats
+    """The components of a standard-normal g-tuple: a ``standard_block`` of one."""
+    return list(standard_block(g, n, 1, rng, field)[:, 0])
 
 
+def standard_block(g: int, n: int, T: int, rng: np.random.Generator, field: str = "real") -> np.ndarray:
+    """T standard-normal g-tuples, a stack (g, T, n, n) drawn trial-major as
+    one (T, g, n, n) draw, or (T, g, 2, n, n) when complex (each component
+    (x + iy)/sqrt 2, its real part x drawn before its imaginary part y)."""
+    if field == "complex":
+        z = rng.standard_normal((T, g, 2, n, n))
+        A = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2)
+    else:
+        A = rng.standard_normal((T, g, n, n))
+    return np.ascontiguousarray(A.swapaxes(0, 1))
+
+
+def scaled_block(g: int, n: int, T: int, rng: np.random.Generator, field: str, radius, low: float) -> np.ndarray:
+    """A ``standard_block``, tuple t scaled to the norm radius * u_t (radius
+    a scalar or one per tuple), the T uniforms u_t on [low, 1) drawn first."""
+    u = rng.uniform(low, 1.0, T)
+    return scaled_to(standard_block(g, n, T, rng, field), radius * u)
 
 
 # -- symmetric matrix functions --------------------------------------

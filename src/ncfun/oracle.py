@@ -13,7 +13,8 @@ they were batched (``batches`` counts the stacks).  ``polys`` decides
 the route: the plans kept on the polynomials (see :mod:`ncfun.mateval`)
 evaluate a polynomial-backed oracle's stacks, and ``evaluator``, the
 black-box route, is called once per tuple, its values checked.  The
-axiom checks draw their trials first and evaluate each level as stacks;
+axiom checks draw the trials of a level first, as blocks (one generator
+call each, see :mod:`ncfun.mateval`), and evaluate each level as stacks;
 derivatives follow the product rule through the kept plans, or take
 central differences with each Richardson step of all their directions
 as one stack.  A checker's witnesses keep the level it ran at.
@@ -39,11 +40,10 @@ from .mateval import (
     direct_sums,
     eval_ncpoly,
     eval_stack,
-    random_group_element,
-    scaled_to,
+    group_block,
+    scaled_block,
     stack_diffs,
     stack_norms,
-    standard_mats,
     sym_matrix_function,
 )
 from .poly import FREE, INV, NCPoly
@@ -368,17 +368,15 @@ def check_direct_sums(
     seed=0,
 ) -> CheckReport:
     """Residuals of f(X+Y block diag) - f(X)+f(Y) block diag.  The trials
-    of a level pair are drawn first, then evaluated as three stacks: the
+    of a level pair are drawn first, as the blocks uX, X, uY, Y (see
+    ``mateval.scaled_block``), then evaluated as three stacks: the
     direct sums, the X and the Y."""
     rng = _rng(seed)
     report = CheckReport("direct_sums", trials * len(levels), tol)
     for (m, n) in levels if trials > 0 else ():
         r = _sample_radius(f, m, n, m + n)
-        uX, Xs, uY, Ys = zip(*[(rng.uniform(0.05, 1), standard_mats(f.g, m, rng, f.field),
-                                rng.uniform(0.05, 1), standard_mats(f.g, n, rng, f.field))
-                               for _ in range(trials)])
-        X = scaled_to(np.stack(Xs, axis=1), r * np.array(uX))
-        Y = scaled_to(np.stack(Ys, axis=1), r * np.array(uY))
+        X = scaled_block(f.g, m, trials, rng, f.field, r, 0.05)
+        Y = scaled_block(f.g, n, trials, rng, f.field, r, 0.05)
 
         def residuals(ts):
             lhs = f.stack(direct_sums(X[:, ts], Y[:, ts]))
@@ -399,17 +397,16 @@ def check_similarity(
     seed=0,
 ) -> CheckReport:
     """Residuals of f(s X s^-1) - s f(X) s^-1 for s sampled in the group.
-    The trials of a level are drawn first, then evaluated as two stacks:
-    the conjugated X and the X."""
+    The trials of a level are drawn first, as the blocks s, u, X (see
+    ``mateval.scaled_block``; radius over cond(s)), then evaluated as two
+    stacks: the conjugated X and the X."""
     group = group or f.group
     rng = _rng(seed)
     report = CheckReport(f"similarity[{group}]", trials * len(levels), tol)
     for n in levels if trials > 0 else ():
-        sigmas, us, Xs = zip(*[(random_group_element(group, n, rng, field=f.field), rng.uniform(0.05, 1),
-                                standard_mats(f.g, n, rng, f.field)) for _ in range(trials)])
-        S = np.array(sigmas)
+        S = group_block(group, n, trials, rng, f.field)
         r = _sample_radius(f, n) / np.maximum(1.0, np.linalg.cond(S))
-        X = scaled_to(np.stack(Xs, axis=1), r * np.array(us))
+        X = scaled_block(f.g, n, trials, rng, f.field, r, 0.05)
 
         def residuals(ts):
             try:

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .mateval import MatTuple, _rng, eval_stack, scaled_to, stack_diffs, stack_norms, standard_mats
+from .mateval import MatTuple, _rng, eval_stack, scaled_block, stack_diffs, stack_norms
 from .mateval import eval_ncpoly  # noqa: F401  (unused; bench/test_bench.py looks it up here)
 from .oracle import FreeMapOracle
 from .poly import FREE, INV, NCPoly
@@ -324,18 +324,17 @@ def _probe(f: FreeMapOracle, polys, levels, samples: int, radius: Callable[[int]
     ``polys`` on ``samples`` random tuples at each of ``levels``, drawn in
     order from one generator with norms radius(n) * U(0.1, 1), and the
     first tuple that reached it (None when every deviation is 0).  The
-    samples of a level are drawn first, then evaluated as one stack."""
+    samples of a level are drawn first, as the blocks u, X (see
+    ``mateval.scaled_block``), then evaluated as one stack."""
     rng = _rng(seed)
     worst, witness = 0.0, None
     for n in levels:
-        r = radius(n)
-        us, Xs = zip(*[(rng.uniform(0.1, 1.0), standard_mats(f.g, n, rng, f.field)) for _ in range(samples)])
-        X = scaled_to(np.stack(Xs, axis=1), r * np.array(us))
+        X = scaled_block(f.g, n, samples, rng, f.field, radius(n), 0.1)
         res = stack_diffs(f.stack(X), eval_stack(polys, X, f.field))
         for t, v in enumerate(res.tolist()):
             if v > worst:
-                worst, witness = v, MatTuple(X[:, t], f.field)
-    return worst, witness
+                worst, witness = v, X[:, t]
+    return worst, None if witness is None else MatTuple(witness, f.field)
 
 
 # -- polynomial reconstruction with certificate -----------------------

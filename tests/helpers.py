@@ -116,26 +116,83 @@ def reference_is_identity(p, n: int, trials: int, seed: int, exact: bool = True)
 
 # -- per-trial references for the stacked checks ----------------------
 
+
+class CountingGenerator(np.random.Generator):
+    """``np.random.default_rng(seed)``'s generator, counting the calls
+    that draw from it in ``draws``."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.draws = 0
+
+
+def _counted(name):
+    def draw(self, *args, **kwargs):
+        self.draws += 1
+        return getattr(np.random.Generator, name)(self, *args, **kwargs)
+    return draw
+
+
+for _name in ("standard_normal", "normal", "uniform", "integers", "random", "choice"):
+    setattr(CountingGenerator, _name, _counted(_name))
+
+
 EVAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
 
 
-def reference_tuple(g: int, n: int, rng, field: str, norm: float) -> MatTuple:
-    """A standard-normal tuple drawn component by component and scaled to
-    ``norm`` through ``MatTuple.norm`` and ``MatTuple.scale``."""
-    mats = []
-    for _ in range(g):
-        m = rng.standard_normal((n, n))
-        if field == "complex":
-            m = (m + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-        mats.append(m)
-    X = MatTuple(mats, field)
-    cur = X.norm()
-    return X.scale(norm / cur) if cur > 0 else X
+def reference_tuples(g: int, n: int, rng, field: str, norms) -> list:
+    """len(norms) standard-normal tuples from one raw trial-major draw,
+    shape (T, g, n, n), or (T, g, 2, n, n) with the real part before the
+    imaginary part when complex, tuple t scaled to ``norms[t]`` through
+    ``MatTuple.norm`` and ``MatTuple.scale``."""
+    Z = rng.standard_normal((len(norms), g, 2, n, n) if field == "complex" else (len(norms), g, n, n))
+    out = []
+    for z, norm in zip(Z, norms):
+        X = MatTuple([(m[0] + 1j * m[1]) / np.sqrt(2) for m in z] if field == "complex" else list(z), field)
+        cur = X.norm()
+        out.append(X.scale(norm / cur) if cur > 0 else X)
+    return out
+
+
+def reference_group_elements(group: str, n: int, T: int, rng, field) -> list:
+    """T group elements from raw trial-major draws, each made by the
+    one-matrix QR or condition number: O and U by QR with the sign/phase
+    fix, GL redrawing the elements whose condition number is not below
+    1e6, all of them in one draw, until none is left."""
+    cplx = group == "U" or (group == "GL" and field == "complex")
+
+    def draw(k):
+        z = rng.standard_normal((k, 2, n, n) if cplx else (k, n, n))
+        return [m[0] + 1j * m[1] for m in z] if cplx else list(z)
+
+    if group == "GL":
+        S = draw(T)
+        bad = [t for t in range(T) if not np.linalg.cond(S[t]) < 1e6]
+        while bad:
+            for t, m in zip(bad, draw(len(bad))):
+                S[t] = m
+            bad = [t for t in bad if not np.linalg.cond(S[t]) < 1e6]
+        return S
+    out = []
+    for m in draw(T):
+        if group == "O":
+            q, r = np.linalg.qr(m)
+            d = np.sign(np.diag(r))
+            d[d == 0] = 1.0
+            out.append(q * d)
+        else:
+            q, r = np.linalg.qr(m / np.sqrt(2))
+            d = np.diag(r).copy()
+            d[d == 0] = 1.0
+            out.append(q * (d / np.abs(d)))
+    return out
 
 
 def reference_direct_sums(f, levels, trials, tol, seed):
-    """``check_direct_sums`` one trial at a time through ``f(...)``, each
-    trial drawn, evaluated and recorded before the next."""
+    """``check_direct_sums`` one trial at a time through ``f(...)``: the
+    trials of a level pair drawn as the library draws them (the norm
+    factors of the X, the X, those of the Y, the Y), then each trial
+    evaluated and recorded before the next."""
     from ncfun.mateval import block_tuple
     from ncfun.oracle import CheckReport, _sample_radius
 
@@ -143,9 +200,11 @@ def reference_direct_sums(f, levels, trials, tol, seed):
     report = CheckReport("direct_sums", trials * len(levels), tol)
     for (m, n) in levels:
         r = _sample_radius(f, m, n, m + n)
-        for _ in range(trials):
-            X = reference_tuple(f.g, m, rng, f.field, r * rng.uniform(0.05, 1))
-            Y = reference_tuple(f.g, n, rng, f.field, r * rng.uniform(0.05, 1))
+        uX = rng.uniform(0.05, 1, trials)
+        Xs = reference_tuples(f.g, m, rng, f.field, r * uX)
+        uY = rng.uniform(0.05, 1, trials)
+        Ys = reference_tuples(f.g, n, rng, f.field, r * uY)
+        for X, Y in zip(Xs, Ys):
             try:
                 lhs = f(block_tuple(X, None, None, Y))
                 rhs = block_tuple(f(X), None, None, f(Y))
@@ -159,17 +218,19 @@ def reference_direct_sums(f, levels, trials, tol, seed):
 
 def reference_similarity(f, group, levels, trials, tol, seed):
     """``check_similarity`` one trial at a time through ``f(...)`` and
-    ``conjugate``."""
-    from ncfun.mateval import conjugate, random_group_element
+    ``conjugate``: the group elements, the norm factors and the X of a
+    level drawn as the library draws them."""
+    from ncfun.mateval import conjugate
     from ncfun.oracle import CheckReport, _sample_radius
 
     rng = np.random.default_rng(seed)
     report = CheckReport(f"similarity[{group}]", trials * len(levels), tol)
     for n in levels:
-        for _ in range(trials):
-            sigma = random_group_element(group, n, rng, field=f.field)
-            r = _sample_radius(f, n) / max(1.0, float(np.linalg.cond(sigma)))
-            X = reference_tuple(f.g, n, rng, f.field, r * rng.uniform(0.05, 1))
+        sigmas = reference_group_elements(group, n, trials, rng, f.field)
+        r = [_sample_radius(f, n) / max(1.0, float(np.linalg.cond(s))) for s in sigmas]
+        u = rng.uniform(0.05, 1, trials)
+        Xs = reference_tuples(f.g, n, rng, f.field, [rt * ut for rt, ut in zip(r, u)])
+        for sigma, X in zip(sigmas, Xs):
             try:
                 lhs = f(conjugate(X, sigma))
                 rhs = conjugate(f(X), sigma)
@@ -183,15 +244,16 @@ def reference_similarity(f, group, levels, trials, tol, seed):
 
 def reference_probe(f, polys, levels, samples, radius, seed):
     """``recon._probe`` one sample at a time through ``f(...)`` and
-    ``eval_ncpoly``."""
+    ``eval_ncpoly``, the samples of a level drawn as the library draws
+    them (the norm factors, then the tuples)."""
     from ncfun.mateval import eval_ncpoly
 
     rng = np.random.default_rng(seed)
     worst, witness = 0.0, None
     for n in levels:
         r = radius(n)
-        for _ in range(samples):
-            X = reference_tuple(f.g, n, rng, f.field, r * rng.uniform(0.1, 1.0))
+        u = rng.uniform(0.1, 1.0, samples)
+        for X in reference_tuples(f.g, n, rng, f.field, r * u):
             res = f(X).max_diff(MatTuple([eval_ncpoly(q, X) for q in polys], f.field))
             if res > worst:
                 worst, witness = res, X

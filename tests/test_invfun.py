@@ -506,6 +506,20 @@ def test_damped_black_box_step_assembles_a_fresh_jacobian():
     assert f(tr.X).max_diff(Y) < 1e-11
 
 
+def test_stalled_black_box_solve_runs_again_with_a_jacobian_per_iterate():
+    # Broyden's path stalls here at residual 0.137 after 11 iterations (698
+    # calls, 9 Jacobians); from the start, a Jacobian at every iterate
+    # converges in 13 (974 calls, the start value among them)
+    f = x_plus_sin_xxt()
+    Y = random_mattuple(1, 3, 4, norm=0.5)
+    tr = newton_invert(f, Y, tol=1e-11)
+    assert tr.converged and tr.reason == "converged"
+    assert f(tr.X).max_diff(Y) < 1e-11
+    assert len(tr.iterates) == 11 + 13 and tr.jacobians == 9 + 13
+    assert tr.evaluations == 698 + 974 - 1
+    assert tr.iterates[11][0] > 0.2 > tr.iterates[10][0]  # the second run starts again from X = 0
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_polynomial_solves_match_the_per_iterate_reference(field):
     rng = np.random.default_rng(8)

@@ -24,7 +24,7 @@ from ncfun import (
     subspace_residual,
     sym_matrix_function,
 )
-from ncfun.mateval import matrix_units
+from ncfun.mateval import GROUPS, group_block, matrix_units, scaled_to, standard_block, standard_mats
 from ncfun.oracle import random_ncpoly
 from ncfun.words import words_of_degree
 
@@ -190,6 +190,105 @@ def test_random_group_elements():
     a = random_group_element("O", 4, seed=42)
     b = random_group_element("O", 4, seed=42)
     assert np.array_equal(a, b)
+
+
+def parent_group_element(group, n, rng, field=None):
+    """One group element drawn as before the stacked sampler: one
+    generator call per matrix and one one-matrix QR or condition number."""
+    if group == "O":
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        d = np.sign(np.diag(r))
+        d[d == 0] = 1.0
+        return q * d
+    if group == "U":
+        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diag(r).copy()
+        d[d == 0] = 1.0
+        return q * (d / np.abs(d))
+    while True:
+        m = rng.standard_normal((n, n))
+        if field == "complex":
+            m = m + 1j * rng.standard_normal((n, n))
+        if np.linalg.cond(m) < 1e6:
+            return m
+
+
+def parent_standard_mats(g, n, rng, field="real"):
+    """One tuple drawn as before the stacked sampler, component by component."""
+    mats = []
+    for _ in range(g):
+        m = rng.standard_normal((n, n))
+        if field == "complex":
+            m = (m + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        mats.append(m)
+    return mats
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_single_draws_keep_the_per_draw_stream(field):
+    for seed in range(4):
+        for n in (1, 2, 3, 5):
+            for group in GROUPS:
+                want = parent_group_element(group, n, np.random.default_rng(seed), field)
+                assert np.array_equal(random_group_element(group, n, seed, field), want)
+            for g in (1, 3):
+                want = parent_standard_mats(g, n, np.random.default_rng(seed), field)
+                got = standard_mats(g, n, np.random.default_rng(seed), field)
+                assert len(got) == g and all(map(np.array_equal, got, want))
+                assert all(map(np.array_equal, random_mattuple(g, n, seed, field).mats, want))
+                scaled = scaled_to(np.stack(want)[:, None], [0.3])[:, 0]
+                assert all(map(np.array_equal, random_mattuple(g, n, seed, field, norm=0.3).mats, scaled))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_block_is_successive_single_draws(field):
+    for seed in range(3):
+        for n in (1, 2, 4):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for g in (1, 2, 3):
+                A = standard_block(g, n, 5, rng, field)
+                assert A.shape == (g, 5, n, n) and A.flags.c_contiguous
+                for t in range(5):
+                    assert all(map(np.array_equal, A[:, t], parent_standard_mats(g, n, ref, field)))
+            for group in GROUPS:  # no GL element is rejected at these seeds
+                S = group_block(group, n, 6, rng, field)
+                assert S.shape == (6, n, n)
+                for t in range(6):
+                    assert np.array_equal(S[t], parent_group_element(group, n, ref, field))
+            assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_orthogonal_and_unitary_blocks():
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 6):
+        Q = group_block("O", n, 10, rng)
+        assert np.abs(Q @ Q.swapaxes(-1, -2) - np.eye(n)).max() < 1e-12
+        U = group_block("U", n, 10, rng)
+        assert np.abs(U @ U.conj().swapaxes(-1, -2) - np.eye(n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gl_block_redraws_only_the_rejected_element(monkeypatch, field):
+    cond, sizes = np.linalg.cond, []
+
+    def rejecting_the_third(S):
+        c = cond(S)
+        sizes.append(len(S))
+        if len(sizes) == 1:
+            c[2] = np.inf
+        return c
+
+    ref = np.random.default_rng(5)
+    shape = (2, 3, 3) if field == "complex" else (3, 3)
+    first, again = ref.standard_normal((5,) + shape), ref.standard_normal((1,) + shape)
+    if field == "complex":
+        first, again = (z[:, 0] + 1j * z[:, 1] for z in (first, again))
+    monkeypatch.setattr(np.linalg, "cond", rejecting_the_third)
+    S = group_block("GL", 3, 5, np.random.default_rng(5), field)
+    assert sizes == [5, 1]  # one stacked condition number, then one for the redrawn element
+    assert np.array_equal(S, np.concatenate([first[:2], again, first[3:]]))
+    assert (cond(S) < 1e6).all()
 
 
 def test_sym_matrix_function_values():

@@ -31,6 +31,7 @@ from ncfun import (
 from ncfun.oracle import DEFAULT_LEVELS, neville_to_zero, random_ncpoly
 
 from helpers import (
+    CountingGenerator,
     black_box,
     counted,
     reference_derivative,
@@ -412,6 +413,18 @@ def test_checks_count_one_call_per_tuple_and_one_batch_per_stack(polynomial):
     # no trials: nothing drawn, nothing evaluated
     assert check_direct_sums(f, trials=0).passed and check_similarity(f, trials=0).passed
     assert (f.calls, f.batches) == (2 * 5 * 3, 2 * 3)
+
+
+def test_checks_draw_each_level_as_blocks():
+    # a per-trial draw makes a generator call per trial and component: 300
+    # for the similarity check below, where blocks make 3 per level
+    f = oracle_from_ncpoly(random_ncpoly(2, 2, INV, seed=4))
+    rng = CountingGenerator(0)
+    rep = check_similarity(f, "O", levels=(1, 2, 3), trials=25, seed=rng)
+    assert rng.draws <= 3 * 3 and same_report(rep, check_similarity(f, "O", levels=(1, 2, 3), trials=25, seed=0))
+    rng = CountingGenerator(0)
+    rep = check_direct_sums(f, DEFAULT_LEVELS, trials=25, seed=rng)
+    assert rng.draws <= 4 * len(DEFAULT_LEVELS) and same_report(rep, check_direct_sums(f, DEFAULT_LEVELS, trials=25))
 
 
 def test_stack_is_a_stack_of_calls():

@@ -23,7 +23,7 @@ from ncfun import (
 from ncfun.oracle import FreeMapOracle, random_ncpoly
 from ncfun.recon import TRIE_MAX_LEVEL
 
-from helpers import counted
+from helpers import CountingGenerator, counted
 
 
 def ivar(k, starred=False):
@@ -387,6 +387,21 @@ def test_probe_matches_the_per_sample_reference(mode, field):
     calls, batches = f.calls, f.batches
     _probe(f, f.polys, (1, 2), 4, lambda n: 0.3, 0)
     assert (f.calls - calls, f.batches - batches) == (8, 2)
+
+
+def test_probe_draws_each_level_as_blocks():
+    from ncfun.recon import _probe
+
+    from helpers import same_info
+
+    # two generator calls per level, the norm factors and the tuples,
+    # where a per-sample draw makes one per sample and component
+    f = oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=6))
+    near = tuple(p + NCPoly({((1, False),): 1e-6}, INV) for p in f.polys)
+    rng = CountingGenerator(1)
+    worst, witness = _probe(f, near, (1, 2, 4), 25, lambda n: 0.3, rng)
+    want_worst, want_witness = _probe(f, near, (1, 2, 4), 25, lambda n: 0.3, 1)
+    assert rng.draws <= 2 * 3 and worst == want_worst > 0 and same_info(witness, want_witness)
 
 
 def test_part_scan_reads_one_stack():
