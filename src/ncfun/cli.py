@@ -244,8 +244,8 @@ def cmd_extract(args, emit: Emitter) -> int:
         return VERIFY_ERROR
     ext = matenote_extract(f, args.degree, f.g, f.mode, level=args.level, field=f.field)
     _write(args.output, formats.dump_ncpolys(list(ext.polys)))
-    emit.line(f"degree={args.degree} evaluations={ext.evaluations} level={args.level or args.degree + 1}",
-              kind="extract", degree=args.degree, evaluations=ext.evaluations)
+    fields = dict(degree=args.degree, evaluations=ext.evaluations, level=args.level or level)
+    emit.line(" ".join(f"{k}={v}" for k, v in fields.items()), kind="extract", **fields)
     return 0
 
 
@@ -285,7 +285,7 @@ def cmd_expand_at(args, emit: Emitter) -> int:
     exp = expand_at_point(f, A, args.degree, args.s_eval, seed=args.seed)
     level = A.n * args.s_eval
     for m, r in enumerate(exp.residuals):
-        emit.line(f"degree={m} residual={r!r} level={level}", kind="expand", degree=m, residual=r)
+        emit.line(f"degree={m} residual={r!r} level={level}", kind="expand", degree=m, residual=r, level=level)
     stop = dict(evaluations=exp.evaluations, level=level)
     emit.line("expand " + " ".join(f"{k}={v}" for k, v in stop.items()), kind="expand_stop", **stop)
     for r in exp.residuals:
@@ -360,7 +360,7 @@ def cmd_invert(args, emit: Emitter) -> int:
             return VERIFY_ERROR
         res = composition_residual(F, H)
         _write(args.output, formats.dump_ncpolys([h.to_ncpoly() for h in H]))
-        emit.line(f"degree={D} residual={res!r} level=0", kind="invert", residual=res)
+        emit.line(f"degree={D} residual={res!r} level=0", kind="invert", degree=D, residual=res, level=0)
         if res > args.tol:
             emit.fail("invert_formal_composition", 0, res)
             return VERIFY_ERROR
@@ -384,7 +384,8 @@ def cmd_implicit(args, emit: Emitter) -> int:
         _write(args.output, formats.dump_ncpolys([s.to_ncpoly() for s in h]))
         if f.polys is not None:
             res = implicit_residual(f, args.split, h)
-            emit.line(f"degree={args.degree} residual={res!r} level=0", kind="implicit", residual=res)
+            emit.line(f"degree={args.degree} residual={res!r} level=0",
+                      kind="implicit", degree=args.degree, residual=res, level=0)
             if res > args.tol:
                 emit.fail("implicit_formal_composition", 0, res)
                 return VERIFY_ERROR

@@ -267,7 +267,7 @@ def _fitted_parts(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, bas, seed)
     rows = {**_letter_rows(f.g), **{i: 2 * f.g + i for i in range(len(bas))}}
     words = [(I[0],) + sum(zip(K, I[1:]), ()) for mons in monomials for I, K in mons]
     letters = (H, adjoint(H, f.field), np.broadcast_to(P[:, None], P.shape[:1] + H.shape[1:]))
-    columns = _Walk([[(1, (), w) for w in words]], rows).tails(letters).reshape(len(words), -1)
+    columns = _Walk([(1, (), w) for w in words], rows).tails(letters).reshape(len(words), -1)
     parts: List[Tuple[GenPoly, ...]] = []
     residuals: List[float] = []
     nulldims: List[int] = []

@@ -239,7 +239,7 @@ _WALK_ENTRIES = 2**16
 
 
 class _Walk:
-    """Sums of terms ``(c, (u_1, ..., u_k), tail)``, each c tr(u_1)...
+    """A sum of terms ``(c, (u_1, ..., u_k), tail)``, each c tr(u_1)...
     tr(u_k) tail with words of letters that ``letter_rows`` maps to rows of
     a letter stack, planned once for many stacks.  The walk fills one
     buffer: the letter stack, the unit word when a word is empty, then the
@@ -247,8 +247,8 @@ class _Walk:
     one stacked matmul of the parents (a slice when contiguous) by that
     letter."""
 
-    def __init__(self, sums, letter_rows: dict):
-        words = [w for terms in sums for _, pure, tail in terms for w in (*pure, tail)]
+    def __init__(self, terms, letter_rows: dict):
+        words = [w for _, pure, tail in terms for w in (*pure, tail)]
         rows = {(u,): r for u, r in letter_rows.items()}
         levels: List[Dict[object, list]] = [{} for _ in range(max(map(len, words), default=0) - 1)]
         seen = set()
@@ -269,9 +269,9 @@ class _Walk:
                 self.steps.append((letter_rows[u], a, b, slice(p0, p0 + len(ps)) if run else np.array(parents)))
                 rows.update(zip(ps, range(a, b)))
                 self.size = b
-        self.sums = [(np.array([c for c, _, _ in terms]), np.array([rows[t] for _, _, t in terms], dtype=np.intp),
-                      [(k, [rows[u] for u in pure]) for k, (_, pure, _) in enumerate(terms) if pure])
-                     for terms in sums]
+        self.coeffs = np.array([c for c, _, _ in terms])
+        self.tail_rows = np.array([rows[t] for _, _, t in terms], dtype=np.intp)
+        self.traced = [(k, [rows[u] for u in pure]) for k, (_, pure, _) in enumerate(terms) if pure]
 
     def _pieces(self, letters: Sequence[np.ndarray]) -> list:
         """The letter stack ``letters`` (r, ..., n, n) in pieces, each with
@@ -295,43 +295,37 @@ class _Walk:
         return B
 
     def tails(self, letters: Sequence[np.ndarray]) -> np.ndarray:
-        """The unweighted terms of the first sum, each tail's value on the
-        letter stack ``letters``: shape (terms, ..., n, n).  Each value is
-        added to 0, as the sums of ``__call__`` are, so that a -0.0 entry
-        reads 0.0 here too."""
-        tails = self.sums[0][1]
-        out = np.empty((len(tails),) + letters[0].shape[1:], dtype=np.result_type(*letters))
+        """The unweighted terms, each tail's value on the letter stack
+        ``letters``: shape (terms, ..., n, n).  Each value is added to 0, as
+        the sum of ``__call__`` is, so that a -0.0 entry reads 0.0 here too."""
+        out = np.empty((len(self.tail_rows),) + letters[0].shape[1:], dtype=np.result_type(*letters))
         for cut, piece in self._pieces(letters):
-            np.add(self._fill(piece)[tails], 0.0, out=out[:, cut])
+            np.add(self._fill(piece)[self.tail_rows], 0.0, out=out[:, cut])
         return out
 
-    def __call__(self, letters: Sequence[np.ndarray], dtype, coeffs=None) -> List[np.ndarray]:
-        """Each sum on the stack of the blocks ``letters`` (r, ..., n, n), with
-        ``coeffs`` (an array per sum) for the plan's when given; zeros of
-        ``dtype`` if empty.  The weights c tr(u_1)...tr(u_k), per tuple on
-        a stack of tuples, multiply their tails at once, and one reduction
-        adds the products in term order, bit for bit a sequential sum."""
+    def __call__(self, letters: Sequence[np.ndarray], dtype, coeffs=None) -> np.ndarray:
+        """The sum on the stack of the blocks ``letters`` (r, ..., n, n), with
+        the array ``coeffs`` for the plan's when given; zeros of ``dtype``
+        if empty.  The weights c tr(u_1)...tr(u_k), per tuple on a stack of
+        tuples, multiply their tails at once, and one reduction adds the
+        products in term order, bit for bit a sequential sum."""
         pieces = self._pieces(letters)
         if len(pieces) > 1:
-            parts = [self(piece, dtype, coeffs) for _, piece in pieces]
-            return [np.concatenate(vals) for vals in zip(*parts)]
+            return np.concatenate([self(piece, dtype, coeffs) for _, piece in pieces])
         B = self._fill(letters)
-        out = []
-        for i, (C, tails, traced) in enumerate(self.sums):
-            C = C if coeffs is None else coeffs[i]
-            if traced:
-                weights = C.tolist()
-                for k, us in traced:
-                    for u in us:
-                        weights[k] = weights[k] * np.trace(B[u], axis1=-2, axis2=-1)
-                C = np.array(np.broadcast_arrays(*weights))
-            P = C.reshape(C.shape + (1,) * (B.ndim - C.ndim)) * B[tails]
-            # add.reduce adds the terms in order, but pairwise on a lone entry,
-            # where accumulate keeps the -0.0 that reduce drops: floats add 0.0
-            lone = len(C) and P[0].size == 1
-            acc = np.zeros(B.shape[1:], dtype) if not len(C) else np.add.accumulate(P)[-1] if lone else np.add.reduce(P)
-            out.append(acc + 0.0 if lone and acc.dtype.kind in "fc" else acc)
-        return out
+        C = self.coeffs if coeffs is None else coeffs
+        if self.traced:
+            weights = C.tolist()
+            for k, us in self.traced:
+                for u in us:
+                    weights[k] = weights[k] * np.trace(B[u], axis1=-2, axis2=-1)
+            C = np.array(np.broadcast_arrays(*weights))
+        P = C.reshape(C.shape + (1,) * (B.ndim - C.ndim)) * B[self.tail_rows]
+        # add.reduce adds the terms in order, but pairwise on a lone entry,
+        # where accumulate keeps the -0.0 that reduce drops: floats add 0.0
+        lone = len(C) and P[0].size == 1
+        acc = np.zeros(B.shape[1:], dtype) if not len(C) else np.add.accumulate(P)[-1] if lone else np.add.reduce(P)
+        return acc + 0.0 if lone and acc.dtype.kind in "fc" else acc
 
 
 class _PolyPlan(_Walk):
@@ -347,7 +341,7 @@ class _PolyPlan(_Walk):
         _check_vars(p.num_vars(), g)
         items = ([(c, (), w) for w, c in p.coeffs.items()] if isinstance(p, NCPoly)
                  else [(c, pure, tail) for (pure, tail), c in p.coeffs.items()])
-        super().__init__([items], _letter_rows(g))
+        super().__init__(items, _letter_rows(g))
         self.g, self.derivative = g, None
         self.exact = all(isinstance(c, (int, Fraction)) for c, _, _ in items)
         if self.exact:
@@ -385,11 +379,11 @@ class _PolyPlan(_Walk):
         exact = A.dtype == object
         cleared = exact and self.exact and _clear_denominators(A)
         if not cleared:
-            return self((A, adjoint(A, field)), object if exact else None)[0]
+            return self((A, adjoint(A, field)), object if exact else None)
         N, d = cleared
         N = _narrowed(N, self.bound(A.shape[-1], _max_abs(N), d))
-        coeffs = [np.array([c * d ** (self.D - m) for c, m in self.int_coeffs])]
-        return _exact_quotient(self((N, N.swapaxes(-1, -2)), N.dtype, coeffs)[0], self.L * d**self.D)
+        coeffs = np.array([c * d ** (self.D - m) for c, m in self.int_coeffs])
+        return _exact_quotient(self((N, N.swapaxes(-1, -2)), N.dtype, coeffs), self.L * d**self.D)
 
     def value(self, X: MatTuple) -> np.ndarray:
         return self.values(np.array(X.mats), X.field)
@@ -483,8 +477,8 @@ def eval_genpoly(p: GenPoly, X: MatTuple) -> np.ndarray:
     words = [(id(t.mats[0]),) + sum(((u, id(a)) for u, a in zip(t.letters, t.mats[1:])), ()) for t in p.terms]
     slots = [np.kron(a, eye_s) for a in coeffs.values()]
     exact, A = _is_exact(X.mats[0]), np.array(X.mats)
-    out = _Walk([[(1, (), w) for w in words]], letter_rows)(
-        (A, adjoint(A, X.field)) + ((np.array(slots),) if slots else ()), object if exact else complex)[0]
+    out = _Walk([(1, (), w) for w in words], letter_rows)(
+        (A, adjoint(A, X.field)) + ((np.array(slots),) if slots else ()), object if exact else complex)
     real = not exact and not any(map(np.iscomplexobj, X.mats + tuple(slots)))
     return out.real if real else out
 
@@ -581,9 +575,10 @@ def scaled_block(g: int, n: int, T: int, rng: np.random.Generator, field: str, r
 def sym_matrix_function(tag, S: np.ndarray) -> np.ndarray:
     """Spectral calculus on a symmetric/hermitian matrix.
 
-    ``tag`` is "sin", "cos", or ("pow", alpha) with alpha > 0 acting on
+    ``tag`` is "sin", "cos", ("pow", alpha) with alpha > 0 acting on
     a nonnegative spectrum (eigenvalues below -1e-10 are an error,
-    round-off negatives are clipped to zero).
+    round-off negatives are clipped to zero), or a function of the array
+    of eigenvalues: one decomposition serves any function of them.
     """
     S = np.asarray(S)
     herm = np.iscomplexobj(S)
@@ -603,10 +598,11 @@ def sym_matrix_function(tag, S: np.ndarray) -> np.ndarray:
         w = np.sin(w)
     elif tag == "cos":
         w = np.cos(w)
+    elif callable(tag):
+        w = tag(w)
     else:
         raise ValueError(f"unsupported function tag {tag!r}")
-    out = (v * w) @ adjoint(v, "complex" if herm else "real")
-    return out
+    return (v * w) @ adjoint(v, "complex" if herm else "real")
 
 
 # -- subspaces ------------------------------------------------------

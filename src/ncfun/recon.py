@@ -357,10 +357,12 @@ def reconstruct_polynomial(f: FreeMapOracle, d: int, seed=0) -> ReconResult:
     """Recover a degree-<= d free polynomial from evaluations, then
     certify on random tuples at levels d+1 and d+2 (cross-level
     consistency; a free map that is not a free polynomial fails here,
-    e.g. the trace map X -> tr(X) I)."""
-    tay = taylor_at_zero(f, d, tol=RECON_TOL, seed=seed)
+    e.g. the trace map X -> tr(X) I), drawing where the Taylor residual
+    probe's generator stopped, not replaying that probe's samples."""
+    rng = _rng(seed)
+    tay = taylor_at_zero(f, d, tol=RECON_TOL, seed=rng)
     polys = tuple(s.to_ncpoly() for s in tay.series)
     worst, witness = _probe(f, polys, (d + 1, d + 2), CERT_SAMPLES,
-                            lambda n: min(1.0, f.radius_at(n) / 2.0), seed)
+                            lambda n: min(1.0, f.radius_at(n) / 2.0), rng)
     ok = worst <= RECON_TOL
     return ReconResult(polys, worst, ok, None if ok else witness, tay)

@@ -522,3 +522,54 @@ def reference_newton(f, Y, tol=1e-12, maxit=50):
         history.append(res)
         iterates.append((res, float(step * np.linalg.norm(delta))))
     return iterates, X, f.calls - calls0
+
+
+# -- per-block and per-term references for the oracle layer ------------
+
+
+def _block_norms(blocks) -> float:
+    """The largest ``np.linalg.norm(b, 2)`` over ``blocks``, one at a time."""
+    res = 0.0
+    for b in blocks:
+        res = max(res, float(np.linalg.norm(b, 2)))
+    return res
+
+
+def reference_triangular_residual(f, X, H) -> float:
+    """The residual of the upper-triangular identity, each of the four
+    n x n blocks of each component measured on its own."""
+    from ncfun.mateval import block_tuple
+    from ncfun.oracle import derivative
+
+    n = X.n
+    val, fX, dF = f(block_tuple(X, H, None, X)), f(X), derivative(f, X, H)
+    return _block_norms(b for blk, a, d in zip(val.mats, fX.mats, dF.mats)
+                        for b in (blk[:n, :n] - a, blk[n:, n:] - a, blk[n:, :n], blk[:n, n:] - d))
+
+
+def reference_did_residual(f, X1, X2) -> float:
+    """The residual of the DID block identity, each of the four n x n
+    blocks of each component measured on its own."""
+    from ncfun.mateval import direct_sum
+    from ncfun.oracle import derivative, offdiag_direction
+
+    n = X1.n
+    lhs = derivative(f, direct_sum(X1, X2), offdiag_direction(X1, X2))
+    return _block_norms(b for blk, a, c in zip(lhs.mats, f(X1).mats, f(X2).mats)
+                        for b in (blk[:n, n:] - (a - c), blk[n:, :n] - (a - c), blk[:n, :n], blk[n:, n:]))
+
+
+def reference_smooth_nonanalytic(J: int, X) -> np.ndarray:
+    """sum_j e^{-sqrt(2^j)} cos(2^j (x + x^t)) term by term: one spectral
+    cosine of each scaled matrix, added in order to zero."""
+    import math
+
+    from ncfun.mateval import sym_matrix_function
+
+    s = X.mats[0] + adjoint(X.mats[0], X.field)
+    out = np.zeros_like(np.asarray(s, dtype=float if X.field == "real" else complex))
+    for j in range(J + 1):
+        w = math.exp(-math.sqrt(2.0**j))
+        if w > 0.0:
+            out = out + w * sym_matrix_function("cos", (2.0**j) * s)
+    return out

@@ -466,3 +466,33 @@ def test_mode_flags_are_mutually_exclusive(tmp_path, capsys):
                  ["implicit", "--map", f"poly:{pf}", "--split", "1", "--formal", "--numeric"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "not allowed with argument --formal" in err
+
+
+def test_json_records_carry_every_text_field(tmp_path, capsys):
+    # the --json record of each report line holds every key=value token of
+    # its text, with the printed value
+    import json
+
+    x, y = NCPoly.variable(1), NCPoly.variable(2)
+    hom, imp, inv = tmp_path / "hom.ncpoly", tmp_path / "imp.ncpoly", tmp_path / "inv.ncpoly"
+    hom.write_text(dump_ncpolys([x * y - (y * x).scale(0.5)]))
+    imp.write_text(dump_ncpolys([y + (y * x).scale(0.8) + x]))
+    inv.write_text(dump_ncpolys([x - x * x]))
+    center = tmp_path / "a.mtx"
+    center.write_text(dump_mattuple(MatTuple([np.array([[0.0, 1.0], [0.0, 0.0]])])))
+    out = str(tmp_path / "out")
+    commands = (["extract", "--map", f"poly:{hom}", "--degree", "2"],
+                ["extract", "--map", f"poly:{hom}", "--degree", "2", "--level", "4"],
+                ["expand-at", "--map", "sinxxt", "--center", str(center), "--degree", "1", "--s-eval", "2"],
+                ["invert", "--formal", "--poly", str(inv), "--degree", "4"],
+                ["implicit", "--map", f"poly:{imp}", "--split", "1", "--formal", "--degree", "3"])
+    for argv in commands:
+        code, text, _ = run(capsys, *argv, "-o", out)
+        code_json, lines, _ = run(capsys, *argv, "-o", out, "--json")
+        records = [json.loads(line) for line in lines.splitlines()]
+        assert code == code_json == 0 and [r["text"] for r in records] == text.splitlines()
+        for r in records:
+            for token in r["text"].split():
+                if "=" in token:
+                    key, value = token.split("=")
+                    assert key in r and str(r[key]) == value, (argv[0], key, r)

@@ -1,8 +1,12 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every module-level function and class is named somewhere.
 
-A stdlib ``ast`` scan, standing in for a linter's unused-import rule
-(F401): ``__init__.py`` re-exports are exempt, and so is an import whose
-line carries ``# noqa: F401``.
+Stdlib ``ast`` scans.  The first stands in for a linter's unused-import
+rule (F401): ``__init__.py`` re-exports are exempt, and so is an import
+whose line carries ``# noqa: F401``.  The second is a dead-name scan: a
+function or class of the package must be named (read, imported or taken
+as an attribute) in ``src``, ``tests``, ``bench`` or ``demos`` outside
+its own definition.
 """
 
 import ast
@@ -12,6 +16,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ncfun"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE.parents[1]
+SOURCES = sorted(p for d in ("src", "tests", "bench", "demos") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +44,51 @@ def test_no_unused_module_imports(path):
 def test_the_scan_sees_unused_and_marked_imports():
     src = "import os\nimport re  # noqa: F401\nfrom math import pi, tau as t\nprint(pi)\n"
     assert unused_imports(src) == [(1, "os"), (3, "t")]
+
+
+def _names(tree) -> set:
+    """The identifiers a tree reads or binds by name, takes as attributes
+    or imports."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+    return out
+
+
+def named_elsewhere(source: str) -> set:
+    """The names ``source`` mentions, each top-level definition's own name
+    left out of the names inside it."""
+    out = set()
+    for node in ast.parse(source).body:
+        names = _names(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(node.name)
+        out |= names
+    return out
+
+
+def dead_names(defining: dict, sources) -> list:
+    """``(module, line, name)`` of each module-level function or class of
+    the sources ``defining`` (module name -> text) that none of
+    ``sources`` names outside its own definition."""
+    named = set().union(*map(named_elsewhere, sources))
+    return sorted((module, node.lineno, node.name) for module, text in defining.items()
+                  for node in ast.parse(text).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name not in named)
+
+
+def test_no_dead_module_names():
+    defining = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_names(defining, [p.read_text() for p in SOURCES]) == []
+
+
+def test_the_scan_sees_dead_names():
+    lib = "def used():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\nclass Dead:\n    pass\n"
+    user = "from lib import used\n"
+    assert dead_names({"lib.py": lib}, [lib, user]) == [("lib.py", 4, "recursive"), ("lib.py", 7, "Dead")]

@@ -36,8 +36,11 @@ from helpers import (
     counted,
     reference_derivative,
     reference_direct_sums,
+    reference_did_residual,
     reference_directional_derivative,
     reference_similarity,
+    reference_smooth_nonanalytic,
+    reference_triangular_residual,
     same_report,
 )
 
@@ -566,3 +569,74 @@ def test_library_counts_match_outside_counts(kind):
         assert run(f).evaluations == f.calls and (f.calls > 0) == calls
         copy, seen = counted(make())
         assert run(copy).evaluations == copy.calls == len(seen) > 0
+
+
+def _identity_cases():
+    # a real O map, a real GL polynomial, a complex O polynomial and a
+    # complex black box
+    x = NCPoly.variable(1)
+    yield builtin_map("sinxxt")
+    yield oracle_from_ncpoly([x * x - NCPoly.variable(2) * x, x])
+    yield oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=4, field="complex"), field="complex")
+    yield black_box(2, "complex")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_identities_match_the_per_block_norms(n):
+    # one stack_norms call over the stacked block differences reads the
+    # residual of the per-block np.linalg.norm loop, bit for bit
+    for f in _identity_cases():
+        for seed in range(5):
+            X, H, Y = (random_mattuple(f.g, n, 10 * seed + k, f.field, norm=0.4) for k in range(3))
+            assert check_triangular_identity(f, X, H).max_violation == reference_triangular_residual(f, X, H)
+            assert check_did_block(f, X, Y).max_violation == reference_did_residual(f, X, Y)
+
+
+def test_spectral_builtins_are_sym_matrix_function_on_their_s():
+    # each builtin returns its one value matrix: the spectral function of
+    # its symmetric S, bit for bit
+    from ncfun.identities import hk_eval
+    from ncfun.mateval import adjoint, sym_matrix_function
+
+    for field in ("real", "complex"):
+        for n in (1, 2, 4):
+            X = random_mattuple(1, n, n, field, norm=0.8)
+            S = X.mats[0] @ adjoint(X.mats[0], field)
+            for f, tag in ((builtin_map("sinxxt"), "sin"), (builtin_map("pow_xxt", alpha=1 / 3), ("pow", 1 / 3)),
+                           (builtin_map("pow_xxt", alpha=1.5), ("pow", 1.5))):
+                assert f(X).mats[0].tobytes() == sym_matrix_function(tag, S).tobytes()
+    for n in (1, 2, 3):
+        X = random_mattuple(3, n, n, norm=0.8)
+        S = np.zeros((n, n))
+        for k in range(1, n):
+            hk = np.asarray(hk_eval(k, X), dtype=float)
+            S = S + math.factorial(k) * (hk + hk.T)
+        assert builtin_map("nonuniform")(X).mats[0].tobytes() == sym_matrix_function("sin", S).tobytes()
+
+
+@pytest.mark.parametrize("J", [5, 40])
+def test_smooth_nonanalytic_is_the_term_by_term_sum(J):
+    f = builtin_map("smooth_nonanalytic", J=J)
+    for field in ("real", "complex"):
+        for n in (1, 2, 5):
+            X = random_mattuple(1, n, 3 * n, field, norm=1.5)
+            want = reference_smooth_nonanalytic(J, X)
+            assert np.linalg.norm(f(X).mats[0] - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+
+
+def test_smooth_nonanalytic_takes_one_eigh_per_tuple(monkeypatch):
+    # one decomposition of x + x^t serves the whole cosine sum (the
+    # term-by-term sum takes one per positive weight: 20 at J = 40)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(S, *args, **kwargs):
+        calls.append(S.shape)
+        return eigh(S, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    f = builtin_map("smooth_nonanalytic", J=40)
+    f(random_mattuple(1, 3, 0))
+    assert len(calls) == 1
+    f.stack(np.stack([random_mattuple(1, 3, s).mats for s in range(4)], axis=1))
+    assert len(calls) == 5

@@ -432,3 +432,33 @@ def test_negative_degrees_are_refused():
         with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
             read()
     assert f.calls == 0
+
+
+def test_certificate_continues_the_residual_probe_stream(monkeypatch):
+    # with an integer seed, the certificate draws where the Taylor residual
+    # probe stopped, rather than restarting that probe's stream; the
+    # Taylor result is the one of the seed alone
+    import copy
+
+    from ncfun import recon
+    from ncfun.mateval import scaled_block
+
+    probe, states = recon._probe, []
+
+    def spy(f, polys, levels, samples, radius, seed):
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        states.append(copy.deepcopy(rng.bit_generator.state))
+        return probe(f, polys, levels, samples, radius, rng)
+
+    monkeypatch.setattr(recon, "_probe", spy)
+    f = oracle_from_ncpoly(random_ncpoly(2, 2, INV, seed=3))
+    rec = reconstruct_polynomial(f, 2, seed=11)
+    residual, certificate = states
+    assert residual == np.random.default_rng(11).bit_generator.state
+    rng = np.random.default_rng(11)
+    for n in recon.RESIDUAL_LEVELS:
+        scaled_block(f.g, n, recon.RESIDUAL_SAMPLES, rng, f.field, 1.0, 0.1)
+    assert certificate == rng.bit_generator.state != residual
+    monkeypatch.setattr(recon, "_probe", probe)
+    tay = taylor_at_zero(f, 2, tol=recon.RECON_TOL, seed=11)
+    assert (rec.taylor.residual, rec.taylor.evaluations) == (tay.residual, tay.evaluations)
