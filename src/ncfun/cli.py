@@ -73,6 +73,12 @@ class Emitter:
         else:
             print(text)
 
+    def record(self, kind: str, head: str = "", **fields):
+        """The line ``[head] key=value ...`` of ``fields``, whose --json
+        record holds the same fields."""
+        pairs = [f"{k}={v}" for k, v in fields.items()]
+        self.line(" ".join([head] + pairs if head else pairs), kind=kind, **fields)
+
     def fail(self, check: str, level: int, residual: float):
         self.failed = True
         self.line(f"FAIL {check} level={level} residual={residual!r}",
@@ -81,7 +87,7 @@ class Emitter:
     def report(self, rep):
         if rep.passed:
             self.line(f"PASS {rep.name} max_residual={rep.max_violation!r}",
-                      kind="pass", check=rep.name, residual=rep.max_violation)
+                      kind="pass", check=rep.name, residual=rep.max_violation, max_residual=rep.max_violation)
         else:
             # the level the first violation ran at
             self.fail(rep.name, rep.witnesses[0][2], rep.max_violation)
@@ -127,17 +133,17 @@ def _tolerance(text: str) -> float:
 def load_map(spec: str) -> FreeMapOracle:
     """Registry: pow_xxt:<alpha>, sinxxt, smooth_nonanalytic[:J],
     nonuniform, poly:<ncpoly1 file>."""
-    name, _, param = spec.partition(":")
+    name, colon, param = spec.partition(":")
     if name == "pow_xxt":
         if not param:
             raise CliError("pow_xxt needs an exponent, e.g. pow_xxt:1/3")
         return builtin_map("pow_xxt", alpha=_parse_float(param))
-    if name == "sinxxt":
-        return builtin_map("sinxxt")
+    if name in ("sinxxt", "nonuniform"):
+        if colon:
+            raise CliError(f"{name} takes no parameter, got {spec!r}")
+        return builtin_map(name)
     if name == "smooth_nonanalytic":
         return builtin_map("smooth_nonanalytic", J=int(param) if param else 40)
-    if name == "nonuniform":
-        return builtin_map("nonuniform")
     if name == "poly":
         if not param:
             raise CliError("poly:<file> needs a path")
@@ -244,8 +250,7 @@ def cmd_extract(args, emit: Emitter) -> int:
         return VERIFY_ERROR
     ext = matenote_extract(f, args.degree, f.g, f.mode, level=args.level, field=f.field)
     _write(args.output, formats.dump_ncpolys(list(ext.polys)))
-    fields = dict(degree=args.degree, evaluations=ext.evaluations, level=args.level or level)
-    emit.line(" ".join(f"{k}={v}" for k, v in fields.items()), kind="extract", **fields)
+    emit.record("extract", degree=args.degree, evaluations=ext.evaluations, level=args.level or level)
     return 0
 
 
@@ -264,11 +269,10 @@ def cmd_taylor(args, emit: Emitter) -> int:
         want = _part_scan(f, A, args.degree)[:, :, m]
         got = eval_stack([p.homogeneous_part(m) for p in polys], A, f.field)
         r = float(stack_diffs(got, want.reshape(got.shape)).max())
-        emit.line(f"degree={m} residual={r!r} level={level}",
-                  kind="taylor", degree=m, residual=r, level=level)
+        emit.record("taylor", degree=m, residual=r, level=level)
         if r > args.tol:
             emit.fail("taylor_degree", level, r)
-    emit.line(f"taylor evaluations={f.calls}", kind="taylor_stop", evaluations=f.calls)
+    emit.record("taylor_stop", "taylor", evaluations=f.calls)
     for fl in tay.flags:
         emit.line(f"flag: {fl}", kind="flag")
     if tay.residual > args.tol and f.is_polynomial():
@@ -285,9 +289,8 @@ def cmd_expand_at(args, emit: Emitter) -> int:
     exp = expand_at_point(f, A, args.degree, args.s_eval, seed=args.seed)
     level = A.n * args.s_eval
     for m, r in enumerate(exp.residuals):
-        emit.line(f"degree={m} residual={r!r} level={level}", kind="expand", degree=m, residual=r, level=level)
-    stop = dict(evaluations=exp.evaluations, level=level)
-    emit.line("expand " + " ".join(f"{k}={v}" for k, v in stop.items()), kind="expand_stop", **stop)
+        emit.record("expand", degree=m, residual=r, level=level)
+    emit.record("expand_stop", "expand", evaluations=exp.evaluations, level=level)
     for r in exp.residuals:
         if r > args.tol:
             emit.fail("expand_at_degree", level, r)
@@ -333,10 +336,9 @@ def _report_newton(solve, check: str, level: int, output: Optional[str], emit: E
         emit.line(str(e), kind="error")
         return VERIFY_ERROR
     for i, (res, step) in enumerate(trace.iterates):
-        emit.line(f"iter={i} res={res!r} step={step!r}", kind="newton", iter=i, res=res, step=step)
-    stop = dict(reason=trace.reason, iterations=len(trace.iterates), evaluations=trace.evaluations,
-                jacobians=trace.jacobians, level=level)
-    emit.line("newton " + " ".join(f"{k}={v}" for k, v in stop.items()), kind="newton_stop", **stop)
+        emit.record("newton", iter=i, res=res, step=step)
+    emit.record("newton_stop", "newton", reason=trace.reason, iterations=len(trace.iterates),
+                evaluations=trace.evaluations, jacobians=trace.jacobians, level=level)
     if trace.X is not None:
         _write(output, formats.dump_mattuple(trace.X))
     if not trace.converged:
@@ -360,7 +362,7 @@ def cmd_invert(args, emit: Emitter) -> int:
             return VERIFY_ERROR
         res = composition_residual(F, H)
         _write(args.output, formats.dump_ncpolys([h.to_ncpoly() for h in H]))
-        emit.line(f"degree={D} residual={res!r} level=0", kind="invert", degree=D, residual=res, level=0)
+        emit.record("invert", degree=D, residual=res, level=0)
         if res > args.tol:
             emit.fail("invert_formal_composition", 0, res)
             return VERIFY_ERROR
@@ -384,8 +386,7 @@ def cmd_implicit(args, emit: Emitter) -> int:
         _write(args.output, formats.dump_ncpolys([s.to_ncpoly() for s in h]))
         if f.polys is not None:
             res = implicit_residual(f, args.split, h)
-            emit.line(f"degree={args.degree} residual={res!r} level=0",
-                      kind="implicit", degree=args.degree, residual=res, level=0)
+            emit.record("implicit", degree=args.degree, residual=res, level=0)
             if res > args.tol:
                 emit.fail("implicit_formal_composition", 0, res)
                 return VERIFY_ERROR

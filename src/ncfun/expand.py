@@ -115,13 +115,8 @@ class GenExpansion:
 
     def coefficient_residual(self) -> float:
         """Max residual of any coefficient matrix against the algebra basis."""
-        worst = 0.0
-        for part in self.parts:
-            for gp in part:
-                for t in gp.terms:
-                    for a in t.mats:
-                        worst = max(worst, self.basis.residual(np.asarray(a, dtype=complex)))
-        return worst
+        return max((self.basis.residual(np.asarray(a, dtype=complex))
+                    for part in self.parts for gp in part for t in gp.terms for a in t.mats), default=0.0)
 
 
 def expand_at_point(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, seed=0) -> GenExpansion:

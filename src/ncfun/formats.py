@@ -181,22 +181,17 @@ def load_tracepoly(text: str) -> TracePoly:
 # -- MTX1 -------------------------------------------------------------
 
 
+def _fmt_rows(m: np.ndarray, cplx: bool = False) -> List[str]:
+    """The rows of a matrix, each its entries' literals joined by spaces;
+    every entry a complex literal when ``cplx``."""
+    return [" ".join(_fmt_scalar(complex(v) if cplx else v) for v in row) for row in np.asarray(m).tolist()]
+
+
 def dump_mattuple(X: MatTuple) -> str:
     lines = [f"MTX1 n={X.n} g={X.g} field={X.field}"]
     for m in X.mats:
-        arr = np.asarray(m)
-        for i in range(X.n):
-            if X.field == "complex":
-                lines.append(" ".join(_fmt_scalar(complex(arr[i, j])) for j in range(X.n)))
-            else:
-                lines.append(" ".join(_fmt_scalar(_plain(arr[i, j])) for j in range(X.n)))
+        lines += _fmt_rows(m, X.field == "complex")
     return "\n".join(lines) + "\n"
-
-
-def _plain(v):
-    if isinstance(v, np.generic):
-        return v.item()
-    return v  # python and exact scalars (Fraction, int) pass through
 
 
 def load_mattuple(text: str) -> MatTuple:
@@ -226,21 +221,12 @@ def load_mattuple(text: str) -> MatTuple:
 # -- GENPOLY1 ---------------------------------------------------------
 
 
-def _fmt_matrix(m: np.ndarray) -> str:
-    arr = np.asarray(m)
-    rows = []
-    for i in range(arr.shape[0]):
-        rows.append(" ".join(_fmt_scalar(_plain(arr[i, j])) for j in range(arr.shape[1])))
-    return "; ".join(rows)
-
-
 def dump_genpoly(p: GenPoly) -> str:
     lines = [f"GENPOLY1 n={p.n} mode={p.mode} terms={len(p.terms)}"]
     for t in p.terms:
-        toks = [_fmt_matrix(t.mats[0])]
+        toks = ["; ".join(_fmt_rows(t.mats[0]))]
         for let, m in zip(t.letters, t.mats[1:]):
-            toks.append(word_str((let,)))
-            toks.append(_fmt_matrix(m))
+            toks += [word_str((let,)), "; ".join(_fmt_rows(m))]
         lines.append(f"deg={t.degree()} " + " ".join(toks))
     return "\n".join(lines) + "\n"
 

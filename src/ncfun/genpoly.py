@@ -11,7 +11,9 @@ matrix-unit basis monomials e_{i0,j0} u_1 e_{i1,j1} ... e_{il,jl}.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import itertools
+import math
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -119,35 +121,18 @@ class GenPoly:
     # -- basis expansion ---------------------------------------------
 
     def expand_basis(self) -> Dict[BasisMonomial, object]:
-        """Unique coefficients over matrix-unit basis monomials.
+        """Unique coefficients over matrix-unit basis monomials: each term
+        distributed over every choice of one nonzero entry per coefficient.
 
         Indices are 1-based.  Exact zeros are dropped.
         """
         out: Dict[BasisMonomial, object] = {}
-
-        def emit(key, val):
-            out[key] = out.get(key, 0) + val
-
         for t in self.terms:
-            ell = t.degree()
-            nonzero = []
-            for m in t.mats:
-                entries = [
-                    (i + 1, j + 1, m[i, j])
-                    for i in range(self.n)
-                    for j in range(self.n)
-                    if m[i, j] != 0
-                ]
-                nonzero.append(entries)
-            # distribute the product over entry choices
-            stack: List[Tuple[int, Tuple[int, ...], Tuple[int, ...], object]] = [(0, (), (), 1)]
-            while stack:
-                pos, I, J, val = stack.pop()
-                if pos == ell + 1:
-                    emit((I, J, t.letters), val)
-                    continue
-                for (i, j, c) in nonzero[pos]:
-                    stack.append((pos + 1, I + (i,), J + (j,), val * c))
+            nonzero = [[(i + 1, j + 1, m[i, j]) for i in range(self.n) for j in range(self.n) if m[i, j] != 0]
+                       for m in t.mats]
+            for choice in itertools.product(*nonzero):
+                I, J, cs = zip(*choice)
+                out[I, J, t.letters] = out.get((I, J, t.letters), 0) + math.prod(cs)
         return {k: v for k, v in out.items() if v != 0}
 
     def degree(self) -> int:

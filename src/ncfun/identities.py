@@ -238,23 +238,11 @@ def nonuniform_witness(n: int, exact: bool = True) -> MatTuple:
     is what the example's evaluations z_ii = e_ii + e_{n,n+1} and
     h_n = (-1)^(n-1) (n+1) e_{1,n+1} require.
     """
-    N = n + 1
-    if exact:
-        x1 = np.zeros((N, N), dtype=object)
-        x2 = np.zeros((N, N), dtype=object)
-        x3 = np.zeros((N, N), dtype=object)
-        for i in range(N):
-            x3[i, i] = Fraction(1)
-        for i in range(n):
-            x1[i, i + 1] = Fraction(1)
-            x2[i + 1, i] = Fraction(1)
-        x3[n - 1, n] = x3[n - 1, n] + Fraction(1, 2)
-        return MatTuple([x1, x2, x3], "real")
-    x1 = np.diag(np.ones(n), 1)
-    x2 = np.diag(np.ones(n), -1)
-    x3 = np.eye(N)
-    x3[n - 1, n] += 0.5
-    return MatTuple([x1, x2, x3], "real")
+    one, half = (Fraction(1), Fraction(1, 2)) if exact else (1.0, 0.5)
+    ones = np.full(n, one, dtype=object if exact else float)
+    x3 = np.diag(np.full(n + 1, one, dtype=ones.dtype))
+    x3[n - 1, n] += half
+    return MatTuple([np.diag(ones, 1), np.diag(ones, -1), x3], "real")
 
 
 def nonuniform_scale(n: int) -> float:

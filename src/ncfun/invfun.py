@@ -27,7 +27,7 @@ from .mateval import MatTuple, direct_sum
 from .oracle import FreeMapOracle, _derivatives, derivative, offdiag_direction
 from .poly import FREE, INV, NCPoly
 from .recon import taylor_at_zero
-from .series import FormalSeries, compose_tuple, series_compose
+from .series import FormalSeries, compose_tuple
 
 DET_CUTOFF = 1e-10
 MAX_HALVINGS = 20  # step halvings per Newton iteration
@@ -66,30 +66,22 @@ class LinearPart:
 
 
 def linear_part(F: Sequence[FormalSeries]) -> LinearPart:
-    g = len(F)
-    mode = F[0].mode
+    """The degree-1 coefficients of F as one table: row i holds those of
+    F_i on x_1..x_g, then (with involution) on x_1^t..x_g^t.  Free mode
+    keeps the g x g table and refuses complex coefficients; with
+    involution the table [A, B] is stacked over its rolled conjugate
+    [conj B, conj A]."""
+    g, mode = len(F), F[0].mode
+    stars = (False, True) if mode == INV else (False,)
+    letters = [(j, starred) for starred in stars for j in range(1, g + 1)]
+    table = [[s.to_ncpoly().coefficient((let,)) for let in letters] for s in F]
     if mode == FREE:
-        L = np.zeros((g, g))
-        cplx = False
-        for i, s in enumerate(F):
-            for j in range(1, g + 1):
-                c = s.to_ncpoly().coefficient(((j, False),))
-                if isinstance(c, complex):
-                    cplx = True
-                L[i, j - 1] = c.real if isinstance(c, complex) else c
-        if cplx:
+        if any(isinstance(c, complex) for row in table for c in row):
             raise ValueError("complex coefficients in free-mode linear part are unsupported")
-        return LinearPart(L, mode, g)
-    A = np.zeros((g, g), dtype=complex)
-    B = np.zeros((g, g), dtype=complex)
-    for i, s in enumerate(F):
-        for j in range(1, g + 1):
-            A[i, j - 1] = s.to_ncpoly().coefficient(((j, False),))
-            B[i, j - 1] = s.to_ncpoly().coefficient(((j, True),))
-    L = np.block([[A, B], [B.conj(), A.conj()]])
-    if np.allclose(L.imag, 0):
-        L = L.real
-    return LinearPart(L, mode, g)
+        return LinearPart(np.array(table, dtype=float), mode, g)
+    T = np.array(table, dtype=complex)
+    L = np.concatenate([T, np.roll(T, g, axis=1).conj()])
+    return LinearPart(L.real if np.allclose(L.imag, 0) else L, mode, g)
 
 
 def _linear_series(rows: np.ndarray, letters, D: int, mode: str) -> Tuple[FormalSeries, ...]:
@@ -208,21 +200,16 @@ def _unit_directions(g: int, n: int, field: str) -> np.ndarray:
 
 
 def _vec(X: MatTuple) -> np.ndarray:
-    flat = np.concatenate([np.asarray(m, dtype=complex if X.field == "complex" else float).ravel()
-                           for m in X.mats])
-    if X.field == "complex":
-        return np.concatenate([flat.real, flat.imag])
-    return flat
+    """The real coordinates of X: its entries row-major, component by
+    component, and for a complex X their real parts, then their imaginary ones."""
+    flat = np.asarray(X.mats, dtype=complex if X.field == "complex" else float).ravel()
+    return np.concatenate([flat.real, flat.imag]) if X.field == "complex" else flat
 
 
 def _unvec(v: np.ndarray, g: int, n: int, field: str) -> MatTuple:
-    N = g * n * n
-    flat = v[:N] + 1j * v[N:] if field == "complex" else v
-    mats = []
-    for k in range(g):
-        m = flat[k * n * n : (k + 1) * n * n].reshape(n, n)
-        mats.append(m.real if field == "real" else m)
-    return MatTuple(mats, field)
+    """The g-tuple of n x n matrices with the coordinates ``_vec`` gives v."""
+    flat = v[: g * n * n] + 1j * v[g * n * n :] if field == "complex" else v
+    return MatTuple(list(flat.reshape(g, n, n)), field)
 
 
 def _jacobian(f: FreeMapOracle, X: MatTuple, E: np.ndarray) -> np.ndarray:
@@ -373,8 +360,7 @@ def implicit_formal(
     Haug = formal_inverse(aug, D)
     # h(x) = last g2 components at (x_1..x_g1, 0..0)
     zero = FormalSeries.zero(D, mode)
-    subs = tuple(ident[:g1]) + tuple(zero for _ in range(g2))
-    return tuple(series_compose(Haug[g1 + j], subs) for j in range(g2))
+    return compose_tuple(Haug[g1:], tuple(ident[:g1]) + (zero,) * g2)
 
 
 def implicit_residual(f: FreeMapOracle, g1: int, h: Sequence[FormalSeries]) -> float:
@@ -384,12 +370,9 @@ def implicit_residual(f: FreeMapOracle, g1: int, h: Sequence[FormalSeries]) -> f
     D = min(s.order for s in h)
     mode = h[0].mode
     ident = FormalSeries.identity_tuple(g1, D, mode)
-    subs = tuple(ident) + tuple(h)
-    worst = 0.0
-    for p in f.polys:
-        comp = series_compose(FormalSeries.from_ncpoly(p, D), subs)
-        worst = max(worst, comp.max_coeff_diff(FormalSeries.zero(D, mode)))
-    return float(worst)
+    comp = compose_tuple([FormalSeries.from_ncpoly(p, D) for p in f.polys], tuple(ident) + tuple(h))
+    zero = FormalSeries.zero(D, mode)
+    return float(max((s.max_coeff_diff(zero) for s in comp), default=0.0))
 
 
 def implicit_numeric(

@@ -581,11 +581,15 @@ def sym_matrix_function(tag, S: np.ndarray) -> np.ndarray:
     of eigenvalues: one decomposition serves any function of them.
     """
     S = np.asarray(S)
-    herm = np.iscomplexobj(S)
-    if np.linalg.norm(S - adjoint(S, "complex" if herm else "real")) > DEFAULT_TOL * max(
-        1.0, np.linalg.norm(S)
-    ):
+    field = "complex" if np.iscomplexobj(S) else "real"
+    if np.linalg.norm(S - adjoint(S, field)) > DEFAULT_TOL * max(1.0, np.linalg.norm(S)):
         raise ValueError("matrix is not symmetric/hermitian within tolerance")
+    return _spectral(tag, S)
+
+
+def _spectral(tag, S: np.ndarray) -> np.ndarray:
+    """``sym_matrix_function`` of a matrix S symmetric/hermitian by
+    construction (x x^t, x + x^t), without the symmetry check."""
     w, v = np.linalg.eigh(S)
     if isinstance(tag, tuple) and tag[0] == "pow":
         alpha = tag[1]
@@ -602,7 +606,7 @@ def sym_matrix_function(tag, S: np.ndarray) -> np.ndarray:
         w = tag(w)
     else:
         raise ValueError(f"unsupported function tag {tag!r}")
-    return (v * w) @ adjoint(v, "complex" if herm else "real")
+    return (v * w) @ adjoint(v, "complex" if np.iscomplexobj(S) else "real")
 
 
 # -- subspaces ------------------------------------------------------
@@ -651,42 +655,35 @@ def subspace_residual(M: np.ndarray, V: SubspaceBasis) -> float:
 
 def orthonormalize(mats: Iterable[np.ndarray], n: int) -> SubspaceBasis:
     """SVD-based orthonormal basis of the span, under the trace inner
-    product (= Frobenius inner product of flattened matrices)."""
-    rows = [np.asarray(m, dtype=complex if any(np.iscomplexobj(x) for x in mats) else float).ravel() for m in mats]
-    if not rows:
+    product (= Frobenius inner product of flattened matrices).  Complex
+    when any matrix is, else real."""
+    mats = [np.asarray(m) for m in mats]
+    if not mats:
         return SubspaceBasis(n, [])
-    A = np.array(rows)
+    A = np.array(mats, dtype=complex if any(map(np.iscomplexobj, mats)) else float).reshape(len(mats), -1)
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0
-    return SubspaceBasis(n, [vh[i].reshape(n, n) for i in range(rank)])
+    return SubspaceBasis(n, list(vh[:rank].reshape(rank, n, n)))
 
 
 def matrix_units(n: int) -> List[np.ndarray]:
-    out = []
-    for i in range(n):
-        for j in range(n):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0
-            out.append(m)
-    return out
+    """The n^2 matrix units e_ij, row-major: the rows of I_(n^2)."""
+    return list(np.eye(n * n).reshape(n * n, n, n))
 
 
 def centralizer(B: Sequence[np.ndarray], n: int) -> SubspaceBasis:
-    """Orthonormal basis of {c : cb = bc for all b in B}."""
+    """Orthonormal basis of {c : cb = bc for all b in B}: the null space of
+    the stacked constraints kron(I, b^t) - kron(b, I), which map the
+    row-major vec of c to that of cb - bc (Horn & Johnson, Topics in
+    Matrix Analysis, 4.3)."""
     B = [np.asarray(b) for b in B]
     for b in B:
         if b.shape != (n, n):
             raise ValueError("centralizer input size mismatch")
     if not B:
         return SubspaceBasis(n, matrix_units(n))
-    cols = []
-    dtype = complex if any(np.iscomplexobj(b) for b in B) else float
-    for i in range(n):
-        for j in range(n):
-            c = np.zeros((n, n), dtype=dtype)
-            c[i, j] = 1.0
-            cols.append(np.concatenate([(c @ b - b @ c).ravel() for b in B]))
-    A = np.array(cols).T  # rows: constraints, cols: n^2 coordinates
+    eye = np.eye(n)
+    A = np.concatenate([np.kron(eye, b.T) - np.kron(b, eye) for b in B])
     _, s, vh = np.linalg.svd(A)
     # the cutoff is relative to the larger of the top singular value and
     # the input scale: a numerically zero constraint matrix (e.g. B in
@@ -694,8 +691,7 @@ def centralizer(B: Sequence[np.ndarray], n: int) -> SubspaceBasis:
     scale = max(float(np.linalg.norm(b)) for b in B)
     smax = max(float(s[0]) if s.size else 0.0, scale)
     rank = int(np.sum(s > RANK_CUTOFF * smax))
-    null = vh[rank:]
-    return SubspaceBasis(n, [null[i].reshape(n, n) for i in range(null.shape[0])])
+    return SubspaceBasis(n, list(vh[rank:].reshape(-1, n, n)))
 
 
 def generated_algebra(A: MatTuple, with_involution: bool) -> SubspaceBasis:

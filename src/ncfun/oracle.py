@@ -36,6 +36,7 @@ from .mateval import (
     MatTuple,
     _derivative_plan,
     _rng,
+    _spectral,
     adjoint,
     block_tuple,
     direct_sum,
@@ -46,7 +47,6 @@ from .mateval import (
     scaled_block,
     stack_diffs,
     stack_norms,
-    sym_matrix_function,
 )
 from .poly import FREE, INV, NCPoly
 
@@ -169,7 +169,7 @@ def oracle_from_ncpoly(
     def evaluator(X: MatTuple) -> MatTuple:
         vals = [eval_ncpoly(q, X) for q in polys]
         out_field = "complex" if any(np.iscomplexobj(v) for v in vals) else X.field
-        return MatTuple(vals, out_field)
+        return MatTuple._checked(vals, out_field)
 
     return FreeMapOracle(
         g=g,
@@ -198,13 +198,15 @@ NONUNIFORM_MAX_LEVEL = 7
 
 def _of_xxt(tag) -> Callable[[MatTuple], np.ndarray]:
     """The evaluator x -> F(x x^t) of the spectral function ``tag``."""
-    return lambda X: sym_matrix_function(tag, X.mats[0] @ adjoint(X.mats[0], X.field))
+    return lambda X: _spectral(tag, X.mats[0] @ adjoint(X.mats[0], X.field))
 
 
 def builtin_map(name: str, **params) -> FreeMapOracle:
     """Registry of the example maps.  Each evaluator returns its one value
     matrix, checked once by the oracle's evaluation body, and takes one
-    eigendecomposition (``mateval.sym_matrix_function``) per tuple.
+    eigendecomposition per tuple: ``mateval.sym_matrix_function`` without
+    its symmetry check, as x x^t, x + x^t and the nonuniform sum are
+    symmetric by construction.
 
     pow_xxt(alpha)          (x x^t)^alpha by spectral calculus
     sinxxt                  sin(x x^t)
@@ -239,8 +241,8 @@ def builtin_map(name: str, **params) -> FreeMapOracle:
         weights = [(t, w) for (t, w) in weights if w > 0.0]
 
         def ev_smooth(X: MatTuple) -> np.ndarray:
-            return sym_matrix_function(lambda lam: sum(w * np.cos(t * lam) for t, w in weights),
-                                       X.mats[0] + adjoint(X.mats[0], X.field))
+            return _spectral(lambda lam: sum(w * np.cos(t * lam) for t, w in weights),
+                             X.mats[0] + adjoint(X.mats[0], X.field))
 
         return FreeMapOracle(
             1, 1, ev_smooth, group="O", smoothness="smooth", name=f"smooth_nonanalytic({J})"
@@ -254,7 +256,7 @@ def builtin_map(name: str, **params) -> FreeMapOracle:
             for k in range(1, n):  # h_k = 0 on M_n for k >= n
                 hk = np.asarray(identities.hk_eval(k, X), dtype=float)
                 acc = acc + math.factorial(k) * (hk + hk.T)
-            return sym_matrix_function("sin", acc)
+            return _spectral("sin", acc)
 
         return FreeMapOracle(3, 1, ev_nonuniform, group="O", smoothness="analytic", name="nonuniform",
                              max_level=NONUNIFORM_MAX_LEVEL)

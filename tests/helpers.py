@@ -7,7 +7,7 @@ import numpy as np
 from ncfun import INV, FormalSeries, GenPoly, GenTerm, MatTuple, NCPoly, random_mattuple
 from ncfun.identities import FLOAT_TOL, IdentityReport, random_int_tuple
 from ncfun.invfun import _from_length, _linear_series, linear_part
-from ncfun.mateval import adjoint
+from ncfun.mateval import RANK_CUTOFF, SubspaceBasis, adjoint, matrix_units
 from ncfun.series import compose_tuple
 
 
@@ -573,3 +573,70 @@ def reference_smooth_nonanalytic(J: int, X) -> np.ndarray:
         if w > 0.0:
             out = out + w * sym_matrix_function("cos", (2.0**j) * s)
     return out
+
+
+def reference_centralizer(B, n: int):
+    """The centralizer's constraint matrix built column by column: one
+    column per matrix unit c = e_ij, the stacked c b - b c over B."""
+    from ncfun.mateval import RANK_CUTOFF, SubspaceBasis, matrix_units
+
+    B = [np.asarray(b) for b in B]
+    if not B:
+        return SubspaceBasis(n, matrix_units(n))
+    cols = []
+    dtype = complex if any(np.iscomplexobj(b) for b in B) else float
+    for i in range(n):
+        for j in range(n):
+            c = np.zeros((n, n), dtype=dtype)
+            c[i, j] = 1.0
+            cols.append(np.concatenate([(c @ b - b @ c).ravel() for b in B]))
+    A = np.array(cols).T
+    _, s, vh = np.linalg.svd(A)
+    scale = max(float(np.linalg.norm(b)) for b in B)
+    smax = max(float(s[0]) if s.size else 0.0, scale)
+    rank = int(np.sum(s > RANK_CUTOFF * smax))
+    null = vh[rank:]
+    return SubspaceBasis(n, [null[i].reshape(n, n) for i in range(null.shape[0])])
+
+
+def reference_linear_part(F) -> np.ndarray:
+    """The linear part's matrix entry by entry: free mode a real g x g
+    matrix (complex coefficients refused), with involution the blocks A
+    (on x_j) and B (on x_j^t) placed as [[A, B], [conj B, conj A]]."""
+    g = len(F)
+    if F[0].mode != INV:
+        L = np.zeros((g, g))
+        for i, s in enumerate(F):
+            for j in range(1, g + 1):
+                c = s.to_ncpoly().coefficient(((j, False),))
+                if isinstance(c, complex):
+                    raise ValueError("complex coefficients in free-mode linear part are unsupported")
+                L[i, j - 1] = c
+        return L
+    A = np.zeros((g, g), dtype=complex)
+    B = np.zeros((g, g), dtype=complex)
+    for i, s in enumerate(F):
+        for j in range(1, g + 1):
+            A[i, j - 1] = s.to_ncpoly().coefficient(((j, False),))
+            B[i, j - 1] = s.to_ncpoly().coefficient(((j, True),))
+    L = np.block([[A, B], [B.conj(), A.conj()]])
+    return L.real if np.allclose(L.imag, 0) else L
+
+
+def reference_expand_basis(p: GenPoly) -> dict:
+    """The matrix-unit expansion by an explicit stack walk over the
+    choices of one nonzero entry per coefficient, products taken left to
+    right from 1."""
+    out = {}
+    for t in p.terms:
+        nonzero = [[(i + 1, j + 1, m[i, j]) for i in range(p.n) for j in range(p.n) if m[i, j] != 0]
+                   for m in t.mats]
+        stack = [(0, (), (), 1)]
+        while stack:
+            pos, I, J, val = stack.pop()
+            if pos == len(t.mats):
+                out[I, J, t.letters] = out.get((I, J, t.letters), 0) + val
+                continue
+            for i, j, c in nonzero[pos]:
+                stack.append((pos + 1, I + (i,), J + (j,), val * c))
+    return {k: v for k, v in out.items() if v != 0}

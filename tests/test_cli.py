@@ -350,6 +350,10 @@ def test_json_mirror(capsys):
 def test_usage_and_io_errors(tmp_path, capsys):
     code, _, err = run(capsys, "identity", "--n", "2")
     assert code == 1
+    # a parameter on a map that takes none is refused, not ignored
+    for spec in ("sinxxt:3", "nonuniform:zzz"):
+        code, out, err = run(capsys, "check", "--map", spec, "--levels", "1")
+        assert code == 1 and out == "" and err.startswith("error: ") and spec in err
     code, _, err = run(capsys, "eval", "--poly", str(tmp_path / "missing"), "--tuple", "x")
     assert code == 1
     bad = tmp_path / "bad.mtx"
@@ -480,17 +484,26 @@ def test_json_records_carry_every_text_field(tmp_path, capsys):
     inv.write_text(dump_ncpolys([x - x * x]))
     center = tmp_path / "a.mtx"
     center.write_text(dump_mattuple(MatTuple([np.array([[0.0, 1.0], [0.0, 0.0]])])))
+    target, at = tmp_path / "y.mtx", tmp_path / "x.mtx"
+    target.write_text(dump_mattuple(random_mattuple(1, 3, 1, norm=0.2)))
+    at.write_text(dump_mattuple(random_mattuple(1, 3, 2, norm=0.3)))
     out = str(tmp_path / "out")
-    commands = (["extract", "--map", f"poly:{hom}", "--degree", "2"],
-                ["extract", "--map", f"poly:{hom}", "--degree", "2", "--level", "4"],
-                ["expand-at", "--map", "sinxxt", "--center", str(center), "--degree", "1", "--s-eval", "2"],
-                ["invert", "--formal", "--poly", str(inv), "--degree", "4"],
-                ["implicit", "--map", f"poly:{imp}", "--split", "1", "--formal", "--degree", "3"])
-    for argv in commands:
+    commands = ((["extract", "--map", f"poly:{hom}", "--degree", "2"], 0),
+                (["extract", "--map", f"poly:{hom}", "--degree", "2", "--level", "4"], 0),
+                (["expand-at", "--map", "sinxxt", "--center", str(center), "--degree", "1", "--s-eval", "2"], 0),
+                (["invert", "--formal", "--poly", str(inv), "--degree", "4"], 0),
+                (["implicit", "--map", f"poly:{imp}", "--split", "1", "--formal", "--degree", "3"], 0),
+                # PASS lines, and FAIL lines of an O map checked as a GL map
+                (["check", "--map", "sinxxt", "--levels", "1,2", "--trials", "3"], 0),
+                (["check", "--map", "sinxxt", "--group", "GL", "--levels", "2", "--trials", "3"], 2),
+                (["taylor", "--map", "sinxxt", "--degree", "2"], 0),
+                (["invert", "--newton", "--map", f"poly:{inv}", "--target", str(target)], 0),
+                (["implicit", "--map", f"poly:{imp}", "--split", "1", "--numeric", "--at", str(at)], 0))
+    for argv, want in commands:
         code, text, _ = run(capsys, *argv, "-o", out)
         code_json, lines, _ = run(capsys, *argv, "-o", out, "--json")
         records = [json.loads(line) for line in lines.splitlines()]
-        assert code == code_json == 0 and [r["text"] for r in records] == text.splitlines()
+        assert code == code_json == want and [r["text"] for r in records] == text.splitlines()
         for r in records:
             for token in r["text"].split():
                 if "=" in token:

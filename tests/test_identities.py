@@ -127,6 +127,20 @@ def test_hk_degree_formula():
     assert hk_degree(4) == 2 * 16 + 12 + 1
 
 
+def test_nonuniform_witness_entries():
+    # exact: Fraction ones and halves over int zeros in object arrays;
+    # float: the same values in float64
+    for n in range(1, 7):
+        E, F = nonuniform_witness(n), nonuniform_witness(n, exact=False)
+        up = np.eye(n + 1, k=1)
+        x3 = np.eye(n + 1)
+        x3[n - 1, n] = 0.5
+        for a, b, want in zip(E.mats, F.mats, (up, up.T, x3)):
+            assert a.dtype == object and b.dtype == np.float64 and a.shape == (n + 1, n + 1)
+            assert all(type(v) is (Fraction if v else int) for v in a.ravel().tolist())
+            assert np.array_equal(a.astype(float), want) and np.array_equal(b, want)
+
+
 def test_nonuniform_witness_values_n3():
     X = nonuniform_witness(3)
     # z_ij = e_ij for i<j and z_ii = e_ii + e_{n,n+1}, exactly

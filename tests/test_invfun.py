@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from ncfun import (
     random_group_element,
     random_mattuple,
 )
-from ncfun.invfun import assemble_jacobian
+from ncfun.invfun import _unvec, _vec, assemble_jacobian
 from ncfun.oracle import RICHARDSON_STEPS, random_ncpoly
 
 from helpers import (
@@ -33,6 +34,7 @@ from helpers import (
     reference_fd_jacobian,
     reference_formal_inverse,
     reference_jacobian,
+    reference_linear_part,
     reference_newton,
 )
 
@@ -191,6 +193,47 @@ def test_linear_part_structure():
     # block [[A, B], [conj B, conj A]]
     assert lp.matrix[0, 0] == 1 and lp.matrix[0, 3] == 2 and lp.matrix[1, 1] == 3
     assert lp.matrix[2, 2] == 1 and lp.matrix[2, 1] == 2 and lp.matrix[3, 3] == 3
+
+
+def test_linear_part_is_the_entrywise_construction_bit_for_bit():
+    # one coefficient table: free mode keeps its g columns and refuses
+    # complex coefficients, with involution it is stacked over its rolled
+    # conjugate; values and dtype match the entry-by-entry blocks
+    rng = np.random.default_rng(24)
+    draws = {"float": lambda: float(rng.standard_normal()),
+             "fraction": lambda: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+             "int": lambda: int(rng.integers(-3, 4)),
+             "complex": lambda: complex(*rng.standard_normal(2)),
+             "complex, real values": lambda: complex(rng.standard_normal(), 0.0)}
+    for mode in (FREE, INV):
+        stars = (False, True) if mode == INV else (False,)
+        for kind, draw in draws.items():
+            for g in (1, 2, 3):
+                F = tuple(FormalSeries.from_ncpoly(NCPoly(
+                    {**{((j, st),): draw() for j in range(1, g + 1) for st in stars}, ((1, False),) * 2: draw()},
+                    mode), 3) for _ in range(g))
+                if mode == FREE and kind.startswith("complex"):
+                    for build in (linear_part, reference_linear_part):
+                        with pytest.raises(ValueError, match="complex coefficients"):
+                            build(F)
+                    continue
+                got, want = linear_part(F).matrix, reference_linear_part(F)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (mode, kind, g)
+
+
+def test_vec_unvec_round_trip():
+    # _vec: entries row-major, component by component, real parts before
+    # imaginary ones; _unvec inverts it in both fields
+    for field in ("real", "complex"):
+        X = random_mattuple(3, 4, 24, field)
+        v = _vec(X)
+        flat = np.concatenate([m.ravel() for m in X.mats])
+        assert v.dtype == float and np.array_equal(v, np.concatenate([flat.real, flat.imag]) if field == "complex"
+                                                   else flat)
+        Y = _unvec(v, 3, 4, field)
+        assert Y.field == field and all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(X.mats, Y.mats))
+    exact = MatTuple([np.array([[Fraction(1, 3), 1], [0, -2]], dtype=object)])
+    assert np.array_equal(_vec(exact), [1 / 3, 1.0, 0.0, -2.0])
 
 
 def test_newton_identity_map_one_step():

@@ -28,7 +28,7 @@ from ncfun.mateval import GROUPS, group_block, matrix_units, scaled_to, standard
 from ncfun.oracle import random_ncpoly
 from ncfun.words import words_of_degree
 
-from helpers import max_basis_diff, reference_eval
+from helpers import max_basis_diff, reference_centralizer, reference_eval
 
 
 def e(n, i, j):
@@ -308,6 +308,10 @@ def test_sym_matrix_function_guards():
     herm = np.array([[1.0, 1j], [-1j, 2.0]])
     out = sym_matrix_function(("pow", 2.0), herm)
     assert np.allclose(out, herm @ herm)
+    # the builtins skip the symmetry check; the public function keeps it
+    for S in (np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[1.0, 1j], [1j, 2.0]])):
+        with pytest.raises(ValueError, match="not symmetric/hermitian"):
+            sym_matrix_function("sin", S)
 
 
 def test_centralizer_examples():
@@ -317,6 +321,44 @@ def test_centralizer_examples():
     assert c.dim == 2
     assert c.residual(np.diag([3.0, -1.0])) < 1e-12
     assert c.residual(e(2, 1, 2)) == pytest.approx(1.0)
+
+
+def _same_basis(V, W) -> bool:
+    return V.n == W.n and V.dim == W.dim and all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(V.mats, W.mats))
+
+
+def test_centralizer_is_the_unit_by_unit_construction_bit_for_bit():
+    # the Kronecker constraints kron(I, b^t) - kron(b, I) are the stacked
+    # c b - b c over the matrix units c, so single and double centralizers
+    # and the GL coefficient algebra come out bit for bit the same
+    from ncfun.expand import coefficient_algebra
+
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 3, 4):
+        for field in ("real", "complex"):
+            def draw():
+                m = rng.standard_normal((n, n))
+                return m + 1j * rng.standard_normal((n, n)) if field == "complex" else m
+
+            for B in ([draw()], [draw(), draw()], [np.diag(np.diag(draw()))], [np.triu(draw())],
+                      [2.5 * np.eye(n)], [np.eye(n), np.diag(np.arange(n, dtype=float))]):
+                C, R = centralizer(B, n), reference_centralizer(B, n)
+                assert _same_basis(C, R), (n, field)
+                assert _same_basis(centralizer(C.mats, n), reference_centralizer(R.mats, n)), (n, field)
+    for A in (MatTuple([e(2, 1, 2)]), MatTuple([np.diag([1.0, -0.5]), np.diag([0.25, 2.0])]),
+              random_mattuple(1, 3, 24)):
+        alg = generated_algebra(A, with_involution=False)
+        assert _same_basis(coefficient_algebra("GL", A),
+                           reference_centralizer(reference_centralizer(alg.mats, A.n).mats, A.n))
+
+
+def test_orthonormalize_takes_any_iterable():
+    mats = [np.eye(2), np.diag([1.0, -1.0]), e(2, 1, 2)]
+    V, W = orthonormalize(mats, 2), orthonormalize(iter(mats), 2)
+    assert V.dim == W.dim == 3 and _same_basis(V, W)
+    assert orthonormalize(iter([np.eye(2), 1j * e(2, 1, 2)]), 2).mats[0].dtype == complex
+    assert [m.tolist() for m in matrix_units(2)] == [e(2, i, j).tolist() for i in (1, 2) for j in (1, 2)]
 
 
 def test_generated_algebra_examples():

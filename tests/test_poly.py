@@ -9,6 +9,7 @@ from ncfun import (
     INV,
     FormalSeries,
     GenPoly,
+    GenTerm,
     MatTuple,
     NCPoly,
     TracePoly,
@@ -19,7 +20,7 @@ from ncfun import (
     series_compose,
 )
 
-from helpers import max_basis_diff, reference_compose
+from helpers import max_basis_diff, reference_compose, reference_expand_basis
 
 x1 = NCPoly.variable(1)
 x2 = NCPoly.variable(2)
@@ -125,6 +126,21 @@ def test_genpoly_expansion_distributes():
         ((1, 2), (1, 1), parse_word("x1")): 1.0,
         ((1, 2), (2, 1), parse_word("x1")): 1.0,
     }
+
+
+def test_genpoly_expansion_is_the_stack_walk():
+    # itertools.product over each coefficient's nonzero entries gives the
+    # stack walk's dict: same keys, values and value types
+    rng = np.random.default_rng(24)
+    sparse = lambda: rng.standard_normal((3, 3)) * (rng.random((3, 3)) < 0.5)
+    exact = lambda: np.array([[Fraction(int(v), 4) for v in row] for row in rng.integers(-2, 3, (3, 3))], dtype=object)
+    cplx = lambda: sparse() + 1j * sparse()
+    for draw in (sparse, exact, cplx):
+        for _ in range(4):
+            terms = [GenTerm([draw() for _ in range(len(w) + 1)], w)
+                     for w in (parse_word("x1 x2"), parse_word("x2"), (), parse_word("x1 x2"))]
+            got, want = GenPoly(3, terms).expand_basis(), reference_expand_basis(GenPoly(3, terms))
+            assert got == want and [type(got[k]) for k in want] == [type(v) for v in want.values()]
 
 
 def test_genpoly_equality_iff_evaluations_agree():
