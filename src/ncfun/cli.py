@@ -112,10 +112,16 @@ def _write(path: Optional[str], text: str):
         sys.stdout.write(text)
 
 
-def _parse_float(text: str) -> float:
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+def _map_param(name: str, text: str, parse, ok, form: str):
+    """The parameter ``text`` of map ``name`` read by ``parse`` and kept
+    when ``ok``; anything else is refused as ``<name>: expected <form>``."""
+    try:
+        value = parse(text)
+    except (ValueError, ArithmeticError):  # 1/0, or a value too large for a float
+        value = None
+    if value is None or not ok(value):
+        raise CliError(f"{name}: expected {form}, got {text!r}")
+    return value
 
 
 def _tolerance(text: str) -> float:
@@ -137,13 +143,16 @@ def load_map(spec: str) -> FreeMapOracle:
     if name == "pow_xxt":
         if not param:
             raise CliError("pow_xxt needs an exponent, e.g. pow_xxt:1/3")
-        return builtin_map("pow_xxt", alpha=_parse_float(param))
+        alpha = _map_param(name, param, lambda t: float(Fraction(t)), lambda a: 0 < a < math.inf,
+                           "a finite exponent > 0, e.g. pow_xxt:1/3")
+        return builtin_map("pow_xxt", alpha=alpha)
     if name in ("sinxxt", "nonuniform"):
         if colon:
             raise CliError(f"{name} takes no parameter, got {spec!r}")
         return builtin_map(name)
     if name == "smooth_nonanalytic":
-        return builtin_map("smooth_nonanalytic", J=int(param) if param else 40)
+        J = _map_param(name, param or "40", int, lambda j: j >= 0, "an integer J >= 0, e.g. smooth_nonanalytic:40")
+        return builtin_map("smooth_nonanalytic", J=J)
     if name == "poly":
         if not param:
             raise CliError("poly:<file> needs a path")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -512,6 +512,13 @@ def group_block(group: str, n: int, T: int, rng: np.random.Generator, field: str
     diagonal.  GL keeps standard-normal matrices (x + iy when ``field``
     is complex) of condition number below 1e6 and redraws the others as
     one block until none is left."""
+    return _group_block(group, n, T, rng, field)[0]
+
+
+def _group_block(group: str, n: int, T: int, rng: np.random.Generator,
+                 field: str | None = None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``group_block`` and, for GL, the condition numbers its rejection
+    test computed (None for O and U, which compute none)."""
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}")
     cplx = group == "U" or (group == "GL" and field == "complex")
@@ -524,15 +531,17 @@ def group_block(group: str, n: int, T: int, rng: np.random.Generator, field: str
 
     if group == "GL":
         S = draw(T)
-        bad = np.flatnonzero(~(np.linalg.cond(S) < 1e6))  # a NaN condition number is rejected too
+        cond = np.linalg.cond(S)
+        bad = np.flatnonzero(~(cond < 1e6))  # a NaN condition number is rejected too
         while bad.size:
             S[bad] = draw(bad.size)
-            bad = bad[~(np.linalg.cond(S[bad]) < 1e6)]
-        return S
+            cond[bad] = np.linalg.cond(S[bad])
+            bad = bad[~(cond[bad] < 1e6)]
+        return S, cond
     q, r = np.linalg.qr(draw(T) / np.sqrt(2) if cplx else draw(T))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))[:, None, :]
+    return q * (d / np.abs(d))[:, None, :], None
 
 
 def random_mattuple(

@@ -24,6 +24,7 @@ ran at.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -35,6 +36,7 @@ from .mateval import (
     DEFAULT_TOL,
     MatTuple,
     _derivative_plan,
+    _group_block,
     _rng,
     _spectral,
     adjoint,
@@ -43,7 +45,6 @@ from .mateval import (
     direct_sums,
     eval_ncpoly,
     eval_stack,
-    group_block,
     scaled_block,
     stack_diffs,
     stack_norms,
@@ -237,8 +238,10 @@ def builtin_map(name: str, **params) -> FreeMapOracle:
         J = params.get("J", 40)
         if J < 0:
             raise ValueError("J must be >= 0")
-        weights = [(2.0**j, math.exp(-math.sqrt(2.0**j))) for j in range(J + 1)]
-        weights = [(t, w) for (t, w) in weights if w > 0.0]
+        # the weights fall below the smallest float from j = 20 on, and 2.0**j
+        # overflows from j = 1024: the sum stops at the first zero weight
+        weights = list(itertools.takewhile(lambda tw: tw[1] > 0.0,
+                                           ((2.0**j, math.exp(-math.sqrt(2.0**j))) for j in range(J + 1))))
 
         def ev_smooth(X: MatTuple) -> np.ndarray:
             return _spectral(lambda lam: sum(w * np.cos(t * lam) for t, w in weights),
@@ -392,14 +395,15 @@ def check_similarity(
 ) -> CheckReport:
     """Residuals of f(s X s^-1) - s f(X) s^-1 for s sampled in the group.
     The trials of a level are drawn first, as the blocks s, u, X (see
-    ``mateval.scaled_block``; radius over cond(s)), then evaluated as two
+    ``mateval.scaled_block``; radius over cond(s), for GL the condition
+    numbers the draw's rejection test computed), then evaluated as two
     stacks: the conjugated X and the X."""
     group = group or f.group
     rng = _rng(seed)
     report = CheckReport(f"similarity[{group}]", trials * len(levels), tol)
     for n in levels if trials > 0 else ():
-        S = group_block(group, n, trials, rng, f.field)
-        r = _sample_radius(f, n) / np.maximum(1.0, np.linalg.cond(S))
+        S, cond = _group_block(group, n, trials, rng, f.field)
+        r = _sample_radius(f, n) / np.maximum(1.0, np.linalg.cond(S) if cond is None else cond)
         X = scaled_block(f.g, n, trials, rng, f.field, r, 0.05)
 
         def residuals(ts):

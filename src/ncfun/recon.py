@@ -13,7 +13,10 @@ oracle's ``max_level`` when it declares a smaller one.  Without
 involution T is nilpotent and one evaluation f(hT) holds h^|w| c_w at
 (root, w); with involution one Chebyshev scan of t -> f(tT), one
 stacked read of its nodes at one radius, separates every degree at
-once.
+once.  T is bipartite by word length, so its depth signature
+J = diag((-1)^|u|) is orthogonal with J T J = -T, and a map with
+involution has f(-tT) = J f(tT) J: the scan takes an even number N of
+nodes and reads only the N/2 positive ones, mirroring the other half.
 
 Matenote plans (:func:`matenote_extract`, for ``ncfun extract`` and the
 cross-check): one shift-unit tuple in M_{m+1} per degree-m word w, whose
@@ -78,6 +81,7 @@ def _scan_radius(f: FreeMapOracle, A: np.ndarray, radius: Optional[float] = None
 def _part_scan(
     f: FreeMapOracle, A: np.ndarray, D: int, row0: bool = False,
     C: Optional[np.ndarray] = None, radius: Optional[float] = None,
+    signs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Homogeneous parts 0..D of t -> f(C + tX) in t for each tuple X of
     the stack A (g, S, n, n): shape (g', S, D+1, cols), with row m the
@@ -90,17 +94,34 @@ def _part_scan(
     stacked over outputs and tuples, fits them: N = max(D, deg f) + 1
     for a polynomial map, exact and unaliased, D + 1 + SCAN_EXTRA_NODES
     for any other, whose top degrees take up the tail of the series.
+
+    ``signs``, given with ``row0`` for a map with involution and no
+    center, is the diagonal of an orthogonal J = diag(+-1) with
+    J X J = -X for every tuple X of A (the depth signature of a trie
+    tuple).  Such a map respects orthogonal and unitary similarity, so
+    f(-tX) = J f(tX) J: the scan rounds N up to even, reads only the N/2
+    positive nodes tau_j and takes J v_j J as the value at -tau_j, then
+    fits the exactly symmetric nodes
+    [tau_0 .. tau_{N/2-1}, -tau_{N/2-1} .. -tau_0].  Even N spends no
+    read at tau ~ 0, which carries only the constant term.
     """
     g, S, n = A.shape[0], A.shape[1], A.shape[-1]
     N = max(D, f.poly_degree()) + 1 if f.is_polynomial() else D + 1 + SCAN_EXTRA_NODES
     h = _scan_radius(f, A, radius)[:, None]
-    taus = _cheb_nodes(N)
-    nodes = A[:, :, None] * (h * taus)[..., None, None]
+    if signs is None:
+        taus = read = _cheb_nodes(N)
+    else:
+        N += N % 2
+        read = _cheb_nodes(N)[: N // 2]
+        taus = np.concatenate([read, -read[::-1]])
+    nodes = A[:, :, None] * (h * read)[..., None, None]
     if C is not None:
         nodes = C[:, None, None] + nodes
-    vals = f.stack(nodes.reshape(g, S * N, n, n))
-    vals = vals.reshape((-1, S, N) + vals.shape[-2:])
+    vals = f.stack(nodes.reshape(g, S * read.size, n, n))
+    vals = vals.reshape((-1, S, read.size) + vals.shape[-2:])
     B = vals[..., 0, :] if row0 else vals.reshape(vals.shape[:3] + (-1,))
+    if signs is not None:  # the root row of J v J: s_0 s_w v[0, w]
+        B = np.concatenate([B, (signs[0] * signs * B)[:, :, ::-1]], axis=2)
     # coefficients in tau = t/h, per output and tuple, then in t
     coeffs = np.linalg.solve(np.vander(taus, N, increasing=True), B) / (h ** np.arange(N))[..., None]
     return coeffs[:, :, : D + 1]
@@ -171,7 +192,7 @@ def _trie_tuple(prefix: Word, D: int, alphabet: List[Letter], g: int, field: str
 def _trie_reads(f: FreeMapOracle, D: int) -> List[Dict[Word, object]]:
     """Coefficients of every word of degree <= D, as one word -> value map
     per output slot: one call per sub-trie for maps without involution,
-    one scan per sub-trie with it."""
+    one mirrored scan (half its nodes read) per sub-trie with it."""
     involution = f.mode == INV
     alphabet = [w[0] for w in words_of_degree(f.g, 1, involution)]
     j = _trie_prefix_length(len(alphabet), D, f.max_level)
@@ -181,7 +202,8 @@ def _trie_reads(f: FreeMapOracle, D: int) -> List[Dict[Word, object]]:
         T, nodes = _trie_tuple(prefix, D, alphabet, f.g, f.field)
         A = np.array(T.mats)[:, None]
         if involution:
-            rows = list(_part_scan(f, A, D, row0=True)[:, 0])  # iterated once per node
+            signs = np.array([(-1.0) ** len(u) for u in nodes])  # J = diag((-1)^|u|), J T J = -T
+            rows = list(_part_scan(f, A, D, row0=True, signs=signs)[:, 0])  # iterated once per node
         else:
             h = _scan_radius(f, A).item()  # a Python float: h**m below rounds as Python's pow
             rows = [v[0] for v in f(T.scale(h)).mats]

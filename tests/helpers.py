@@ -260,6 +260,23 @@ def reference_probe(f, polys, levels, samples, radius, seed):
     return worst, witness
 
 
+def reference_symmetric_scan(f, A, D):
+    """The root rows of ``recon._part_scan``'s signed scan of the one tuple
+    A (shape (g, 1, n, n)) read in full: every node of the exactly
+    symmetric set [tau_0 .. tau_{N/2-1}, -tau_{N/2-1} .. -tau_0], N rounded
+    up to even, evaluated by ``f.stack`` with no mirror, then the
+    Vandermonde solve on those nodes.  Shape (g', D+1, n)."""
+    from ncfun.recon import SCAN_EXTRA_NODES, _scan_radius
+
+    N = max(D, f.poly_degree()) + 1 if f.is_polynomial() else D + 1 + SCAN_EXTRA_NODES
+    N += N % 2
+    half = np.cos(np.pi * (2 * np.arange(N // 2) + 1) / (2 * N))
+    taus = np.concatenate([half, -half[::-1]])
+    h = _scan_radius(f, A)[0]
+    rows = f.stack(A[:, 0][:, None] * (h * taus)[:, None, None])[:, :, 0, :]
+    return (np.linalg.solve(np.vander(taus, N, increasing=True), rows) / (h ** np.arange(N))[:, None])[:, : D + 1]
+
+
 def same_info(a, b) -> bool:
     """Witness infos equal entry by entry: tuples element-wise, MatTuples
     and arrays by ``np.array_equal`` (and field), anything else by ==."""

@@ -415,6 +415,20 @@ def test_usage_and_io_errors(tmp_path, capsys):
     assert code == 1 and out == "" and "line 1, column 14" in err
 
 
+def test_map_parameters_are_checked(capsys):
+    # a malformed map parameter exits 1 naming the map and the form it takes
+    forms = {"smooth_nonanalytic": "an integer J >= 0", "pow_xxt": "a finite exponent > 0"}
+    for spec in ("smooth_nonanalytic:abc", "smooth_nonanalytic:-1", "pow_xxt:x", "pow_xxt:nan",
+                 "pow_xxt:1/0", "pow_xxt:inf", "pow_xxt:1e400", "pow_xxt:0"):
+        code, out, err = run(capsys, "check", "--map", spec, "--levels", "1", "--trials", "2")
+        name, _, param = spec.partition(":")
+        assert code == 1 and out == "" and err.startswith(f"error: {name}: expected {forms[name]}"), spec
+        assert err.endswith(f"got {param!r}\n") and "Traceback" not in err
+    # J past the last nonzero weight adds nothing (2.0**1024 overflowed before)
+    outs = [run(capsys, "check", "--map", f"smooth_nonanalytic:{J}", "--levels", "2", "--trials", "3") for J in (40, 2000)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 def test_check_determinism_across_runs(capsys):
     outs = []
     for _ in range(2):

@@ -24,7 +24,7 @@ from ncfun import (
     subspace_residual,
     sym_matrix_function,
 )
-from ncfun.mateval import GROUPS, group_block, matrix_units, scaled_to, standard_block, standard_mats
+from ncfun.mateval import GROUPS, _group_block, group_block, matrix_units, scaled_to, standard_block, standard_mats
 from ncfun.oracle import random_ncpoly
 from ncfun.words import words_of_degree
 
@@ -289,6 +289,26 @@ def test_gl_block_redraws_only_the_rejected_element(monkeypatch, field):
     assert sizes == [5, 1]  # one stacked condition number, then one for the redrawn element
     assert np.array_equal(S, np.concatenate([first[:2], again, first[3:]]))
     assert (cond(S) < 1e6).all()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gl_block_hands_back_the_condition_numbers_of_its_elements(monkeypatch, field):
+    # those of the rejection test, the redrawn element's included, are the
+    # ones a second stacked cond(S) of the block computes, bit for bit
+    cond, sizes = np.linalg.cond, []
+
+    def rejecting_the_third(S):
+        c = cond(S)
+        sizes.append(len(S))
+        if len(sizes) == 1:
+            c[2] = np.inf
+        return c
+
+    monkeypatch.setattr(np.linalg, "cond", rejecting_the_third)
+    S, c = _group_block("GL", 3, 5, np.random.default_rng(5), field)
+    assert sizes == [5, 1] and np.array_equal(c, cond(S))
+    for group in ("O", "U"):
+        assert _group_block(group, 3, 5, np.random.default_rng(5), field)[1] is None
 
 
 def test_sym_matrix_function_values():

@@ -41,6 +41,7 @@ from helpers import (
     reference_similarity,
     reference_smooth_nonanalytic,
     reference_triangular_residual,
+    same_info,
     same_report,
 )
 
@@ -403,6 +404,40 @@ def test_stacked_checks_match_the_per_trial_reference(f, groups):
             for group in groups:
                 assert same_report(check_similarity(f, group, (1, 2, 3), trials=6, tol=tol, seed=seed),
                                    reference_similarity(f, group, (1, 2, 3), 6, tol, seed))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gl_similarity_takes_the_draws_condition_numbers(monkeypatch, field):
+    # against the two-SVD construction (group_block, then cond(S) again):
+    # samples, radii, residuals and verdicts bit for bit
+    from ncfun import oracle
+    from ncfun.mateval import group_block, scaled_block, stack_diffs
+
+    maps = [oracle_from_ncpoly(random_ncpoly(2, 3, mode, seed=4, field=field), field=field) for mode in (FREE, INV)]
+
+    def run():
+        seen = []
+
+        def scaled(*args):
+            seen.append((args[-2], scaled_block(*args)))
+            return seen[-1][1]
+
+        def diffs(a, b):
+            seen.append(stack_diffs(a, b))
+            return seen[-1]
+
+        monkeypatch.setattr(oracle, "scaled_block", scaled)
+        monkeypatch.setattr(oracle, "stack_diffs", diffs)
+        reports = [check_similarity(f, "GL", (1, 2, 3, 4), trials=25, tol=1e-8, seed=seed)
+                   for f in maps for seed in (0, 1)]
+        return reports, seen
+
+    reports, seen = run()
+    monkeypatch.setattr(oracle, "_group_block", lambda *args: (group_block(*args), None))
+    two_svd, seen_two_svd = run()
+    assert [r.passed for r in reports] == [True, True, False, False]
+    assert all(map(same_report, reports, two_svd)) and len(seen) == len(seen_two_svd) == 2 * 2 * 4 * 2
+    assert all(same_info(a, b) for a, b in zip(seen, seen_two_svd))
 
 
 @pytest.mark.parametrize("polynomial", [True, False])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from ncfun import (
     INV,
     MatTuple,
     NCPoly,
+    builtin_map,
     eval_ncpoly,
     homogeneous_part_eval,
     matenote_extract,
@@ -120,8 +122,6 @@ def test_homogeneous_part_eval_examples():
     c = oracle_from_ncpoly(NCPoly.one().scale(2.5) + NCPoly.variable(1))
     part0 = homogeneous_part_eval(c, 0, X, 1)
     assert np.linalg.norm(part0.mats[0] - 2.5 * np.eye(2)) < 1e-10
-    from ncfun import builtin_map
-
     s = builtin_map("sinxxt")
     Y = random_mattuple(1, 3, 5, norm=0.9)
     part = homogeneous_part_eval(s, 2, Y, 4)
@@ -154,8 +154,6 @@ def test_taylor_cross_check_flags_clean_for_polynomials():
 
 
 def test_sinxxt_parts():
-    from ncfun import builtin_map
-
     f = builtin_map("sinxxt")
     tay = taylor_at_zero(f, 6)
     s = tay.series[0]
@@ -270,8 +268,6 @@ def test_trie_and_matenote_agree_on_integer_polynomials(case):
 
 
 def test_trie_and_matenote_agree_on_sinxxt():
-    from ncfun import builtin_map
-
     f = builtin_map("sinxxt")
     trie = taylor_at_zero(f, 6).series[0].to_ncpoly()
     xxt = parse_word("x1 x1*")
@@ -282,39 +278,131 @@ def test_trie_and_matenote_agree_on_sinxxt():
     assert taylor_at_zero(f, 6, tol=1e-8, cross_check=True).flags == []
 
 
-def test_taylor_evaluations_are_the_oracle_calls():
-    from ncfun import builtin_map
+def trie_signature(f, D=3):
+    """The first sub-trie tuple of f's alphabet, as a stack (g, n, n), and
+    its depth signature: the diagonal of J = diag((-1)^|u|)."""
+    from ncfun.recon import _trie_tuple
+    from ncfun.words import words_of_degree
 
+    alphabet = [w[0] for w in words_of_degree(f.g, 1, f.mode == INV)]
+    T, nodes = _trie_tuple(tuple(alphabet[:1]), D, alphabet, f.g, f.field)
+    return np.array(T.mats), np.array([(-1.0) ** len(u) for u in nodes])
+
+
+def involution_maps(field):
+    group = "U" if field == "complex" else "O"
+    return [dataclasses.replace(builtin_map("sinxxt"), field=field, group=group),
+            dataclasses.replace(builtin_map("pow_xxt", alpha=0.5), field=field, group=group),
+            oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=5, field=field, n_terms=8), field=field)]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_maps_with_involution_mirror_through_the_depth_signature(field):
+    # J is orthogonal and J T J = -T (a trie tuple is bipartite by word
+    # length); a map with involution respects orthogonal and unitary
+    # similarity, so f(-tT) = J f(tT) J, at a complex t too in the U field
+    t = 0.3 if field == "real" else 0.3 * np.exp(0.7j)
+    for f in involution_maps(field):
+        A, s = trie_signature(f)
+        J = np.outer(s, s)
+        assert all(np.array_equal(J * a, -a) for a in A)
+        plus, minus = f.stack((t * A)[:, None]), f.stack((-t * A)[:, None])
+        assert np.abs(minus - J * plus).max() <= 1e-15 * max(1.0, np.abs(plus).max()), f.name
+        if f.polys is not None:  # sign flips round exactly: the polynomial mirrors bit for bit
+            assert np.array_equal(minus, J * plus)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("D", [1, 3, 4])
+def test_signed_scan_is_the_full_symmetric_read(field, D):
+    from ncfun.recon import _part_scan
+
+    from helpers import reference_symmetric_scan
+
+    f = involution_maps(field)[2]
+    A, s = trie_signature(f, D)
+    A = A[:, None]
+    full = dataclasses.replace(f)  # a copy with its own call count
+    signed = _part_scan(f, A, D, row0=True, signs=s)[:, 0]
+    assert np.array_equal(signed, reference_symmetric_scan(full, A, D))
+    # half the nodes read: N = deg f + 1 = 4 nodes, or D + 1 rounded up to even
+    N = max(D, 3) + 1
+    assert (f.calls, full.calls) == ((N + N % 2) // 2, N + N % 2)
+
+
+def test_cross_check_stays_quiet_on_mirrored_reads():
+    # the matenote route reads through homogeneous_part_eval, unmirrored
+    for f, D in ((builtin_map("sinxxt"), 6), (oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=5, n_terms=8)), 3)):
+        assert taylor_at_zero(f, D, tol=1e-8, cross_check=True).flags == [], f.name
+
+
+def test_taylor_evaluations_are_the_oracle_calls():
     for cross_check in (False, True):
         f, seen = counted(builtin_map("sinxxt"))
         tay = taylor_at_zero(f, 6, cross_check=cross_check)
         assert tay.evaluations == len(seen) == f.calls
     f, seen = counted(builtin_map("sinxxt"))
     tay = taylor_at_zero(f, 6)
-    # two sub-tries (one per first letter) of 64 nodes, 28 calls each,
-    # plus the 8 residual samples
-    assert tay.evaluations <= 72 and max(seen) <= TRIE_MAX_LEVEL
+    # two sub-tries (one per first letter) of 64 nodes, each a scan of 18
+    # nodes that reads 9 and mirrors 9, plus the 8 residual samples
+    assert tay.evaluations == 26 and seen.count(TRIE_MAX_LEVEL) == 18 and max(seen) == TRIE_MAX_LEVEL
+
+
+def nonuniform_stand_in():
+    """nonuniform's plan (g=3, max_level 7) on a cheap zero evaluator."""
+    return dataclasses.replace(builtin_map("nonuniform"),
+                               evaluator=lambda X: MatTuple([np.zeros((X.n, X.n))], X.field))
 
 
 def test_taylor_keeps_to_the_oracle_max_level():
-    from ncfun import builtin_map
-
     # nonuniform declares max_level 7, so no sub-trie outgrows a chain
     # (D=2 with j=1 would be level 8, D=3 level 44)
-    f, seen = counted(builtin_map("nonuniform"))
-    tay = taylor_at_zero(f, 2)
-    assert max(seen) == 3 and tay.evaluations == len(seen) == 476
-    assert all(p.is_zero() for p in tay.series[0].parts)  # deg h_1 = 6
-    # D=3 plans chains of level 4, checked on a cheap stand-in evaluator
-    seen = []
+    for f, D in ((builtin_map("nonuniform"), 2), (nonuniform_stand_in(), 3)):
+        f, seen = counted(f)
+        tay = taylor_at_zero(f, D)
+        assert max(seen) == D + 1 <= f.max_level
+        assert all(p.is_zero() for p in tay.series[0].parts)  # deg h_1 = 6
 
-    def zero(X):
-        seen.append(X.n)
-        return MatTuple([np.zeros((X.n, X.n))], X.field)
 
-    stand_in = dataclasses.replace(builtin_map("nonuniform"), evaluator=zero)
-    tay = taylor_at_zero(stand_in, 3)
-    assert max(seen) == 4 and tay.evaluations == len(seen) == 6**3 * 14 + 8
+INV_GENERATOR = ivar(1) * ivar(2) * ivar(1, True) + ivar(2, True).scale(0.5) - NCPoly.one(INV).scale(0.25)
+FREE_GENERATOR = NCPoly.variable(1) * NCPoly.variable(2) + NCPoly.variable(2).scale(2.0)
+BUDGET_MAPS = {
+    "sinxxt": lambda: builtin_map("sinxxt"),
+    "nonuniform": lambda: builtin_map("nonuniform"),
+    "nonuniform_stand_in": nonuniform_stand_in,
+    "inv_g2_d3": lambda: oracle_from_ncpoly(INV_GENERATOR),
+    "free_g2_d2": lambda: oracle_from_ncpoly(FREE_GENERATOR),
+}
+
+# (pipeline, map, D, oracle calls, largest level), residual samples and
+# certificate samples included.  A with-involution sub-trie takes one scan
+# of N nodes, N even, of which it reads N/2 and mirrors the rest: N = D + 11
+# rounded up for a map that is not polynomial, deg f + 1 rounded up for a
+# polynomial one.  A FREE sub-trie takes one call.
+CALL_BUDGET = [
+    # 2 sub-tries of level 2^D, then 8 residual samples
+    *[("taylor", "sinxxt", D, 2 * math.ceil((D + 11) / 2) + 8, 2**D) for D in range(2, 7)],
+    # 6^D chains of level D + 1 (was 36 x 13 + 8 = 476 and 6^3 x 14 + 8)
+    ("taylor", "nonuniform", 2, 6**2 * 7 + 8, 3),
+    ("taylor", "nonuniform_stand_in", 3, 6**3 * 7 + 8, 4),
+    # 4 sub-tries of level 22 read 2 of 4 nodes each, 8 residual and 10
+    # certificate samples (was 4 x 4 + 18 = 34)
+    ("reconstruct", "inv_g2_d3", 3, 4 * 2 + 18, 22),
+    # 2 sub-tries of level 4, one call each
+    ("reconstruct", "free_g2_d2", 2, 2 + 18, 4),
+]
+
+
+@pytest.mark.parametrize("pipeline,name,D,calls,level", CALL_BUDGET)
+def test_call_budget(pipeline, name, D, calls, level):
+    f, seen = counted(BUDGET_MAPS[name]())
+    if pipeline == "taylor":
+        assert taylor_at_zero(f, D).evaluations == calls
+    else:
+        rec = reconstruct_polynomial(f, D)
+        generator = INV_GENERATOR if name.startswith("inv") else FREE_GENERATOR
+        assert rec.ok and rec.polys[0].max_coeff_diff(generator) <= 1e-12
+    assert (len(seen), max(seen)) == (f.calls, level) == (calls, level)
 
 
 @pytest.mark.parametrize("D", [1, 2])
@@ -327,8 +415,6 @@ def test_scans_below_the_degree_of_a_polynomial_do_not_alias(D):
 
 
 def test_homogeneous_parts_below_the_degree_of_a_polynomial_vanish():
-    from ncfun import builtin_map
-
     # (x x^t)^2 has no part of degree <= 2
     f, X = builtin_map("pow_xxt", alpha=2.0), random_mattuple(1, 3, 5, norm=0.5)
     for m in range(3):
@@ -337,15 +423,12 @@ def test_homogeneous_parts_below_the_degree_of_a_polynomial_vanish():
 
 @pytest.mark.parametrize("D", range(2, 7))
 def test_sinxxt_taylor_against_the_closed_form(D):
-    # sin(x x^t) = x x^t - (x x^t)^3 / 6 + ...: one scan of D + 11 nodes per
-    # sub-trie (one per first letter), plus the 8 residual samples
-    from ncfun import builtin_map
-
+    # sin(x x^t) = x x^t - (x x^t)^3 / 6 + ...: one mirrored scan per
+    # sub-trie (its calls are in CALL_BUDGET)
     tay = taylor_at_zero(builtin_map("sinxxt"), D)
     xxt = NCPoly.from_word(parse_word("x1 x1*"))
     want = xxt + (xxt**3).scale(-1.0 / 6.0) if D >= 6 else xxt
     assert tay.series[0].to_ncpoly().max_coeff_diff(want) <= 5e-10
-    assert tay.evaluations == 2 * (D + 11) + 8
 
 
 def test_taylor_finite_radius():
@@ -405,8 +488,6 @@ def test_probe_draws_each_level_as_blocks():
 
 
 def test_part_scan_reads_one_stack():
-    from ncfun import builtin_map
-
     # one stack of D + 1 + SCAN_EXTRA_NODES nodes for an analytic map, and
     # a polynomial map's one stack through its plans is bit for bit the
     # per-node calls its evaluator makes on a copy without polys
