@@ -8,7 +8,8 @@ shift units that reaches the corner entry (1, m+1) spells the word
 itself, so that entry IS the coefficient.  taylor_at_zero reads every
 word at once instead: on a word-trie tuple (nodes are words, letters add
 edges u -> u x_k) entry (root, w) of the degree-|w| part is the
-coefficient of w, so one Chebyshev scan per sub-trie serves all words.
+coefficient of w, so one Chebyshev scan per sub-trie serves all words,
+and the scans of all sub-tries are read together as one stack.
 
 Run: python demos/03_series_reconstruction.py
 """

@@ -380,7 +380,7 @@ def check_direct_sums(
             return stack_diffs(lhs, direct_sums(f.stack(X[:, ts]), f.stack(Y[:, ts])))
 
         _record_trials(report, m + n, trials, residuals,
-                       lambda t: ((m, n), MatTuple(X[:, t], f.field), MatTuple(Y[:, t], f.field)),
+                       lambda t: ((m, n), MatTuple._checked(X[:, t], f.field), MatTuple._checked(Y[:, t], f.field)),
                        (m, n))
     return report
 
@@ -415,7 +415,7 @@ def check_similarity(
             return stack_diffs(lhs, S[ts] @ f.stack(X[:, ts]) @ inv)
 
         _record_trials(report, n, trials, residuals,
-                       lambda t: (n, MatTuple(X[:, t], f.field), S[t]), (n,))
+                       lambda t: (n, MatTuple._checked(X[:, t], f.field), S[t]), (n,))
     return report
 
 

@@ -22,6 +22,14 @@ Matenote plans (:func:`matenote_extract`, for ``ncfun extract`` and the
 cross-check): one shift-unit tuple in M_{m+1} per degree-m word w, whose
 coefficient appears at entry (1, m+1) of the degree-m part, because
 e_{1,m+1} factors into sub/superdiagonal units in exactly one way.
+
+Both routes read a fixed set of same-level shift-unit tuples: the
+sub-tries of one prefix length share one node order (so one level and
+one J), and the plans of one degree one level.  Each set is built as one
+stack and read by one ``f.stack`` (one scan for a map with involution
+and for the cross-check), cut into several only where the stack would
+hold more than ``mateval._WALK_ENTRIES`` matrix entries per component.
+Stacking changes no value, call or level, only ``batches``.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .mateval import MatTuple, _rng, eval_stack, scaled_block, stack_diffs, stack_norms
+from .mateval import _WALK_ENTRIES, MatTuple, _rng, eval_stack, scaled_block, stack_diffs, stack_norms
 from .mateval import eval_ncpoly  # noqa: F401  (unused; bench/test_bench.py looks it up here)
 from .oracle import FreeMapOracle
 from .poly import FREE, INV, NCPoly
@@ -78,6 +86,14 @@ def _scan_radius(f: FreeMapOracle, A: np.ndarray, radius: Optional[float] = None
     return cap / np.maximum(1.0, norm / 2.0) if math.isinf(rad) else min(cap, rad / 2.0) / np.maximum(1.0, norm)
 
 
+def _scan_size(f: FreeMapOracle, D: int, mirrored: bool = False) -> int:
+    """Nodes N of a scan of degrees 0..D: max(D, deg f) + 1 for a
+    polynomial map, D + 1 + SCAN_EXTRA_NODES for any other, rounded up
+    to even when ``mirrored`` (see ``_part_scan``'s ``signs``)."""
+    N = max(D, f.poly_degree()) + 1 if f.is_polynomial() else D + 1 + SCAN_EXTRA_NODES
+    return N + N % 2 if mirrored else N
+
+
 def _part_scan(
     f: FreeMapOracle, A: np.ndarray, D: int, row0: bool = False,
     C: Optional[np.ndarray] = None, radius: Optional[float] = None,
@@ -106,12 +122,11 @@ def _part_scan(
     read at tau ~ 0, which carries only the constant term.
     """
     g, S, n = A.shape[0], A.shape[1], A.shape[-1]
-    N = max(D, f.poly_degree()) + 1 if f.is_polynomial() else D + 1 + SCAN_EXTRA_NODES
+    N = _scan_size(f, D, signs is not None)
     h = _scan_radius(f, A, radius)[:, None]
     if signs is None:
         taus = read = _cheb_nodes(N)
     else:
-        N += N % 2
         read = _cheb_nodes(N)[: N // 2]
         taus = np.concatenate([read, -read[::-1]])
     nodes = A[:, :, None] * (h * read)[..., None, None]
@@ -157,28 +172,36 @@ def _trie_prefix_length(letters: int, D: int, max_level: Optional[int]) -> int:
     return j
 
 
-def _shift_units(nodes: List[Word], g: int, level: int, exact: bool, field: str) -> MatTuple:
-    """The tuple in M_level on the words ``nodes`` (each after its parent,
-    node i indexing row and column i): node u x_k puts e_{u, u x_k} into
-    component k and u x_k^t puts e_{u x_k^t, u} there; exact entries are
-    Fraction(1) in object arrays."""
-    index = {u: i for i, u in enumerate(nodes)}
-    dt = object if exact else complex if field == "complex" else float
-    one = Fraction(1) if exact else 1.0
-    mats = [np.zeros((level, level), dtype=dt) for _ in range(g)]
-    for i, u in enumerate(nodes[1:], start=1):
-        p, (k, starred) = index[u[:-1]], u[-1]
-        if starred:
-            mats[k - 1][i, p] = one
-        else:
-            mats[k - 1][p, i] = one
-    return MatTuple(mats, field)
+def _shift_unit_stack(parents: List[int], letters: List[Word], g: int, level: int, exact: bool,
+                      field: str) -> np.ndarray:
+    """The stack (g, T, level, level) of the shift-unit tuples on T trees
+    of one shape: node i >= 1 hangs below node ``parents[i-1]`` by the
+    letter ``letters[t][i-1]`` = (k, starred) of tree t, and x_k puts
+    e_{parent, i} into component k of its tuple, x_k^t puts e_{i, parent}
+    there.  Entries are float, complex in the complex field, or exact:
+    Fraction(1) in an object array."""
+    T, n = len(letters), len(parents) + 1
+    L = np.asarray(letters, dtype=np.intp).reshape(T, n - 1, 2)
+    i, p, starred = np.arange(1, n), np.asarray(parents, dtype=np.intp), L[..., 1] != 0
+    A = np.zeros((g, T, level, level), dtype=object if exact else complex if field == "complex" else float)
+    A[L[..., 0] - 1, np.arange(T)[:, None], np.where(starred, i, p), np.where(starred, p, i)] = (
+        Fraction(1) if exact else 1.0)
+    return A
 
 
-def _trie_tuple(prefix: Word, D: int, alphabet: List[Letter], g: int, field: str):
-    """Sub-trie tuple of the words of degree <= D that start with
-    ``prefix``, plus the chain from the root down to it; returns the
-    tuple and its nodes (node 0 is the root)."""
+def _read_stacks(T: int, reads: int, level: int) -> List[slice]:
+    """The T tuples of one read, in stacks of at most ``_WALK_ENTRIES``
+    matrix entries per component (tuples x nodes read per tuple x
+    level^2), one tuple at least: a read of many small tuples is one
+    stack, and the memory of a large one stays bounded."""
+    step = max(1, _WALK_ENTRIES // (reads * level * level))
+    return [slice(t, t + step) for t in range(0, T, step)]
+
+
+def _trie_nodes(prefix: Word, D: int, alphabet: List[Letter]) -> List[Word]:
+    """Nodes of the sub-trie of the words of degree <= D that start with
+    ``prefix``, after the chain from the root down to it (node 0 is the
+    root); the sub-tries of one prefix length share this node order."""
     nodes = [prefix[:i] for i in range(len(prefix))]
     layer = [prefix]
     while True:
@@ -186,41 +209,68 @@ def _trie_tuple(prefix: Word, D: int, alphabet: List[Letter], g: int, field: str
         if len(layer[0]) == D:
             break
         layer = [u + (a,) for u in layer for a in alphabet]
-    return _shift_units(nodes, g, len(nodes), False, field), nodes
+    return nodes
+
+
+def _trie_stack(tries: List[List[Word]], g: int, field: str) -> np.ndarray:
+    """The tuples of the sub-tries ``tries``, node lists of one order, as
+    one stack (g, T, n, n)."""
+    index = {u: i for i, u in enumerate(tries[0])}
+    parents = [index[u[:-1]] for u in tries[0][1:]]
+    return _shift_unit_stack(parents, [[u[-1] for u in nodes[1:]] for nodes in tries], g, len(index), False, field)
 
 
 def _trie_reads(f: FreeMapOracle, D: int) -> List[Dict[Word, object]]:
     """Coefficients of every word of degree <= D, as one word -> value map
-    per output slot: one call per sub-trie for maps without involution,
-    one mirrored scan (half its nodes read) per sub-trie with it."""
+    per output slot.  The sub-tries share one node order, hence one level
+    and one depth signature J, and are read together in the stacks of
+    ``_read_stacks`` (one, unless their entries outgrow it): without
+    involution a stack is one ``f.stack`` of the tuples h_s T_s, with it
+    one mirrored scan of all its tuples, half its nodes read."""
     involution = f.mode == INV
     alphabet = [w[0] for w in words_of_degree(f.g, 1, involution)]
     j = _trie_prefix_length(len(alphabet), D, f.max_level)
+    tries = [_trie_nodes(prefix, D, alphabet) for prefix in words_of_degree(f.g, j, involution)]
+    depths = [len(u) for u in tries[0]]
+    n = len(depths)
+    signs = np.array([(-1.0) ** m for m in depths])  # J = diag((-1)^|u|), J T J = -T
     coeffs = [dict() for _ in range(f.gprime)]
     on_chain = set()  # words shorter than j are shared by sub-tries: read once
-    for prefix in words_of_degree(f.g, j, involution):
-        T, nodes = _trie_tuple(prefix, D, alphabet, f.g, f.field)
-        A = np.array(T.mats)[:, None]
-        if involution:
-            signs = np.array([(-1.0) ** len(u) for u in nodes])  # J = diag((-1)^|u|), J T J = -T
-            rows = list(_part_scan(f, A, D, row0=True, signs=signs)[:, 0])  # iterated once per node
-        else:
-            h = _scan_radius(f, A).item()  # a Python float: h**m below rounds as Python's pow
-            rows = [v[0] for v in f(T.scale(h)).mats]
-        for i, w in enumerate(nodes):
-            if i < j:
-                if w in on_chain:
-                    continue
-                on_chain.add(w)
-            m = len(w)
-            for k, r in enumerate(rows):
-                c = r[m, i] if involution else r[i] / h**m
-                if abs(c) > CLEANUP_TOL:
-                    coeffs[k][w] = complex(c) if np.iscomplexobj(r) else float(c)
+    for cut in _read_stacks(len(tries), _scan_size(f, D, True) // 2 if involution else 1, n):
+        A = _trie_stack(tries[cut], f.g, f.field)
+        if involution:  # node i's coefficient: entry (root, i) of the degree-|u_i| part
+            vals = _part_scan(f, A, D, row0=True, signs=signs)[:, :, depths, np.arange(n)]
+        else:  # h^|u_i| c at (root, i), h**m taken on Python floats: it rounds as Python's pow
+            h = _scan_radius(f, A)
+            vals = f.stack(A * h[:, None, None])[:, :, 0] / np.array([[x**m for m in depths] for x in h.tolist()])
+        for nodes, rows in zip(tries[cut], vals.swapaxes(0, 1).tolist()):
+            for i, w in enumerate(nodes):
+                if i < j:
+                    if w in on_chain:
+                        continue
+                    on_chain.add(w)
+                for k, r in enumerate(rows):
+                    if abs(r[i]) > CLEANUP_TOL:
+                        coeffs[k][w] = r[i]
     return coeffs
 
 
 # -- coefficient extraction on shift-unit tuples ----------------------
+
+
+def _plan_level(m: int, level: Optional[int]) -> int:
+    if level is None:
+        return m + 1
+    if level < m + 1:
+        raise ValueError(f"level {level} too small for degree {m}")
+    return level
+
+
+def _plan_stack(words: List[Word], g: int, level: int, exact: bool, field: str) -> np.ndarray:
+    """The plan tuples of the words ``words`` of one degree m, as one stack
+    (g, T, level, level): chains, node p below node p-1 by letter p."""
+    m = len(words[0])
+    return _shift_unit_stack(list(range(m)), words, g, level, exact, field)
 
 
 def matenote_plan(
@@ -228,19 +278,36 @@ def matenote_plan(
 ) -> MatTuple:
     """Shift-unit tuple a = (a_1..a_g) in M_level for a degree-m word:
     position p carrying x_k adds e_{p,p+1} to a_k, and x_k^t adds
-    e_{p+1,p}; the one-word chain of the trie tuples."""
-    m = len(w)
-    if level is None:
-        level = m + 1
-    if level < m + 1:
-        raise ValueError(f"level {level} too small for degree {m}")
-    return _shift_units([w[:p] for p in range(m + 1)], g, level, exact, field)
+    e_{p+1,p}; the one-word chain of the trie tuples, and a plan stack
+    of one."""
+    return MatTuple(list(_plan_stack([w], g, _plan_level(len(w), level), exact, field)[:, 0]), field)
 
 
 @dataclass
 class ExtractionResult:
     polys: Tuple[NCPoly, ...]
     evaluations: int
+    batches: int = 0  # the stacks sent to an oracle
+
+
+def _corner_reads(read, words: List[Word], g: int, level: int, mode: str,
+                  exact: bool, field: str, reads: int) -> Tuple[NCPoly, ...]:
+    """The polynomials whose coefficient of each degree-m word w is the
+    entry (1, m+1) that ``read`` returns for w's plan: ``read(A)`` takes a
+    plan stack (g, S, level, level), cut by ``_read_stacks`` for ``reads``
+    nodes per tuple, and returns per tuple its corner per output slot."""
+    coeff_maps = None
+    for cut in _read_stacks(len(words), reads, level):
+        for w, corners in zip(words[cut], read(_plan_stack(words[cut], g, level, exact, field))):
+            if coeff_maps is None:
+                coeff_maps = [dict() for _ in corners]
+            for cm, c in zip(coeff_maps, corners):
+                if exact:
+                    if c != 0:
+                        cm[w] = c
+                elif abs(c) > CLEANUP_TOL:
+                    cm[w] = complex(c) if np.iscomplexobj(c) else float(c.real)
+    return tuple(NCPoly(cm, mode) for cm in (coeff_maps or [dict()]))
 
 
 def matenote_extract(
@@ -252,32 +319,32 @@ def matenote_extract(
     exact: bool = False,
     field: str = "real",
 ) -> ExtractionResult:
-    """Read every degree-m coefficient of a homogeneous evaluator from
-    single evaluations at level m+1 (or any given level >= m+1): the
-    coefficient of w is entry (1, m+1) of f_hom at the plan tuple.
+    """Read every degree-m coefficient of a homogeneous evaluator at level
+    m+1 (or any given level >= m+1): the coefficient of w is entry
+    (1, m+1) of f_hom at w's plan tuple.
 
-    (2g)^m evaluations in involution mode, g^m otherwise.
+    The (2g)^m plans in involution mode, g^m otherwise, are built as one
+    stack (g, T, level, level) of float, complex or exact Fraction(1)
+    entries.  A FreeMapOracle reads it through ``f.stack`` (in the stacks
+    of ``_read_stacks`` when its entries outgrow one); any other callable
+    is called one plan at a time.  ``evaluations`` counts the plans,
+    ``batches`` the stacks sent.
     """
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
-    involution = mode == INV
-    coeff_maps: List[dict] = []
-    count = 0
-    for w in words_of_degree(g, m, involution):
-        a = matenote_plan(w, g, level, exact, field)
-        val = f_hom(a)
-        count += 1
-        if not coeff_maps:
-            coeff_maps = [dict() for _ in range(len(val.mats))]
-        for j, mat in enumerate(val.mats):
-            c = mat[0, m]
-            if exact:
-                if c != 0:
-                    coeff_maps[j][w] = c
-            elif abs(c) > CLEANUP_TOL:
-                coeff_maps[j][w] = float(c.real) if not np.iscomplexobj(mat) else complex(c)
-    polys = tuple(NCPoly(cm, mode) for cm in (coeff_maps or [dict()]))
-    return ExtractionResult(polys, count)
+    if field not in ("real", "complex"):
+        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+    level = _plan_level(m, level)
+    words = list(words_of_degree(g, m, mode == INV))
+    if isinstance(f_hom, FreeMapOracle):
+        batches = f_hom.batches
+        polys = _corner_reads(lambda A: f_hom.stack(A)[:, :, 0, m].T, words, g, level, mode, exact, field, 1)
+        return ExtractionResult(polys, len(words), f_hom.batches - batches)
+
+    def per_plan(A):
+        return [[v[0, m] for v in f_hom(MatTuple._checked(A[:, t], field)).mats] for t in range(A.shape[1])]
+
+    return ExtractionResult(_corner_reads(per_plan, words, g, level, mode, exact, field, 1), len(words))
 
 
 # -- Taylor series at the origin --------------------------------------
@@ -291,10 +358,22 @@ class TaylorResult:
     residual_samples: int
     flags: List[str] = dc_field(default_factory=list)
     evaluations: int = 0  # oracle calls, residual samples included
+    batches: int = 0  # the stacks among them
 
     @property
     def gprime(self) -> int:
         return len(self.series)
+
+
+def _smoothness_flags(f: FreeMapOracle, D: int) -> List[str]:
+    """A flag when f's declared smoothness leaves degrees <= D without a
+    Taylor part at 0: above 0 for a continuous map, above k for C^k."""
+    s = f.smoothness
+    k = 0 if s == "continuous" else s[1] if isinstance(s, tuple) and s[0] == "Ck" else D
+    if k >= D:
+        return []
+    degrees = f"degree {D}" if k + 1 == D else f"degrees {k + 1}..{D}"
+    return [f"declared smoothness {s if s == 'continuous' else f'C^{k}'}: {degrees} undefined at 0"]
 
 
 def taylor_at_zero(
@@ -307,7 +386,9 @@ def taylor_at_zero(
     """Degree-graded series of f at 0 up to order D, read from word-trie
     tuples, with a residual report comparing f against the truncated
     series on RESIDUAL_SAMPLES random points in a small ball at each of
-    RESIDUAL_LEVELS (meaningful for polynomial f or small radius).
+    RESIDUAL_LEVELS (meaningful for polynomial f or small radius).  A map
+    declared continuous or C^k, k < D, is flagged: the degrees above its
+    smoothness have no Taylor part, and what is read there is no series.
 
     The TRIE_MAX_LEVEL cap assumes a call costs about level^3, as a
     dense matrix function does; an oracle whose cost grows faster (the
@@ -315,30 +396,31 @@ def taylor_at_zero(
     shrink to fit it, down to chains of D+1 nodes.
 
     ``cross_check`` re-reads every coefficient on the independent
-    matenote route (one plan per word at level m+1, through
-    :func:`homogeneous_part_eval`) and flags differences above ``tol``.
-    ``evaluations`` counts every oracle call made here."""
+    matenote route, the plans of each degree m at level m+1 read by one
+    unmirrored ``_part_scan``, and flags differences above ``tol``.
+    ``evaluations`` counts every oracle call made here, ``batches`` the
+    stacks among them."""
     if D < 0:
         raise ValueError(f"degree must be >= 0, got {D}")
-    calls_before = f.calls
+    calls_before, batches_before = f.calls, f.batches
     mode = f.mode
     series = tuple(FormalSeries.from_ncpoly(NCPoly(c, mode), D) for c in _trie_reads(f, D))
     polys = tuple(s.to_ncpoly() for s in series)
-    flags: List[str] = []
+    flags = _smoothness_flags(f, D)
     if cross_check:
         for m in range(D + 1):
-            ext = matenote_extract(
-                lambda X, _m=m: homogeneous_part_eval(f, _m, X, D), m, f.g, mode, field=f.field
-            )
+            words = list(words_of_degree(f.g, m, mode == INV))
+            mate = _corner_reads(lambda A, m=m: _part_scan(f, A, D, row0=True)[:, :, m, m].T,
+                                 words, f.g, m + 1, mode, False, f.field, _scan_size(f, D))
             for j, p in enumerate(polys):
-                d = p.homogeneous_part(m).max_coeff_diff(ext.polys[j])
+                d = p.homogeneous_part(m).max_coeff_diff(mate[j])
                 if d > tol:
                     flags.append(f"degree {m} comp {j}: trie vs matenote (level {m+1}) differ by {d:.3g}")
 
     worst, _ = _probe(f, polys, RESIDUAL_LEVELS, RESIDUAL_SAMPLES,
                       lambda n: min(0.3, f.radius_at(n) / 4.0), seed)
     count = len(RESIDUAL_LEVELS) * RESIDUAL_SAMPLES
-    return TaylorResult(series, D, worst, count, flags, f.calls - calls_before)
+    return TaylorResult(series, D, worst, count, flags, f.calls - calls_before, f.batches - batches_before)
 
 
 def _probe(f: FreeMapOracle, polys, levels, samples: int, radius: Callable[[int], float], seed):

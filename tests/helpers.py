@@ -277,6 +277,78 @@ def reference_symmetric_scan(f, A, D):
     return (np.linalg.solve(np.vander(taus, N, increasing=True), rows) / (h ** np.arange(N))[:, None])[:, : D + 1]
 
 
+def reference_shift_units(nodes, g, level, exact, field) -> MatTuple:
+    """One shift-unit tuple in M_level built entry by entry: nodes in
+    order, each after its parent; u x_k puts 1 at (u, u x_k) of component
+    k and u x_k^t puts it at (u x_k^t, u); exact ones are Fraction(1) in
+    object arrays."""
+    from fractions import Fraction
+
+    index = {u: i for i, u in enumerate(nodes)}
+    dt = object if exact else complex if field == "complex" else float
+    mats = [np.zeros((level, level), dtype=dt) for _ in range(g)]
+    for i, u in enumerate(nodes[1:], start=1):
+        p, (k, starred) = index[u[:-1]], u[-1]
+        mats[k - 1][(i, p) if starred else (p, i)] = Fraction(1) if exact else 1.0
+    return MatTuple(mats, field)
+
+
+def reference_trie_reads(f, D):
+    """``recon._trie_reads`` with one read per sub-trie: one call f(h T)
+    per sub-trie without involution, one mirrored ``_part_scan`` of the
+    sub-trie alone with it; the coefficients in the same order."""
+    from ncfun.recon import CLEANUP_TOL, _part_scan, _scan_radius, _trie_nodes, _trie_prefix_length
+    from ncfun.words import words_of_degree
+
+    involution = f.mode == INV
+    alphabet = [w[0] for w in words_of_degree(f.g, 1, involution)]
+    j = _trie_prefix_length(len(alphabet), D, f.max_level)
+    coeffs = [dict() for _ in range(f.gprime)]
+    on_chain = set()
+    for prefix in words_of_degree(f.g, j, involution):
+        nodes = _trie_nodes(prefix, D, alphabet)
+        T = reference_shift_units(nodes, f.g, len(nodes), False, f.field)
+        A = np.array(T.mats)[:, None]
+        if involution:
+            signs = np.array([(-1.0) ** len(u) for u in nodes])
+            rows = list(_part_scan(f, A, D, row0=True, signs=signs)[:, 0])
+        else:
+            h = _scan_radius(f, A).item()
+            rows = [v[0] for v in f(T.scale(h)).mats]
+        for i, w in enumerate(nodes):
+            if i < j:
+                if w in on_chain:
+                    continue
+                on_chain.add(w)
+            for k, r in enumerate(rows):
+                c = r[len(w), i] if involution else r[i] / h ** len(w)
+                if abs(c) > CLEANUP_TOL:
+                    coeffs[k][w] = complex(c) if np.iscomplexobj(r) else float(c)
+    return coeffs
+
+
+def reference_matenote_extract(f_hom, m, g, mode, level=None, exact=False, field="real"):
+    """``matenote_extract`` one plan at a time: f_hom called on each plan
+    tuple, built by ``reference_shift_units``, and its corners read in
+    word order.  Returns the polynomials and the calls made."""
+    from ncfun.recon import CLEANUP_TOL
+    from ncfun.words import words_of_degree
+
+    coeff_maps, count = [], 0
+    for w in words_of_degree(g, m, mode == INV):
+        val = f_hom(reference_shift_units([w[:p] for p in range(m + 1)], g, level or m + 1, exact, field))
+        count += 1
+        coeff_maps = coeff_maps or [dict() for _ in val.mats]
+        for cm, mat in zip(coeff_maps, val.mats):
+            c = mat[0, m]
+            if exact:
+                if c != 0:
+                    cm[w] = c
+            elif abs(c) > CLEANUP_TOL:
+                cm[w] = complex(c) if np.iscomplexobj(mat) else float(c.real)
+    return tuple(NCPoly(cm, mode) for cm in coeff_maps), count
+
+
 def same_info(a, b) -> bool:
     """Witness infos equal entry by entry: tuples element-wise, MatTuples
     and arrays by ``np.array_equal`` (and field), anything else by ==."""

@@ -149,6 +149,16 @@ def test_taylor_below_the_degree_of_a_polynomial_map(tmp_path, capsys):
     assert "terms=0" in out_file.read_text().splitlines()
 
 
+def test_taylor_flags_declared_non_analytic_maps(tmp_path, capsys):
+    # pow_xxt(1/2) is declared continuous, pow_xxt(3/2) C^1: each gets one
+    # flag line naming the degrees it leaves undefined; sinxxt gets none
+    out_file = str(tmp_path / "p.ncpoly")
+    for spec, flags in (("pow_xxt:1/2", ["flag: declared smoothness continuous: degrees 1..2 undefined at 0"]),
+                        ("pow_xxt:3/2", ["flag: declared smoothness C^1: degree 2 undefined at 0"]),
+                        ("sinxxt", [])):
+        _, out, _ = run(capsys, "taylor", "--map", spec, "--degree", "2", "-o", out_file)
+        assert [ln for ln in out.splitlines() if ln.startswith("flag:")] == flags, spec
+
 def test_invert_formal_cli(tmp_path, capsys):
     x1 = NCPoly.variable(1)
     f = tmp_path / "f.ncpoly"

@@ -281,12 +281,12 @@ def test_trie_and_matenote_agree_on_sinxxt():
 def trie_signature(f, D=3):
     """The first sub-trie tuple of f's alphabet, as a stack (g, n, n), and
     its depth signature: the diagonal of J = diag((-1)^|u|)."""
-    from ncfun.recon import _trie_tuple
+    from ncfun.recon import _trie_nodes, _trie_stack
     from ncfun.words import words_of_degree
 
     alphabet = [w[0] for w in words_of_degree(f.g, 1, f.mode == INV)]
-    T, nodes = _trie_tuple(tuple(alphabet[:1]), D, alphabet, f.g, f.field)
-    return np.array(T.mats), np.array([(-1.0) ** len(u) for u in nodes])
+    nodes = _trie_nodes(tuple(alphabet[:1]), D, alphabet)
+    return _trie_stack([nodes], f.g, f.field)[:, 0], np.array([(-1.0) ** len(u) for u in nodes])
 
 
 def involution_maps(field):
@@ -331,7 +331,7 @@ def test_signed_scan_is_the_full_symmetric_read(field, D):
 
 
 def test_cross_check_stays_quiet_on_mirrored_reads():
-    # the matenote route reads through homogeneous_part_eval, unmirrored
+    # the matenote route reads each degree's plans in one unmirrored scan
     for f, D in ((builtin_map("sinxxt"), 6), (oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=5, n_terms=8)), 3)):
         assert taylor_at_zero(f, D, tol=1e-8, cross_check=True).flags == [], f.name
 
@@ -374,35 +374,42 @@ BUDGET_MAPS = {
     "free_g2_d2": lambda: oracle_from_ncpoly(FREE_GENERATOR),
 }
 
-# (pipeline, map, D, oracle calls, largest level), residual samples and
-# certificate samples included.  A with-involution sub-trie takes one scan
-# of N nodes, N even, of which it reads N/2 and mirrors the rest: N = D + 11
-# rounded up for a map that is not polynomial, deg f + 1 rounded up for a
-# polynomial one.  A FREE sub-trie takes one call.
+# (pipeline, map, D, oracle calls, largest level, stacks), residual samples
+# and certificate samples included.  A with-involution sub-trie takes one
+# scan of N nodes, N even, of which it reads N/2 and mirrors the rest:
+# N = D + 11 rounded up for a map that is not polynomial, deg f + 1 rounded
+# up for a polynomial one.  A FREE sub-trie takes one call.  The sub-tries
+# are read together, in stacks of at most 2^16 entries per component
+# (sub-tries x nodes read x level^2); the residual and certificate samples
+# take one stack per level.
 CALL_BUDGET = [
-    # 2 sub-tries of level 2^D, then 8 residual samples
-    *[("taylor", "sinxxt", D, 2 * math.ceil((D + 11) / 2) + 8, 2**D) for D in range(2, 7)],
-    # 6^D chains of level D + 1 (was 36 x 13 + 8 = 476 and 6^3 x 14 + 8)
-    ("taylor", "nonuniform", 2, 6**2 * 7 + 8, 3),
-    ("taylor", "nonuniform_stand_in", 3, 6**3 * 7 + 8, 4),
-    # 4 sub-tries of level 22 read 2 of 4 nodes each, 8 residual and 10
-    # certificate samples (was 4 x 4 + 18 = 34)
-    ("reconstruct", "inv_g2_d3", 3, 4 * 2 + 18, 22),
-    # 2 sub-tries of level 4, one call each
-    ("reconstruct", "free_g2_d2", 2, 2 + 18, 4),
+    # 2 sub-tries of level 2^D in one stack (level 64: 36,864 entries each,
+    # so one stack per sub-trie), then 8 residual samples in 2 stacks
+    *[("taylor", "sinxxt", D, 2 * math.ceil((D + 11) / 2) + 8, 2**D, (2 if D == 6 else 1) + 2) for D in range(2, 7)],
+    # 6^D chains of level D + 1 in one stack (was 36 x 13 + 8 = 476 and 6^3 x 14 + 8)
+    ("taylor", "nonuniform", 2, 6**2 * 7 + 8, 3, 1 + 2),
+    ("taylor", "nonuniform_stand_in", 3, 6**3 * 7 + 8, 4, 1 + 2),
+    # 4 sub-tries of level 22 read 2 of 4 nodes each in one stack, 8 residual
+    # and 10 certificate samples in 2 stacks each (was 4 x 4 + 18 = 34)
+    ("reconstruct", "inv_g2_d3", 3, 4 * 2 + 18, 22, 1 + 2 + 2),
+    # 2 sub-tries of level 4, one call each, in one stack
+    ("reconstruct", "free_g2_d2", 2, 2 + 18, 4, 1 + 2 + 2),
 ]
 
 
-@pytest.mark.parametrize("pipeline,name,D,calls,level", CALL_BUDGET)
-def test_call_budget(pipeline, name, D, calls, level):
+@pytest.mark.parametrize("pipeline,name,D,calls,level,batches", CALL_BUDGET,
+                         ids=["-".join(map(str, row[:5])) for row in CALL_BUDGET])
+def test_call_budget(pipeline, name, D, calls, level, batches):
     f, seen = counted(BUDGET_MAPS[name]())
     if pipeline == "taylor":
-        assert taylor_at_zero(f, D).evaluations == calls
+        tay = taylor_at_zero(f, D)
+        assert (tay.evaluations, tay.batches) == (calls, batches)
     else:
         rec = reconstruct_polynomial(f, D)
         generator = INV_GENERATOR if name.startswith("inv") else FREE_GENERATOR
         assert rec.ok and rec.polys[0].max_coeff_diff(generator) <= 1e-12
-    assert (len(seen), max(seen)) == (f.calls, level) == (calls, level)
+        assert rec.taylor.batches == batches - 2  # the certificate's 2 stacks follow the Taylor read
+    assert (len(seen), max(seen), f.batches) == (f.calls, level, batches) == (calls, level, batches)
 
 
 @pytest.mark.parametrize("D", [1, 2])
@@ -543,3 +550,108 @@ def test_certificate_continues_the_residual_probe_stream(monkeypatch):
     monkeypatch.setattr(recon, "_probe", probe)
     tay = taylor_at_zero(f, 2, tol=recon.RECON_TOL, seed=11)
     assert (rec.taylor.residual, rec.taylor.evaluations) == (tay.residual, tay.evaluations)
+
+
+# -- stacked reads against one read per sub-trie or plan ---------------
+
+
+def same_coeffs(a, b):
+    """Word -> coefficient maps equal in order, type and bits."""
+    return [[(w, type(c), c) for w, c in m.items()] for m in a] == [[(w, type(c), c) for w, c in m.items()] for m in b]
+
+
+def geometric(X):
+    x = X.mats[0]
+    return MatTuple([x @ np.linalg.inv(np.eye(X.n) - x)], X.field)
+
+
+def trie_read_maps():
+    """GL and involution maps, real and complex: polynomial oracles and
+    their polys=None copies, the sinxxt black box and a finite-radius map."""
+    maps = []
+    for field in ("real", "complex"):
+        for mode in (FREE, INV):
+            f = oracle_from_ncpoly(random_ncpoly(2, 3, mode, seed=8, field=field, n_terms=8), field=field)
+            maps += [f, dataclasses.replace(f, polys=None)]
+    # at radius 0.3 the scan radius h = 0.15 is no power of two, so 1/h^m rounds
+    return maps + [builtin_map("sinxxt")] + [FreeMapOracle(1, 1, geometric, field, "GL", radius=0.3, name="geometric")
+                                             for field in ("real", "complex")]
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_stacked_trie_reads_match_one_read_per_sub_trie(D):
+    from ncfun.recon import _trie_reads
+
+    from helpers import reference_trie_reads
+
+    for f in trie_read_maps():
+        ref = dataclasses.replace(f)  # a copy with its own counts
+        assert same_coeffs(_trie_reads(f, D), reference_trie_reads(ref, D)), f.name
+        assert f.calls == ref.calls and f.batches == 1, f.name
+
+
+def test_a_read_above_the_entry_budget_is_split_into_stacks():
+    # a g=2 involution polynomial read to D=6: 256 sub-tries of level 25,
+    # each scanned at 4 of 8 nodes: 2,500 entries per component, so 26
+    # sub-tries to a stack of at most 2^16 entries, and 10 stacks
+    from ncfun.recon import _trie_reads
+
+    from helpers import reference_trie_reads
+
+    f = oracle_from_ncpoly(random_ncpoly(2, 6, INV, seed=4, n_terms=8))
+    ref = dataclasses.replace(f)
+    assert same_coeffs(_trie_reads(f, 6), reference_trie_reads(ref, 6))
+    assert (f.calls, f.batches) == (ref.calls, 10) == (256 * 4, 10)
+
+
+@pytest.mark.parametrize("field,exact,extra,black_box", [
+    ("real", False, 0, False), ("complex", False, 0, False), ("real", True, 0, False),
+    ("real", False, 2, False), ("complex", False, 0, True),
+])
+def test_stacked_matenote_matches_per_plan_calls(field, exact, extra, black_box):
+    from helpers import reference_matenote_extract
+
+    p = random_ncpoly(2, 3, INV, seed=2, field=field, n_terms=12).homogeneous_part(3)
+    if exact:
+        p = NCPoly({w: Fraction(c).limit_denominator(9) for w, c in p.coeffs.items()}, INV)
+    f = oracle_from_ncpoly(p, field=field)
+    if black_box:
+        f = dataclasses.replace(f, polys=None)
+    ref = dataclasses.replace(f)
+    level = 4 + extra if extra else None
+    ext = matenote_extract(f, 3, 2, INV, level=level, exact=exact, field=field)
+    want, calls = reference_matenote_extract(ref, 3, 2, INV, level=level, exact=exact, field=field)
+    assert same_coeffs([q.coeffs for q in ext.polys], [q.coeffs for q in want])
+    assert ext.polys[0].max_coeff_diff(p) <= (0 if exact else 1e-12)
+    assert (ext.evaluations, ext.batches, f.calls, f.batches) == (calls, 1, ref.calls, 1) == (64, 1, 64, 1)
+
+
+def test_matenote_on_a_callable_calls_it_once_per_plan():
+    p = random_ncpoly(2, 2, INV, seed=3, n_terms=8).homogeneous_part(2)
+    seen = []
+
+    def f_hom(X):
+        seen.append(X)
+        return sym_eval(p)(X)
+
+    ext = matenote_extract(f_hom, 2, 2, INV)
+    assert (ext.evaluations, ext.batches, len(seen)) == (16, 0, 16)
+    assert all(isinstance(X, MatTuple) and X.n == 3 for X in seen) and ext.polys[0].max_coeff_diff(p) <= 1e-12
+
+
+def test_declared_non_analytic_maps_are_flagged():
+    # pow_xxt(1/2) is declared continuous and pow_xxt(3/2) C^1: no Taylor
+    # part above degree 0 or 1; the flag moves no coefficient or count
+    flagged = {0.5: ["declared smoothness continuous: degrees 1..2 undefined at 0"],
+               1.5: ["declared smoothness C^1: degree 2 undefined at 0"]}
+    for alpha, flags in flagged.items():
+        f = builtin_map("pow_xxt", alpha=alpha)
+        analytic = dataclasses.replace(f, smoothness="analytic")
+        tay, want = taylor_at_zero(f, 2), taylor_at_zero(analytic, 2)
+        assert tay.flags == flags and want.flags == []
+        assert [s.to_ncpoly().coeffs for s in tay.series] == [s.to_ncpoly().coeffs for s in want.series]
+        assert (tay.evaluations, tay.batches) == (want.evaluations, want.batches)
+    assert taylor_at_zero(builtin_map("pow_xxt", alpha=1.5), 1).flags == []
+    for f in (builtin_map("sinxxt"), builtin_map("pow_xxt", alpha=2.0), builtin_map("smooth_nonanalytic", J=5),
+              oracle_from_ncpoly(INV_GENERATOR), oracle_from_ncpoly(FREE_GENERATOR)):
+        assert taylor_at_zero(f, 2).flags == [], f.name
