@@ -73,21 +73,20 @@ class Emitter:
         else:
             print(text)
 
-    def record(self, kind: str, head: str = "", **fields):
+    def record(self, kind: str, head: str = "", record_only: Optional[dict] = None, **fields):
         """The line ``[head] key=value ...`` of ``fields``, whose --json
-        record holds the same fields."""
+        record holds the same fields and those of ``record_only``."""
         pairs = [f"{k}={v}" for k, v in fields.items()]
-        self.line(" ".join([head] + pairs if head else pairs), kind=kind, **fields)
+        self.line(" ".join([head] + pairs if head else pairs), kind=kind, **(record_only or {}), **fields)
 
     def fail(self, check: str, level: int, residual: float):
         self.failed = True
-        self.line(f"FAIL {check} level={level} residual={residual!r}",
-                  kind="fail", check=check, level=level, residual=residual)
+        self.record("fail", f"FAIL {check}", {"check": check}, level=level, residual=residual)
 
     def report(self, rep):
         if rep.passed:
-            self.line(f"PASS {rep.name} max_residual={rep.max_violation!r}",
-                      kind="pass", check=rep.name, residual=rep.max_violation, max_residual=rep.max_violation)
+            self.record("pass", f"PASS {rep.name}", {"check": rep.name, "residual": rep.max_violation},
+                        max_residual=rep.max_violation)
         else:
             # the level the first violation ran at
             self.fail(rep.name, rep.witnesses[0][2], rep.max_violation)

@@ -27,7 +27,7 @@ from .mateval import MatTuple, direct_sum
 from .oracle import FreeMapOracle, _derivatives, derivative, offdiag_direction
 from .poly import FREE, INV, NCPoly
 from .recon import taylor_at_zero
-from .series import FormalSeries, compose_tuple
+from .series import FormalSeries, _horner_walk, compose_tuple
 
 DET_CUTOFF = 1e-10
 MAX_HALVINGS = 20  # step halvings per Newton iteration
@@ -113,9 +113,10 @@ def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[For
 
     With lam = L^{-1} y, the linear substitution by the inverse of the
     linear part L, Fbar = lam o F has the identity as its linear part.
-    Solves H = y - sum_{m>=2} Fbar_m(H) degree by degree: step d adds the
-    words of length d of -G(H), G = Fbar - y, to H, which has only
-    shorter words so far.  Then it restores the linear part as H o lam.
+    Solves H = y - G(H), G = Fbar - y, in one degree-major Horner walk
+    over the tries of G: G has no words shorter than 2, so degree k of
+    G(H) reads H below degree k, and each yield k >= 2 sets H_k = -(that
+    degree) before the walk reads it.  Then it restores H o lam.
     Only the word order of lam differs between the two substitutions:
     x_1, x_1^t, x_2, x_2^t, ... when it sums Fbar_i from F_1, F_1^t,
     F_2, ..., and x_1, ..., x_g, x_1^t, ... in the restore, which fixes
@@ -143,13 +144,15 @@ def formal_inverse(F: Sequence[FormalSeries], D: int | None = None) -> Tuple[For
 
     # tail G = Fbar - identity = the words of length >= 2 of Fbar (its
     # linear part is the identity up to the round-off of L^{-1} L)
-    G = [_from_length(fb, 2) for fb in Fbar]
-    H = list(FormalSeries.identity_tuple(g, D, mode))
-    for d in range(2, D + 1):  # words of length d of G o H need G and H only up to length d
-        K = compose_tuple([FormalSeries.from_ncpoly(gg.poly, d) for gg in G], H)
-        for i in range(g):
-            Kd = {w: -c for w, c in K[i].to_ncpoly().coeffs.items() if len(w) == d}
-            H[i] = FormalSeries.from_ncpoly(NCPoly({**H[i].to_ncpoly().coeffs, **Kd}, mode), D)
+    GH = [[] for _ in range(g)]  # parts of G(H), set by the walk
+    subs = {let: [{}, {(let,): 1}] for let in letters}  # parts 0 and 1 of H and of its involution
+    for k in _horner_walk([(_from_length(fb, 2).poly.coeffs, D, p) for fb, p in zip(Fbar, GH)], subs):
+        for i, p in enumerate(GH if k >= 2 else (), start=1):  # H's parts 0 and 1 are given
+            Hk = {w: -c for w, c in p[k].items() if c != 0}
+            subs[i, False].append(Hk)
+            if mode == INV:
+                subs[i, True].append(NCPoly(Hk, INV).involution().coeffs)
+    H = [FormalSeries._from_parts(subs[i, False][: D + 1], mode) for i in range(1, g + 1)]
     return compose_tuple(H, _linear_series(rows, sorted(letters, key=lambda let: let[1]), D, mode))
 
 

@@ -155,7 +155,7 @@ def homogeneous_part_eval(f: FreeMapOracle, m: int, X: MatTuple, D: int) -> MatT
     if m > D:
         raise ValueError(f"m={m} exceeds degree bound D={D}")
     parts = _part_scan(f, np.array(X.mats)[:, None], D)
-    return MatTuple([p[0, m].reshape(X.n, X.n) for p in parts], f.field)
+    return MatTuple([p[0, m].reshape(X.n, X.n) for p in parts], "complex" if np.iscomplexobj(parts) else f.field)
 
 
 # -- every coefficient at once from word-trie tuples ------------------

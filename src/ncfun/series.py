@@ -4,9 +4,9 @@ A :class:`FormalSeries` is one :class:`~ncfun.poly.NCPoly` whose words
 have length <= its order D, listed shortest first, plus D; its degree-m
 part is a view of that polynomial.  All operations truncate at the
 smaller order; products and substitution run on graded parts, one word
-map per degree.  Substitution applies the involution convention (series
-for x_k^t) = involution of (series for x_k), which matches matrix
-transposition under evaluation.
+map per degree.  Substitution is a degree-major Horner walk over the
+outer word trie, keeping every node's parts until it ends; series for
+x_k^t = involution of series for x_k, as transposition under evaluation.
 """
 
 from __future__ import annotations
@@ -176,8 +176,53 @@ def series_compose(F: FormalSeries, G: Sequence[FormalSeries]) -> FormalSeries:
     return compose_tuple((F,), G)[0]
 
 
+def _horner_walk(roots, subs):
+    """Horner's rule, degree-major, over the tries of the words of length
+    <= D of each (word map, D, list) in ``roots``: node u of depth t gets
+    parts 0..D - t of S(u) = c_u + sum_l subs[l] S(u l), a root's going to
+    its list.  For k = 0, 1, ... it sets part k of the roots, yields k,
+    then sets part k of the other nodes.  Roots read part k of subs only
+    against depth-1 coefficients, so where there are none the caller
+    may append it at yield k.  Nodes keep their parts to the end."""
+    nodes = []
+    for coeffs, D, parts in roots:
+        root = [None, {}, parts]  # coefficient of its word or None, children by letter, parts
+        for w, c in coeffs.items():
+            if len(w) <= D:
+                node = root
+                for let in w:
+                    node = node[1].setdefault(let, [None, {}, []])
+                node[0] = c
+        nodes.append((root, D))
+    for node, room in nodes:  # breadth first: the list grows as it is read
+        nodes.extend((child, room - 1) for child in node[1].values())
+    below = sorted(nodes[len(roots):], key=lambda nr: -nr[1])
+
+    def part(node, k):  # child letters in trie order, then i ascending, then u, then v
+        out = {(): node[0]} if k == 0 and node[0] is not None else {}
+        for let, child in node[1].items():
+            a, b = subs[let], child[2]
+            for i in range(1, min(k, len(a) - 1) + 1):  # part 0 of subs is empty
+                for u, x in a[i].items():
+                    for v, y in b[k - i].items():
+                        w = u + v
+                        out[w] = out.get(w, 0) + x * y
+        return out
+
+    for k in range(max((D for _, D, _ in roots), default=-1) + 1):
+        for root, D in nodes[: len(roots)]:
+            if k <= D:
+                root[2].append(part(root, k))
+        yield k
+        for node, room in below:
+            if room < k:
+                break
+            node[2].append(part(node, k))
+
+
 def compose_tuple(F: Sequence[FormalSeries], G: Sequence[FormalSeries]) -> tuple:
-    """``series_compose`` of each component of F; G is split into parts once."""
+    """``series_compose`` of each component of F, by one ``_horner_walk``
+    over all their tries (each node's parts kept until it ends)."""
     if not G:
         raise ValueError("empty substitution tuple")
     mode, order = G[0].mode, min(g.order for g in G)
@@ -190,27 +235,10 @@ def compose_tuple(F: Sequence[FormalSeries], G: Sequence[FormalSeries]) -> tuple
         subs[k, False] = _parts(g.poly.coeffs, order)
         if mode == INV:
             subs[k, True] = _parts(g.poly.involution().coeffs, order)
-
-    def horner(node, room: int) -> Parts:
-        out: Parts = [{} for _ in range(room + 1)]
-        if node[0] is not None:
-            out[0][()] = node[0]
-        for let, child in node[1].items():
-            _mul_into(out, subs[let], horner(child, room - 1))
-        return out
-
-    composed = []
-    for f in F:
-        D = min(f.order, order)
-        root: list = [None, {}]  # node: [coefficient of its word or None, children by letter]
-        for w, c in f.poly.coeffs.items():
-            for let in w:
-                if let not in subs:
-                    raise ValueError(f"no series for {word_str((let,))} in a {mode} tuple of {len(G)}")
-            if len(w) <= D:
-                node = root
-                for let in w:
-                    node = node[1].setdefault(let, [None, {}])
-                node[0] = c
-        composed.append(FormalSeries._from_parts(horner(root, D), mode))
-    return tuple(composed)
+    missing = next((let for f in F for w in f.poly.coeffs for let in w if let not in subs), None)
+    if missing is not None:
+        raise ValueError(f"no series for {word_str((missing,))} in a {mode} tuple of {len(G)}")
+    parts = [[] for _ in F]
+    for _ in _horner_walk([(f.poly.coeffs, min(f.order, order), p) for f, p in zip(F, parts)], subs):
+        pass
+    return tuple(FormalSeries._from_parts(p, mode) for p in parts)

@@ -8,7 +8,8 @@ from ncfun import INV, FormalSeries, GenPoly, GenTerm, MatTuple, NCPoly, random_
 from ncfun.identities import FLOAT_TOL, IdentityReport, random_int_tuple
 from ncfun.invfun import _from_length, _linear_series, linear_part
 from ncfun.mateval import RANK_CUTOFF, SubspaceBasis, adjoint, matrix_units
-from ncfun.series import compose_tuple
+from ncfun.series import _mul_into, _parts
+from ncfun.words import word_str
 
 
 def max_basis_diff(p: GenPoly, q: GenPoly) -> float:
@@ -415,21 +416,65 @@ def reference_compose(F, G) -> FormalSeries:
     return FormalSeries.from_ncpoly(NCPoly(_graded_sum(terms), mode), D)
 
 
+def reference_horner_compose(F, G) -> tuple:
+    """``compose_tuple`` by the recursive Horner's rule over each word
+    trie of F, one trie and one recursion per component: a node's parts
+    are the sum over its children, in trie order, of the product of the
+    child letter's series with the child's parts, by ``_mul_into``."""
+    if not G:
+        raise ValueError("empty substitution tuple")
+    mode, order = G[0].mode, min(g.order for g in G)
+    subs = {}
+    for k, g in enumerate(G, start=1):
+        if g.mode != mode:
+            raise ValueError("mixed modes in substitution tuple")
+        if g.constant_part() != 0:
+            raise ValueError("substituted series must have zero constant part")
+        subs[k, False] = _parts(g.poly.coeffs, order)
+        if mode == INV:
+            subs[k, True] = _parts(g.poly.involution().coeffs, order)
+
+    def horner(node, room: int):
+        out = [{} for _ in range(room + 1)]
+        if node[0] is not None:
+            out[0][()] = node[0]
+        for let, child in node[1].items():
+            _mul_into(out, subs[let], horner(child, room - 1))
+        return out
+
+    composed = []
+    for f in F:
+        D = min(f.order, order)
+        root: list = [None, {}]  # node: [coefficient of its word or None, children by letter]
+        for w, c in f.poly.coeffs.items():
+            for let in w:
+                if let not in subs:
+                    raise ValueError(f"no series for {word_str((let,))} in a {mode} tuple of {len(G)}")
+            if len(w) <= D:
+                node = root
+                for let in w:
+                    node = node[1].setdefault(let, [None, {}])
+                node[0] = c
+        composed.append(FormalSeries._from_parts(horner(root, D), mode))
+    return tuple(composed)
+
+
 def reference_formal_inverse(F, D: int) -> tuple:
-    """``formal_inverse`` with every step composed at the full order D
-    instead of the step's own degree d."""
+    """``formal_inverse`` by ``reference_horner_compose``, with every
+    step d composing all of G o H at the full order D and keeping its
+    words of length d."""
     g, mode = len(F), F[0].mode
     rows = linear_part(F).inverse_rows()
     stars = (False, True) if mode == INV else (False,)
     letters = [(k, starred) for k in range(1, g + 1) for starred in stars]
-    G = [_from_length(fb, 2) for fb in compose_tuple(_linear_series(rows, letters, D, mode), F)]
+    G = [_from_length(fb, 2) for fb in reference_horner_compose(_linear_series(rows, letters, D, mode), F)]
     H = list(FormalSeries.identity_tuple(g, D, mode))
     for d in range(2, D + 1):
-        K = compose_tuple(G, H)
+        K = reference_horner_compose(G, H)
         for i in range(g):
             Kd = {w: -c for w, c in K[i].poly.coeffs.items() if len(w) == d}
             H[i] = FormalSeries.from_ncpoly(NCPoly({**H[i].poly.coeffs, **Kd}, mode), D)
-    return compose_tuple(H, _linear_series(rows, sorted(letters, key=lambda let: let[1]), D, mode))
+    return reference_horner_compose(H, _linear_series(rows, sorted(letters, key=lambda let: let[1]), D, mode))
 
 
 # -- per-sample and per-direction references for the stacked scans -----

@@ -33,6 +33,7 @@ from helpers import (
     counted,
     reference_fd_jacobian,
     reference_formal_inverse,
+    reference_horner_compose,
     reference_jacobian,
     reference_linear_part,
     reference_newton,
@@ -168,7 +169,9 @@ def test_formal_inverse_mixed_involution_g2_d5():
 
 
 def test_formal_inverse_order_d_steps_match_full_order_steps():
-    # step d keeps only the words of length d of G o H, which longer words never feed
+    # the degree-major walk reads each degree of G o H once; the reference
+    # composes all of G o H at the full order for every step d, by the
+    # recursive Horner's rule, and keeps its words of length d
     rng = np.random.default_rng(4)
     cases = [([FormalSeries.from_ncpoly(x1 - x1 * x1, 8)], 8), (_mixed_involution_g2(4), 4)]
     for mode in (FREE, INV):
@@ -181,6 +184,54 @@ def test_formal_inverse_order_d_steps_match_full_order_steps():
     for F, D in cases:
         got, want = formal_inverse(F, D), reference_formal_inverse(F, D)
         assert [list(h.to_ncpoly().coeffs.items()) for h in got] == [list(h.to_ncpoly().coeffs.items()) for h in want]
+
+
+def _inverse_cases():
+    """The Catalan series x - x^2 at orders 16 and 10, a g=2 involution
+    tuple with quadratic tails at order 8, the mixed involution g=2 tuple
+    at orders 5 and 6, and random g=2 FREE and INV tuples at order 6."""
+    cases = [[FormalSeries.from_ncpoly(x1 - x1 * x1, 16)], [FormalSeries.from_ncpoly(x1 - x1 * x1, 10)],
+             [FormalSeries.from_ncpoly(ivar(1) + (ivar(1) * ivar(1, True)).scale(0.7), 8),
+              FormalSeries.from_ncpoly(ivar(2) + (ivar(2) * ivar(1)).scale(0.6), 8)],
+             _mixed_involution_g2(5), _mixed_involution_g2(6)]
+    rng = np.random.default_rng(6)
+    for mode in (FREE, INV):
+        F = []
+        for i in range(2):
+            p = random_ncpoly(2, 4, mode, rng, n_terms=6)
+            p = p - NCPoly({(): p.coefficient(())}, mode) - p.homogeneous_part(1)
+            F.append(FormalSeries.from_ncpoly(NCPoly.variable(i + 1, mode=mode) + p, 6))
+        cases.append(F)
+    return cases
+
+
+def test_formal_inverse_truncates_bit_for_bit():
+    # degree k of the inverse never reads the degrees above k, so the
+    # inverse to degree D is the words of length <= D of the full inverse
+    for F in _inverse_cases():
+        order = F[0].order
+        full = formal_inverse(F)
+        for D in range(order):  # D = 0 and 1 included
+            got = formal_inverse(F, D)
+            want = [FormalSeries.from_ncpoly(h.poly, D) for h in full]
+            assert [(h.order, list(h.poly.coeffs.items())) for h in got] == \
+                [(h.order, list(h.poly.coeffs.items())) for h in want]
+
+
+def test_implicit_formal_is_the_reference_inverse_of_the_augmented_map():
+    # h = the y block of the inverse of (x, y) -> (x, f(x, y)), at y = 0
+    x, y = ivar(1), ivar(2)
+    maps = [oracle_from_ncpoly(NCPoly.variable(2) + (NCPoly.variable(2) * x1).scale(0.8) + x1),
+            oracle_from_ncpoly(y + (y * x).scale(0.8) + x + (y * y.involution()).scale(0.5)
+                               + (x * y * x.involution()).scale(-0.3))]
+    for f, D in zip(maps, (8, 5)):
+        h = implicit_formal(f, 1, D)
+        mode = f.polys[0].mode
+        ident = FormalSeries.identity_tuple(2, D, mode)
+        aug = (ident[0], FormalSeries.from_ncpoly(f.polys[0], D))
+        want = reference_horner_compose(reference_formal_inverse(aug, D)[1:], (ident[0], FormalSeries.zero(D, mode)))
+        assert [(s.order, list(s.poly.coeffs.items())) for s in h] == \
+            [(s.order, list(s.poly.coeffs.items())) for s in want]
 
 
 def test_linear_part_structure():

@@ -19,8 +19,9 @@ from ncfun import (
     random_mattuple,
     series_compose,
 )
+from ncfun.series import compose_tuple
 
-from helpers import max_basis_diff, reference_compose, reference_expand_basis
+from helpers import max_basis_diff, reference_compose, reference_expand_basis, reference_horner_compose
 
 x1 = NCPoly.variable(1)
 x2 = NCPoly.variable(2)
@@ -271,15 +272,17 @@ def test_series_compose_matches_evaluation_exactly(case):
     assert (series_compose(F, G)(X) == F(inner)).all()
 
 
-def _random_series(rng, g, D, coeff, min_len=0):
-    """A series of order D in x1, x1^t, ..., xg, xg^t: 8 random words of
-    lengths min_len..D with coefficients coeff(rng)."""
-    letters = [(k, starred) for k in range(1, g + 1) for starred in (False, True)]
+def _random_series(rng, g, D, coeff, min_len=0, mode=INV):
+    """A series of order D in x1, x1^t, ..., xg, xg^t (x1, ..., xg in
+    FREE mode): 8 random words of lengths min_len..D with coefficients
+    coeff(rng)."""
+    stars = (False, True) if mode == INV else (False,)
+    letters = [(k, starred) for k in range(1, g + 1) for starred in stars]
     coeffs = {}
     for _ in range(8):
         picks = rng.integers(0, len(letters), int(rng.integers(min_len, D + 1)))
         coeffs[tuple(letters[i] for i in picks)] = coeff(rng)
-    return FormalSeries.from_ncpoly(NCPoly(coeffs, INV), D)
+    return FormalSeries.from_ncpoly(NCPoly(coeffs, mode), D)
 
 
 def _int(rng):
@@ -321,6 +324,25 @@ def test_series_compose_matches_per_word_reference_on_floats():
         assert got.max_coeff_diff(want) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("mode", [FREE, INV])
+@pytest.mark.parametrize("coeff", [_float, _complex])
+def test_compose_tuple_is_the_recursive_horner_bit_for_bit(mode, coeff):
+    # the degree-major walk sums every coefficient in the recursion's
+    # order, so values and dict order are equal; F has a constant term,
+    # one to three components, and an order from 0 to 6 about the
+    # common order D of G, whose components have orders 1 to 5
+    rng = np.random.default_rng(8)
+    for trial in range(28):
+        g = int(rng.integers(1, 3))
+        G = [_random_series(rng, g, int(rng.integers(1, 6)), coeff, min_len=1, mode=mode) for _ in range(g)]
+        F = [_random_series(rng, g, trial % 7, coeff, mode=mode) for _ in range(int(rng.integers(1, 4)))]
+        got, want = compose_tuple(F, G), reference_horner_compose(F, G)
+        assert [(s.order, list(s.poly.coeffs.items())) for s in got] == \
+            [(s.order, list(s.poly.coeffs.items())) for s in want]
+        one = series_compose(F[-1], G)
+        assert (one.order, list(one.poly.coeffs.items())) == (want[-1].order, list(want[-1].poly.coeffs.items()))
+
+
 def test_series_compose_checks_every_letter_of_F():
     # x2 x2 x2 x2 lies beyond the common order 3, but it still names x2
     G = [FormalSeries.from_ncpoly(x1, 3)]
@@ -344,7 +366,6 @@ def test_formal_series_homogeneity_enforced():
 
 def test_series_compose_associative_up_to_truncation():
     from ncfun.oracle import random_ncpoly
-    from ncfun.series import compose_tuple
 
     rng = np.random.default_rng(11)
     D = 4

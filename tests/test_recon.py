@@ -130,6 +130,20 @@ def test_homogeneous_part_eval_examples():
         homogeneous_part_eval(f, 3, X, 2)
 
 
+def test_homogeneous_part_eval_of_a_complex_polynomial_in_the_real_field():
+    # a real-field oracle with complex coefficients gives complex values,
+    # so the part's field follows them, as FreeMapOracle.__call__ does
+    p = random_ncpoly(2, 2, INV, seed=5, field="complex")
+    f = oracle_from_ncpoly(p)
+    X = random_mattuple(2, 3, 1, norm=0.5)
+    assert f.field == "real" and f(X).field == "complex"
+    for m in range(3):
+        part = homogeneous_part_eval(f, m, X, 2)
+        assert part.field == "complex"
+        want = eval_ncpoly(p.homogeneous_part(m), X)
+        assert np.abs(part.mats[0] - want).max() < 1e-12
+
+
 def test_taylor_roundtrip_small():
     rng = np.random.default_rng(2)
     for t in range(10):
