@@ -59,8 +59,8 @@ approx = eval_ncpoly(Hi.to_ncpoly(), Y)
 print("formal vs newton at |Y| = 0.05:", np.linalg.norm(approx - trace.X.mats[0], 2),
       " (~ |Y|^4 =", 0.05**4, ")")
 
-# a black box (no symbolic backing) gets a finite-difference Jacobian once,
-# 8 calls per coordinate direction, then Broyden updates from the steps
+# a black box (no symbolic backing) gets a Jacobian once, by ray reads of
+# t -> f(X + tE) (8 calls per coordinate direction), then Broyden updates
 box = FreeMapOracle(1, 1, lambda X: MatTuple([X.mats[0] + sym_matrix_function("sin", X.mats[0] @ X.mats[0].T)]),
                     group="O", name="x + sin(x x^t)")
 trace_b = newton_invert(box, random_mattuple(1, 3, rng, norm=0.1), tol=1e-11)
@@ -75,7 +75,7 @@ print("\nimplicit series:", h)
 
 # numerically, f(x, y) = y - x x^t at x = e12 gives y = e11; Newton runs
 # on q itself with x held at e12, so its Jacobian along y is the product
-# rule (no oracle call), while a polys=None copy differences it
+# rule (no oracle call), while a polys=None copy reads it along rays
 q = oracle_from_ncpoly(
     NCPoly.variable(2, mode=INV) - NCPoly.variable(1, mode=INV) * NCPoly.variable(1, True)
 )

@@ -52,10 +52,8 @@ from .oracle import (
     check_similarity,
     check_triangular_identity,
     derivative,
-    directional_derivative,
     oracle_from_ncpoly,
     random_ncpoly,
-    symbolic_directional_derivative,
 )
 from .identities import (
     IdentityReport,

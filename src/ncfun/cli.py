@@ -35,6 +35,7 @@ from .invfun import (
 from .mateval import MatTuple, eval_poly, eval_stack, random_mattuple, scaled_to, stack_diffs, standard_block
 from .oracle import (
     FreeMapOracle,
+    _part_scan,
     builtin_map,
     check_commutator_identity,
     check_did_block,
@@ -43,7 +44,7 @@ from .oracle import (
     check_triangular_identity,
     oracle_from_ncpoly,
 )
-from .recon import _part_scan, matenote_extract, taylor_at_zero
+from .recon import matenote_extract, taylor_at_zero
 from .series import FormalSeries
 from .words import cyclic_canonical, parse_word, word_involution, word_str
 

@@ -55,9 +55,8 @@ from .mateval import (
     scaled_to,
     standard_block,
 )
-from .oracle import FreeMapOracle
+from .oracle import FreeMapOracle, _part_scan, _scan_radius
 from .poly import INV
-from .recon import _part_scan
 from .recon import homogeneous_part_eval  # noqa: F401  (unused; bench/test_bench.py looks it up here)
 from .words import words_of_degree
 
@@ -257,7 +256,7 @@ def _fitted_parts(f: FreeMapOracle, A: MatTuple, D: int, s_eval: int, bas, seed)
                   for K in words_of_degree(f.g, m, mode == INV)] for m in range(D + 1)]
     samples = max(2, math.ceil(2.0 * len(monomials[D]) / level**2))
     H = scaled_to(standard_block(f.g, level, samples, rng, f.field), np.ones(samples))
-    scan = _part_scan(f, H, D, C=C, radius=math.inf)
+    scan = _part_scan(f, H, D, C=C, h=_scan_radius(f, H, math.inf))
     # the monomial b_{i0} u_1 b_{i1} ... as a word, letter i the slot kron(b_i, I_s)
     rows = {**_letter_rows(f.g), **{i: 2 * f.g + i for i in range(len(bas))}}
     words = [(I[0],) + sum(zip(K, I[1:]), ()) for mons in monomials for I, K in mons]

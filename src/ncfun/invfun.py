@@ -10,9 +10,9 @@ the free property (G-equivariance) of the input map.
 Inversion and implicit solves run one Newton body on f itself, with
 the x block held fixed for the latter, so ``polys`` picks the route of
 their Jacobians as of every derivative: the product rule at every
-iterate, or finite differences kept by Broyden updates (see
-``newton_invert``).  ``NewtonTrace`` counts the oracle calls
-(``evaluations``) and the Jacobians assembled (``jacobians``).
+iterate, or ray reads kept by Broyden updates (see ``newton_invert``).
+``NewtonTrace`` counts the oracle calls (``evaluations``) and the
+Jacobians assembled (``jacobians``).
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def _unvec(v: np.ndarray, g: int, n: int, field: str) -> MatTuple:
 
 def _jacobian(f: FreeMapOracle, X: MatTuple, E: np.ndarray) -> np.ndarray:
     """D f(X) on the T directions E (g, T, n, n): T columns in the coordinates of ``_vec``."""
-    V = _derivatives(f, X, E).swapaxes(0, 1).reshape(E.shape[1], -1)
+    V = _derivatives(f, X, E)[0].swapaxes(0, 1).reshape(E.shape[1], -1)
     return (np.concatenate([V.real, V.imag], axis=1) if f.field == "complex" else V).T
 
 
@@ -226,9 +226,10 @@ def assemble_jacobian(f: FreeMapOracle, X: MatTuple) -> np.ndarray:
     directions: a real (g' n^2) x (g n^2) matrix in real mode, the real
     embedding of size (2 g' n^2) x (2 g n^2) in complex mode.  Columns
     come from one stacked derivative over every direction: the
-    product rule for polynomial-backed oracles, and otherwise central
-    differences, one stack of all 2T perturbed tuples per Richardson
-    step (RICHARDSON_STEPS + 1 stacks, 8 calls per direction)."""
+    product rule for polynomial-backed oracles, and otherwise the ray
+    read of ``oracle._derivatives``, one stack of the nodes of every
+    direction (8 per direction, d + 2 for a map declared polynomial of
+    degree d)."""
     return _jacobian(f, X, _unit_directions(f.g, X.n, f.field))
 
 
@@ -312,8 +313,8 @@ def newton_invert(
 
     The Jacobian is assembled at the start.  When that cost no oracle
     calls (the product rule of a polynomial oracle), it is assembled
-    again at every iterate.  Otherwise (finite differences of a black
-    box, 8 calls per coordinate direction) it is kept: after a full step
+    again at every iterate.  Otherwise (the ray reads of a black box, 8
+    calls per coordinate direction) it is kept: after a full step
     s with residual change y, Broyden's rank-one update
     J + (y - J s) s^t / (s^t s) in the real coordinates of ``_vec``
     carries it to the next iterate, and it is assembled afresh after a
@@ -388,8 +389,9 @@ def implicit_numeric(
     """Solve f(xhat, y) = 0 for y by Newton at a concrete point, from y = 0:
     the body of ``newton_invert`` on f with the x block held at xhat, so
     ``polys`` picks the Jacobian's route as for inversion (the product
-    rule, or central differences through ``f.stack``).  ``evaluations``
-    are calls of f.  xhat is taken as floats of the map's field."""
+    rule, or ray reads through one ``f.stack`` per Jacobian).
+    ``evaluations`` are calls of f.  xhat is taken as floats of the
+    map's field."""
     if not 1 <= g1 < f.g:
         raise ValueError(f"split g1={g1} must be in 1 .. {f.g - 1} for a map of g={f.g} inputs")
     if xhat.g != g1:
@@ -422,7 +424,7 @@ def injectivity_check(f: FreeMapOracle, X1: MatTuple, X2: MatTuple) -> Injectivi
     if gap >= EQUAL_VALUES_TOL:
         return InjectivityReport(False, gap, note="values differ; no obstruction test applicable")
     Z = direct_sum(X1, X2)
-    img = derivative(f, Z, offdiag_direction(X1, X2))
+    img = derivative(f, Z, offdiag_direction(X1, X2))[0]
     img_norm = img.norm()
     J = assemble_jacobian(f, Z)
     smin = float(np.linalg.svd(J, compute_uv=False)[-1])

@@ -1,6 +1,7 @@
 """Black-box free maps: a level-indexed evaluator with metadata, the
-built-in example maps, and checkers for the free-map axioms and the
-derivative identities.
+built-in example maps, the Chebyshev ray scan that reads them,
+derivatives, and checkers for the free-map axioms and the derivative
+identities.
 
 Oracles are pure callables on :class:`~ncfun.mateval.MatTuple` inputs;
 declared metadata (group, smoothness, radius) is advisory and verified
@@ -16,10 +17,13 @@ black-box route, is called once per tuple, its values checked (a
 builtin returns its value matrix, from one eigendecomposition per
 tuple).  The axiom checks draw the trials of a level first, as blocks
 (one generator call each, see :mod:`ncfun.mateval`), and evaluate each
-level as stacks; derivatives follow the product rule through the kept
-plans, or take central differences with each Richardson step of all
-their directions as one stack.  A checker's witnesses keep the level it
-ran at.
+level as stacks.  A ray scan reads the homogeneous parts of
+t -> f(C + tX) for a stack of tuples X from one stack of Chebyshev
+nodes and one stacked Vandermonde solve; the Taylor, expansion and
+certificate reads go through it, and so does every derivative that the
+product rule on the kept plans does not give: the order-k derivative
+along H is k! times the degree-k part of t -> f(X + tH).  A checker's
+witnesses keep the level it ran at.
 """
 
 from __future__ import annotations
@@ -419,28 +423,99 @@ def check_similarity(
     return report
 
 
-# -- derivatives ------------------------------------------------------
+# -- ray scans ---------------------------------------------------------
+
+ANALYTIC_RADIUS_CAP = 0.25  # empirical: with SCAN_EXTRA_NODES gives ~1e-10 coefficients
+# nodes a non-polynomial scan reads past degree D: fewer let the tail
+# alias (6: errors up to 8e-7), more cost calls (sweep in CHANGES.md)
+SCAN_EXTRA_NODES = 10
+# nodes of a derivative's ray read on a map not declared polynomial: fewer
+# lose accuracy (6: errors up to 4.8e-10), more cost calls (sweep in CHANGES.md)
+RAY_NODES = 8
 
 
-def neville_to_zero(ests: Sequence[np.ndarray], xs: Sequence) -> List[np.ndarray]:
-    """Neville extrapolation to x = 0 of estimates sampled at nodes xs.
+def _cheb_nodes(N: int) -> np.ndarray:
+    j = np.arange(N)
+    return np.cos(np.pi * (2 * j + 1) / (2 * N))
 
-    ``ests[j]`` is the array (or the sequence of equally shaped component
-    arrays) taken at node ``xs[j]``; a node may be an array that
-    broadcasts against it, one node per sample.  The arithmetic is
-    elementwise.  Returns the top entry of each tableau column: the last
-    uses every node, and its distance to the one before is the error
-    indicator.
+
+def _scan_radius(f: FreeMapOracle, A: np.ndarray, radius: Optional[float] = None) -> np.ndarray:
+    """Radius h of the scans of t -> f(tX), one per tuple of the stack A
+    (g, S, n, n).  ``radius`` replaces f's own radius at A's level (a scan
+    about a center, where the radius of f is not known, passes inf).
+
+    A polynomial oracle scans at the cap 1, any other map at
+    ANALYTIC_RADIUS_CAP.  At infinite radius h keeps ||hX|| <= 2 cap, so
+    read tuples (norm <= 2: each component is a sum of two partial
+    isometries) scan at the cap itself; dividing by their norm would
+    amplify round-off by ||X||^m in the degree-m part.  At finite radius
+    ||hX|| <= radius/2.
     """
-    tab = [np.asarray(e) for e in ests]
-    tops = [tab[0]]
-    for k in range(1, len(tab)):
-        tab = [(xs[i] * tab[i + 1] - xs[i + k] * tab[i]) / (xs[i] - xs[i + k]) for i in range(len(tab) - 1)]
-        tops.append(tab[0])
-    return tops
+    rad = f.radius_at(A.shape[-1]) if radius is None else radius
+    cap = 1.0 if f.is_polynomial() else ANALYTIC_RADIUS_CAP
+    norm = stack_norms(A)
+    return cap / np.maximum(1.0, norm / 2.0) if math.isinf(rad) else min(cap, rad / 2.0) / np.maximum(1.0, norm)
 
 
-RICHARDSON_STEPS = 3
+def _scan_size(f: FreeMapOracle, D: int, mirrored: bool = False) -> int:
+    """Nodes N of a scan of degrees 0..D: max(D, deg f) + 1 for a
+    polynomial map, D + 1 + SCAN_EXTRA_NODES for any other, rounded up
+    to even when ``mirrored`` (see ``_part_scan``'s ``signs``)."""
+    N = max(D, f.poly_degree()) + 1 if f.is_polynomial() else D + 1 + SCAN_EXTRA_NODES
+    return N + N % 2 if mirrored else N
+
+
+def _part_scan(
+    f: FreeMapOracle, A: np.ndarray, D: int, row0: bool = False,
+    C: Optional[np.ndarray] = None, h: Optional[np.ndarray] = None,
+    signs: Optional[np.ndarray] = None, N: Optional[int] = None,
+) -> np.ndarray:
+    """Homogeneous parts 0..D of t -> f(C + tX) in t for each tuple X of
+    the stack A (g, S, n, n): shape (g', S, D+1, cols), with row m the
+    flattened degree-m part (only its first matrix row when ``row0``).
+    The center C (components, shape (g, n, n)) is added only when given,
+    so a scan about 0 keeps the signs of zeros.
+
+    One ``f.stack`` reads N Chebyshev nodes of every tuple at its radius
+    h (shape (S,); ``_scan_radius`` unless given), and one Vandermonde
+    solve, stacked over outputs and tuples, fits them.  N is
+    ``_scan_size`` unless given: max(D, deg f) + 1 for a polynomial map,
+    exact and unaliased, D + 1 + SCAN_EXTRA_NODES for any other, whose
+    top degrees take up the tail of the series.  A derivative's ray read
+    (see ``_derivatives``) gives its own N and h.
+
+    ``signs``, given with ``row0`` for a map with involution and no
+    center, is the diagonal of an orthogonal J = diag(+-1) with
+    J X J = -X for every tuple X of A (the depth signature of a trie
+    tuple).  Such a map respects orthogonal and unitary similarity, so
+    f(-tX) = J f(tX) J: the scan rounds N up to even, reads only the N/2
+    positive nodes tau_j and takes J v_j J as the value at -tau_j, then
+    fits the exactly symmetric nodes
+    [tau_0 .. tau_{N/2-1}, -tau_{N/2-1} .. -tau_0].  Even N spends no
+    read at tau ~ 0, which carries only the constant term.
+    """
+    g, S, n = A.shape[0], A.shape[1], A.shape[-1]
+    N = _scan_size(f, D, signs is not None) if N is None else N
+    h = (_scan_radius(f, A) if h is None else h)[:, None]
+    if signs is None:
+        taus = read = _cheb_nodes(N)
+    else:
+        read = _cheb_nodes(N)[: N // 2]
+        taus = np.concatenate([read, -read[::-1]])
+    nodes = A[:, :, None] * (h * read)[..., None, None]
+    if C is not None:
+        nodes = C[:, None, None] + nodes
+    vals = f.stack(nodes.reshape(g, S * read.size, n, n))
+    vals = vals.reshape((-1, S, read.size) + vals.shape[-2:])
+    B = vals[..., 0, :] if row0 else vals.reshape(vals.shape[:3] + (-1,))
+    if signs is not None:  # the root row of J v J: s_0 s_w v[0, w]
+        B = np.concatenate([B, (signs[0] * signs * B)[:, :, ::-1]], axis=2)
+    # coefficients in tau = t/h, per output and tuple, then in t
+    coeffs = np.linalg.solve(np.vander(taus, N, increasing=True), B) / (h ** np.arange(N))[..., None]
+    return coeffs[:, :, : D + 1]
+
+
+# -- derivatives ------------------------------------------------------
 
 
 def _check_direction(X: MatTuple, H: MatTuple) -> None:
@@ -448,84 +523,65 @@ def _check_direction(X: MatTuple, H: MatTuple) -> None:
         raise ValueError(f"direction H has g={H.g}, n={H.n} but the point X has g={X.g}, n={X.n}")
 
 
-def _central_differences(f: FreeMapOracle, X: MatTuple, H: np.ndarray, order: int = 1):
-    """Central-difference Gateaux derivatives of f at X along each of the
-    T directions of the stack H (g, T, n, n), with RICHARDSON_STEPS
-    halvings of the step h0 = 1e-3 (1 + |X|) and Richardson refinement.
-    Each step is one stack of the 2T tuples X + h H_t, then X - h H_t
-    (8 calls per direction in all; order 2 adds one call for f(X)).
+def _product_rule(f: FreeMapOracle, X: MatTuple, H: np.ndarray) -> np.ndarray:
+    """D f(X)[H] for a polynomial-backed oracle on the T directions H of
+    shape (g, T, n, n), shape (g', T, n, n): from each polynomial's kept
+    derivative plan on the stack of 2g-tuples (X, H).  The values keep
+    the field of the coefficients, as f's own do."""
+    XH = np.concatenate([np.broadcast_to(np.stack(X.mats)[:, None], H.shape), H])
+    letters, dt = (XH, adjoint(XH, X.field)), complex if X.field == "complex" else float
+    return np.stack([_derivative_plan(p, X.g)(letters, dt) for p in f.polys])
 
-    Returns the estimates, shape (g', T, n, n), and each direction's
-    error indicator, shape (T,): the max difference between the last two
-    extrapolants.
+
+def _derivatives(f: FreeMapOracle, X: MatTuple, H: np.ndarray, order: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """The order-k derivative D^k f(X)[H_t, ..., H_t] along each of the T
+    directions H_t of the stack H (g, T, n, n), shape (g', T, n, n), and
+    an error indicator per direction, shape (T,).
+
+    A polynomial-backed oracle takes the product rule at order 1, with no
+    oracle call and indicator 0.  Any other derivative is a ray read:
+    k! times the degree-k part of t -> f(X + t H_t), from one centered
+    ``_part_scan`` of every direction, so one ``f.stack`` of N nodes per
+    direction.  A map declared polynomial of degree d takes
+    N = max(k, d) + 2 nodes at the cap 1, exact with one node spare; any
+    other takes RAY_NODES nodes, at the cap 0.1 when declared analytic
+    and at 0.02 otherwise, since a smooth or C^k map may vary on scales
+    that 8 nodes at 0.1 miss (``smooth_nonanalytic``: errors 1e-9 at 0.1,
+    4.5e-13 at 0.02).  The radius is h_t = cap / (1 + ||X||) /
+    max(1, ||H_t||), at a finite radius r at most
+    (r - ||X||) / 2 / max(1, ||H_t||).
+
+    The indicator is the gap between part k of the N-node fit and part k
+    of the fit with the top degree dropped, the interpolant through the
+    first N - 1 nodes.  The two differ by the top coefficient a times
+    prod_{i < N-1} (tau - tau_i), so the gap costs no call.  Like the
+    tail of any fit it indicates the error; it does not bound it.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    T = H.shape[1]
-    x = np.stack(X.mats)[:, None]
-    h0 = 1e-3 * (1.0 + X.norm())
-    fX = np.stack(f(X).mats)[:, None] if order == 2 else None
-    ests: List[np.ndarray] = []
-    for j in range(RICHARDSON_STEPS + 1):
-        h = h0 / 2**j
-        vals = f.stack(np.concatenate([1.0 * x + h * H, 1.0 * x + -h * H], axis=1))
-        fp, fm = vals[:, :T], vals[:, T:]
-        est = (fp - fm) / (2 * h) if order == 1 else (fp - 2 * fX + fm) / h**2
-        if not np.all(np.isfinite(est)):
-            raise ValueError("non-finite evaluation in directional derivative")
-        ests.append(est)
-    # Richardson in h^2 (central differences have even error expansions);
-    # the relative nodes (h/h0)^2 = 4^-j are powers of two, so the tableau
-    # is exactly the classic (4^k b - a)/(4^k - 1) one
-    tops = neville_to_zero(ests, [4.0**-j for j in range(len(ests))])
-    return tops[-1], stack_diffs(tops[-1], tops[-2])
+    if f.polys is not None and order == 1:
+        return _product_rule(f, X, H), np.zeros(H.shape[1])
+    x, r = X.norm(), f.radius_at(X.n)
+    if x >= r:
+        raise DomainError(f"point norm {x:.3g} outside radius {r:.3g} at level {X.n}")
+    N = max(order, f.poly_degree()) + 2 if f.is_polynomial() else RAY_NODES
+    cap = (1.0 if f.is_polynomial() else 0.1 if f.smoothness == "analytic" else 0.02) / (1.0 + x)
+    h = min(cap, (r - x) / 2.0) / np.maximum(1.0, stack_norms(H))
+    parts = _part_scan(f, H, N - 1, C=np.stack(X.mats), h=h, N=N)
+    parts = parts.reshape(parts.shape[:3] + H.shape[-2:])
+    omega = np.poly(_cheb_nodes(N)[:-1])[::-1][order]  # coefficient of tau^k in prod (tau - tau_i)
+    k = math.factorial(order)
+    return k * parts[:, :, order], k * abs(omega) * h ** (N - 1 - order) * stack_norms(parts[:, :, N - 1])
 
 
-def directional_derivative(
-    f: FreeMapOracle, X: MatTuple, H: MatTuple, order: int = 1
-) -> Tuple[MatTuple, float]:
-    """Central-difference Gateaux derivative with RICHARDSON_STEPS
-    halvings of the step h0 = 1e-3 (1 + |X|) and Richardson refinement:
-    the one-direction case of the stacked differences of
-    ``invfun.assemble_jacobian``.
-
-    Returns (estimate, error indicator); the indicator is the max
-    difference between the last two extrapolants.
-    """
+def derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple, order: int = 1) -> Tuple[MatTuple, float]:
+    """The order-k derivative of f at X along H, k = ``order`` (1 or 2),
+    and its error indicator: the one-direction case of ``_derivatives``
+    (the product rule of a polynomial-backed oracle at order 1, else a
+    ray read of t -> f(X + tH))."""
     _check_direction(X, H)
-    est, err = _central_differences(f, X, np.stack(H.mats)[:, None], order)
-    return MatTuple(list(est[:, 0]), "complex" if np.iscomplexobj(est) else X.field), float(err[0])
-
-
-def _symbolic_derivatives(f: FreeMapOracle, X: MatTuple, H: np.ndarray) -> np.ndarray:
-    """D f(X)[H] for a polynomial-backed oracle on the T directions H of
-    shape (g, T, n, n), shape (g', T, n, n): from each polynomial's kept
-    derivative plan on the stack of 2g-tuples (X, H)."""
-    XH = np.concatenate([np.broadcast_to(np.stack(X.mats)[:, None], H.shape), H])
-    letters, dt = (XH, adjoint(XH, X.field)), complex if X.field == "complex" else float
-    outs = [_derivative_plan(p, X.g)(letters, dt) for p in f.polys]
-    return np.stack([v.real if X.field == "real" else v for v in outs])
-
-
-def _derivatives(f: FreeMapOracle, X: MatTuple, H: np.ndarray) -> np.ndarray:
-    """D f(X)[H] on the T directions H of shape (g, T, n, n), shape
-    (g', T, n, n): the product rule for a polynomial-backed oracle,
-    central differences for any other."""
-    return _symbolic_derivatives(f, X, H) if f.polys is not None else _central_differences(f, X, H)[0]
-
-
-def symbolic_directional_derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) -> MatTuple:
-    """Exact product-rule derivative for polynomial-backed oracles."""
-    if not f.polys:
-        raise ValueError("oracle has no symbolic backing")
-    return derivative(f, X, H)
-
-
-def derivative(f: FreeMapOracle, X: MatTuple, H: MatTuple) -> MatTuple:
-    """Directional derivative; exact symbolic path for polynomial oracles."""
-    _check_direction(X, H)
-    V = _derivatives(f, X, np.stack(H.mats)[:, None])[:, 0]
-    return MatTuple(list(V), "complex" if np.iscomplexobj(V) else X.field)
+    V, err = _derivatives(f, X, np.stack(H.mats)[:, None], order)
+    return MatTuple(list(V[:, 0]), "complex" if np.iscomplexobj(V) else X.field), float(err[0])
 
 
 # -- derivative identities --------------------------------------------
@@ -547,7 +603,7 @@ def check_triangular_identity(
     report = CheckReport("triangular_identity", 1, tol)
     val = f(block_tuple(X, H, None, X))
     fX = f(X)
-    report.record(_block_residual(val, block_tuple(fX, derivative(f, X, H), None, fX)), X.n, (X, H))
+    report.record(_block_residual(val, block_tuple(fX, derivative(f, X, H)[0], None, fX)), X.n, (X, H))
     return report
 
 
@@ -564,7 +620,7 @@ def check_commutator_identity(
     if np.linalg.norm(a + adjoint(a, f.field)) > 1e-12 * max(1.0, np.linalg.norm(a)):
         raise ValueError("direction a must be skew-symmetric")
     report = CheckReport("commutator_identity", 1, tol)
-    lhs = derivative(f, X, commutator_tuple(a, X))
+    lhs = derivative(f, X, commutator_tuple(a, X))[0]
     rhs = commutator_tuple(a, f(X))
     report.record(lhs.max_diff(rhs), X.n, (X, a))
     return report
@@ -583,6 +639,6 @@ def check_did_block(
     Df(X1 + X2 block diag) applied to the off-diagonal direction built
     from X1 - X2 equals the off-diagonal of f(X1) - f(X2)."""
     report = CheckReport("did_block", 1, tol)
-    lhs = derivative(f, direct_sum(X1, X2), offdiag_direction(X1, X2))
+    lhs = derivative(f, direct_sum(X1, X2), offdiag_direction(X1, X2))[0]
     report.record(_block_residual(lhs, offdiag_direction(f(X1), f(X2))), X1.n, (X1, X2))
     return report

@@ -34,24 +34,19 @@ Stacking changes no value, call or level, only ``batches``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .mateval import _WALK_ENTRIES, MatTuple, _rng, eval_stack, scaled_block, stack_diffs, stack_norms
+from .mateval import _WALK_ENTRIES, MatTuple, _rng, eval_stack, scaled_block, stack_diffs
 from .mateval import eval_ncpoly  # noqa: F401  (unused; bench/test_bench.py looks it up here)
-from .oracle import FreeMapOracle
+from .oracle import FreeMapOracle, _part_scan, _scan_radius, _scan_size
 from .poly import FREE, INV, NCPoly
 from .series import FormalSeries
 from .words import Letter, Word, words_of_degree
 
-ANALYTIC_RADIUS_CAP = 0.25  # empirical: with SCAN_EXTRA_NODES gives ~1e-10 coefficients
-# nodes a non-polynomial scan reads past degree D: fewer let the tail
-# alias (6: errors up to 8e-7), more cost calls (sweep in CHANGES.md)
-SCAN_EXTRA_NODES = 10
 CLEANUP_TOL = 1e-9  # float coefficients at or below this read as zero
 RESIDUAL_LEVELS = (1, 2)  # levels and samples per level of the Taylor residual
 RESIDUAL_SAMPLES = 4
@@ -61,85 +56,6 @@ CERT_SAMPLES = 5  # certificate samples at each of levels d+1, d+2
 # above ~64 it outweighs the saving in calls (sweep in CHANGES.md);
 # oracles whose cost grows faster declare a smaller FreeMapOracle.max_level
 TRIE_MAX_LEVEL = 64
-
-
-def _cheb_nodes(N: int) -> np.ndarray:
-    j = np.arange(N)
-    return np.cos(np.pi * (2 * j + 1) / (2 * N))
-
-
-def _scan_radius(f: FreeMapOracle, A: np.ndarray, radius: Optional[float] = None) -> np.ndarray:
-    """Radius h of the scans of t -> f(tX), one per tuple of the stack A
-    (g, S, n, n).  ``radius`` replaces f's own radius at A's level (a scan
-    about a center, where the radius of f is not known, passes inf).
-
-    A polynomial oracle scans at the cap 1, any other map at
-    ANALYTIC_RADIUS_CAP.  At infinite radius h keeps ||hX|| <= 2 cap, so
-    read tuples (norm <= 2: each component is a sum of two partial
-    isometries) scan at the cap itself; dividing by their norm would
-    amplify round-off by ||X||^m in the degree-m part.  At finite radius
-    ||hX|| <= radius/2.
-    """
-    rad = f.radius_at(A.shape[-1]) if radius is None else radius
-    cap = 1.0 if f.is_polynomial() else ANALYTIC_RADIUS_CAP
-    norm = stack_norms(A)
-    return cap / np.maximum(1.0, norm / 2.0) if math.isinf(rad) else min(cap, rad / 2.0) / np.maximum(1.0, norm)
-
-
-def _scan_size(f: FreeMapOracle, D: int, mirrored: bool = False) -> int:
-    """Nodes N of a scan of degrees 0..D: max(D, deg f) + 1 for a
-    polynomial map, D + 1 + SCAN_EXTRA_NODES for any other, rounded up
-    to even when ``mirrored`` (see ``_part_scan``'s ``signs``)."""
-    N = max(D, f.poly_degree()) + 1 if f.is_polynomial() else D + 1 + SCAN_EXTRA_NODES
-    return N + N % 2 if mirrored else N
-
-
-def _part_scan(
-    f: FreeMapOracle, A: np.ndarray, D: int, row0: bool = False,
-    C: Optional[np.ndarray] = None, radius: Optional[float] = None,
-    signs: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Homogeneous parts 0..D of t -> f(C + tX) in t for each tuple X of
-    the stack A (g, S, n, n): shape (g', S, D+1, cols), with row m the
-    flattened degree-m part (only its first matrix row when ``row0``).
-    The center C (components, shape (g, n, n)) is added only when given,
-    so a scan about 0 keeps the signs of zeros.
-
-    One ``f.stack`` reads N Chebyshev nodes of every tuple at its
-    ``_scan_radius`` (given ``radius``), and one Vandermonde solve,
-    stacked over outputs and tuples, fits them: N = max(D, deg f) + 1
-    for a polynomial map, exact and unaliased, D + 1 + SCAN_EXTRA_NODES
-    for any other, whose top degrees take up the tail of the series.
-
-    ``signs``, given with ``row0`` for a map with involution and no
-    center, is the diagonal of an orthogonal J = diag(+-1) with
-    J X J = -X for every tuple X of A (the depth signature of a trie
-    tuple).  Such a map respects orthogonal and unitary similarity, so
-    f(-tX) = J f(tX) J: the scan rounds N up to even, reads only the N/2
-    positive nodes tau_j and takes J v_j J as the value at -tau_j, then
-    fits the exactly symmetric nodes
-    [tau_0 .. tau_{N/2-1}, -tau_{N/2-1} .. -tau_0].  Even N spends no
-    read at tau ~ 0, which carries only the constant term.
-    """
-    g, S, n = A.shape[0], A.shape[1], A.shape[-1]
-    N = _scan_size(f, D, signs is not None)
-    h = _scan_radius(f, A, radius)[:, None]
-    if signs is None:
-        taus = read = _cheb_nodes(N)
-    else:
-        read = _cheb_nodes(N)[: N // 2]
-        taus = np.concatenate([read, -read[::-1]])
-    nodes = A[:, :, None] * (h * read)[..., None, None]
-    if C is not None:
-        nodes = C[:, None, None] + nodes
-    vals = f.stack(nodes.reshape(g, S * read.size, n, n))
-    vals = vals.reshape((-1, S, read.size) + vals.shape[-2:])
-    B = vals[..., 0, :] if row0 else vals.reshape(vals.shape[:3] + (-1,))
-    if signs is not None:  # the root row of J v J: s_0 s_w v[0, w]
-        B = np.concatenate([B, (signs[0] * signs * B)[:, :, ::-1]], axis=2)
-    # coefficients in tau = t/h, per output and tuple, then in t
-    coeffs = np.linalg.solve(np.vander(taus, N, increasing=True), B) / (h ** np.arange(N))[..., None]
-    return coeffs[:, :, : D + 1]
 
 
 def homogeneous_part_eval(f: FreeMapOracle, m: int, X: MatTuple, D: int) -> MatTuple:

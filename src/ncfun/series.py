@@ -5,8 +5,9 @@ have length <= its order D, listed shortest first, plus D; its degree-m
 part is a view of that polynomial.  All operations truncate at the
 smaller order; products and substitution run on graded parts, one word
 map per degree.  Substitution is a degree-major Horner walk over the
-outer word trie, keeping every node's parts until it ends; series for
-x_k^t = involution of series for x_k, as transposition under evaluation.
+outer word trie, which drops a node's parts once its parent has read
+them for the last time; series for x_k^t = involution of series for
+x_k, as transposition under evaluation.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ def _horner_walk(roots, subs):
     its list.  For k = 0, 1, ... it sets part k of the roots, yields k,
     then sets part k of the other nodes.  Roots read part k of subs only
     against depth-1 coefficients, so where there are none the caller
-    may append it at yield k.  Nodes keep their parts to the end."""
+    may append it at yield k.  A node's top part (degree D - t) is the
+    last to read its children's parts, which are dropped once it is set."""
     nodes = []
     for coeffs, D, parts in roots:
         root = [None, {}, parts]  # coefficient of its word or None, children by letter, parts
@@ -209,20 +211,26 @@ def _horner_walk(roots, subs):
                         out[w] = out.get(w, 0) + x * y
         return out
 
+    def set_part(node, k, room):
+        node[2].append(part(node, k))
+        if k == room:
+            for child in node[1].values():
+                child[2] = None
+
     for k in range(max((D for _, D, _ in roots), default=-1) + 1):
         for root, D in nodes[: len(roots)]:
             if k <= D:
-                root[2].append(part(root, k))
+                set_part(root, k, D)
         yield k
         for node, room in below:
             if room < k:
                 break
-            node[2].append(part(node, k))
+            set_part(node, k, room)
 
 
 def compose_tuple(F: Sequence[FormalSeries], G: Sequence[FormalSeries]) -> tuple:
     """``series_compose`` of each component of F, by one ``_horner_walk``
-    over all their tries (each node's parts kept until it ends)."""
+    over all their tries."""
     if not G:
         raise ValueError("empty substitution tuple")
     mode, order = G[0].mode, min(g.order for g in G)

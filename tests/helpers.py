@@ -67,8 +67,8 @@ def reference_derivative(f, X, H) -> MatTuple:
                     m = adjoint(src.mats[k - 1], X.field) if starred else src.mats[k - 1]
                     cur = m if cur is None else cur @ m
                 acc = acc + c * cur
-        outs.append(acc.real if X.field == "real" else acc)
-    return MatTuple(outs, X.field)
+        outs.append(acc)
+    return MatTuple(outs, "complex" if any(np.iscomplexobj(m) for m in outs) else X.field)
 
 
 def reference_jacobian(f, X) -> np.ndarray:
@@ -262,12 +262,12 @@ def reference_probe(f, polys, levels, samples, radius, seed):
 
 
 def reference_symmetric_scan(f, A, D):
-    """The root rows of ``recon._part_scan``'s signed scan of the one tuple
+    """The root rows of ``oracle._part_scan``'s signed scan of the one tuple
     A (shape (g, 1, n, n)) read in full: every node of the exactly
     symmetric set [tau_0 .. tau_{N/2-1}, -tau_{N/2-1} .. -tau_0], N rounded
     up to even, evaluated by ``f.stack`` with no mirror, then the
     Vandermonde solve on those nodes.  Shape (g', D+1, n)."""
-    from ncfun.recon import SCAN_EXTRA_NODES, _scan_radius
+    from ncfun.oracle import SCAN_EXTRA_NODES, _scan_radius
 
     N = max(D, f.poly_degree()) + 1 if f.is_polynomial() else D + 1 + SCAN_EXTRA_NODES
     N += N % 2
@@ -298,7 +298,8 @@ def reference_trie_reads(f, D):
     """``recon._trie_reads`` with one read per sub-trie: one call f(h T)
     per sub-trie without involution, one mirrored ``_part_scan`` of the
     sub-trie alone with it; the coefficients in the same order."""
-    from ncfun.recon import CLEANUP_TOL, _part_scan, _scan_radius, _trie_nodes, _trie_prefix_length
+    from ncfun.oracle import _part_scan, _scan_radius
+    from ncfun.recon import CLEANUP_TOL, _trie_nodes, _trie_prefix_length
     from ncfun.words import words_of_degree
 
     involution = f.mode == INV
@@ -485,7 +486,7 @@ def reference_parts(f, X, D):
     ``f.stack`` of its N nodes (max(D, deg f) + 1 for a polynomial map,
     D + 1 + SCAN_EXTRA_NODES otherwise) and one Vandermonde solve per
     output, with the scan radius of a map of f's kind at infinite radius."""
-    from ncfun.recon import ANALYTIC_RADIUS_CAP, SCAN_EXTRA_NODES, _cheb_nodes
+    from ncfun.oracle import ANALYTIC_RADIUS_CAP, SCAN_EXTRA_NODES, _cheb_nodes
 
     N = max(D, f.poly_degree()) + 1 if f.is_polynomial() else D + 1 + SCAN_EXTRA_NODES
     r = (1.0 if f.is_polynomial() else ANALYTIC_RADIUS_CAP) / max(1.0, X.norm() / 2.0)
@@ -574,32 +575,67 @@ def black_box(g: int, field: str = "real"):
 
 
 def reference_directional_derivative(f, X, H, order=1):
-    """Central differences along one direction, one call per perturbed
-    tuple: X + h H and X - h H built component by component as
-    1.0 x + h y, the quotients per component, and the Richardson
-    tableau in 4^-j."""
-    h0 = 1e-3 * (1.0 + X.norm())
-    fX = f(X) if order == 2 else None
-    tab = []
-    for j in range(4):
-        h = h0 / 2**j
-        fp = f(MatTuple([1.0 * x + h * y for x, y in zip(X.mats, H.mats)], X.field))
-        fm = f(MatTuple([1.0 * x + -h * y for x, y in zip(X.mats, H.mats)], X.field))
-        if order == 1:
-            tab.append([(a - b) / (2 * h) for a, b in zip(fp.mats, fm.mats)])
-        else:
-            tab.append([(a - 2 * c + b) / h**2 for a, b, c in zip(fp.mats, fm.mats, fX.mats)])
-    xs, tops = [4.0**-j for j in range(4)], [tab[0]]
-    for k in range(1, len(tab)):
-        tab = [[(xs[i] * b - xs[i + k] * a) / (xs[i] - xs[i + k]) for a, b in zip(tab[i], tab[i + 1])]
-               for i in range(len(tab) - 1)]
-        tops.append(tab[0])
-    est = MatTuple(tops[-1], fp.field)
-    return est, est.max_diff(MatTuple(tops[-2], fp.field))
+    """``oracle.derivative`` one call at a time: the product rule of
+    ``reference_derivative`` for a polynomial-backed oracle at order 1,
+    otherwise the ray read along one direction, each of its N nodes
+    X + (h tau_j) H built component by component and read by one call of
+    f, then one Vandermonde solve per output, k! times part k, and the
+    indicator k! |omega_k| h^(N-1-k) ||part N-1||, omega the polynomial
+    prod_{i < N-1} (tau - tau_i)."""
+    import math
+
+    from ncfun.oracle import RAY_NODES, _cheb_nodes
+
+    if f.polys is not None and order == 1:
+        return reference_derivative(f, X, H), 0.0
+    N = max(order, f.poly_degree()) + 2 if f.is_polynomial() else RAY_NODES
+    x = X.norm()
+    cap = 1.0 if f.is_polynomial() else 0.1 if f.smoothness == "analytic" else 0.02
+    h = np.array([min(cap / (1.0 + x), (f.radius_at(X.n) - x) / 2.0) / max(1.0, H.norm())])
+    taus = _cheb_nodes(N)
+    vals = [f(MatTuple([a + b * (h[0] * t) for a, b in zip(X.mats, H.mats)], X.field)) for t in taus]
+    V, k = np.vander(taus, N, increasing=True), math.factorial(order)
+    parts = [np.linalg.solve(V, np.array([v.mats[o] for v in vals]).reshape(N, -1)) / (h ** np.arange(N))[:, None]
+             for o in range(f.gprime)]
+    est = MatTuple([k * p[order].reshape(X.n, X.n) for p in parts], vals[0].field)
+    omega = np.poly(taus[:-1])[::-1][order]
+    top = MatTuple([p[N - 1].reshape(X.n, X.n) for p in parts], vals[0].field)
+    return est, (k * abs(omega) * h ** (N - 1 - order) * top.norm()).item()
+
+
+def reference_second_derivative(f, X, H) -> MatTuple:
+    """The second derivative of a polynomial oracle as a plain loop: twice
+    the sum, over each word and each pair of its positions, of the word
+    rebuilt with H in both positions, added in order to zero."""
+    outs = []
+    for p in f.polys:
+        acc = np.zeros((X.n, X.n), dtype=complex if X.field == "complex" else float)
+        for w, c in p.coeffs.items():
+            for i in range(len(w)):
+                for j in range(i + 1, len(w)):
+                    cur = np.eye(X.n)
+                    for pos, (k, starred) in enumerate(w):
+                        src = H if pos in (i, j) else X
+                        cur = cur @ (adjoint(src.mats[k - 1], X.field) if starred else src.mats[k - 1])
+                    acc = acc + c * cur
+        outs.append(2 * acc)
+    return MatTuple(outs, "complex" if any(np.iscomplexobj(m) for m in outs) else X.field)
+
+
+def daleckii_krein_x_plus_sin_xxt(X, H) -> np.ndarray:
+    """D(x + sin(x x^t))(X)[H] = H + Q (G o Q^t E Q) Q^t with E = X H^t + H X^t,
+    X X^t = Q diag(lam) Q^t and the divided differences of sin,
+    G_ij = (sin lam_i - sin lam_j) / (lam_i - lam_j), taken without
+    cancellation as cos((lam_i + lam_j) / 2) sinc((lam_i - lam_j) / 2)
+    (Daleckii-Krein)."""
+    x, h = X.mats[0], H.mats[0]
+    lam, Q = np.linalg.eigh(x @ x.T)
+    G = np.cos((lam[:, None] + lam[None, :]) / 2) * np.sinc((lam[:, None] - lam[None, :]) / (2 * np.pi))
+    return h + Q @ (G * (Q.T @ (x @ h.T + h @ x.T) @ Q)) @ Q.T
 
 
 def reference_fd_jacobian(f, X) -> np.ndarray:
-    """The finite-difference Jacobian of a black box column by column: one
+    """The black-box Jacobian column by column: one
     ``reference_directional_derivative`` per matrix unit E_ij in component
     k (and, for complex maps, per i E_ij after them), its outputs
     flattened, real parts above imaginary ones for complex maps."""
@@ -676,7 +712,7 @@ def reference_triangular_residual(f, X, H) -> float:
     from ncfun.oracle import derivative
 
     n = X.n
-    val, fX, dF = f(block_tuple(X, H, None, X)), f(X), derivative(f, X, H)
+    val, fX, dF = f(block_tuple(X, H, None, X)), f(X), derivative(f, X, H)[0]
     return _block_norms(b for blk, a, d in zip(val.mats, fX.mats, dF.mats)
                         for b in (blk[:n, :n] - a, blk[n:, n:] - a, blk[n:, :n], blk[:n, n:] - d))
 
@@ -688,7 +724,7 @@ def reference_did_residual(f, X1, X2) -> float:
     from ncfun.oracle import derivative, offdiag_direction
 
     n = X1.n
-    lhs = derivative(f, direct_sum(X1, X2), offdiag_direction(X1, X2))
+    lhs = derivative(f, direct_sum(X1, X2), offdiag_direction(X1, X2))[0]
     return _block_norms(b for blk, a, c in zip(lhs.mats, f(X1).mats, f(X2).mats)
                         for b in (blk[:n, n:] - (a - c), blk[n:, :n] - (a - c), blk[:n, :n], blk[n:, n:]))
 

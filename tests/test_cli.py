@@ -71,6 +71,17 @@ def test_check_pass_and_fail_grammar(capsys):
     assert fails and all(FAIL_RE.match(ln) for ln in fails)
 
 
+def test_check_passes_a_complex_polynomial_in_the_real_field(tmp_path, capsys):
+    # poly: of a complex .ncpoly is a real-field oracle with complex values;
+    # the product rule keeps the imaginary part of its derivative, so the
+    # triangular identity holds (it failed at residual 0.0517 without it)
+    f = tmp_path / "c.ncpoly"
+    f.write_text(dump_ncpolys([random_ncpoly(1, 3, "free", seed=2, field="complex")]))
+    code, out, _ = run(capsys, "check", "--map", f"poly:{f}", "--trials", "3")
+    assert code == 0 and [ln.split()[:2] for ln in out.splitlines()] == [
+        ["PASS", "direct_sums"], ["PASS", "similarity[GL]"], ["PASS", "triangular_identity"]]
+
+
 def test_check_fail_lines_give_the_level_each_check_ran_at(capsys):
     # the derivative identities run at the first level >= 2 of --levels
     code, out, _ = run(capsys, "check", "--map", "smooth_nonanalytic:5", "--group", "GL", "--levels", "2",

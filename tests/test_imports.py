@@ -1,12 +1,12 @@
 """Every module-level import in the package is used by its module, and
-every module-level function and class is named somewhere.
+every module-level function, class and constant is named somewhere.
 
 Stdlib ``ast`` scans.  The first stands in for a linter's unused-import
 rule (F401): ``__init__.py`` re-exports are exempt, and so is an import
 whose line carries ``# noqa: F401``.  The second is a dead-name scan: a
-function or class of the package must be named (read, imported or taken
-as an attribute) in ``src``, ``tests``, ``bench`` or ``demos`` outside
-its own definition.
+function, class or module-level constant of the package must be named
+(read, imported or taken as an attribute) in ``src``, ``tests``,
+``bench`` or ``demos`` outside its own definition.
 """
 
 import ast
@@ -60,27 +60,33 @@ def _names(tree) -> set:
     return out
 
 
+def _defined(node) -> list:
+    """The names a top-level statement defines: a function's or a class's
+    own, or the names a module-level assignment binds (its constants)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def named_elsewhere(source: str) -> set:
-    """The names ``source`` mentions, each top-level definition's own name
-    left out of the names inside it."""
+    """The names ``source`` mentions, each top-level definition's own
+    names left out of the names inside it."""
     out = set()
     for node in ast.parse(source).body:
-        names = _names(node)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.discard(node.name)
-        out |= names
+        out |= _names(node) - set(_defined(node))
     return out
 
 
 def dead_names(defining: dict, sources) -> list:
-    """``(module, line, name)`` of each module-level function or class of
-    the sources ``defining`` (module name -> text) that none of
-    ``sources`` names outside its own definition."""
+    """``(module, line, name)`` of each module-level function, class or
+    constant of the sources ``defining`` (module name -> text) that none
+    of ``sources`` names outside its own definition."""
     named = set().union(*map(named_elsewhere, sources))
-    return sorted((module, node.lineno, node.name) for module, text in defining.items()
-                  for node in ast.parse(text).body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and node.name not in named)
+    return sorted((module, node.lineno, name) for module, text in defining.items()
+                  for node in ast.parse(text).body for name in _defined(node) if name not in named)
 
 
 def test_no_dead_module_names():
@@ -89,6 +95,9 @@ def test_no_dead_module_names():
 
 
 def test_the_scan_sees_dead_names():
-    lib = "def used():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\nclass Dead:\n    pass\n"
-    user = "from lib import used\n"
-    assert dead_names({"lib.py": lib}, [lib, user]) == [("lib.py", 4, "recursive"), ("lib.py", 7, "Dead")]
+    lib = ("def used():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\nclass Dead:\n    pass\n"
+           "READ = 1\nSTEPS, SPAN = 3, READ\nTYPED: int = 2\nGROWN = 0\nGROWN = GROWN + 1\n")
+    user = "from lib import used\nprint(SPAN)\n"
+    assert dead_names({"lib.py": lib}, [lib, user]) == [
+        ("lib.py", 4, "recursive"), ("lib.py", 7, "Dead"), ("lib.py", 10, "STEPS"), ("lib.py", 11, "TYPED"),
+        ("lib.py", 12, "GROWN"), ("lib.py", 13, "GROWN")]

@@ -20,24 +20,24 @@ from ncfun import (
     check_similarity,
     check_triangular_identity,
     derivative,
-    directional_derivative,
     expand_at_point,
     newton_invert,
     oracle_from_ncpoly,
     random_mattuple,
-    symbolic_directional_derivative,
     taylor_at_zero,
 )
-from ncfun.oracle import DEFAULT_LEVELS, neville_to_zero, random_ncpoly
+from ncfun.oracle import DEFAULT_LEVELS, random_ncpoly
 
 from helpers import (
     CountingGenerator,
     black_box,
     counted,
+    daleckii_krein_x_plus_sin_xxt,
     reference_derivative,
     reference_direct_sums,
     reference_did_residual,
     reference_directional_derivative,
+    reference_second_derivative,
     reference_similarity,
     reference_smooth_nonanalytic,
     reference_triangular_residual,
@@ -127,20 +127,18 @@ def test_directional_derivative_values():
     H = random_mattuple(1, 3, rng)
     f = oracle_from_ncpoly(NCPoly.variable(1) ** 2)
     want = X.mats[0] @ H.mats[0] + H.mats[0] @ X.mats[0]
-    sym = symbolic_directional_derivative(f, X, H)
-    assert np.linalg.norm(sym.mats[0] - want) < 1e-13
-    est, err = directional_derivative(f, X, H)
+    sym, err = derivative(f, X, H)
+    assert np.linalg.norm(sym.mats[0] - want) < 1e-13 and err == 0.0
+    est, err = derivative(dataclasses.replace(f, polys=None, smoothness="analytic"), X, H)
     assert np.linalg.norm(est.mats[0] - want) < 1e-8 and err < 1e-6
 
     const = oracle_from_ncpoly(NCPoly.one().scale(3.0))
-    assert symbolic_directional_derivative(const, X, H).max_diff(
-        MatTuple([np.zeros((3, 3))])
-    ) == 0
+    assert derivative(const, X, H)[0].max_diff(MatTuple([np.zeros((3, 3))])) == 0
 
     g = oracle_from_ncpoly(ivar(1) * ivar(1, True))
     want2 = X.mats[0] @ H.mats[0].T + H.mats[0] @ X.mats[0].T
-    assert np.linalg.norm(symbolic_directional_derivative(g, X, H).mats[0] - want2) < 1e-13
-    est2, _ = directional_derivative(g, X, H)
+    assert np.linalg.norm(derivative(g, X, H)[0].mats[0] - want2) < 1e-13
+    est2, _ = derivative(dataclasses.replace(g, polys=None, smoothness="analytic"), X, H)
     assert np.linalg.norm(est2.mats[0] - want2) < 1e-8
 
 
@@ -155,7 +153,7 @@ def test_symbolic_derivative_is_the_product_rule_bit_for_bit(mode, field):
         for n in (1, 2, 3, 5):
             X = random_mattuple(f.g, n, seed + n, field)
             H = random_mattuple(f.g, n, seed + 50 + n, field)
-            got, want = symbolic_directional_derivative(f, X, H), reference_derivative(f, X, H)
+            got, want = derivative(f, X, H)[0], reference_derivative(f, X, H)
             assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got.mats, want.mats))
 
 
@@ -167,14 +165,14 @@ def test_derivative_plans_are_kept_on_the_polynomials(monkeypatch):
 
     f = oracle_from_ncpoly([random_ncpoly(2, 4, INV, seed=1, n_terms=8), random_ncpoly(2, 3, INV, seed=2)])
     X, H = random_mattuple(2, 3, 0), random_mattuple(2, 3, 1)
-    first = symbolic_directional_derivative(f, X, H)
+    first = derivative(f, X, H)[0]
     kept = [mateval._derivative_plan(p, 2) for p in f.polys]
     built = []
     init = mateval._PolyPlan.__init__
     monkeypatch.setattr(mateval._PolyPlan, "__init__", lambda self, p, g: built.append(g) or init(self, p, g))
     copy = dataclasses.replace(f, name="copy")
     for h in (f, copy):
-        again = symbolic_directional_derivative(h, X, H)
+        again = derivative(h, X, H)[0]
         assert all(np.array_equal(a, b) for a, b in zip(first.mats, again.mats))
     assemble_jacobian(copy, X)
     assert built == [] and all(mateval._derivative_plan(p, 2) is d for p, d in zip(copy.polys, kept))
@@ -194,26 +192,6 @@ def test_checks_record_the_level_they_ran_at():
                check_commutator_identity(diag_map, X, a - a.T)]
     assert [r.passed for r in reports] == [False] * 5
     assert [r.witnesses[0][2] for r in reports] == [2, 3, 3, 2, 3]
-
-
-def test_neville_to_zero_exact_on_polynomials():
-    # data that is a polynomial of degree <= R in x, sampled at R+1 nodes,
-    # extrapolates to its value at 0 for both node families in use
-    rng = np.random.default_rng(8)
-    families = {
-        "recon": lambda R: [(0.25 / 2**j) ** 2 for j in range(R + 1)],
-        "derivative": lambda R: [4.0**-j for j in range(R + 1)],
-    }
-    for R in range(5):
-        coeffs = [rng.standard_normal((2, 3, 3)) for _ in range(R + 1)]
-        for nodes in families.values():
-            xs = nodes(R)
-            ests = [[sum(c[comp] * x**k for k, c in enumerate(coeffs)) for comp in range(2)]
-                    for x in xs]
-            tops = neville_to_zero(ests, xs)
-            assert len(tops) == R + 1
-            for got, want in zip(tops[-1], coeffs[0]):
-                assert np.linalg.norm(got - want) < 1e-11 * max(1.0, np.linalg.norm(want))
 
 
 def test_triangular_identity():
@@ -352,18 +330,71 @@ def test_unitary_mode_oracle():
 
 
 def test_second_order_directional_derivative():
-    # d^2/dt^2 (X + tH)^3 at t=0 equals 2(XHH + HXH + HHX)
+    # d^2/dt^2 (X + tH)^3 at t=0 equals 2(XHH + HXH + HHX): a ray read of
+    # the cubic, exact with its spare node
     rng = np.random.default_rng(6)
     X = random_mattuple(1, 3, rng)
     H = random_mattuple(1, 3, rng)
     f = oracle_from_ncpoly(NCPoly.variable(1) ** 3)
-    est, err = directional_derivative(f, X, H, order=2)
+    est, err = derivative(f, X, H, order=2)
     x, h = X.mats[0], H.mats[0]
     want = 2 * (x @ h @ h + h @ x @ h + h @ h @ x)
-    assert np.linalg.norm(est.mats[0] - want) < 1e-6 * max(1, np.linalg.norm(want))
-    assert err < 1e-4
-    with pytest.raises(ValueError):
-        directional_derivative(f, X, H, order=3)
+    assert np.linalg.norm(est.mats[0] - want) < 1e-12 * max(1, np.linalg.norm(want))
+    assert err < 1e-12
+    for order in (0, 3):
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            derivative(f, X, H, order=order)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("mode", [FREE, INV])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_product_rule_and_ray_read_agree(order, mode, field):
+    # two routes to one derivative: the product rule (at order 2 the plain
+    # loop over pairs of positions) and the ray read of the polys=None copy
+    for seed in range(4):
+        g = 1 + seed % 2
+        polys = [random_ncpoly(g, 4, mode, seed=20 * seed + j, n_terms=8, field=field) for j in range(g)]
+        f = oracle_from_ncpoly(polys, field=field)
+        box = dataclasses.replace(f, polys=None)
+        for n in (2, 3):
+            X = random_mattuple(g, n, seed + n, field, norm=0.8)
+            H = random_mattuple(g, n, seed + 30 + n, field)
+            want = derivative(f, X, H)[0] if order == 1 else reference_second_derivative(f, X, H)
+            got, err = derivative(box, X, H, order=order)
+            assert got.field == want.field
+            assert got.max_diff(want) <= 1e-12 * max(1.0, want.norm()) and err <= 1e-12 * max(1.0, want.norm())
+
+
+def test_x_plus_sin_xxt_against_daleckii_krein():
+    # the ray read of x + sin(x x^t) against the closed-form derivative, at
+    # most the error that central differences with Richardson steps had
+    # (2.1e-12, 5.3e-12, 6.0e-12, 4.3e-12, 1.9e-11 at these norms)
+    from ncfun.mateval import sym_matrix_function
+
+    f = FreeMapOracle(1, 1, lambda X: MatTuple([X.mats[0] + sym_matrix_function("sin", X.mats[0] @ X.mats[0].T)]),
+                      group="O")
+    rng = np.random.default_rng(0)
+    for norm, bar in ((0.25, 2.1e-12), (0.5, 5.3e-12), (1.0, 6.0e-12), (2.0, 4.3e-12), (3.0, 1.9e-11)):
+        worst = 0.0
+        for n in (2, 3, 5):
+            for _ in range(3):
+                X, H = random_mattuple(1, n, rng, norm=norm), random_mattuple(1, n, rng)
+                got, _ = derivative(f, X, H)
+                worst = max(worst, np.linalg.norm(got.mats[0] - daleckii_krein_x_plus_sin_xxt(X, H), 2))
+        assert worst <= bar
+
+
+def test_product_rule_keeps_complex_coefficients_in_the_real_field():
+    # a real-field oracle with complex coefficients has complex values, and
+    # its derivative is complex too, as the ray read of its black-box copy
+    f = oracle_from_ncpoly(random_ncpoly(1, 3, FREE, seed=2, field="complex"))
+    X, H = random_mattuple(1, 3, 0, norm=0.5), random_mattuple(1, 3, 1)
+    sym, _ = derivative(f, X, H)
+    ray, _ = derivative(dataclasses.replace(f, polys=None), X, H)
+    assert f.field == "real" and sym.field == ray.field == "complex"
+    assert np.abs(sym.mats[0].imag).max() > 0.1 and sym.max_diff(ray) <= 1e-12 * sym.norm()
+    assert check_triangular_identity(f, X, H).passed
 
 
 def _flaky(X):
@@ -501,7 +532,8 @@ def test_stack_on_a_shifted_copy_uses_its_evaluator():
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("kind", ["black-box-g2", "complex-black-box", "polynomial"])
 def test_directional_derivative_matches_the_per_call_reference(kind, order):
-    # one stack per Richardson step, bit for bit the per-call differences
+    # one stack of every node, bit for bit the per-call ray read (the
+    # product rule for the polynomial at order 1)
     field = "complex" if kind == "complex-black-box" else "real"
     rng = np.random.default_rng(21)
     for n in (2, 3):
@@ -511,11 +543,67 @@ def test_directional_derivative_matches_the_per_call_reference(kind, order):
             f, g = (black_box(1 if field == "complex" else 2, field) for _ in range(2))
         X = random_mattuple(f.g, n, rng, field, norm=0.4)
         H = random_mattuple(f.g, n, rng, field)
-        est, err = directional_derivative(f, X, H, order=order)
+        est, err = derivative(f, X, H, order=order)
         want, want_err = reference_directional_derivative(g, X, H, order=order)
         assert est.field == want.field and err == want_err
         assert all(np.array_equal(a, b) for a, b in zip(est.mats, want.mats, strict=True))
-        assert f.calls == g.calls == 8 + (order == 2)
+        assert f.calls == g.calls
+
+
+def test_derivative_stays_inside_a_finite_radius():
+    # x (1 - x)^-1 on ||x|| < 1: the ray keeps within (1 - ||X||) / 2 of X,
+    # and reads (1 - X)^-1 H (1 - X)^-1; a point outside the radius is
+    # refused before any call
+    f = FreeMapOracle(1, 1, lambda X: MatTuple([X.mats[0] @ np.linalg.inv(np.eye(X.n) - X.mats[0])]),
+                      group="GL", radius=1.0)
+    H = random_mattuple(1, 3, 1)
+    for norm in (0.5, 0.9):
+        X = random_mattuple(1, 3, 0, norm=norm)
+        R = np.linalg.inv(np.eye(3) - X.mats[0])
+        got, err = derivative(f, X, H)
+        assert np.linalg.norm(got.mats[0] - R @ H.mats[0] @ R, 2) <= 1e-9 * np.linalg.norm(R, 2) ** 2
+    calls = f.calls
+    with pytest.raises(DomainError, match="point norm 1.2 outside radius 1 at level 3"):
+        derivative(f, random_mattuple(1, 3, 0, norm=1.2), H)
+    assert f.calls == calls
+
+
+# a derivative's calls per direction: RAY_NODES = 8 for a map not declared
+# polynomial, max(order, d) + 2 for a declared degree d, 0 for the product
+# rule; a derivative and a Jacobian (order 1, every direction) are one
+# stack each, none for the product rule
+DERIVATIVE_MAPS = {
+    "black box": lambda: black_box(1),
+    "degree-1 copy": lambda: dataclasses.replace(oracle_from_ncpoly(ivar(1) + ivar(1, True)), polys=None),
+    "degree-4 copy": lambda: dataclasses.replace(oracle_from_ncpoly((ivar(1) * ivar(1, True)) ** 2 + ivar(1)),
+                                                 polys=None),
+    "degree-4 polynomial": lambda: oracle_from_ncpoly((ivar(1) * ivar(1, True)) ** 2 + ivar(1)),
+}
+DERIVATIVE_BUDGET = [
+    # map, order, calls per direction
+    ("black box", 1, 8),
+    ("black box", 2, 8),
+    ("degree-1 copy", 1, 3),
+    ("degree-1 copy", 2, 4),
+    ("degree-4 copy", 1, 6),
+    ("degree-4 copy", 2, 6),
+    ("degree-4 polynomial", 1, 0),
+    ("degree-4 polynomial", 2, 6),
+]
+
+
+@pytest.mark.parametrize("name, order, calls", DERIVATIVE_BUDGET)
+def test_derivative_call_budget(name, order, calls):
+    from ncfun.invfun import assemble_jacobian
+
+    f = DERIVATIVE_MAPS[name]()
+    X, H = random_mattuple(1, 3, 0, norm=0.5), random_mattuple(1, 3, 1)
+    derivative(f, X, H, order)
+    assert (f.calls, f.batches) == (calls, int(calls > 0))
+    if order == 1:
+        f = DERIVATIVE_MAPS[name]()
+        assemble_jacobian(f, X)
+        assert (f.calls, f.batches) == (calls * 9, int(calls > 0))
 
 
 def test_directions_are_checked_against_the_point():
@@ -523,13 +611,9 @@ def test_directions_are_checked_against_the_point():
     for f in (black_box(1), oracle_from_ncpoly(ivar(1) * ivar(1, True) + ivar(1))):
         for H in (random_mattuple(2, 2, 1), random_mattuple(1, 3, 1)):
             msg = f"direction H has g={H.g}, n={H.n} but the point X has g=1, n=2"
-            with pytest.raises(ValueError, match=msg):
-                derivative(f, X, H)
-            with pytest.raises(ValueError, match=msg):
-                directional_derivative(f, X, H)
-            if f.polys is not None:
+            for order in (1, 2):
                 with pytest.raises(ValueError, match=msg):
-                    symbolic_directional_derivative(f, X, H)
+                    derivative(f, X, H, order)
         assert f.calls == 0
 
 

@@ -329,7 +329,7 @@ def test_maps_with_involution_mirror_through_the_depth_signature(field):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("D", [1, 3, 4])
 def test_signed_scan_is_the_full_symmetric_read(field, D):
-    from ncfun.recon import _part_scan
+    from ncfun.oracle import _part_scan
 
     from helpers import reference_symmetric_scan
 
@@ -515,7 +515,7 @@ def test_part_scan_reads_one_stack():
     f = builtin_map("sinxxt")
     homogeneous_part_eval(f, 3, random_mattuple(1, 3, 6, norm=0.5), 5)
     assert (f.calls, f.batches) == (16, 1)
-    from ncfun.recon import _part_scan
+    from ncfun.oracle import _part_scan
 
     f = oracle_from_ncpoly(random_ncpoly(2, 3, INV, seed=7))
     A = np.array(random_mattuple(2, 3, 6, norm=0.5).mats)[:, None]
